@@ -64,8 +64,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -79,7 +81,9 @@
 #include "engine/epoch_cache.hpp"
 #include "engine/method.hpp"
 #include "engine/scheduler.hpp"
+#include "engine/thread_pool.hpp"
 #include "engine/window.hpp"
+#include "linalg/blocked_spmv.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/entropy_solver.hpp"
 #include "linalg/matrix.hpp"
@@ -119,6 +123,41 @@ double time_best(std::size_t reps, Fn&& fn) {
         best = std::min(best, s);
     }
     return best;
+}
+
+/// Mean wall time per call of `fn` over `calls` calls (one untimed
+/// warm-up call first).
+template <typename Fn>
+double seconds_per_call(std::size_t calls, Fn&& fn) {
+    fn();
+    const Clock::time_point t0 = Clock::now();
+    for (std::size_t i = 0; i < calls; ++i) fn();
+    return std::chrono::duration<double>(Clock::now() - t0).count() /
+           static_cast<double>(calls);
+}
+
+/// Kernel-region helpers: pool workers that, with the calling thread,
+/// fill every hardware thread.
+std::size_t pool_workers() {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 1 ? hw - 1 : 1;
+}
+
+/// Pool workers only help regions while they spin after their last
+/// task.  A batch of short busy tasks right before a timed section
+/// leaves them spinning for its first region; later regions keep them.
+/// A whole solve's setup outlasts the spin, so pooled solves here get
+/// help only where the OS placed the workers apart and the first
+/// region came quickly — the engine's helpers are instead workers whose
+/// own methods finish while a QP is iterating.
+void warm_pool(engine::ThreadPool& pool) {
+    std::vector<std::function<void()>> tasks(pool.thread_count(), [] {
+        const Clock::time_point end =
+            Clock::now() + std::chrono::milliseconds(20);
+        while (Clock::now() < end) {
+        }
+    });
+    pool.run_batch(std::move(tasks));
 }
 
 double vec_max_abs_diff(const linalg::Vector& a, const linalg::Vector& b) {
@@ -1089,6 +1128,19 @@ int main(int argc, char** argv) {
     double p200_fanout_operator_delta = 0.0;
     double p200_vardi_seconds = 0.0;
     double p200_vardi_warm_rel_diff = 0.0;
+    // Kernel regions (linalg/blocked_spmv.hpp): seconds per Hessian
+    // apply — the pre-blocking serial calls, the blocked kernel inline,
+    // and the blocked kernel on a pool — plus whole pooled solves.
+    const std::size_t p200_pool_threads = pool_workers() + 1;
+    double p200_fanout_apply_serial_seconds = 0.0;
+    double p200_fanout_apply_inline_seconds = 0.0;
+    double p200_fanout_apply_pooled_seconds = 0.0;
+    double p200_bayesian_apply_serial_seconds = 0.0;
+    double p200_bayesian_apply_inline_seconds = 0.0;
+    double p200_bayesian_apply_pooled_seconds = 0.0;
+    double p200_bayesian_pooled_seconds = 0.0;
+    double p200_fanout_pooled_seconds = 0.0;
+    bool p200_pooled_bitwise = true;
     std::size_t p200_peak_alloc_bytes = 0;
     std::size_t p200_total_alloc_bytes = 0;
     bool p200_ok = true;
@@ -1226,6 +1278,7 @@ int main(int argc, char** argv) {
             [&] { fanout_csr = core::fanout_estimate(series, fopt_csr); });
         p200_fanout_operator_delta = vec_max_abs_diff(
             fanout_result.mean_demands, fanout_csr.mean_demands);
+        const linalg::Vector bayes_operator = est;
         std::printf("  fanout    %7.2fs (operator QP, %zu rounds, %zu cg "
                     "iters, eq viol %.2e; factored CSR %.2fs, |delta| "
                     "%.3g)\n",
@@ -1234,6 +1287,136 @@ int main(int argc, char** argv) {
                     fanout_result.equality_violation,
                     p200_fanout_factored_seconds,
                     p200_fanout_operator_delta);
+
+        // Kernel regions.  The fanout apply H x = sum_k W_k R' R W_k x
+        // over the window and the Bayesian apply R'(R x), each timed as
+        // the serial per-sample SparseMatrix calls the operators used
+        // before, as the blocked kernel inline, and as the blocked
+        // kernel on a pool of every hardware thread (pooled == serial
+        // bitwise is gated).  Then both operator solves rerun on the
+        // pool and must reproduce the serial estimates bit for bit.
+        {
+            engine::ThreadPool pool(pool_workers());
+            const linalg::RoutingOperator op(r);
+            // The fanout QP's weights: w_k[p] = te_k(src(p)).
+            std::vector<linalg::Vector> w(window, linalg::Vector(pairs));
+            std::vector<std::size_t> source_of(pairs);
+            std::vector<double> weights(topo.pop_count() * window);
+            for (std::size_t n = 0; n < topo.pop_count(); ++n) {
+                for (std::size_t k = 0; k < window; ++k) {
+                    weights[n * window + k] =
+                        series.loads[k][topo.ingress_link(n)];
+                }
+            }
+            for (std::size_t p = 0; p < pairs; ++p) {
+                source_of[p] = topo.pair_nodes(p).first;
+                for (std::size_t k = 0; k < window; ++k) {
+                    w[k][p] = weights[source_of[p] * window + k];
+                }
+            }
+            const linalg::Vector& x = fanout_result.fanouts;
+            linalg::Vector y_serial(pairs), u(pairs), v, z;
+            const auto fanout_serial = [&] {
+                std::fill(y_serial.begin(), y_serial.end(), 0.0);
+                for (const linalg::Vector& wk : w) {
+                    for (std::size_t p = 0; p < pairs; ++p) {
+                        u[p] = wk[p] * x[p];
+                    }
+                    r.multiply_into(u, v);
+                    r.multiply_transpose_into(v, z);
+                    for (std::size_t p = 0; p < pairs; ++p) {
+                        y_serial[p] += wk[p] * z[p];
+                    }
+                }
+            };
+            linalg::WeightedNormalScratch scratch;
+            linalg::Vector y_inline, y_pooled;
+            p200_fanout_apply_serial_seconds =
+                seconds_per_call(50, fanout_serial);
+            p200_fanout_apply_inline_seconds = seconds_per_call(50, [&] {
+                op.weighted_normal(x, source_of, weights, window, scratch,
+                                   y_inline, nullptr);
+            });
+            warm_pool(pool);
+            p200_fanout_apply_pooled_seconds = seconds_per_call(50, [&] {
+                op.weighted_normal(x, source_of, weights, window, scratch,
+                                   y_pooled, &pool);
+            });
+            const bool fanout_apply_bitwise =
+                vec_bitwise(y_inline, y_serial) &&
+                vec_bitwise(y_pooled, y_serial);
+
+            const linalg::Vector& bx = bayes_operator;
+            linalg::Vector tmp, b_serial, b_inline, b_pooled;
+            p200_bayesian_apply_serial_seconds = seconds_per_call(200, [&] {
+                r.multiply_into(bx, tmp);
+                r.multiply_transpose_into(tmp, b_serial);
+            });
+            p200_bayesian_apply_inline_seconds = seconds_per_call(200, [&] {
+                op.multiply(bx, tmp, nullptr);
+                op.multiply_transpose(tmp, b_inline, nullptr);
+            });
+            warm_pool(pool);
+            p200_bayesian_apply_pooled_seconds = seconds_per_call(200, [&] {
+                op.multiply(bx, tmp, &pool);
+                op.multiply_transpose(tmp, b_pooled, &pool);
+            });
+            const bool bayes_apply_bitwise =
+                vec_bitwise(b_inline, b_serial) &&
+                vec_bitwise(b_pooled, b_serial);
+            std::printf("  kernel    fanout apply (window %zu) serial "
+                        "%.3f ms, blocked inline %.3f ms, pooled (%zu "
+                        "threads) %.3f ms; bayesian apply %.3f / %.3f / "
+                        "%.3f ms; bitwise %s\n",
+                        window, 1e3 * p200_fanout_apply_serial_seconds,
+                        1e3 * p200_fanout_apply_inline_seconds,
+                        p200_pool_threads,
+                        1e3 * p200_fanout_apply_pooled_seconds,
+                        1e3 * p200_bayesian_apply_serial_seconds,
+                        1e3 * p200_bayesian_apply_inline_seconds,
+                        1e3 * p200_bayesian_apply_pooled_seconds,
+                        fanout_apply_bitwise && bayes_apply_bitwise
+                            ? "yes"
+                            : "NO");
+            if (!fanout_apply_bitwise || !bayes_apply_bitwise) {
+                fail("200-PoP blocked Hessian applies differ from the "
+                     "serial products (fanout %d, bayesian %d)",
+                     fanout_apply_bitwise ? 1 : 0,
+                     bayes_apply_bitwise ? 1 : 0);
+                p200_ok = false;
+            }
+
+            core::BayesianOptions bopt_pooled = bopt;
+            bopt_pooled.qp.parallel = &pool;
+            linalg::Vector bayes_pooled;
+            warm_pool(pool);
+            p200_bayesian_pooled_seconds = time_best(1, [&] {
+                bayes_pooled =
+                    core::bayesian_estimate(snap, prior, bopt_pooled);
+            });
+            core::FanoutOptions fopt_pooled = fopt;
+            fopt_pooled.qp.parallel = &pool;
+            core::FanoutResult fanout_pooled;
+            warm_pool(pool);
+            p200_fanout_pooled_seconds = time_best(1, [&] {
+                fanout_pooled = core::fanout_estimate(series, fopt_pooled);
+            });
+            p200_pooled_bitwise =
+                vec_bitwise(bayes_pooled, bayes_operator) &&
+                vec_bitwise(fanout_pooled.mean_demands,
+                            fanout_result.mean_demands);
+            std::printf("  pooled    bayesian %.2fs, fanout %.2fs (%zu "
+                        "threads; serial %.2fs / %.2fs; bitwise %s)\n",
+                        p200_bayesian_pooled_seconds,
+                        p200_fanout_pooled_seconds, p200_pool_threads,
+                        p200_bayesian_seconds, p200_fanout_seconds,
+                        p200_pooled_bitwise ? "yes" : "NO");
+            if (!p200_pooled_bitwise) {
+                fail("200-PoP pooled operator solves differ from the "
+                     "serial solves");
+                p200_ok = false;
+            }
+        }
 
         // Vardi through the operator form: the first scale at which
         // the method exists at all — its dense transformed Gram would
@@ -1397,6 +1580,15 @@ int main(int argc, char** argv) {
     double p500_bayesian_seconds = 0.0;
     double p500_fanout_seconds = 0.0;
     double p500_scheduler_seconds = 0.0;
+    // The same operator solves with kernel regions on a pool of every
+    // hardware thread, and the five-method window through a scheduler
+    // whose worker count matches the hardware (helpers come from the
+    // workers whose methods finish first).
+    const std::size_t p500_pool_threads = pool_workers() + 1;
+    double p500_bayesian_pooled_seconds = 0.0;
+    double p500_fanout_pooled_seconds = 0.0;
+    double p500_window_pooled_seconds = 0.0;
+    bool p500_pooled_bitwise = true;
     std::size_t p500_pairs = 0;
     std::size_t p500_links = 0;
     std::size_t p500_nnz = 0;
@@ -1533,6 +1725,39 @@ int main(int argc, char** argv) {
                     fanout_result.qp_cg_iterations,
                     fanout_result.equality_violation);
 
+        {
+            engine::ThreadPool pool(pool_workers());
+            core::BayesianOptions bopt_pooled = bopt;
+            bopt_pooled.qp.parallel = &pool;
+            linalg::Vector bayes_pooled;
+            warm_pool(pool);
+            p500_bayesian_pooled_seconds = time_best(1, [&] {
+                bayes_pooled =
+                    core::bayesian_estimate(snap, prior, bopt_pooled);
+            });
+            core::FanoutOptions fopt_pooled = fopt;
+            fopt_pooled.qp.parallel = &pool;
+            core::FanoutResult fanout_pooled;
+            warm_pool(pool);
+            p500_fanout_pooled_seconds = time_best(1, [&] {
+                fanout_pooled = core::fanout_estimate(series, fopt_pooled);
+            });
+            p500_pooled_bitwise =
+                vec_bitwise(bayes_pooled, est) &&
+                vec_bitwise(fanout_pooled.mean_demands,
+                            fanout_result.mean_demands);
+            std::printf("  pooled    bayesian %.2fs, fanout %.2fs (%zu "
+                        "threads; bitwise %s)\n",
+                        p500_bayesian_pooled_seconds,
+                        p500_fanout_pooled_seconds, p500_pool_threads,
+                        p500_pooled_bitwise ? "yes" : "NO");
+            if (!p500_pooled_bitwise) {
+                fail("500-PoP pooled operator solves differ from the "
+                     "serial solves");
+                p500_ok = false;
+            }
+        }
+
         const double p500_window_seconds =
             p500_gravity_seconds + p500_kruithof_seconds +
             p500_entropy_seconds + p500_bayesian_seconds +
@@ -1596,6 +1821,31 @@ int main(int argc, char** argv) {
                  "routing transpose — the operator wiring is not "
                  "engaged");
             p500_ok = false;
+        }
+
+        // The yardstick window on every core: all five methods through
+        // a scheduler with one worker per hardware thread, so the
+        // workers whose methods finish first help the operator QPs.
+        {
+            engine::MethodOptions five = mopts;
+            five.kruithof = kopt;
+            five.entropy = ent;
+            engine::EstimatorScheduler pooled(
+                {engine::Method::gravity, engine::Method::kruithof,
+                 engine::Method::entropy, engine::Method::bayesian,
+                 engine::Method::fanout},
+                five, /*threads=*/p500_pool_threads, /*warm_start=*/false,
+                /*min_series_window=*/3);
+            engine::WindowResult pres;
+            p500_window_pooled_seconds =
+                time_best(1, [&] { pres = pooled.run(win, epoch); });
+            for (const engine::MethodRun& run : pres.runs) {
+                check_estimate("pooled scheduler", run.estimate);
+            }
+            std::printf("  window    %7.2fs (five methods on %zu worker "
+                        "threads; serial sum %.2fs)\n",
+                        p500_window_pooled_seconds, p500_pool_threads,
+                        p500_window_seconds);
         }
 
         p500_peak_alloc_bytes =
@@ -1705,6 +1955,22 @@ int main(int argc, char** argv) {
     report.set("p200_vardi_warm_rel_diff", p200_vardi_warm_rel_diff);
     report.set("p200_peak_alloc_bytes", p200_peak_alloc_bytes);
     report.set("p200_total_alloc_bytes", p200_total_alloc_bytes);
+    report.set("p200_pool_threads", p200_pool_threads);
+    report.set("p200_fanout_apply_serial_seconds",
+               p200_fanout_apply_serial_seconds);
+    report.set("p200_fanout_apply_inline_seconds",
+               p200_fanout_apply_inline_seconds);
+    report.set("p200_fanout_apply_pooled_seconds",
+               p200_fanout_apply_pooled_seconds);
+    report.set("p200_bayesian_apply_serial_seconds",
+               p200_bayesian_apply_serial_seconds);
+    report.set("p200_bayesian_apply_inline_seconds",
+               p200_bayesian_apply_inline_seconds);
+    report.set("p200_bayesian_apply_pooled_seconds",
+               p200_bayesian_apply_pooled_seconds);
+    report.set("p200_bayesian_pooled_seconds", p200_bayesian_pooled_seconds);
+    report.set("p200_fanout_pooled_seconds", p200_fanout_pooled_seconds);
+    report.set("p200_pooled_bitwise", p200_pooled_bitwise);
     report.set("p200_ok", p200_ok);
     report.set("p500_pairs", p500_pairs);
     report.set("p500_links", p500_links);
@@ -1716,6 +1982,11 @@ int main(int argc, char** argv) {
     report.set("p500_bayesian_seconds", p500_bayesian_seconds);
     report.set("p500_fanout_seconds", p500_fanout_seconds);
     report.set("p500_scheduler_seconds", p500_scheduler_seconds);
+    report.set("p500_pool_threads", p500_pool_threads);
+    report.set("p500_bayesian_pooled_seconds", p500_bayesian_pooled_seconds);
+    report.set("p500_fanout_pooled_seconds", p500_fanout_pooled_seconds);
+    report.set("p500_window_pooled_seconds", p500_window_pooled_seconds);
+    report.set("p500_pooled_bitwise", p500_pooled_bitwise);
     report.set("p500_budget_seconds", p500_budget_seconds);
     report.set("p500_peak_alloc_bytes", p500_peak_alloc_bytes);
     report.set("p500_total_alloc_bytes", p500_total_alloc_bytes);

@@ -4,6 +4,7 @@
 
 #include "check/contract.hpp"
 #include "check/validators.hpp"
+#include "linalg/blocked_spmv.hpp"
 #include "linalg/nnls.hpp"
 
 namespace tme::core {
@@ -80,11 +81,15 @@ linalg::Vector bayesian_estimate(const SnapshotProblem& problem,
         const linalg::Vector shift(pairs, w);
         linalg::HessianOperator hessian;
         hessian.dimension = pairs;
-        hessian.apply = [&r, tmp = linalg::Vector(r.rows(), 0.0)](
+        // A x = R'(R x) as two row-blocked passes on the caller's block
+        // runner (bitwise the serial products).
+        const linalg::RoutingOperator routing_op(r);
+        hessian.apply = [&routing_op, parallel = options.qp.parallel,
+                         tmp = linalg::Vector(r.rows(), 0.0)](
                             const linalg::Vector& x,
                             linalg::Vector& y) mutable {
-            r.multiply_into(x, tmp);
-            r.multiply_transpose_into(tmp, y);
+            routing_op.multiply(x, tmp, parallel);
+            routing_op.multiply_transpose(tmp, y, parallel);
         };
         // G(p, p) = sum of squares over column p's carriers, source
         // rows ascending — the Gram kernels' diagonal accumulation.

@@ -1,10 +1,12 @@
 #include "core/fanout.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "check/contract.hpp"
 #include "check/validators.hpp"
+#include "linalg/blocked_spmv.hpp"
 #include "linalg/qp.hpp"
 
 namespace tme::core {
@@ -155,7 +157,8 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     const linalg::SparseMatrix* rtp = nullptr;
     linalg::Matrix local_outer;
     const linalg::Matrix* outer_ptr = nullptr;
-    std::vector<linalg::Vector> window_w;
+    // w_k[p] = te_k(src(p)): per-source totals at n * window + k.
+    std::vector<double> source_w;
     linalg::Vector d1;
     if (options.operator_form) {
         if (options.shared_routing_transpose != nullptr) {
@@ -202,10 +205,12 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
             }
             outer_ptr = &local_outer;
         }
-        window_w.reserve(window);
-        for (std::size_t k = 0; k < window; ++k) {
-            window_w.push_back(
-                pair_source_totals(topo, problem.loads[k]));
+        source_w.assign(nodes * window, 0.0);
+        for (std::size_t n = 0; n < nodes; ++n) {
+            for (std::size_t k = 0; k < window; ++k) {
+                source_w[n * window + k] =
+                    problem.loads[k][topo.ingress_link(n)];
+            }
         }
     }
 
@@ -280,27 +285,22 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
         const linalg::CsrView rv = r.view();
         const linalg::CsrView rtv = rtp->view();
         const linalg::Matrix& outer = *outer_ptr;
-        linalg::Vector ubuf(pairs, 0.0);
-        linalg::Vector vbuf(r.rows(), 0.0);
-        linalg::Vector zbuf(pairs, 0.0);
+        // Built on the first apply: exact-LU-regime solves (every
+        // paper-scale problem) never apply H and skip the setup.
+        std::optional<linalg::RoutingOperator> routing_op;
+        linalg::WeightedNormalScratch apply_scratch;
         linalg::HessianOperator hessian_op;
         hessian_op.dimension = pairs;
-        // H x = sum_k W_k R' R W_k x: one R / R' product per window
-        // sample — O(nnz * window) per apply, rank-(window) structure
-        // exploited instead of the quadratic weighted Gram.
+        // H x = sum_k W_k R' R W_k x: O(nnz * window) per apply,
+        // rank-(window) structure exploited instead of the quadratic
+        // weighted Gram.  One row-blocked pass over R and one over R'
+        // serve every window sample, on the caller's block runner.
         hessian_op.apply = [&](const linalg::Vector& x,
                                linalg::Vector& y) {
-            y.assign(pairs, 0.0);
-            for (const linalg::Vector& wk : window_w) {
-                for (std::size_t p = 0; p < pairs; ++p) {
-                    ubuf[p] = wk[p] * x[p];
-                }
-                r.multiply_into(ubuf, vbuf);
-                r.multiply_transpose_into(vbuf, zbuf);
-                for (std::size_t p = 0; p < pairs; ++p) {
-                    y[p] += wk[p] * zbuf[p];
-                }
-            }
+            if (!routing_op) routing_op.emplace(r);
+            routing_op->weighted_normal(x, source_of, source_w, window,
+                                        apply_scratch, y,
+                                        options.qp.parallel);
         };
         hessian_op.diag = [&](linalg::Vector& out) {
             for (std::size_t p = 0; p < pairs; ++p) {

@@ -135,6 +135,9 @@ KruithofResult kruithof_ipf(std::size_t nodes, const linalg::Vector& prior,
                          : linalg::SolveOutcome::iteration_capped;
     if (options.counters != nullptr) {
         options.counters->kruithof_sweeps += result.iterations;
+        if (result.outcome == linalg::SolveOutcome::iteration_capped) {
+            ++options.counters->capped_solves;
+        }
     }
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(
         "kruithof_ipf", result.s, /*require_nonnegative=*/true));
@@ -280,6 +283,9 @@ KruithofResult kruithof_general(const SnapshotProblem& problem,
                          : linalg::SolveOutcome::iteration_capped;
     if (options.counters != nullptr) {
         options.counters->kruithof_sweeps += result.iterations;
+        if (result.outcome == linalg::SolveOutcome::iteration_capped) {
+            ++options.counters->capped_solves;
+        }
     }
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(
         "kruithof_general", result.s, /*require_nonnegative=*/true));

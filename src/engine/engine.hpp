@@ -39,6 +39,9 @@ struct EngineConfig {
                                    Method::fanout};
     MethodOptions method_options;
     /// Worker threads for the per-window method fan-out; 0 runs inline.
+    /// Workers whose method finished early help the fanout and Bayesian
+    /// operator applies of the others (kernel regions, bitwise the same
+    /// estimates; see THREADING.md).
     std::size_t threads = 0;
     /// Routing epochs kept alive for flap recovery.
     std::size_t epoch_cache_capacity = 4;

@@ -15,6 +15,9 @@ void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
     if (run.solve_outcome == SolveOutcome::budget_exhausted) {
         ++stats.budget_exhausted_runs;
         ++metrics.budget_exhausted_runs;
+    } else if (run.solve_outcome == SolveOutcome::iteration_capped) {
+        ++stats.capped_runs;
+        ++metrics.capped_runs;
     }
     if (run.used_fallback) ++stats.fallback_runs;
     switch (run.quality) {
@@ -147,6 +150,7 @@ obs::Json EngineMetrics::to_json() const {
           obs::histogram_to_json(epoch_build_latency.snapshot()));
     j.set("mre_skipped_runs",
           static_cast<long long>(mre_skipped_runs.load()));
+    j.set("capped_runs", static_cast<long long>(capped_runs.load()));
 
     obs::Json degr = obs::Json::object();
     degr.set("degraded_runs", static_cast<long long>(degraded_runs.load()));
@@ -208,6 +212,7 @@ obs::Json EngineMetrics::to_json() const {
               static_cast<long long>(stats.fallback_runs.load()));
         m.set("budget_exhausted_runs",
               static_cast<long long>(stats.budget_exhausted_runs.load()));
+        m.set("capped_runs", static_cast<long long>(stats.capped_runs.load()));
         per_method.set(method_name(method), std::move(m));
     }
     j.set("methods", std::move(per_method));

@@ -67,6 +67,9 @@ struct MethodStats {
     MetricCell<std::size_t> fallback_runs;
     /// Runs whose own solve was cut by the SolveBudget deadline.
     MetricCell<std::size_t> budget_exhausted_runs;
+    /// Runs stopped by a configured iteration cap (solve_outcome ==
+    /// iteration_capped).  Still served as exact.
+    MetricCell<std::size_t> capped_runs;
 
     double mean_seconds() const {
         const std::size_t n = runs.load();
@@ -176,6 +179,8 @@ struct EngineMetrics {
     MetricCell<std::size_t> stale_runs;
     MetricCell<std::size_t> failed_runs;
     MetricCell<std::size_t> budget_exhausted_runs;
+    /// Engine-wide sum of the per-method capped_runs.
+    MetricCell<std::size_t> capped_runs;
     /// Samples whose loads arrived non-finite or negative and were
     /// repaired (zeroed + flagged as a gap) by the ingest sanitizer.
     MetricCell<std::size_t> corrupt_samples;

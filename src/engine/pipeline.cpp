@@ -333,7 +333,7 @@ void PipelinedEngine::run_stage(Lineage& lin, WindowJob& job,
         MethodExecution exec =
             execute_method_guarded(m, job.ctx, config_.method_options,
                                    seed, lin.last_good,
-                                   config_.warm_start);
+                                   config_.warm_start, &pool_);
         if (config_.warm_start && exec.warm_next_valid) {
             lin.warm = std::move(exec.warm_next);
             lin.warm_valid = true;

@@ -159,7 +159,7 @@ WindowContext WindowContext::capture(
 MethodExecution execute_method(Method m, const WindowContext& ctx,
                                const MethodOptions& options,
                                const linalg::Vector* warm_seed,
-                               bool collect_warm) {
+                               bool collect_warm, ThreadPool* pool) {
     obs::Span span(solver_span_name(m), "ordinal",
                    static_cast<long long>(ctx.ordinal), "warm",
                    warm_seed != nullptr ? 1 : 0);
@@ -218,6 +218,7 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             core::BayesianOptions opts = options.bayesian;
             opts.counters = &run.solver;
             opts.budget = &budget;
+            opts.qp.parallel = pool;
             // Gram-free: the MAP system is solved through on-demand
             // Gram columns / implicit A'A products off the epoch's
             // cached R' — neither the dense nor the CSR Gram is ever
@@ -265,6 +266,7 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             core::FanoutOptions opts = options.fanout;
             opts.qp.counters = &run.solver;
             opts.qp.budget = &budget;
+            opts.qp.parallel = pool;
             // Gram-free: the QP's data term is applied through R / R'
             // per window sample and its KKT rows are generated on
             // demand off the epoch's cached R' — not even the CSR Gram
@@ -307,6 +309,8 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
     }
     if (budget.expired()) {
         run.solve_outcome = SolveOutcome::budget_exhausted;
+    } else if (run.solver.capped_solves != 0) {
+        run.solve_outcome = SolveOutcome::iteration_capped;
     }
     run.seconds = seconds_since(start);
     return out;
@@ -354,13 +358,14 @@ MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
                                        const MethodOptions& options,
                                        const linalg::Vector* warm_seed,
                                        FallbackState& last_good,
-                                       bool collect_warm) {
+                                       bool collect_warm, ThreadPool* pool) {
     const std::size_t pairs = ctx.series.routing->cols();
     MethodExecution out;
     std::string reason;
     bool primary_ok = false;
     try {
-        out = execute_method(m, ctx, options, warm_seed, collect_warm);
+        out = execute_method(m, ctx, options, warm_seed, collect_warm,
+                             pool);
         if (estimate_usable(out.run.estimate, pairs)) {
             primary_ok = true;
         } else {
@@ -417,8 +422,8 @@ MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
     // fanout-only schedules, where the chain goes straight to gravity).
     if (m == Method::fanout && ctx.prior.size() == pairs) {
         try {
-            MethodExecution fb = execute_method(Method::bayesian, ctx,
-                                                options, nullptr, false);
+            MethodExecution fb = execute_method(
+                Method::bayesian, ctx, options, nullptr, false, pool);
             run.solver = fb.run.solver;
             served = accept_fallback(Method::bayesian,
                                      std::move(fb.run.estimate));
@@ -523,7 +528,8 @@ WindowResult EstimatorScheduler::run(
                 // slot, like the warm slots — no locking needed.
                 slots[i] = execute_method_guarded(
                     m, ctx, options_, seed,
-                    last_good_[static_cast<std::size_t>(m)], warm_start_);
+                    last_good_[static_cast<std::size_t>(m)], warm_start_,
+                    &pool_);
             } catch (...) {
                 errors[i] = std::current_exception();
             }

@@ -88,8 +88,11 @@ struct MethodRun {
     /// Solver iteration counts for this run (QP rounds/CG, entropy
     /// steps/probes, MART sweeps, NNLS pivots); zero for gravity.
     obs::SolverCounters solver;
-    /// How the method's own solve ended (budget_exhausted when the
-    /// SolveBudget cut it; see MethodOptions::solve_deadline_seconds).
+    /// How the method's own solve ended: budget_exhausted when the
+    /// SolveBudget cut it (see MethodOptions::solve_deadline_seconds),
+    /// otherwise iteration_capped when a configured iteration cap
+    /// stopped one of its solves (solver.capped_solves > 0).  A capped
+    /// run is still `exact` — the cap is the caller's deliberate trade.
     SolveOutcome solve_outcome = SolveOutcome::converged;
     /// Quality of `estimate` as served downstream (engine/method.hpp).
     EstimateQuality quality = EstimateQuality::exact;
@@ -213,11 +216,14 @@ struct MethodExecution {
 /// run.  Pure apart from lazy derived-data builds on the pinned epoch
 /// (which are thread-safe), so any thread may execute any method —
 /// correctness of warm seeding is the caller's ordering
-/// responsibility.
+/// responsibility.  `pool` (optional) lends its idle workers to the
+/// fanout and Bayesian operator applies as kernel regions; estimates
+/// are bitwise the same with or without it.
 MethodExecution execute_method(Method m, const WindowContext& ctx,
                                const MethodOptions& options,
                                const linalg::Vector* warm_seed,
-                               bool collect_warm = true);
+                               bool collect_warm = true,
+                               ThreadPool* pool = nullptr);
 
 /// Last-good estimate carried across windows for one method: the
 /// graceful-degradation terminal fallback.  Updated only by exact runs;
@@ -248,11 +254,14 @@ struct FallbackState {
 /// Unexpected exception types (std::logic_error etc. — programming
 /// errors, not data/solver faults) still propagate.  A degraded run
 /// never updates the warm slot (warm_next_valid = false) nor last_good.
+/// `pool` is passed through to execute_method (both engines pass their
+/// own pool; nullptr keeps every kernel on the calling thread).
 MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
                                        const MethodOptions& options,
                                        const linalg::Vector* warm_seed,
                                        FallbackState& last_good,
-                                       bool collect_warm = true);
+                                       bool collect_warm = true,
+                                       ThreadPool* pool = nullptr);
 
 class EstimatorScheduler {
   public:

@@ -1,19 +1,39 @@
 // Minimal fixed-size thread pool for the estimator scheduler and the
 // window pipeline.
 //
-// Two usage patterns share one queue and pending counter:
+// Three usage patterns share one set of workers:
 //   * run_batch(): one engine window fans its per-method estimation
 //     tasks out as a batch and waits for completion (the serial
 //     scheduler; batches never overlap within one engine);
 //   * submit(): the window pipeline enqueues free-running tasks and
-//     tracks completion itself, never waiting on the pool.
+//     tracks completion itself, never waiting on the pool;
+//   * run() (linalg::BlockRunner): a kernel region.  A running task
+//     splits an operator apply into blocks and claims blocks itself;
+//     workers that are idle and still spinning join in, one block at a
+//     time.  With no such worker the caller runs the whole range as one
+//     call, so a busy pool costs the caller nothing.  Regions from
+//     several tasks may be open at once; queued tasks take precedence.
 // run_batch() waits for the pool to go globally idle, so it must not be
 // mixed with concurrent submit() traffic on the same pool — the
-// pipeline therefore owns its pool exclusively.  Constructed with zero
-// threads the pool degrades to inline execution, which keeps
-// single-threaded runs deterministic and trivially debuggable.
+// pipeline therefore owns its pool exclusively.  Regions do not count
+// as pending work and mix freely with both.
+//
+// Idle workers spin for kIdleSpin after their last task or block
+// before they block on the condition variable, and only spinning
+// workers help regions: a region never wakes a sleeping worker.  On
+// virtualized hosts a woken thread tends to be placed on the waker's
+// CPU and preempt it, which makes a wake-up for a sub-millisecond
+// region cost more than it saves.  The gaps between one solve's
+// regions are far shorter than kIdleSpin, so a worker that joins a
+// solve stays with it.
+//
+// Constructed with zero threads the pool degrades to inline execution,
+// which keeps single-threaded runs deterministic and trivially
+// debuggable.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -22,9 +42,11 @@
 #include <thread>
 #include <vector>
 
+#include "linalg/parallel.hpp"
+
 namespace tme::engine {
 
-class ThreadPool {
+class ThreadPool final : public linalg::BlockRunner {
   public:
     explicit ThreadPool(std::size_t threads) {
         workers_.reserve(threads);
@@ -40,6 +62,7 @@ class ThreadPool {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             stop_ = true;
+            work_epoch_.fetch_add(1, std::memory_order_relaxed);
         }
         work_cv_.notify_all();
         for (std::thread& t : workers_) t.join();
@@ -58,6 +81,7 @@ class ThreadPool {
             std::lock_guard<std::mutex> lock(mutex_);
             for (auto& task : tasks) queue_.push(std::move(task));
             pending_ += tasks.size();
+            work_epoch_.fetch_add(1, std::memory_order_relaxed);
         }
         work_cv_.notify_all();
         std::unique_lock<std::mutex> lock(mutex_);
@@ -76,6 +100,7 @@ class ThreadPool {
             std::lock_guard<std::mutex> lock(mutex_);
             queue_.push(std::move(task));
             ++pending_;
+            work_epoch_.fetch_add(1, std::memory_order_relaxed);
         }
         work_cv_.notify_one();
     }
@@ -88,23 +113,160 @@ class ThreadPool {
         done_cv_.wait(lock, [this] { return pending_ == 0; });
     }
 
+    /// Kernel region: runs body over [0, blocks) with the caller and the
+    /// currently spinning workers claiming blocks, and returns once all
+    /// have finished.  Never allocates; body must not throw or open a
+    /// nested region.
+    void run(std::size_t blocks, linalg::BlockBody body) override {
+        if (blocks == 0) return;
+        Region region(blocks, body);
+        bool shared = false;
+        if (blocks > 1 && !workers_.empty()) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            shared = spinning_ > 0;
+            if (shared) {
+                link(region);
+                work_epoch_.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+        if (!shared) {
+            body(0, blocks);
+            return;
+        }
+        region.drain();
+        finish(region);
+    }
+
   private:
-    void worker() {
+    /// One open region, on its caller's stack.  `next` hands out block
+    /// indices; `helpers` counts workers currently inside drain().
+    /// Helpers join only under mutex_ while the region is linked.
+    struct Region {
+        Region(std::size_t n, linalg::BlockBody b) : blocks(n), body(b) {}
+
+        void drain() {
+            for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+                 b < blocks;
+                 b = next.fetch_add(1, std::memory_order_relaxed)) {
+                body(b, b + 1);
+            }
+        }
+        bool claimable() const {
+            return next.load(std::memory_order_relaxed) < blocks;
+        }
+
+        const std::size_t blocks;
+        const linalg::BlockBody body;
+        std::atomic<std::size_t> next{0};
+        std::atomic<std::size_t> helpers{0};
+        Region* prev = nullptr;
+        Region* succ = nullptr;
+    };
+
+    /// How long an idle worker (and a region caller waiting for its
+    /// helpers) spins before blocking.
+    static constexpr std::chrono::microseconds kIdleSpin{2000};
+
+    static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+
+    /// Spins until done() or kIdleSpin has passed; returns done().
+    template <class Pred>
+    static bool spin_until(Pred done) {
+        const auto deadline = std::chrono::steady_clock::now() + kIdleSpin;
         while (true) {
-            std::function<void()> task;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                work_cv_.wait(lock,
-                              [this] { return stop_ || !queue_.empty(); });
-                if (stop_ && queue_.empty()) return;
-                task = std::move(queue_.front());
+            for (int i = 0; i < 64; ++i) {
+                if (done()) return true;
+                cpu_relax();
+            }
+            if (std::chrono::steady_clock::now() >= deadline) return done();
+        }
+    }
+
+    void link(Region& r) {  // under mutex_
+        r.succ = regions_;
+        if (regions_ != nullptr) regions_->prev = &r;
+        regions_ = &r;
+    }
+    void unlink(Region& r) {  // under mutex_
+        if (r.prev != nullptr) {
+            r.prev->succ = r.succ;
+        } else {
+            regions_ = r.succ;
+        }
+        if (r.succ != nullptr) r.succ->prev = r.prev;
+    }
+    Region* claimable_region() const {  // under mutex_
+        for (Region* r = regions_; r != nullptr; r = r->succ) {
+            if (r->claimable()) return r;
+        }
+        return nullptr;
+    }
+
+    /// Unlinks the region, then waits for the helpers still inside it:
+    /// a spin on the acquire count, then a blocking wait.  A helper's
+    /// last touch of the region is its acq_rel decrement under mutex_,
+    /// after which the caller may pop the region off its stack.
+    void finish(Region& r) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            unlink(r);
+            if (r.helpers.load(std::memory_order_relaxed) == 0) return;
+        }
+        if (spin_until([&r] {
+                return r.helpers.load(std::memory_order_acquire) == 0;
+            })) {
+            return;
+        }
+        std::unique_lock<std::mutex> lock(mutex_);
+        region_cv_.wait(lock, [&r] {
+            return r.helpers.load(std::memory_order_relaxed) == 0;
+        });
+    }
+
+    void worker() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        while (true) {
+            if (!queue_.empty()) {
+                std::function<void()> task = std::move(queue_.front());
                 queue_.pop();
-            }
-            task();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
+                lock.unlock();
+                task();
+                lock.lock();
                 if (--pending_ == 0) done_cv_.notify_all();
+                continue;
             }
+            if (Region* r = claimable_region()) {
+                r->helpers.fetch_add(1, std::memory_order_relaxed);
+                lock.unlock();
+                r->drain();
+                lock.lock();
+                if (r->helpers.fetch_sub(1, std::memory_order_acq_rel) ==
+                    1) {
+                    region_cv_.notify_all();
+                }
+                continue;
+            }
+            if (stop_) return;
+            // Hot idle: watch for new work without the mutex.  Every
+            // post bumps work_epoch_ under mutex_, so an unchanged epoch
+            // after the spin means nothing arrived since `seen`.
+            const std::size_t seen =
+                work_epoch_.load(std::memory_order_relaxed);
+            ++spinning_;
+            lock.unlock();
+            const bool posted = spin_until([this, seen] {
+                return work_epoch_.load(std::memory_order_relaxed) != seen;
+            });
+            lock.lock();
+            --spinning_;
+            if (posted) continue;
+            work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
         }
     }
 
@@ -113,6 +275,11 @@ class ThreadPool {
     std::mutex mutex_;
     std::condition_variable work_cv_;
     std::condition_variable done_cv_;
+    std::condition_variable region_cv_;
+    Region* regions_ = nullptr;  ///< open regions (intrusive list)
+    std::size_t spinning_ = 0;   ///< workers in their hot-idle spin
+    /// Bumped under mutex_ on every task push, region link and stop.
+    std::atomic<std::size_t> work_epoch_{0};
     std::size_t pending_ = 0;
     bool stop_ = false;
 };

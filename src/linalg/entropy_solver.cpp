@@ -180,6 +180,9 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     if (options.counters != nullptr) {
         options.counters->entropy_iterations += result.iterations;
         options.counters->entropy_armijo_probes += armijo_probes;
+        if (result.outcome == SolveOutcome::iteration_capped) {
+            ++options.counters->capped_solves;
+        }
     }
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(
         "kl_regularized_ls", result.s, /*require_nonnegative=*/true));

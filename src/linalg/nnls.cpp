@@ -521,12 +521,15 @@ NnlsResult nnls_active_set(GramAccess& gram, const Vector& atb, double btb,
         }
         result.residual_norm = std::sqrt(std::max(0.0, quad + btb));
     }
-    if (options.counters != nullptr) {
-        options.counters->nnls_pivots += result.iterations;
-    }
     result.outcome = result.converged ? SolveOutcome::converged
                      : budget_tripped ? SolveOutcome::budget_exhausted
                                       : SolveOutcome::iteration_capped;
+    if (options.counters != nullptr) {
+        options.counters->nnls_pivots += result.iterations;
+        if (result.outcome == SolveOutcome::iteration_capped) {
+            ++options.counters->capped_solves;
+        }
+    }
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(
         "nnls", result.x, /*require_nonnegative=*/true));
     return result;

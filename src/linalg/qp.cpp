@@ -332,6 +332,9 @@ EqQpNonnegResult solve_eq_qp_nonneg(const Matrix& h, const Vector& f,
                                       : SolveOutcome::iteration_capped;
     if (options.counters != nullptr) {
         options.counters->qp_active_set_rounds += result.iterations;
+        if (result.outcome == SolveOutcome::iteration_capped) {
+            ++options.counters->capped_solves;
+        }
     }
     TME_CONTRACT_DBG_CHECK(
         check::solver_boundary("solve_eq_qp_nonneg", result.x));
@@ -1178,6 +1181,9 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessPolicy& hp, const Vector& f,
     if (options.counters != nullptr) {
         options.counters->qp_active_set_rounds += result.iterations;
         options.counters->qp_cg_iterations += result.cg_iterations;
+        if (result.outcome == SolveOutcome::iteration_capped) {
+            ++options.counters->capped_solves;
+        }
     }
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(name, result.x));
     return result;

@@ -23,6 +23,7 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/nnls.hpp"
+#include "linalg/parallel.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/counters.hpp"
 
@@ -99,6 +100,13 @@ struct EqQpNonnegOptions {
     /// feasibility as maintained by the projection) with
     /// outcome = budget_exhausted.  Not owned; must outlive the call.
     SolveBudget* budget = nullptr;
+    /// Optional block runner for the Hessian operator applies: the
+    /// fanout and Bayesian operators run their R x / R' y products as
+    /// row-blocked kernels on it (linalg/blocked_spmv.hpp), bitwise
+    /// equal to the serial products for any runner.  The solver's own
+    /// vector updates and dot products stay serial.  nullptr runs every
+    /// block inline.  Not owned; must outlive the call.
+    BlockRunner* parallel = nullptr;
 };
 
 /// Factored Hessian H = S + diag(extra): a symmetric sparse matrix in

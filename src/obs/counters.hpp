@@ -43,11 +43,16 @@ struct SolverCounters {
     std::size_t kruithof_sweeps = 0;
     /// Lawson-Hanson NNLS outer active-set iterations (pivots).
     std::size_t nnls_pivots = 0;
+    /// Solves (QP, NNLS, entropy, Kruithof/MART) that returned because
+    /// a configured iteration cap stopped them short of convergence
+    /// (SolveOutcome::iteration_capped); budget cuts are not counted.
+    std::size_t capped_solves = 0;
 
     bool any() const {
         return qp_active_set_rounds != 0 || qp_cg_iterations != 0 ||
                entropy_iterations != 0 || entropy_armijo_probes != 0 ||
-               kruithof_sweeps != 0 || nnls_pivots != 0;
+               kruithof_sweeps != 0 || nnls_pivots != 0 ||
+               capped_solves != 0;
     }
 
     void add(const SolverCounters& other) {
@@ -57,6 +62,7 @@ struct SolverCounters {
         entropy_armijo_probes += other.entropy_armijo_probes;
         kruithof_sweeps += other.kruithof_sweeps;
         nnls_pivots += other.nnls_pivots;
+        capped_solves += other.capped_solves;
     }
 };
 
@@ -70,6 +76,7 @@ struct SolverCounterCells {
     MetricCell<std::size_t> entropy_armijo_probes;
     MetricCell<std::size_t> kruithof_sweeps;
     MetricCell<std::size_t> nnls_pivots;
+    MetricCell<std::size_t> capped_solves;
 
     void add(const SolverCounters& c) {
         if (c.qp_active_set_rounds) {
@@ -82,6 +89,7 @@ struct SolverCounterCells {
         }
         if (c.kruithof_sweeps) kruithof_sweeps += c.kruithof_sweeps;
         if (c.nnls_pivots) nnls_pivots += c.nnls_pivots;
+        if (c.capped_solves) capped_solves += c.capped_solves;
     }
 
     SolverCounters snapshot() const {
@@ -92,6 +100,7 @@ struct SolverCounterCells {
         c.entropy_armijo_probes = entropy_armijo_probes.load();
         c.kruithof_sweeps = kruithof_sweeps.load();
         c.nnls_pivots = nnls_pivots.load();
+        c.capped_solves = capped_solves.load();
         return c;
     }
 };

@@ -28,6 +28,7 @@ Json counters_to_json(const SolverCounters& counters) {
     put("entropy_armijo_probes", counters.entropy_armijo_probes);
     put("kruithof_sweeps", counters.kruithof_sweeps);
     put("nnls_pivots", counters.nnls_pivots);
+    put("capped_solves", counters.capped_solves);
     return j;
 }
 

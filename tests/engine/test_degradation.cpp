@@ -193,6 +193,61 @@ TEST(Degradation, ZeroDeadlineDegradesEveryBudgetedMethod) {
               "exact");
 }
 
+// A configured iteration cap is reported — SolverCounters::capped_solves,
+// MethodRun::solve_outcome = iteration_capped, EngineMetrics capped_runs
+// — but the run stays exact: the cap is the caller's deliberate trade,
+// not a degradation.
+TEST(Degradation, IterationCapIsReportedButStaysExact) {
+    const scenario::Scenario sc = short_scenario(6);
+    EngineConfig config = all_methods_config(4);
+    config.methods = {Method::gravity, Method::kruithof, Method::entropy};
+    config.method_options.kruithof.max_iterations = 1;
+    config.method_options.entropy.solver.max_iterations = 1;
+
+    OnlineEngine engine(sc.topo, sc.routing, config);
+    for (std::size_t k = 0; k < sc.loads.size(); ++k) {
+        const WindowResult result = engine.ingest(k, sc.loads[k]);
+        for (const MethodRun& run : result.runs) {
+            EXPECT_EQ(run.quality, EstimateQuality::exact)
+                << method_name(run.method);
+            if (run.method == Method::gravity) {
+                EXPECT_EQ(run.solve_outcome, SolveOutcome::converged);
+                EXPECT_EQ(run.solver.capped_solves, 0u);
+                continue;
+            }
+            EXPECT_EQ(run.solve_outcome, SolveOutcome::iteration_capped)
+                << method_name(run.method);
+            EXPECT_EQ(run.solver.capped_solves, 1u) << method_name(run.method);
+        }
+    }
+
+    const EngineMetrics& metrics = engine.metrics();
+    const std::size_t windows = sc.loads.size();
+    EXPECT_EQ(metrics.capped_runs.load(), 2 * windows);
+    EXPECT_EQ(metrics.methods.at(Method::kruithof).capped_runs.load(), windows);
+    EXPECT_EQ(metrics.degraded_runs.load(), 0u);
+    EXPECT_EQ(metrics.budget_exhausted_runs.load(), 0u);
+    const obs::Json j = metrics.to_json();
+    EXPECT_EQ(j.find("capped_runs")->as_int(), static_cast<long long>(2 * windows));
+    const obs::Json* entropy = j.find("methods")->find("entropy");
+    EXPECT_EQ(entropy->find("capped_runs")->as_int(),
+              static_cast<long long>(windows));
+    EXPECT_EQ(entropy->find("solver")->find("capped_solves")->as_int(),
+              static_cast<long long>(windows));
+
+    // A budget cut wins over a cap: record_run_quality files a run under
+    // exactly one of the two.
+    EngineMetrics direct;
+    direct.methods[Method::fanout];
+    MethodRun capped;
+    capped.method = Method::fanout;
+    capped.solve_outcome = SolveOutcome::iteration_capped;
+    record_run_quality(direct, capped, 1);
+    EXPECT_EQ(direct.capped_runs.load(), 1u);
+    EXPECT_EQ(direct.budget_exhausted_runs.load(), 0u);
+    EXPECT_EQ(direct.degradation.size(), 0u);
+}
+
 // Non-finite / negative loads are repaired by the always-compiled
 // ingest sanitizer: zeroed, flagged as a gap, counted — and the solvers
 // never see them (estimates stay finite and nonnegative).
