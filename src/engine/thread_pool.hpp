@@ -18,8 +18,9 @@
 // pipeline therefore owns its pool exclusively.  Regions do not count
 // as pending work and mix freely with both.
 //
-// Idle workers spin for kIdleSpin after their last task or block
-// before they block on the condition variable, and only spinning
+// Workers spin for kIdleSpin after their last task or block before
+// they block on the condition variable (a worker that has not worked
+// since it started or last slept does not spin), and only spinning
 // workers help regions: a region never wakes a sleeping worker.  On
 // virtualized hosts a woken thread tends to be placed on the waker's
 // CPU and preempt it, which makes a wake-up for a sub-millisecond
@@ -231,6 +232,10 @@ class ThreadPool final : public linalg::BlockRunner {
 
     void worker() {
         std::unique_lock<std::mutex> lock(mutex_);
+        // Spin only after real work: a freshly started or woken-idle
+        // worker has no solve to stay with, and spinning then would
+        // only compete with the thread that is setting one up.
+        bool hot = false;
         while (true) {
             if (!queue_.empty()) {
                 std::function<void()> task = std::move(queue_.front());
@@ -239,6 +244,7 @@ class ThreadPool final : public linalg::BlockRunner {
                 task();
                 lock.lock();
                 if (--pending_ == 0) done_cv_.notify_all();
+                hot = true;
                 continue;
             }
             if (Region* r = claimable_region()) {
@@ -250,22 +256,27 @@ class ThreadPool final : public linalg::BlockRunner {
                     1) {
                     region_cv_.notify_all();
                 }
+                hot = true;
                 continue;
             }
             if (stop_) return;
-            // Hot idle: watch for new work without the mutex.  Every
-            // post bumps work_epoch_ under mutex_, so an unchanged epoch
-            // after the spin means nothing arrived since `seen`.
-            const std::size_t seen =
-                work_epoch_.load(std::memory_order_relaxed);
-            ++spinning_;
-            lock.unlock();
-            const bool posted = spin_until([this, seen] {
-                return work_epoch_.load(std::memory_order_relaxed) != seen;
-            });
-            lock.lock();
-            --spinning_;
-            if (posted) continue;
+            if (hot) {
+                // Hot idle: watch for new work without the mutex.  Every
+                // post bumps work_epoch_ under mutex_, so an unchanged
+                // epoch after the spin means nothing arrived since `seen`.
+                const std::size_t seen =
+                    work_epoch_.load(std::memory_order_relaxed);
+                ++spinning_;
+                lock.unlock();
+                const bool posted = spin_until([this, seen] {
+                    return work_epoch_.load(std::memory_order_relaxed) !=
+                           seen;
+                });
+                lock.lock();
+                --spinning_;
+                if (posted) continue;
+                hot = false;
+            }
             work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
         }
     }
