@@ -144,13 +144,13 @@ std::size_t pool_workers() {
 }
 
 /// Pool workers only help regions while they spin after their last
-/// task.  A batch of short busy tasks right before a timed section
-/// leaves them spinning for its first region; later regions keep them.
-/// A whole solve's setup outlasts the spin, so pooled solves here get
-/// help only where the OS placed the workers apart and the first
-/// region came quickly — the engine's helpers are instead workers whose
-/// own methods finish while a QP is iterating.
+/// task, and only in a pool that has opened a region since they last
+/// slept.  A region, then a batch of short busy tasks right before a
+/// timed kernel loop leaves them spinning for its first region; later
+/// regions keep them.  (The engine's helpers are instead workers whose
+/// own methods finish while a QP is iterating.)
 void warm_pool(engine::ThreadPool& pool) {
+    pool.run(2, [](std::size_t, std::size_t) {});
     std::vector<std::function<void()>> tasks(pool.thread_count(), [] {
         const Clock::time_point end =
             Clock::now() + std::chrono::milliseconds(20);
@@ -1130,7 +1130,7 @@ int main(int argc, char** argv) {
     double p200_vardi_warm_rel_diff = 0.0;
     // Kernel regions (linalg/blocked_spmv.hpp): seconds per Hessian
     // apply — the pre-blocking serial calls, the blocked kernel inline,
-    // and the blocked kernel on a pool — plus whole pooled solves.
+    // and the blocked kernel on a pool.
     const std::size_t p200_pool_threads = pool_workers() + 1;
     double p200_fanout_apply_serial_seconds = 0.0;
     double p200_fanout_apply_inline_seconds = 0.0;
@@ -1138,9 +1138,6 @@ int main(int argc, char** argv) {
     double p200_bayesian_apply_serial_seconds = 0.0;
     double p200_bayesian_apply_inline_seconds = 0.0;
     double p200_bayesian_apply_pooled_seconds = 0.0;
-    double p200_bayesian_pooled_seconds = 0.0;
-    double p200_fanout_pooled_seconds = 0.0;
-    bool p200_pooled_bitwise = true;
     std::size_t p200_peak_alloc_bytes = 0;
     std::size_t p200_total_alloc_bytes = 0;
     bool p200_ok = true;
@@ -1293,8 +1290,11 @@ int main(int argc, char** argv) {
         // the serial per-sample SparseMatrix calls the operators used
         // before, as the blocked kernel inline, and as the blocked
         // kernel on a pool of every hardware thread (pooled == serial
-        // bitwise is gated).  Then both operator solves rerun on the
-        // pool and must reproduce the serial estimates bit for bit.
+        // bitwise is gated).  Whole pooled solves are not timed here:
+        // a standalone solve's setup outlasts the workers' spin, so no
+        // helper would join (tests/engine/test_parallel_determinism.cpp
+        // gates their bits; the 500-PoP window below times the pool
+        // where helpers do join).
         {
             engine::ThreadPool pool(pool_workers());
             const linalg::RoutingOperator op(r);
@@ -1383,37 +1383,6 @@ int main(int argc, char** argv) {
                      "serial products (fanout %d, bayesian %d)",
                      fanout_apply_bitwise ? 1 : 0,
                      bayes_apply_bitwise ? 1 : 0);
-                p200_ok = false;
-            }
-
-            core::BayesianOptions bopt_pooled = bopt;
-            bopt_pooled.qp.parallel = &pool;
-            linalg::Vector bayes_pooled;
-            warm_pool(pool);
-            p200_bayesian_pooled_seconds = time_best(1, [&] {
-                bayes_pooled =
-                    core::bayesian_estimate(snap, prior, bopt_pooled);
-            });
-            core::FanoutOptions fopt_pooled = fopt;
-            fopt_pooled.qp.parallel = &pool;
-            core::FanoutResult fanout_pooled;
-            warm_pool(pool);
-            p200_fanout_pooled_seconds = time_best(1, [&] {
-                fanout_pooled = core::fanout_estimate(series, fopt_pooled);
-            });
-            p200_pooled_bitwise =
-                vec_bitwise(bayes_pooled, bayes_operator) &&
-                vec_bitwise(fanout_pooled.mean_demands,
-                            fanout_result.mean_demands);
-            std::printf("  pooled    bayesian %.2fs, fanout %.2fs (%zu "
-                        "threads; serial %.2fs / %.2fs; bitwise %s)\n",
-                        p200_bayesian_pooled_seconds,
-                        p200_fanout_pooled_seconds, p200_pool_threads,
-                        p200_bayesian_seconds, p200_fanout_seconds,
-                        p200_pooled_bitwise ? "yes" : "NO");
-            if (!p200_pooled_bitwise) {
-                fail("200-PoP pooled operator solves differ from the "
-                     "serial solves");
                 p200_ok = false;
             }
         }
@@ -1580,15 +1549,11 @@ int main(int argc, char** argv) {
     double p500_bayesian_seconds = 0.0;
     double p500_fanout_seconds = 0.0;
     double p500_scheduler_seconds = 0.0;
-    // The same operator solves with kernel regions on a pool of every
-    // hardware thread, and the five-method window through a scheduler
-    // whose worker count matches the hardware (helpers come from the
-    // workers whose methods finish first).
+    // The five-method window through a scheduler whose worker count
+    // matches the hardware (helpers come from the workers whose
+    // methods finish first).
     const std::size_t p500_pool_threads = pool_workers() + 1;
-    double p500_bayesian_pooled_seconds = 0.0;
-    double p500_fanout_pooled_seconds = 0.0;
     double p500_window_pooled_seconds = 0.0;
-    bool p500_pooled_bitwise = true;
     std::size_t p500_pairs = 0;
     std::size_t p500_links = 0;
     std::size_t p500_nnz = 0;
@@ -1724,39 +1689,6 @@ int main(int argc, char** argv) {
                     p500_fanout_seconds, fanout_result.qp_iterations,
                     fanout_result.qp_cg_iterations,
                     fanout_result.equality_violation);
-
-        {
-            engine::ThreadPool pool(pool_workers());
-            core::BayesianOptions bopt_pooled = bopt;
-            bopt_pooled.qp.parallel = &pool;
-            linalg::Vector bayes_pooled;
-            warm_pool(pool);
-            p500_bayesian_pooled_seconds = time_best(1, [&] {
-                bayes_pooled =
-                    core::bayesian_estimate(snap, prior, bopt_pooled);
-            });
-            core::FanoutOptions fopt_pooled = fopt;
-            fopt_pooled.qp.parallel = &pool;
-            core::FanoutResult fanout_pooled;
-            warm_pool(pool);
-            p500_fanout_pooled_seconds = time_best(1, [&] {
-                fanout_pooled = core::fanout_estimate(series, fopt_pooled);
-            });
-            p500_pooled_bitwise =
-                vec_bitwise(bayes_pooled, est) &&
-                vec_bitwise(fanout_pooled.mean_demands,
-                            fanout_result.mean_demands);
-            std::printf("  pooled    bayesian %.2fs, fanout %.2fs (%zu "
-                        "threads; bitwise %s)\n",
-                        p500_bayesian_pooled_seconds,
-                        p500_fanout_pooled_seconds, p500_pool_threads,
-                        p500_pooled_bitwise ? "yes" : "NO");
-            if (!p500_pooled_bitwise) {
-                fail("500-PoP pooled operator solves differ from the "
-                     "serial solves");
-                p500_ok = false;
-            }
-        }
 
         const double p500_window_seconds =
             p500_gravity_seconds + p500_kruithof_seconds +
@@ -1968,9 +1900,6 @@ int main(int argc, char** argv) {
                p200_bayesian_apply_inline_seconds);
     report.set("p200_bayesian_apply_pooled_seconds",
                p200_bayesian_apply_pooled_seconds);
-    report.set("p200_bayesian_pooled_seconds", p200_bayesian_pooled_seconds);
-    report.set("p200_fanout_pooled_seconds", p200_fanout_pooled_seconds);
-    report.set("p200_pooled_bitwise", p200_pooled_bitwise);
     report.set("p200_ok", p200_ok);
     report.set("p500_pairs", p500_pairs);
     report.set("p500_links", p500_links);
@@ -1983,10 +1912,7 @@ int main(int argc, char** argv) {
     report.set("p500_fanout_seconds", p500_fanout_seconds);
     report.set("p500_scheduler_seconds", p500_scheduler_seconds);
     report.set("p500_pool_threads", p500_pool_threads);
-    report.set("p500_bayesian_pooled_seconds", p500_bayesian_pooled_seconds);
-    report.set("p500_fanout_pooled_seconds", p500_fanout_pooled_seconds);
     report.set("p500_window_pooled_seconds", p500_window_pooled_seconds);
-    report.set("p500_pooled_bitwise", p500_pooled_bitwise);
     report.set("p500_budget_seconds", p500_budget_seconds);
     report.set("p500_peak_alloc_bytes", p500_peak_alloc_bytes);
     report.set("p500_total_alloc_bytes", p500_total_alloc_bytes);

@@ -18,9 +18,11 @@
 // pipeline therefore owns its pool exclusively.  Regions do not count
 // as pending work and mix freely with both.
 //
-// Workers spin for kIdleSpin after their last task or block before
-// they block on the condition variable (a worker that has not worked
-// since it started or last slept does not spin), and only spinning
+// A worker spins for kIdleSpin after its last task or block before it
+// blocks on the condition variable, but only if the pool has opened a
+// region since the worker last slept: pools whose tasks never reach an
+// operator kernel (paper-scale windows, engines without CG-regime
+// solves) sleep at once, as plain task pools do.  Only spinning
 // workers help regions: a region never wakes a sleeping worker.  On
 // virtualized hosts a woken thread tends to be placed on the waker's
 // CPU and preempt it, which makes a wake-up for a sub-millisecond
@@ -124,6 +126,7 @@ class ThreadPool final : public linalg::BlockRunner {
         bool shared = false;
         if (blocks > 1 && !workers_.empty()) {
             std::lock_guard<std::mutex> lock(mutex_);
+            ++regions_opened_;
             shared = spinning_ > 0;
             if (shared) {
                 link(region);
@@ -232,10 +235,10 @@ class ThreadPool final : public linalg::BlockRunner {
 
     void worker() {
         std::unique_lock<std::mutex> lock(mutex_);
-        // Spin only after real work: a freshly started or woken-idle
-        // worker has no solve to stay with, and spinning then would
-        // only compete with the thread that is setting one up.
-        bool hot = false;
+        // regions_opened_ when this worker last slept: it spins only
+        // while regions have been opened since, i.e. while some task of
+        // this pool is in an operator solve it could help with.
+        std::size_t regions_seen = 0;
         while (true) {
             if (!queue_.empty()) {
                 std::function<void()> task = std::move(queue_.front());
@@ -244,7 +247,6 @@ class ThreadPool final : public linalg::BlockRunner {
                 task();
                 lock.lock();
                 if (--pending_ == 0) done_cv_.notify_all();
-                hot = true;
                 continue;
             }
             if (Region* r = claimable_region()) {
@@ -256,11 +258,10 @@ class ThreadPool final : public linalg::BlockRunner {
                     1) {
                     region_cv_.notify_all();
                 }
-                hot = true;
                 continue;
             }
             if (stop_) return;
-            if (hot) {
+            if (regions_opened_ != regions_seen) {
                 // Hot idle: watch for new work without the mutex.  Every
                 // post bumps work_epoch_ under mutex_, so an unchanged
                 // epoch after the spin means nothing arrived since `seen`.
@@ -275,8 +276,8 @@ class ThreadPool final : public linalg::BlockRunner {
                 lock.lock();
                 --spinning_;
                 if (posted) continue;
-                hot = false;
             }
+            regions_seen = regions_opened_;
             work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
         }
     }
@@ -289,6 +290,9 @@ class ThreadPool final : public linalg::BlockRunner {
     std::condition_variable region_cv_;
     Region* regions_ = nullptr;  ///< open regions (intrusive list)
     std::size_t spinning_ = 0;   ///< workers in their hot-idle spin
+    /// run() calls that could have been shared (blocks > 1), shared or
+    /// not; tells workers whether a hot-idle spin can pay off.
+    std::size_t regions_opened_ = 0;
     /// Bumped under mutex_ on every task push, region link and stop.
     std::atomic<std::size_t> work_epoch_{0};
     std::size_t pending_ = 0;

@@ -1,27 +1,22 @@
 #include "linalg/blocked_spmv.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <type_traits>
+
+#include "linalg/csr_kernels.hpp"
 
 namespace tme::linalg {
 
 namespace {
 
-/// c + a * b rounded exactly as the serial loops round it.  Built with
-/// FMA instructions available, compilers contract the serial
-/// `acc += a * b` statements into fused multiply-adds; whether they
-/// also contract the (differently vectorized) blocked loops is up to
-/// the optimizer, so the blocked kernels spell the fusion out.  Without
-/// FMA hardware nothing is contracted on either side.
-inline double mul_add(double a, double b, double c) {
-#if defined(__FMA__)
-    return std::fma(a, b, c);
-#else
-    return c + a * b;
-#endif
-}
+using detail::mul_add;
+
+/// Row blocks and column blocks per operator: enough for the pool
+/// sizes the engine runs (a block each for up to 16 threads, or a few
+/// each for a handful), few enough that the per-row segment table stays
+/// small.
+constexpr std::size_t kBlocks = 16;
 
 /// Calls f(std::integral_constant<std::size_t, K>, k0) for consecutive
 /// sample chunks [k0, k0 + K) covering [0, window), K <= 8, so the
@@ -131,9 +126,8 @@ std::vector<std::size_t> nnz_balanced_blocks(const CsrView& a,
     return bounds;
 }
 
-RoutingOperator::RoutingOperator(const SparseMatrix& r, std::size_t blocks)
-    : r_(r.view()) {
-    row_blocks_ = nnz_balanced_blocks(r_, blocks);
+RoutingOperator::RoutingOperator(const SparseMatrix& r) : r_(r.view()) {
+    row_blocks_ = nnz_balanced_blocks(r_, kBlocks);
     // Column blocks balanced by column counts: the bounds of the
     // counting CSR of R' (its row offsets), without building R'.
     std::vector<std::size_t> col_offsets(r_.cols + 1, 0);
@@ -145,7 +139,7 @@ RoutingOperator::RoutingOperator(const SparseMatrix& r, std::size_t blocks)
     }
     const CsrView counts{r_.cols, r_.rows, col_offsets.data(), nullptr,
                          nullptr};
-    col_blocks_ = nnz_balanced_blocks(counts, blocks);
+    col_blocks_ = nnz_balanced_blocks(counts, kBlocks);
     // Per row, where each column block's entries start (rows are sorted
     // by column, so a block's entries are one contiguous segment).
     const std::size_t stride = col_blocks_.size();
@@ -167,20 +161,11 @@ void RoutingOperator::multiply(const Vector& x, Vector& y,
         throw std::invalid_argument("RoutingOperator::multiply: size mismatch");
     }
     y.resize(r_.rows);
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
+    const double* xp = x.data();
+    double* yp = y.data();
     run_blocks(runner, row_blocks_.size() - 1,
                [&](std::size_t b0, std::size_t b1) {
-        const std::size_t* __restrict off = r_.offsets;
-        const std::size_t* __restrict cidx = r_.col_index;
-        const double* __restrict vals = r_.values;
-        for (std::size_t i = row_blocks_[b0]; i < row_blocks_[b1]; ++i) {
-            double acc = 0.0;
-            for (std::size_t t = off[i]; t < off[i + 1]; ++t) {
-                acc = mul_add(vals[t], xp[cidx[t]], acc);
-            }
-            yp[i] = acc;
-        }
+        detail::csr_rows_times(r_, xp, row_blocks_[b0], row_blocks_[b1], yp);
     });
 }
 
@@ -191,21 +176,17 @@ void RoutingOperator::multiply_transpose(const Vector& x, Vector& y,
             "RoutingOperator::multiply_transpose: size mismatch");
     }
     y.resize(r_.cols);
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
+    const double* xp = x.data();
+    double* yp = y.data();
     const std::size_t stride = col_blocks_.size();
     run_blocks(runner, stride - 1, [&](std::size_t b0, std::size_t b1) {
-        const std::size_t* __restrict cidx = r_.col_index;
-        const double* __restrict vals = r_.values;
-        const std::size_t* __restrict seg = segments_.data();
+        const std::size_t* seg = segments_.data();
         std::fill(yp + col_blocks_[b0], yp + col_blocks_[b1], 0.0);
         for (std::size_t i = 0; i < r_.rows; ++i) {
             const double xi = xp[i];
             if (xi == 0.0) continue;
-            const std::size_t t1 = seg[i * stride + b1];
-            for (std::size_t t = seg[i * stride + b0]; t < t1; ++t) {
-                yp[cidx[t]] = mul_add(xi, vals[t], yp[cidx[t]]);
-            }
+            detail::csr_scatter(xi, r_, seg[i * stride + b0],
+                                seg[i * stride + b1], yp);
         }
     });
 }

@@ -22,9 +22,11 @@
 //             two passes per sample, with each per-sample term computed
 //             and folded in the serial loop's order.
 //
-// Every output element is written by exactly one block, so the results
-// are bitwise equal to the serial calls for every thread count and
-// every partition (pinned by tests/linalg/test_blocked_spmv.cpp).
+// R x and R' y run the same row and segment loops as SparseMatrix's
+// products (linalg/csr_kernels.hpp), and every output element is
+// written by exactly one block, so the results are bitwise equal to the
+// serial calls for every thread count and every partition (pinned by
+// tests/linalg/test_blocked_spmv.cpp).
 #pragma once
 
 #include <cstddef>
@@ -56,11 +58,9 @@ struct WeightedNormalScratch {
 
 class RoutingOperator {
   public:
-    static constexpr std::size_t default_blocks = 16;
-
-    /// `r` must outlive the operator.  O(nnz + rows * blocks) setup.
-    explicit RoutingOperator(const SparseMatrix& r,
-                             std::size_t blocks = default_blocks);
+    /// `r` must outlive the operator.  O(nnz + rows * blocks) setup for
+    /// a fixed count of 16 row and 16 column blocks.
+    explicit RoutingOperator(const SparseMatrix& r);
 
     std::size_t rows() const { return r_.rows; }
     std::size_t cols() const { return r_.cols; }

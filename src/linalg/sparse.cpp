@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "linalg/csr_kernels.hpp"
+
 namespace tme::linalg {
 
 SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
@@ -96,18 +98,7 @@ void SparseMatrix::multiply_into(const Vector& x, Vector& y) const {
         throw std::invalid_argument("SparseMatrix::multiply: size mismatch");
     }
     y.assign(rows_, 0.0);
-    const std::size_t* __restrict off = offsets_.data();
-    const std::size_t* __restrict cidx = cols_idx_.data();
-    const double* __restrict vals = values_.data();
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
-    for (std::size_t i = 0; i < rows_; ++i) {
-        double acc = 0.0;
-        for (std::size_t k = off[i]; k < off[i + 1]; ++k) {
-            acc += vals[k] * xp[cidx[k]];
-        }
-        yp[i] = acc;
-    }
+    detail::csr_rows_times(view(), x.data(), 0, rows_, y.data());
 }
 
 Vector SparseMatrix::multiply_transpose(const Vector& x) const {
@@ -123,16 +114,11 @@ void SparseMatrix::multiply_transpose_into(const Vector& x,
             "SparseMatrix::multiply_transpose: size mismatch");
     }
     y.assign(cols_, 0.0);
-    const std::size_t* __restrict off = offsets_.data();
-    const std::size_t* __restrict cidx = cols_idx_.data();
-    const double* __restrict vals = values_.data();
-    double* __restrict yp = y.data();
+    const CsrView a = view();
     for (std::size_t i = 0; i < rows_; ++i) {
         const double xi = x[i];
         if (xi == 0.0) continue;
-        for (std::size_t k = off[i]; k < off[i + 1]; ++k) {
-            yp[cidx[k]] += xi * vals[k];
-        }
+        detail::csr_scatter(xi, a, offsets_[i], offsets_[i + 1], y.data());
     }
 }
 

@@ -34,9 +34,11 @@ bool bitwise_equal(const linalg::Vector& a, const linalg::Vector& b) {
 }
 
 /// Leaves every worker in its hot-idle spin, so the next regions are
-/// shared with helpers instead of running on the caller alone.  The
-/// tasks run long enough for the OS to spread the workers over CPUs.
+/// shared with helpers instead of running on the caller alone: a region
+/// first (workers spin only in pools that have opened one), then tasks
+/// long enough for the OS to spread the workers over CPUs.
 void warm(ThreadPool& pool) {
+    pool.run(2, [](std::size_t, std::size_t) {});
     std::vector<std::function<void()>> tasks(pool.thread_count(), [] {
         const auto end =
             std::chrono::steady_clock::now() + std::chrono::milliseconds(20);

@@ -1,7 +1,8 @@
 // ThreadPool kernel regions (ThreadPool::run, the linalg::BlockRunner
 // the operator QPs use): every block runs exactly once, the caller
 // alone finishes a region when no worker is free, concurrent regions
-// and submit() traffic coexist, and spinning workers do join in.
+// and submit() traffic coexist, spinning workers do join in, and a pool
+// that never opened a region does not spin.
 // Labelled `engine`, so the ThreadSanitizer lane runs it.
 #include "engine/thread_pool.hpp"
 
@@ -34,9 +35,11 @@ void expect_each_block_once(ThreadPool& pool, std::size_t blocks) {
     }
 }
 
-/// A batch of no-op tasks: afterwards every worker is in its hot-idle
+/// A region (which marks the pool as one that runs kernels), then a
+/// batch of no-op tasks: afterwards every worker is in its hot-idle
 /// spin, i.e. available to the next region.
 void warm(ThreadPool& pool) {
+    pool.run(2, [](std::size_t, std::size_t) {});
     std::vector<std::function<void()>> tasks(pool.thread_count(), [] {});
     pool.run_batch(std::move(tasks));
 }
@@ -74,8 +77,10 @@ TEST(ThreadPoolRegions, OneBlockAndMoreBlocksThanWorkers) {
 
 TEST(ThreadPoolRegions, SpinningWorkersJoinARegion) {
     ThreadPool pool(3);
-    // One task opens a region of slow blocks just after its two sibling
-    // tasks returned, i.e. while their workers spin in hot idle.  The
+    // One task opens a tiny region at once, as an operator solve does
+    // long before its siblings finish, and a region of slow blocks just
+    // after its two sibling tasks returned, i.e. while their workers
+    // spin in hot idle.  The
     // siblings run long enough for the OS to spread the three workers
     // over separate CPUs first (freshly woken threads may all start on
     // one).  Retry a few times so a descheduled worker cannot fail the
@@ -87,6 +92,7 @@ TEST(ThreadPoolRegions, SpinningWorkersJoinARegion) {
         std::set<std::thread::id> ids;
         std::vector<std::function<void()>> tasks;
         tasks.push_back([&] {
+            pool.run(2, [](std::size_t, std::size_t) {});
             while (finished.load(std::memory_order_acquire) < 2) {
             }
             busy_wait(std::chrono::microseconds(50));
@@ -108,6 +114,27 @@ TEST(ThreadPoolRegions, SpinningWorkersJoinARegion) {
         shared = ids.size() > 1;
     }
     EXPECT_TRUE(shared) << "no worker ever joined a region";
+}
+
+// Workers of a pool that has never opened a region go to sleep right
+// after their tasks instead of spinning, so the first region runs on
+// its caller alone.  (The last worker to finish releases the mutex only
+// in its condition-variable wait, so run_batch cannot return first.)
+TEST(ThreadPoolRegions, WorkersOfARegionFreePoolSleepAtOnce) {
+    ThreadPool pool(2);
+    std::vector<std::function<void()>> tasks(pool.thread_count(), [] {
+        busy_wait(std::chrono::milliseconds(5));
+    });
+    pool.run_batch(std::move(tasks));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t calls = 0;
+    pool.run(16, [&](std::size_t b0, std::size_t b1) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(b0, 0u);
+        EXPECT_EQ(b1, 16u);
+        ++calls;
+    });
+    EXPECT_EQ(calls, 1u);
 }
 
 // A region opened from a run_batch task while every worker is busy

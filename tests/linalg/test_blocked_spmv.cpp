@@ -1,7 +1,7 @@
 // Row-/column-blocked routing-operator kernels (linalg/blocked_spmv.hpp)
 // against the serial SparseMatrix products they replace: bit for bit,
-// for every block count and for every way a runner may order or group
-// the blocks.  The thread-pool side of the same contract lives in
+// for every way a runner may order or group the blocks, and on matrices
+// with fewer rows and columns than blocks (empty blocks).  The thread-pool side of the same contract lives in
 // tests/engine/test_parallel_determinism.cpp.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "linalg/blocked_spmv.hpp"
+#include "linalg/csr_kernels.hpp"
 #include "routing/routing_matrix.hpp"
 #include "topology/builders.hpp"
 
@@ -80,7 +81,8 @@ Vector input_vector(std::size_t n, std::mt19937_64& rng) {
     return x;
 }
 
-/// The fanout Hessian apply as the serial per-sample loop.
+/// The fanout Hessian apply as the serial per-sample loop (its fold
+/// through mul_add, so it rounds the same at every optimization level).
 Vector weighted_normal_reference(const SparseMatrix& r, const Vector& x,
                                  const std::vector<Vector>& w) {
     Vector y(r.cols(), 0.0), u(r.cols()), v, z;
@@ -88,7 +90,9 @@ Vector weighted_normal_reference(const SparseMatrix& r, const Vector& x,
         for (std::size_t p = 0; p < r.cols(); ++p) u[p] = wk[p] * x[p];
         r.multiply_into(u, v);
         r.multiply_transpose_into(v, z);
-        for (std::size_t p = 0; p < r.cols(); ++p) y[p] += wk[p] * z[p];
+        for (std::size_t p = 0; p < r.cols(); ++p) {
+            y[p] = detail::mul_add(wk[p], z[p], y[p]);
+        }
     }
     return y;
 }
@@ -105,48 +109,11 @@ std::vector<double> group_major(const std::vector<Vector>& w) {
     return out;
 }
 
-TEST(BlockedSpmv, NnzBalancedBlocksCoverEveryRowOnce) {
-    std::mt19937_64 rng(1);
-    const SparseMatrix r = random_sparse(50, 80, rng);
-    for (std::size_t blocks : {0u, 1u, 3u, 16u, 49u, 50u, 200u}) {
-        const std::vector<std::size_t> b = nnz_balanced_blocks(r.view(), blocks);
-        ASSERT_EQ(b.size(), std::max<std::size_t>(blocks, 1) + 1);
-        EXPECT_EQ(b.front(), 0u);
-        EXPECT_EQ(b.back(), r.rows());
-        EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
-    }
-}
-
-TEST(BlockedSpmv, ProductsMatchSerialBitwiseForEveryPartition) {
-    std::mt19937_64 rng(7);
-    const std::vector<SparseMatrix> matrices = {backbone_routing(40),
-                                                random_sparse(60, 90, rng)};
-    ReverseRunner reverse;
-    ShuffledRangeRunner shuffled(3);
-    const std::vector<BlockRunner*> runners = {nullptr, &reverse, &shuffled};
-    for (const SparseMatrix& r : matrices) {
-        for (std::size_t blocks : {1u, 2u, 5u, 16u, 64u, 1000u}) {
-            const RoutingOperator op(r, blocks);
-            for (int trial = 0; trial < 3; ++trial) {
-                const Vector x = input_vector(r.cols(), rng);
-                const Vector t = input_vector(r.rows(), rng);
-                const Vector rx = r.multiply(x);
-                const Vector rtt = r.multiply_transpose(t);
-                for (BlockRunner* runner : runners) {
-                    Vector got;
-                    op.multiply(x, got, runner);
-                    EXPECT_TRUE(bitwise_equal(got, rx)) << "blocks " << blocks;
-                    op.multiply_transpose(t, got, runner);
-                    EXPECT_TRUE(bitwise_equal(got, rtt)) << "blocks " << blocks;
-                }
-            }
-        }
-    }
-}
-
-TEST(BlockedSpmv, WeightedNormalMatchesPerSampleLoopBitwise) {
-    std::mt19937_64 rng(11);
-    const SparseMatrix r = backbone_routing(40);
+/// The blocked fanout Hessian apply against the per-sample loop on r,
+/// for several window widths and weight groupings, under every runner.
+void weighted_normal_matches_per_sample_loop(const SparseMatrix& r,
+                                             std::mt19937_64& rng) {
+    const RoutingOperator op(r);
     ReverseRunner reverse;
     ShuffledRangeRunner shuffled(5);
     const std::vector<BlockRunner*> runners = {nullptr, &reverse, &shuffled};
@@ -178,19 +145,64 @@ TEST(BlockedSpmv, WeightedNormalMatchesPerSampleLoopBitwise) {
             const std::vector<double> weights = group_major(gw);
             const Vector x = input_vector(r.cols(), rng);
             const Vector want = weighted_normal_reference(r, x, w);
-            for (std::size_t blocks : {1u, 7u, 16u}) {
-                const RoutingOperator op(r, blocks);
-                for (BlockRunner* runner : runners) {
-                    WeightedNormalScratch scratch;
-                    Vector got;
-                    op.weighted_normal(x, *group_of, weights, window, scratch,
-                                       got, runner);
-                    EXPECT_TRUE(bitwise_equal(got, want))
-                        << "window " << window << " groups " << groups
-                        << " blocks " << blocks;
-                }
+            for (BlockRunner* runner : runners) {
+                WeightedNormalScratch scratch;
+                Vector got;
+                op.weighted_normal(x, *group_of, weights, window, scratch, got,
+                                   runner);
+                EXPECT_TRUE(bitwise_equal(got, want))
+                    << "pairs " << r.cols() << " window " << window
+                    << " groups " << groups;
             }
         }
+    }
+}
+
+TEST(BlockedSpmv, NnzBalancedBlocksCoverEveryRowOnce) {
+    std::mt19937_64 rng(1);
+    const SparseMatrix r = random_sparse(50, 80, rng);
+    for (std::size_t blocks : {0u, 1u, 3u, 16u, 49u, 50u, 200u}) {
+        const std::vector<std::size_t> b = nnz_balanced_blocks(r.view(), blocks);
+        ASSERT_EQ(b.size(), std::max<std::size_t>(blocks, 1) + 1);
+        EXPECT_EQ(b.front(), 0u);
+        EXPECT_EQ(b.back(), r.rows());
+        EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+    }
+}
+
+TEST(BlockedSpmv, ProductsMatchSerialBitwiseForEveryPartition) {
+    std::mt19937_64 rng(7);
+    // The small matrices have fewer rows / columns than blocks.
+    const std::vector<SparseMatrix> matrices = {
+        backbone_routing(40), random_sparse(60, 90, rng),
+        random_sparse(9, 40, rng), random_sparse(40, 12, rng),
+        backbone_routing(3)};
+    ReverseRunner reverse;
+    ShuffledRangeRunner shuffled(3);
+    const std::vector<BlockRunner*> runners = {nullptr, &reverse, &shuffled};
+    for (const SparseMatrix& r : matrices) {
+        const RoutingOperator op(r);
+        for (int trial = 0; trial < 3; ++trial) {
+            const Vector x = input_vector(r.cols(), rng);
+            const Vector t = input_vector(r.rows(), rng);
+            const Vector rx = r.multiply(x);
+            const Vector rtt = r.multiply_transpose(t);
+            for (BlockRunner* runner : runners) {
+                Vector got;
+                op.multiply(x, got, runner);
+                EXPECT_TRUE(bitwise_equal(got, rx)) << r.rows() << "x" << r.cols();
+                op.multiply_transpose(t, got, runner);
+                EXPECT_TRUE(bitwise_equal(got, rtt)) << r.rows() << "x" << r.cols();
+            }
+        }
+    }
+}
+
+TEST(BlockedSpmv, WeightedNormalMatchesPerSampleLoopBitwise) {
+    std::mt19937_64 rng(11);
+    // The 3-PoP backbone has fewer links and pairs than blocks.
+    for (const SparseMatrix& r : {backbone_routing(40), backbone_routing(3)}) {
+        weighted_normal_matches_per_sample_loop(r, rng);
     }
 }
 
