@@ -143,14 +143,11 @@ std::size_t pool_workers() {
     return hw > 1 ? hw - 1 : 1;
 }
 
-/// Pool workers only help regions while they spin after their last
-/// task, and only in a pool that has opened a region since they last
-/// slept.  A region, then a batch of short busy tasks right before a
-/// timed kernel loop leaves them spinning for its first region; later
-/// regions keep them.  (The engine's helpers are instead workers whose
-/// own methods finish while a QP is iterating.)
+/// Pool workers help regions only while a solve scope is open (the
+/// CG-regime operator QPs open their own).  Call inside a scope right
+/// before a timed kernel loop: a batch of short busy tasks spreads the
+/// workers over CPUs, after which they spin, ready for its regions.
 void warm_pool(engine::ThreadPool& pool) {
-    pool.run(2, [](std::size_t, std::size_t) {});
     std::vector<std::function<void()>> tasks(pool.thread_count(), [] {
         const Clock::time_point end =
             Clock::now() + std::chrono::milliseconds(20);
@@ -1138,6 +1135,12 @@ int main(int argc, char** argv) {
     double p200_bayesian_apply_serial_seconds = 0.0;
     double p200_bayesian_apply_inline_seconds = 0.0;
     double p200_bayesian_apply_pooled_seconds = 0.0;
+    // The fanout-only window through a scheduler, inline and on a pool
+    // of every hardware thread: the one solve's helpers come only from
+    // its solve scope.  pooled == serial bitwise is gated.
+    double p200_fanout_window_serial_seconds = 0.0;
+    double p200_fanout_window_pooled_seconds = 0.0;
+    std::size_t p200_fanout_window_helper_blocks = 0;
     std::size_t p200_peak_alloc_bytes = 0;
     std::size_t p200_total_alloc_bytes = 0;
     bool p200_ok = true;
@@ -1289,14 +1292,13 @@ int main(int argc, char** argv) {
         // over the window and the Bayesian apply R'(R x), each timed as
         // the serial per-sample SparseMatrix calls the operators used
         // before, as the blocked kernel inline, and as the blocked
-        // kernel on a pool of every hardware thread (pooled == serial
-        // bitwise is gated).  Whole pooled solves are not timed here:
-        // a standalone solve's setup outlasts the workers' spin, so no
-        // helper would join (tests/engine/test_parallel_determinism.cpp
-        // gates their bits; the 500-PoP window below times the pool
-        // where helpers do join).
+        // kernel on a pool of every hardware thread inside a solve
+        // scope, as a CG-regime solve runs them (pooled == serial
+        // bitwise is gated).  Whole pooled solves are timed through a
+        // scheduler below.
         {
             engine::ThreadPool pool(pool_workers());
+            const linalg::SolveScope scope(&pool);
             const linalg::RoutingOperator op(r);
             // The fanout QP's weights: w_k[p] = te_k(src(p)).
             std::vector<linalg::Vector> w(window, linalg::Vector(pairs));
@@ -1383,6 +1385,50 @@ int main(int argc, char** argv) {
                      "serial products (fanout %d, bayesian %d)",
                      fanout_apply_bitwise ? 1 : 0,
                      bayes_apply_bitwise ? 1 : 0);
+                p200_ok = false;
+            }
+        }
+
+        // The fanout-only window through a scheduler (the engine's
+        // operator wiring, fanout's caps above), inline and pooled.
+        {
+            engine::RoutingEpochCache cache;
+            const std::shared_ptr<const engine::RoutingEpoch> epoch =
+                cache.acquire_shared(r);
+            engine::SlidingWindow win(&topo, &r, window,
+                                      /*track_load_moments=*/false);
+            for (std::size_t k = 0; k < window; ++k) {
+                win.push(k, series.loads[k]);
+            }
+            engine::MethodOptions mopts;
+            mopts.fanout.qp = fopt.qp;
+            const auto fanout_window = [&](std::size_t threads,
+                                           double& seconds) {
+                engine::EstimatorScheduler scheduler(
+                    {engine::Method::fanout}, mopts, threads,
+                    /*warm_start=*/false, /*min_series_window=*/window);
+                engine::WindowResult res;
+                seconds = time_best(1, [&] { res = scheduler.run(win, epoch); });
+                p200_fanout_window_helper_blocks =
+                    scheduler.kernel_stats().helper_blocks;
+                return res.runs.at(0).estimate;
+            };
+            const linalg::Vector serial =
+                fanout_window(0, p200_fanout_window_serial_seconds);
+            const linalg::Vector pooled = fanout_window(
+                p200_pool_threads, p200_fanout_window_pooled_seconds);
+            check_estimate("fanout window", pooled);
+            const bool bitwise = vec_bitwise(pooled, serial);
+            std::printf("  window    fanout only: inline %.2fs, pooled (%zu "
+                        "threads) %.2fs, %zu helper blocks; bitwise %s\n",
+                        p200_fanout_window_serial_seconds,
+                        p200_pool_threads,
+                        p200_fanout_window_pooled_seconds,
+                        p200_fanout_window_helper_blocks,
+                        bitwise ? "yes" : "NO");
+            if (!bitwise) {
+                fail("200-PoP pooled fanout window differs from the "
+                     "inline one");
                 p200_ok = false;
             }
         }
@@ -1554,6 +1600,7 @@ int main(int argc, char** argv) {
     // methods finish first).
     const std::size_t p500_pool_threads = pool_workers() + 1;
     double p500_window_pooled_seconds = 0.0;
+    std::size_t p500_window_helper_blocks = 0;
     std::size_t p500_pairs = 0;
     std::size_t p500_links = 0;
     std::size_t p500_nnz = 0;
@@ -1771,13 +1818,14 @@ int main(int argc, char** argv) {
             engine::WindowResult pres;
             p500_window_pooled_seconds =
                 time_best(1, [&] { pres = pooled.run(win, epoch); });
+            p500_window_helper_blocks = pooled.kernel_stats().helper_blocks;
             for (const engine::MethodRun& run : pres.runs) {
                 check_estimate("pooled scheduler", run.estimate);
             }
             std::printf("  window    %7.2fs (five methods on %zu worker "
-                        "threads; serial sum %.2fs)\n",
+                        "threads, %zu helper blocks; serial sum %.2fs)\n",
                         p500_window_pooled_seconds, p500_pool_threads,
-                        p500_window_seconds);
+                        p500_window_helper_blocks, p500_window_seconds);
         }
 
         p500_peak_alloc_bytes =
@@ -1900,6 +1948,12 @@ int main(int argc, char** argv) {
                p200_bayesian_apply_inline_seconds);
     report.set("p200_bayesian_apply_pooled_seconds",
                p200_bayesian_apply_pooled_seconds);
+    report.set("p200_fanout_window_serial_seconds",
+               p200_fanout_window_serial_seconds);
+    report.set("p200_fanout_window_pooled_seconds",
+               p200_fanout_window_pooled_seconds);
+    report.set("p200_fanout_window_helper_blocks",
+               p200_fanout_window_helper_blocks);
     report.set("p200_ok", p200_ok);
     report.set("p500_pairs", p500_pairs);
     report.set("p500_links", p500_links);
@@ -1913,6 +1967,7 @@ int main(int argc, char** argv) {
     report.set("p500_scheduler_seconds", p500_scheduler_seconds);
     report.set("p500_pool_threads", p500_pool_threads);
     report.set("p500_window_pooled_seconds", p500_window_pooled_seconds);
+    report.set("p500_window_helper_blocks", p500_window_helper_blocks);
     report.set("p500_budget_seconds", p500_budget_seconds);
     report.set("p500_peak_alloc_bytes", p500_peak_alloc_bytes);
     report.set("p500_total_alloc_bytes", p500_total_alloc_bytes);

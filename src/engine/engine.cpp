@@ -159,6 +159,7 @@ WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
     metrics_.epoch_build_latency = cache_->build_latency();
 
     WindowResult result = scheduler_.run(window_, epoch_);
+    record_kernel_stats(metrics_, scheduler_.kernel_stats());
 
     if (truth_) {
         // Snapshot methods estimate the newest sample's demands; series

@@ -47,6 +47,13 @@ void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
     metrics.degradation.push(std::move(record));
 }
 
+void record_kernel_stats(EngineMetrics& metrics,
+                         const ThreadPool::KernelStats& stats) {
+    metrics.kernel_regions.fetch_max(stats.regions);
+    metrics.kernel_regions_shared.fetch_max(stats.regions_shared);
+    metrics.kernel_helper_blocks.fetch_max(stats.helper_blocks);
+}
+
 std::string EngineMetrics::summary() const {
     char line[320];
     std::string out;
@@ -151,6 +158,11 @@ obs::Json EngineMetrics::to_json() const {
     j.set("mre_skipped_runs",
           static_cast<long long>(mre_skipped_runs.load()));
     j.set("capped_runs", static_cast<long long>(capped_runs.load()));
+    j.set("kernel_regions", static_cast<long long>(kernel_regions.load()));
+    j.set("kernel_regions_shared",
+          static_cast<long long>(kernel_regions_shared.load()));
+    j.set("kernel_helper_blocks",
+          static_cast<long long>(kernel_helper_blocks.load()));
 
     obs::Json degr = obs::Json::object();
     degr.set("degraded_runs", static_cast<long long>(degraded_runs.load()));

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "engine/method.hpp"
+#include "engine/thread_pool.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
@@ -187,6 +188,13 @@ struct EngineMetrics {
     /// Routing-inconsistency events (injected or detected): the window
     /// is flushed, as on an epoch change.
     MetricCell<std::size_t> routing_faults;
+    /// Kernel regions (operator applies) run on the engine's pool, those
+    /// offered to spinning workers, and the blocks helper workers ran:
+    /// the pool's cumulative ThreadPool::KernelStats, folded in after
+    /// every window.  The last two stay 0 with threads = 0.
+    MetricCell<std::size_t> kernel_regions;
+    MetricCell<std::size_t> kernel_regions_shared;
+    MetricCell<std::size_t> kernel_helper_blocks;
     /// Bounded per-event detail for the tallies above.
     DegradationLog degradation;
     MetricCell<double> total_seconds{0.0};  ///< scheduler time across windows
@@ -233,5 +241,11 @@ struct MethodRun;  // scheduler.hpp
 /// points (serial ingest loop, pipeline finalize).
 void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
                         std::size_t window_end_sample);
+
+/// Folds a pool's cumulative kernel-region counters into the kernel_*
+/// cells.  Monotone (fetch_max), so concurrent pipeline finalizes never
+/// move a cell backwards.
+void record_kernel_stats(EngineMetrics& metrics,
+                         const ThreadPool::KernelStats& stats);
 
 }  // namespace tme::engine

@@ -397,6 +397,7 @@ void PipelinedEngine::finalize(WindowJob& job) {
     metrics_.total_seconds += result.seconds;
     metrics_.last_window_seconds = result.seconds;
     metrics_.window_latency.record(result.seconds);
+    record_kernel_stats(metrics_, pool_.kernel_stats());
     {
         std::lock_guard<std::mutex> lock(state_mutex_);
         job.done = true;

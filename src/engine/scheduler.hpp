@@ -290,6 +290,10 @@ class EstimatorScheduler {
     const MethodOptions& options() const { return options_; }
     bool warm_start_enabled() const { return warm_start_; }
     std::size_t min_series_window() const { return min_series_window_; }
+    /// The scheduler pool's cumulative kernel-region counters.
+    ThreadPool::KernelStats kernel_stats() const {
+        return pool_.kernel_stats();
+    }
 
   private:
     struct WarmSlot {

@@ -9,7 +9,7 @@
 //     tracks completion itself, never waiting on the pool;
 //   * run() (linalg::BlockRunner): a kernel region.  A running task
 //     splits an operator apply into blocks and claims blocks itself;
-//     workers that are idle and still spinning join in, one block at a
+//     workers that are idle and spinning join in, one block at a
 //     time.  With no such worker the caller runs the whole range as one
 //     call, so a busy pool costs the caller nothing.  Regions from
 //     several tasks may be open at once; queued tasks take precedence.
@@ -18,17 +18,20 @@
 // pipeline therefore owns its pool exclusively.  Regions do not count
 // as pending work and mix freely with both.
 //
-// A worker spins for kIdleSpin after its last task or block before it
-// blocks on the condition variable, but only if the pool has opened a
-// region since the worker last slept: pools whose tasks never reach an
-// operator kernel (paper-scale windows, engines without CG-regime
-// solves) sleep at once, as plain task pools do.  Only spinning
-// workers help regions: a region never wakes a sleeping worker.  On
-// virtualized hosts a woken thread tends to be placed on the waker's
-// CPU and preempt it, which makes a wake-up for a sub-millisecond
-// region cost more than it saves.  The gaps between one solve's
-// regions are far shorter than kIdleSpin, so a worker that joins a
-// solve stays with it.
+// Who helps: a worker with no queued task spins while a solve scope is
+// open (begin_solve() / end_solve(), linalg::SolveScope; the CG-regime
+// operator QP holds one for its whole run) and sleeps on the condition
+// variable otherwise.  begin_solve() wakes sleeping workers once, when
+// the first scope opens; a region never wakes anyone.  So a worker
+// that is idle at any point of a solve stays with it through the
+// solver's serial stretches between regions (multiplier sweeps,
+// factorizations, restarts) until the last scope closes, and pools
+// that never run a CG-regime solve (paper-scale windows, engines
+// without operator QPs) never spin, as plain task pools do.  Spinners
+// yield the CPU every 64 pauses: a woken worker may be placed on its
+// waker's CPU, and a pool may have more threads than the host has
+// free CPUs, so a spinner must give way to a solving thread it shares
+// a CPU with.
 //
 // Constructed with zero threads the pool degrades to inline execution,
 // which keeps single-threaded runs deterministic and trivially
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "linalg/parallel.hpp"
+#include "obs/metric_cell.hpp"
 
 namespace tme::engine {
 
@@ -122,13 +126,14 @@ class ThreadPool final : public linalg::BlockRunner {
     /// nested region.
     void run(std::size_t blocks, linalg::BlockBody body) override {
         if (blocks == 0) return;
+        ++regions_run_;
         Region region(blocks, body);
         bool shared = false;
         if (blocks > 1 && !workers_.empty()) {
             std::lock_guard<std::mutex> lock(mutex_);
-            ++regions_opened_;
             shared = spinning_ > 0;
             if (shared) {
+                ++regions_shared_;
                 link(region);
                 work_epoch_.fetch_add(1, std::memory_order_relaxed);
             }
@@ -141,6 +146,41 @@ class ThreadPool final : public linalg::BlockRunner {
         finish(region);
     }
 
+    /// Solve scope (linalg::SolveScope): idle workers spin, ready for
+    /// regions, until the last open scope ends.  The first scope wakes
+    /// the sleeping workers; no-ops on a zero-worker pool.
+    void begin_solve() override {
+        if (workers_.empty()) return;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (active_solves_++ > 0) return;
+            work_epoch_.fetch_add(1, std::memory_order_relaxed);
+        }
+        work_cv_.notify_all();
+    }
+    void end_solve() override {
+        if (workers_.empty()) return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        // The last scope ends: spinning workers re-check and sleep.
+        if (--active_solves_ == 0) {
+            work_epoch_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+
+    /// Cumulative kernel-region counters: regions run (blocks > 0),
+    /// regions offered to spinning workers, and blocks run by helpers
+    /// (a region offered while its helpers are descheduled may get
+    /// none).  Relaxed reads; exact once the regions have returned.
+    struct KernelStats {
+        std::size_t regions = 0;
+        std::size_t regions_shared = 0;
+        std::size_t helper_blocks = 0;
+    };
+    KernelStats kernel_stats() const {
+        return {regions_run_.load(), regions_shared_.load(),
+                helper_blocks_.load()};
+    }
+
   private:
     /// One open region, on its caller's stack.  `next` hands out block
     /// indices; `helpers` counts workers currently inside drain().
@@ -148,12 +188,16 @@ class ThreadPool final : public linalg::BlockRunner {
     struct Region {
         Region(std::size_t n, linalg::BlockBody b) : blocks(n), body(b) {}
 
-        void drain() {
+        /// Claims and runs blocks until none is left; returns how many.
+        std::size_t drain() {
+            std::size_t ran = 0;
             for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
                  b < blocks;
                  b = next.fetch_add(1, std::memory_order_relaxed)) {
                 body(b, b + 1);
+                ++ran;
             }
+            return ran;
         }
         bool claimable() const {
             return next.load(std::memory_order_relaxed) < blocks;
@@ -167,8 +211,8 @@ class ThreadPool final : public linalg::BlockRunner {
         Region* succ = nullptr;
     };
 
-    /// How long an idle worker (and a region caller waiting for its
-    /// helpers) spins before blocking.
+    /// How long a region caller waiting for its helpers spins before
+    /// blocking.
     static constexpr std::chrono::microseconds kIdleSpin{2000};
 
     static void cpu_relax() {
@@ -179,7 +223,8 @@ class ThreadPool final : public linalg::BlockRunner {
 #endif
     }
 
-    /// Spins until done() or kIdleSpin has passed; returns done().
+    /// Spins (yielding every 64 pauses) until done() or kIdleSpin has
+    /// passed; returns done().
     template <class Pred>
     static bool spin_until(Pred done) {
         const auto deadline = std::chrono::steady_clock::now() + kIdleSpin;
@@ -189,6 +234,7 @@ class ThreadPool final : public linalg::BlockRunner {
                 cpu_relax();
             }
             if (std::chrono::steady_clock::now() >= deadline) return done();
+            std::this_thread::yield();
         }
     }
 
@@ -235,10 +281,6 @@ class ThreadPool final : public linalg::BlockRunner {
 
     void worker() {
         std::unique_lock<std::mutex> lock(mutex_);
-        // regions_opened_ when this worker last slept: it spins only
-        // while regions have been opened since, i.e. while some task of
-        // this pool is in an operator solve it could help with.
-        std::size_t regions_seen = 0;
         while (true) {
             if (!queue_.empty()) {
                 std::function<void()> task = std::move(queue_.front());
@@ -252,7 +294,7 @@ class ThreadPool final : public linalg::BlockRunner {
             if (Region* r = claimable_region()) {
                 r->helpers.fetch_add(1, std::memory_order_relaxed);
                 lock.unlock();
-                r->drain();
+                helper_blocks_ += r->drain();
                 lock.lock();
                 if (r->helpers.fetch_sub(1, std::memory_order_acq_rel) ==
                     1) {
@@ -261,24 +303,26 @@ class ThreadPool final : public linalg::BlockRunner {
                 continue;
             }
             if (stop_) return;
-            if (regions_opened_ != regions_seen) {
+            if (active_solves_ > 0) {
                 // Hot idle: watch for new work without the mutex.  Every
-                // post bumps work_epoch_ under mutex_, so an unchanged
-                // epoch after the spin means nothing arrived since `seen`.
+                // post, scope change and stop bumps work_epoch_ under
+                // mutex_, so an unchanged epoch means nothing arrived.
                 const std::size_t seen =
                     work_epoch_.load(std::memory_order_relaxed);
                 ++spinning_;
                 lock.unlock();
-                const bool posted = spin_until([this, seen] {
-                    return work_epoch_.load(std::memory_order_relaxed) !=
-                           seen;
-                });
+                for (unsigned i = 1;
+                     work_epoch_.load(std::memory_order_relaxed) == seen; ++i) {
+                    cpu_relax();
+                    if (i % 64 == 0) std::this_thread::yield();
+                }
                 lock.lock();
                 --spinning_;
-                if (posted) continue;
+                continue;
             }
-            regions_seen = regions_opened_;
-            work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+            work_cv_.wait(lock, [this] {
+                return stop_ || !queue_.empty() || active_solves_ > 0;
+            });
         }
     }
 
@@ -290,11 +334,13 @@ class ThreadPool final : public linalg::BlockRunner {
     std::condition_variable region_cv_;
     Region* regions_ = nullptr;  ///< open regions (intrusive list)
     std::size_t spinning_ = 0;   ///< workers in their hot-idle spin
-    /// run() calls that could have been shared (blocks > 1), shared or
-    /// not; tells workers whether a hot-idle spin can pay off.
-    std::size_t regions_opened_ = 0;
-    /// Bumped under mutex_ on every task push, region link and stop.
+    std::size_t active_solves_ = 0;  ///< open solve scopes
+    /// Bumped under mutex_ on every task push, region link, first
+    /// begin_solve, last end_solve and stop.
     std::atomic<std::size_t> work_epoch_{0};
+    obs::MetricCell<std::size_t> regions_run_;
+    obs::MetricCell<std::size_t> regions_shared_;
+    obs::MetricCell<std::size_t> helper_blocks_;
     std::size_t pending_ = 0;
     bool stop_ = false;
 };

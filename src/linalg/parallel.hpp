@@ -14,6 +14,15 @@
 // Solver options carry a runner as a non-owning pointer; nullptr runs
 // body(0, blocks) inline.
 //
+// Solve scopes: a solver that will open regions back to back for its
+// whole run (the CG-regime operator QP) brackets the run with
+// begin_solve() / end_solve(), through a SolveScope.  That tells the
+// runner to keep helpers ready between regions, including across the
+// solver's serial stretches, until the scope closes; outside any scope
+// a runner keeps no helper ready.  Scopes nest and may be open from
+// several threads at once.  They only decide who is free to claim
+// blocks, never the partition, so results stay bitwise the same.
+//
 // Determinism contract for block bodies: each output element is
 // written by exactly one block, in the order the serial loop would
 // write it, so the result cannot depend on how many threads ran, on
@@ -56,8 +65,30 @@ class BlockRunner {
     /// block has finished.  The caller participates.
     virtual void run(std::size_t blocks, BlockBody body) = 0;
 
+    /// Opens / closes a solve scope (see above).  Every begin_solve()
+    /// must be matched by one end_solve() on the same runner; use
+    /// SolveScope.  The defaults do nothing.
+    virtual void begin_solve() {}
+    virtual void end_solve() {}
+
   protected:
     ~BlockRunner() = default;
+};
+
+/// RAII solve scope on `runner`; a null runner makes it a no-op.
+class SolveScope {
+  public:
+    explicit SolveScope(BlockRunner* runner) : runner_(runner) {
+        if (runner_ != nullptr) runner_->begin_solve();
+    }
+    ~SolveScope() {
+        if (runner_ != nullptr) runner_->end_solve();
+    }
+    SolveScope(const SolveScope&) = delete;
+    SolveScope& operator=(const SolveScope&) = delete;
+
+  private:
+    BlockRunner* runner_;
 };
 
 /// run() on `runner`, or body(0, blocks) inline when it is null.

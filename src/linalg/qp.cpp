@@ -813,6 +813,12 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessPolicy& hp, const Vector& f,
     const std::size_t n = hp.dimension();
     const std::size_t m = e.rows();
     const CsrView ev = e.view();
+    // CG regime (see the step discipline below): the solve opens kernel
+    // regions on options.parallel from its first apply to its last, so
+    // it holds a solve scope for its whole run and the runner's helpers
+    // stay with it across the serial stretches between regions.
+    const bool block_pivoting = n + m > options.dense_kkt_limit;
+    const SolveScope solve_scope(block_pivoting ? options.parallel : nullptr);
 
     // Total Hessian diagonal (matrix diagonal + added diagonal) — the
     // only dense-H quantity the active-set driver ever reads.
@@ -862,7 +868,6 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessPolicy& hp, const Vector& f,
     // pin-all discipline; the Murty fallback removes its failure mode
     // (endgame zigzag between nearby active sets, which inexact CG
     // solves otherwise provoke on degenerate problems).
-    const bool block_pivoting = n + m > options.dense_kkt_limit;
     std::size_t best_infeasible = n + m + 1;
     std::size_t nonimproving = 0;
     constexpr std::size_t kMaxNonimproving = 3;

@@ -104,8 +104,11 @@ struct EqQpNonnegOptions {
     /// fanout and Bayesian operators run their R x / R' y products as
     /// row-blocked kernels on it (linalg/blocked_spmv.hpp), bitwise
     /// equal to the serial products for any runner.  The solver's own
-    /// vector updates and dot products stay serial.  nullptr runs every
-    /// block inline.  Not owned; must outlive the call.
+    /// vector updates and dot products stay serial.  In the CG regime
+    /// (variables + equality rows > dense_kkt_limit) the solve
+    /// holds a SolveScope on the runner for its whole run, so helpers
+    /// stay between regions.  nullptr runs every block inline.  Not
+    /// owned; must outlive the call.
     BlockRunner* parallel = nullptr;
 };
 

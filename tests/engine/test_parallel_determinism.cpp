@@ -1,25 +1,32 @@
 // Bitwise determinism gates for the pooled operator kernels: the
 // row-blocked R x / R' y products, fanout_estimate and
-// bayesian_estimate in the projected-CG regime, and both engines, all
-// give the same bits on a ThreadPool of 0, 1, 2, 3 or 7 workers as with
-// no pool at all.  The 40-PoP backbone (1560 pairs) sits above
-// dense_kkt_limit, so the Hessian applies really run through the
-// blocked kernels.  Labelled `engine`, so the TSan lane runs it.
+// bayesian_estimate in the projected-CG regime, and both engines (a
+// four-method schedule and fanout-only / Bayesian-only ones, whose
+// solves get helpers only through the solve scope), all give the same
+// bits on a ThreadPool of 0, 1, 2, 3 or 7 workers as with no pool at
+// all, estimates and warm seeds alike.  The 40-PoP backbone (1560
+// pairs) sits above dense_kkt_limit, so the Hessian applies really run
+// through the blocked kernels.  Also checks that pooled windows report
+// helper blocks in EngineMetrics.  Labelled `engine`, so the TSan lane
+// runs it.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/bayesian.hpp"
 #include "core/fanout.hpp"
 #include "core/gravity.hpp"
 #include "engine/engine.hpp"
+#include "engine/epoch_cache.hpp"
 #include "engine/pipeline.hpp"
 #include "engine/replay.hpp"
 #include "engine/thread_pool.hpp"
+#include "engine/window.hpp"
 #include "linalg/blocked_spmv.hpp"
 #include "scenario/scenario.hpp"
 
@@ -27,18 +34,18 @@ namespace tme::engine {
 namespace {
 
 const std::vector<std::size_t> kPoolSizes = {0, 1, 2, 3, 7};
+const std::vector<std::size_t> kWorkerCounts = {1, 2, 3, 7};
 
 bool bitwise_equal(const linalg::Vector& a, const linalg::Vector& b) {
     return a.size() == b.size() &&
            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// Leaves every worker in its hot-idle spin, so the next regions are
-/// shared with helpers instead of running on the caller alone: a region
-/// first (workers spin only in pools that have opened one), then tasks
-/// long enough for the OS to spread the workers over CPUs.
+/// Tasks long enough for the OS to spread the workers over CPUs
+/// (freshly woken threads may all start on one).  Inside a solve scope
+/// the workers then spin, ready for regions; a solve in the CG regime
+/// opens its own scope.
 void warm(ThreadPool& pool) {
-    pool.run(2, [](std::size_t, std::size_t) {});
     std::vector<std::function<void()>> tasks(pool.thread_count(), [] {
         const auto end =
             std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
@@ -48,14 +55,23 @@ void warm(ThreadPool& pool) {
     pool.run_batch(std::move(tasks));
 }
 
+scenario::Scenario make_backbone(std::size_t samples) {
+    scenario::GeneratedScenarioConfig config;
+    config.pops = 40;
+    config.seed = 1;
+    config.samples = samples;
+    return scenario::make_generated_scenario(config);
+}
+
 const scenario::Scenario& backbone() {
-    static const scenario::Scenario sc = [] {
-        scenario::GeneratedScenarioConfig config;
-        config.pops = 40;
-        config.seed = 1;
-        config.samples = 8;
-        return scenario::make_generated_scenario(config);
-    }();
+    static const scenario::Scenario sc = make_backbone(8);
+    return sc;
+}
+
+/// Five samples (four windows per replay) for the gates that replay
+/// many times; keeps the ThreadSanitizer lane short.
+const scenario::Scenario& short_backbone() {
+    static const scenario::Scenario sc = make_backbone(5);
     return sc;
 }
 
@@ -83,6 +99,7 @@ TEST(ParallelDeterminism, BlockedKernelsOnPoolsMatchSerial) {
     op.weighted_normal(x, source_of, weights, window, scratch, hx, nullptr);
     for (std::size_t n : kPoolSizes) {
         ThreadPool pool(n);
+        const linalg::SolveScope scope(&pool);
         warm(pool);
         for (int rep = 0; rep < 20; ++rep) {
             linalg::Vector got;
@@ -203,6 +220,141 @@ TEST(ParallelDeterminism, EnginesOnPoolsMatchSerialEngine) {
     pipeline.depth = 2;
     PipelinedEngine piped(sc.topo, sc.routing, backbone_config(4), pipeline);
     expect_same_windows(replay_scenario(piped, sc).windows, want.windows);
+}
+
+EngineConfig single_method_config(Method m, std::size_t threads) {
+    EngineConfig config = backbone_config(threads);
+    config.methods = {m};
+    // Bayesian's first round is the CG one; later rounds pin enough
+    // coordinates to drop into the exact-LU regime, which runs no
+    // kernel region and costs 0.1-0.3 s each on this backbone.
+    config.method_options.bayesian.qp.max_active_set_rounds = 1;
+    return config;
+}
+
+// A fanout-only or Bayesian-only schedule: the one solve task runs on a
+// worker and every other worker is idle from the start, so helpers
+// join only through the solve scope (begin_solve wakes them).
+TEST(ParallelDeterminism, SingleOperatorMethodEnginesOnPoolsMatchSerial) {
+    const scenario::Scenario& sc = short_backbone();
+    for (const Method m : {Method::fanout, Method::bayesian}) {
+        OnlineEngine serial(sc.topo, sc.routing, single_method_config(m, 0));
+        const ReplayResult want = replay_scenario(serial, sc);
+        ASSERT_FALSE(want.windows.empty());
+        std::size_t cg_iterations = 0;
+        for (const WindowResult& w : want.windows) {
+            for (const MethodRun& run : w.runs) {
+                cg_iterations += run.solver.qp_cg_iterations;
+            }
+        }
+        ASSERT_GT(cg_iterations, 0u)
+            << method_name(m) << " never reached the CG regime";
+        for (std::size_t n : kWorkerCounts) {
+            SCOPED_TRACE(std::string(method_name(m)) + ", " +
+                         std::to_string(n) + " workers");
+            OnlineEngine pooled(sc.topo, sc.routing,
+                                single_method_config(m, n));
+            expect_same_windows(replay_scenario(pooled, sc).windows,
+                                want.windows);
+            PipelineOptions pipeline;
+            pipeline.depth = 2;
+            PipelinedEngine piped(sc.topo, sc.routing,
+                                  single_method_config(m, n), pipeline);
+            expect_same_windows(replay_scenario(piped, sc).windows,
+                                want.windows);
+        }
+    }
+}
+
+/// The (estimate, warm seed) pair of every window of a warm-started
+/// execute_method chain for `m` over the backbone's samples, as the
+/// engines run it, with `pool` lending its workers.
+std::vector<MethodExecution> warm_chain(Method m, ThreadPool* pool) {
+    const scenario::Scenario& sc = short_backbone();
+    const EngineConfig config = single_method_config(m, 0);
+    RoutingEpochCache cache;
+    const std::shared_ptr<const RoutingEpoch> epoch =
+        cache.acquire_shared(sc.routing);
+    SlidingWindow window(&sc.topo, &sc.routing, config.window_size,
+                         /*track_load_moments=*/false);
+    std::vector<MethodExecution> chain;
+    for (std::size_t k = 0; k < sc.loads.size(); ++k) {
+        window.push(k, sc.loads[k]);
+        if (window.size() < config.min_series_window) continue;
+        const WindowContext ctx = WindowContext::capture(
+            window, epoch, config.methods, config.min_series_window, k);
+        const linalg::Vector* seed =
+            chain.empty() ? nullptr : &chain.back().warm_next;
+        chain.push_back(execute_method(m, ctx, config.method_options, seed,
+                                       /*collect_warm=*/true, pool));
+    }
+    return chain;
+}
+
+TEST(ParallelDeterminism, WarmSeedsOnPoolsMatchSerial) {
+    for (const Method m : {Method::fanout, Method::bayesian}) {
+        const std::vector<MethodExecution> want = warm_chain(m, nullptr);
+        ASSERT_GT(want.size(), 2u);
+        ASSERT_TRUE(want.front().warm_next_valid);
+        ASSERT_GT(want.front().run.solver.qp_cg_iterations, 0u);
+        for (std::size_t n : kWorkerCounts) {
+            ThreadPool pool(n);
+            const std::vector<MethodExecution> got = warm_chain(m, &pool);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t w = 0; w < got.size(); ++w) {
+                EXPECT_TRUE(bitwise_equal(got[w].run.estimate,
+                                          want[w].run.estimate))
+                    << method_name(m) << ", " << n << " workers, window " << w;
+                EXPECT_TRUE(bitwise_equal(got[w].warm_next, want[w].warm_next))
+                    << method_name(m) << ", " << n << " workers, window " << w;
+                EXPECT_EQ(got[w].run.warm_accepted, want[w].run.warm_accepted);
+            }
+        }
+    }
+}
+
+// EngineMetrics shows helper engagement: a pooled CG-regime replay
+// reports helper blocks (retried, like the region tests, so a
+// descheduled worker cannot fail it), threads = 0 reports none.
+TEST(ParallelDeterminism, PooledWindowsReportHelperBlocks) {
+    const scenario::Scenario& sc = short_backbone();
+    OnlineEngine serial(sc.topo, sc.routing,
+                        single_method_config(Method::fanout, 0));
+    replay_scenario(serial, sc);
+    EXPECT_GT(serial.metrics().kernel_regions.load(), 0u);
+    EXPECT_EQ(serial.metrics().kernel_regions_shared.load(), 0u);
+    EXPECT_EQ(serial.metrics().kernel_helper_blocks.load(), 0u);
+
+    bool online_helped = false;
+    bool piped_helped = false;
+    for (int attempt = 0; attempt < 5 && !(online_helped && piped_helped);
+         ++attempt) {
+        OnlineEngine pooled(sc.topo, sc.routing,
+                            single_method_config(Method::fanout, 3));
+        replay_scenario(pooled, sc);
+        const EngineMetrics& metrics = pooled.metrics();
+        EXPECT_EQ(metrics.kernel_regions.load(),
+                  serial.metrics().kernel_regions.load());
+        EXPECT_LE(metrics.kernel_regions_shared.load(),
+                  metrics.kernel_regions.load());
+        online_helped = online_helped || metrics.kernel_helper_blocks > 0;
+
+        PipelineOptions pipeline;
+        pipeline.depth = 2;
+        PipelinedEngine piped(sc.topo, sc.routing,
+                              single_method_config(Method::fanout, 3),
+                              pipeline);
+        replay_scenario(piped, sc);
+        piped_helped = piped_helped ||
+                       piped.metrics().kernel_helper_blocks > 0;
+        const obs::Json j = piped.metrics().to_json();
+        ASSERT_NE(j.find("kernel_helper_blocks"), nullptr);
+        EXPECT_EQ(j.find("kernel_helper_blocks")->as_int(),
+                  static_cast<long long>(
+                      piped.metrics().kernel_helper_blocks.load()));
+    }
+    EXPECT_TRUE(online_helped) << "no helper block in a pooled OnlineEngine";
+    EXPECT_TRUE(piped_helped) << "no helper block in a pooled PipelinedEngine";
 }
 
 }  // namespace
