@@ -9,7 +9,14 @@
 // lambda pins the estimate to the prior, large lambda trusts the link
 // measurements (the regime the paper finds best, Fig. 13).  The problem
 // is a stacked NNLS solved in Gram form:  G = R'R + (1/lambda) I,
-// g = R't + (1/lambda) s_prior.
+// g = R't + (1/lambda) s_prior — without G ever existing, dense or CSR.
+// Problems of at most qp.dense_kkt_limit pairs (every paper-scale one)
+// run the factored passive-set NNLS over on-demand Gram columns
+// (linalg::gram_column), bit-for-bit the dense nnls_gram over R'R.
+// Larger problems run the operator QP with R'(R x) applied implicitly:
+// the positive prior makes the MAP solution dense-positive, so an
+// active-set NNLS would pivot once per pair, while block pivoting
+// reaches the same strictly convex minimizer in a handful of rounds.
 #pragma once
 
 #include "core/problem.hpp"
@@ -20,50 +27,23 @@ namespace tme::core {
 struct BayesianOptions {
     /// Regularization parameter lambda = sigma^2 (> 0).
     double regularization = 1000.0;
-    /// Optional precomputed Gram matrix R'R (pairs x pairs).  The online
-    /// engine's routing-epoch cache hands this in so repeated windows
-    /// under an unchanged routing skip the Gram assembly; it MUST equal
-    /// problem.routing->gram().  Not owned.
-    const linalg::Matrix* shared_gram = nullptr;
-    /// Optional sparse Gram R'R in CSR form (e.g. the epoch cache's
-    /// sparse_gram()); MUST equal gram_sparse_csr(*problem.routing).
-    /// When set (and shared_gram is not), the MAP system is solved
-    /// through the factored QP — G as a CsrView plus the virtual
-    /// (1/lambda) I diagonal — so nothing quadratic in the pair count
-    /// is allocated.  The system is strictly convex, so the minimizer
-    /// is the NNLS path's to solver precision (~1e-9); this is what
-    /// lets the Bayesian method run at 200-PoP generated-backbone
-    /// scale, where the dense Gram (~12.7 GB) cannot exist.  Not owned.
-    const linalg::SparseMatrix* shared_sparse_gram = nullptr;
-    /// Gram-free solve: R'R is never materialized, not even in CSR.
-    /// Paper-scale problems (pairs within qp.dense_kkt_limit) run the
-    /// factored-passive-set NNLS over on-demand Gram columns
-    /// (linalg::gram_column) with the O(nnz) dual refresh through the
-    /// routing operator — bit-for-bit the dense NNLS path.  Larger
-    /// problems switch to the operator QP: the positive prior makes the
-    /// MAP solution dense-positive, so an active-set NNLS would pivot
-    /// once per pair, while the QP's block pivoting reaches the same
-    /// strictly convex minimizer in a handful of rounds with A'A
-    /// applied implicitly per CG iteration.  When set, shared_gram and
-    /// shared_sparse_gram are ignored.
-    bool operator_form = false;
     /// Optional precomputed CSR transpose of the routing matrix; MUST
-    /// equal linalg::transpose(*problem.routing).  Only read by the
-    /// operator_form path (the engine caches it per routing epoch);
-    /// derived on the fly when absent.  Not owned.
+    /// equal linalg::transpose(*problem.routing) (the engine caches it
+    /// per routing epoch); derived on the fly when absent.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
-    /// Optional warm start for the active-set NNLS (see NnlsOptions).
+    /// Optional warm start for the active-set solve (NNLS or QP).
     /// G + (1/lambda) I is positive definite, so the minimizer is unique
     /// and unchanged by warm starting.  Not owned.
     const linalg::Vector* warm_start = nullptr;
-    /// Factored-path tuning (dense-gather limit, projected-CG
-    /// tolerance/cap); only read when shared_sparse_gram is set.  The
-    /// warm_start member inside is ignored.
+    /// Solve tuning.  dense_kkt_limit picks the solver (see the file
+    /// comment); the operator QP above it also reads the projected-CG
+    /// tolerance and caps and the block runner `parallel`.  The
+    /// warm_start, equality_operator and counters members are ignored
+    /// — the estimator sets those itself.
     linalg::EqQpNonnegOptions qp;
     /// Optional iteration telemetry sink, forwarded to whichever solver
-    /// runs: the factored QP adds active-set rounds / CG iterations,
-    /// the dense NNLS path adds pivots.  Overrides qp.counters.  Not
-    /// owned; must outlive the call.
+    /// runs: the operator QP adds active-set rounds / CG iterations,
+    /// the NNLS adds pivots.  Not owned; must outlive the call.
     obs::SolverCounters* counters = nullptr;
     /// Optional cooperative deadline, forwarded to whichever solver
     /// runs (overrides qp.budget).  A tripped budget yields the

@@ -67,28 +67,6 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
             "fanout_estimate: aggregate dimension mismatch");
     }
 
-    // Sparse Gram G1 = R'R in CSR form, shared per routing epoch by the
-    // engine, derived locally otherwise.  The dense P x P Gram the
-    // pre-factored path weighted element-by-element is never built.
-    linalg::SparseMatrix local_gram;
-    if (options.operator_form) {
-        // Gram-free: the data term is applied through R and R' below;
-        // g1 stays empty and every use of it is guarded.
-    } else if (options.shared_sparse_gram != nullptr) {
-        if (options.shared_sparse_gram->rows() != pairs ||
-            options.shared_sparse_gram->cols() != pairs) {
-            throw std::invalid_argument(
-                "fanout_estimate: shared gram dimension mismatch");
-        }
-    } else {
-        local_gram = linalg::gram_sparse_csr(r);
-    }
-    const linalg::SparseMatrix& g1 = options.shared_sparse_gram != nullptr
-                                         ? *options.shared_sparse_gram
-                                         : local_gram;
-    const linalg::CsrView gv = g1.view();
-    const std::size_t gnnz = g1.nonzeros();
-
     // Equality-constraint structure (per source, fanouts sum to one):
     // shared per routing epoch by the engine, derived locally otherwise.
     FanoutConstraints local_constraints;
@@ -106,29 +84,11 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
         options.shared_constraints != nullptr ? *options.shared_constraints
                                               : local_constraints;
 
-    // Factored data term H = sum_k W_k G1 W_k: G1's CSR structure with
-    // per-entry source weights — H(p, q) = (sum_k w_k[p] w_k[q]) G1(p, q)
-    // and the weight only depends on the source nodes of p and q.  Each
-    // value multiplies exactly as the dense assembly did (same products,
-    // same accumulation order over the window), so the factored values
-    // are the dense H's entries bit-for-bit; only the P x P container is
-    // gone.
-    std::vector<double> hvals(gnnz, 0.0);
+    // Linear term f = sum_k W_k R' t[k], from the aggregates or per
+    // sample.
     linalg::Vector f(pairs, 0.0);
     const std::vector<std::size_t>& source_of = constraints.source_of;
     if (agg.complete()) {
-        if (!options.operator_form) {
-            const linalg::Matrix& outer = *agg.source_outer;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                const double* __restrict orow =
-                    outer.row_data(source_of[p]);
-                for (std::size_t t = gv.offsets[p]; t < gv.offsets[p + 1];
-                     ++t) {
-                    hvals[t] =
-                        orow[source_of[gv.col_index[t]]] * gv.values[t];
-                }
-            }
-        }
         f = *agg.weighted_rhs;
     } else {
         linalg::Vector rt;
@@ -136,88 +96,73 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
             const linalg::Vector w =
                 pair_source_totals(topo, problem.loads[k]);
             r.multiply_transpose_into(problem.loads[k], rt);
-            for (std::size_t p = 0; p < pairs; ++p) {
-                f[p] += w[p] * rt[p];
-                if (options.operator_form || w[p] == 0.0) continue;
-                const double wp = w[p];
-                for (std::size_t t = gv.offsets[p]; t < gv.offsets[p + 1];
-                     ++t) {
-                    hvals[t] += wp * w[gv.col_index[t]] * gv.values[t];
+            for (std::size_t p = 0; p < pairs; ++p) f[p] += w[p] * rt[p];
+        }
+    }
+
+    // The data term H = sum_k W_k G1 W_k (G1 = R'R) is never built:
+    // H(p, q) = outer(src(p), src(q)) * G1(p, q) with outer the
+    // source-totals matrix sum_k te_k te_k' (nodes x nodes, from the
+    // aggregates or built here), so the Hessian operator below needs
+    // only the routing transpose (epoch-cached or derived), the G1
+    // diagonal replayed from R's column supports, outer, and the
+    // per-sample window factors its applies run through.
+    const linalg::SparseMatrix* rtp = nullptr;
+    linalg::SparseMatrix rt_local;
+    if (options.shared_routing_transpose != nullptr) {
+        if (options.shared_routing_transpose->rows() != pairs ||
+            options.shared_routing_transpose->cols() != r.rows()) {
+            throw std::invalid_argument(
+                "fanout_estimate: shared routing transpose dimension "
+                "mismatch");
+        }
+        rtp = options.shared_routing_transpose;
+    } else {
+        rt_local = linalg::transpose(r);
+        rtp = &rt_local;
+    }
+    const linalg::CsrView rv = r.view();
+    const linalg::CsrView rtv = rtp->view();
+    // G1(p, p) = sum of squares over column p's carriers, source rows
+    // ascending — the Gram kernels' diagonal accumulation.
+    linalg::Vector d1(pairs, 0.0);
+    for (std::size_t p = 0; p < pairs; ++p) {
+        double dp = 0.0;
+        for (std::size_t t = rtv.offsets[p]; t < rtv.offsets[p + 1]; ++t) {
+            dp += rtv.values[t] * rtv.values[t];
+        }
+        d1[p] = dp;
+    }
+    linalg::Matrix local_outer;
+    if (!agg.complete()) {
+        // nodes x nodes, not pairs x pairs: 2 MB at 500 PoPs.
+        // lint: allow(dense-alloc)
+        local_outer = linalg::Matrix(nodes, nodes, 0.0);
+        for (std::size_t k = 0; k < window; ++k) {
+            for (std::size_t n1 = 0; n1 < nodes; ++n1) {
+                const double te1 = problem.loads[k][topo.ingress_link(n1)];
+                if (te1 == 0.0) continue;
+                double* __restrict orow = local_outer.row_data(n1);
+                for (std::size_t n2 = 0; n2 < nodes; ++n2) {
+                    orow[n2] +=
+                        te1 * problem.loads[k][topo.ingress_link(n2)];
                 }
             }
         }
     }
-
-    // Operator-form precomputation: the routing transpose (epoch-cached
-    // or derived), the G1 diagonal replayed from R's column supports,
-    // the source-totals outer matrix (from the aggregates, or locally —
-    // nodes x nodes, never pairs-quadratic), and the per-sample window
-    // factors the Hessian applies run through.
-    linalg::SparseMatrix rt_local;
-    const linalg::SparseMatrix* rtp = nullptr;
-    linalg::Matrix local_outer;
-    const linalg::Matrix* outer_ptr = nullptr;
+    const linalg::Matrix& outer =
+        agg.complete() ? *agg.source_outer : local_outer;
     // w_k[p] = te_k(src(p)): per-source totals at n * window + k.
-    std::vector<double> source_w;
-    linalg::Vector d1;
-    if (options.operator_form) {
-        if (options.shared_routing_transpose != nullptr) {
-            if (options.shared_routing_transpose->rows() != pairs ||
-                options.shared_routing_transpose->cols() != r.rows()) {
-                throw std::invalid_argument(
-                    "fanout_estimate: shared routing transpose dimension "
-                    "mismatch");
-            }
-            rtp = options.shared_routing_transpose;
-        } else {
-            rt_local = linalg::transpose(r);
-            rtp = &rt_local;
-        }
-        const linalg::CsrView rtv = rtp->view();
-        // G1(p, p) = sum of squares over column p's carriers, source
-        // rows ascending — the Gram kernels' diagonal accumulation.
-        d1.assign(pairs, 0.0);
-        for (std::size_t p = 0; p < pairs; ++p) {
-            double dp = 0.0;
-            for (std::size_t t = rtv.offsets[p]; t < rtv.offsets[p + 1];
-                 ++t) {
-                dp += rtv.values[t] * rtv.values[t];
-            }
-            d1[p] = dp;
-        }
-        if (agg.complete()) {
-            outer_ptr = agg.source_outer;
-        } else {
-            // nodes x nodes, not pairs x pairs: 2 MB at 500 PoPs.
-            // lint: allow(dense-alloc)
-            local_outer = linalg::Matrix(nodes, nodes, 0.0);
-            for (std::size_t k = 0; k < window; ++k) {
-                for (std::size_t n1 = 0; n1 < nodes; ++n1) {
-                    const double te1 =
-                        problem.loads[k][topo.ingress_link(n1)];
-                    if (te1 == 0.0) continue;
-                    double* __restrict orow = local_outer.row_data(n1);
-                    for (std::size_t n2 = 0; n2 < nodes; ++n2) {
-                        orow[n2] +=
-                            te1 * problem.loads[k][topo.ingress_link(n2)];
-                    }
-                }
-            }
-            outer_ptr = &local_outer;
-        }
-        source_w.assign(nodes * window, 0.0);
-        for (std::size_t n = 0; n < nodes; ++n) {
-            for (std::size_t k = 0; k < window; ++k) {
-                source_w[n * window + k] =
-                    problem.loads[k][topo.ingress_link(n)];
-            }
+    std::vector<double> source_w(nodes * window, 0.0);
+    for (std::size_t n = 0; n < nodes; ++n) {
+        for (std::size_t k = 0; k < window; ++k) {
+            source_w[n * window + k] = problem.loads[k][topo.ingress_link(n)];
         }
     }
 
     // Weak gravity-fanout tie-break (see FanoutOptions): alpha_gravity
     // for pair (n, m) is the destination's share of mean exit traffic.
-    // The ridge lives in the factored Hessian's added diagonal — the
-    // weighted Gram values stay untouched.
+    // The ridge lives in the Hessian operator's added diagonal.
     linalg::Vector tiebreak_diag;
     if (options.gravity_tiebreak_weight > 0.0) {
         linalg::Vector mean_loads(r.rows(), 0.0);
@@ -234,27 +179,8 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
             total_exit += mean_loads[topo.egress_link(m)];
         }
         double hmax = 0.0;
-        if (options.operator_form) {
-            // Same scan over the same diagonal values — H(p, p) is the
-            // product the weighted-CSR assembly stores at the diagonal
-            // slot (structurally absent diagonals scan as 0, which
-            // cannot move the max of nonnegative values).
-            const linalg::Matrix& outer = *outer_ptr;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                hmax = std::max(
-                    hmax, outer(source_of[p], source_of[p]) * d1[p]);
-            }
-        } else {
-            for (std::size_t p = 0; p < pairs; ++p) {
-                for (std::size_t t = gv.offsets[p]; t < gv.offsets[p + 1];
-                     ++t) {
-                    if (gv.col_index[t] == p) {
-                        hmax = std::max(hmax, hvals[t]);
-                        break;
-                    }
-                    if (gv.col_index[t] > p) break;
-                }
-            }
+        for (std::size_t p = 0; p < pairs; ++p) {
+            hmax = std::max(hmax, outer(source_of[p], source_of[p]) * d1[p]);
         }
         const double eps =
             options.gravity_tiebreak_weight * std::max(hmax, 1e-300);
@@ -280,60 +206,40 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
         }
         qp_options.warm_start = options.warm_start;
     }
-    linalg::EqQpNonnegResult qp;
-    if (options.operator_form) {
-        const linalg::CsrView rv = r.view();
-        const linalg::CsrView rtv = rtp->view();
-        const linalg::Matrix& outer = *outer_ptr;
-        // Built on the first apply: exact-LU-regime solves (every
-        // paper-scale problem) never apply H and skip the setup.
-        std::optional<linalg::RoutingOperator> routing_op;
-        linalg::WeightedNormalScratch apply_scratch;
-        linalg::HessianOperator hessian_op;
-        hessian_op.dimension = pairs;
-        // H x = sum_k W_k R' R W_k x: O(nnz * window) per apply,
-        // rank-(window) structure exploited instead of the quadratic
-        // weighted Gram.  One row-blocked pass over R and one over R'
-        // serve every window sample, on the caller's block runner.
-        hessian_op.apply = [&](const linalg::Vector& x,
-                               linalg::Vector& y) {
-            if (!routing_op) routing_op.emplace(r);
-            routing_op->weighted_normal(x, source_of, source_w, window,
-                                        apply_scratch, y,
-                                        options.qp.parallel);
-        };
-        hessian_op.diag = [&](linalg::Vector& out) {
-            for (std::size_t p = 0; p < pairs; ++p) {
-                out[p] = outer(source_of[p], source_of[p]) * d1[p];
-            }
-        };
-        // Row j = source-weighted Gram column: the generated G1 values
-        // and the per-entry products are the weighted-CSR assembly's,
-        // bit-for-bit.
-        hessian_op.column = [&](std::size_t j,
-                                std::vector<double>& scratch,
-                                std::vector<std::size_t>& support) {
-            linalg::gram_column(rv, rtv, j, scratch.data(), support);
-            const double* __restrict orow = outer.row_data(source_of[j]);
-            for (const std::size_t q : support) {
-                scratch[q] = orow[source_of[q]] * scratch[q];
-            }
-        };
-        hessian_op.diagonal =
-            tiebreak_diag.empty() ? nullptr : &tiebreak_diag;
-        qp = linalg::solve_eq_qp_nonneg_operator(
-            hessian_op, f, constraints.equality_sparse, constraints.rhs,
-            qp_options);
-    } else {
-        linalg::FactoredHessian hessian;
-        hessian.matrix = {pairs, pairs, gv.offsets, gv.col_index,
-                          hvals.data()};
-        hessian.diagonal =
-            tiebreak_diag.empty() ? nullptr : &tiebreak_diag;
-        qp = linalg::solve_eq_qp_nonneg_factored(
-            hessian, f, constraints.equality_sparse, constraints.rhs,
-            qp_options);
-    }
+    // Built on the first apply: exact-LU-regime solves (every
+    // paper-scale problem) never apply H and skip the setup.
+    std::optional<linalg::RoutingOperator> routing_op;
+    linalg::WeightedNormalScratch apply_scratch;
+    linalg::HessianOperator hessian_op;
+    hessian_op.dimension = pairs;
+    // H x = sum_k W_k R' R W_k x: O(nnz * window) per apply,
+    // rank-(window) structure exploited instead of the quadratic
+    // weighted Gram.  One row-blocked pass over R and one over R'
+    // serve every window sample, on the caller's block runner.
+    hessian_op.apply = [&](const linalg::Vector& x, linalg::Vector& y) {
+        if (!routing_op) routing_op.emplace(r);
+        routing_op->weighted_normal(x, source_of, source_w, window,
+                                    apply_scratch, y, options.qp.parallel);
+    };
+    hessian_op.diag = [&](linalg::Vector& out) {
+        for (std::size_t p = 0; p < pairs; ++p) {
+            out[p] = outer(source_of[p], source_of[p]) * d1[p];
+        }
+    };
+    // Row j = source-weighted Gram column: the generated G1 values are
+    // the dense Gram's bit-for-bit, scaled by outer(src(j), src(q)).
+    hessian_op.column = [&](std::size_t j, std::vector<double>& scratch,
+                            std::vector<std::size_t>& support) {
+        linalg::gram_column(rv, rtv, j, scratch.data(), support);
+        const double* __restrict orow = outer.row_data(source_of[j]);
+        for (const std::size_t q : support) {
+            scratch[q] = orow[source_of[q]] * scratch[q];
+        }
+    };
+    hessian_op.diagonal = tiebreak_diag.empty() ? nullptr : &tiebreak_diag;
+    const linalg::EqQpNonnegResult qp = linalg::solve_eq_qp_nonneg_operator(
+        hessian_op, f, constraints.equality_sparse, constraints.rhs,
+        qp_options);
 
     FanoutResult result;
     result.fanouts = qp.x;

@@ -13,6 +13,12 @@
 // of t[k] itself, so the method needs nothing beyond (R, t[k]).  The
 // window makes the system overdetermined for K >= 3 even when R is rank
 // deficient (paper Fig. 10); accuracy saturates quickly with K (Fig. 11).
+//
+// The data term H = sum_k W_k (R'R) W_k is never materialized, dense or
+// CSR: the QP (linalg::solve_eq_qp_nonneg_operator) applies it per
+// window sample through R and R' (O(nnz * window) per product) and
+// generates KKT rows on demand as source-weighted Gram columns
+// (linalg::gram_column).
 #pragma once
 
 #include <cstdint>
@@ -26,9 +32,8 @@ namespace tme::core {
 /// sum to one.  It depends only on the topology's pair enumeration (one
 /// row per source PoP, E(src(p), p) = 1), so the online engine builds
 /// it once per routing epoch and shares it across windows.  Held in
-/// CSR form only (one nonzero per column) — the factored QP iterates
-/// E's nonzeros directly, and the historical dense N x P copy (63 MB
-/// per epoch at 200 PoPs) bought nothing.
+/// CSR form only (one nonzero per column) — the QP iterates E's
+/// nonzeros directly.
 struct FanoutConstraints {
     std::vector<std::size_t> source_of;  ///< pair -> source PoP
     /// E in CSR form (pops x pairs, one nonzero per column).
@@ -40,8 +45,9 @@ struct FanoutConstraints {
 
 /// Precomputed sliding-window aggregates for fanout_estimate.  The online
 /// engine maintains these incrementally (rank-one add/downdate per
-/// sample), which turns the per-window O(K P^2) data-term accumulation
-/// into O(P^2).  All three must be supplied together; none are owned.
+/// sample), which turns the per-window O(K nnz) linear-term and
+/// O(K N^2) source-totals accumulations into reads.  All three must be
+/// supplied together; none are owned.
 struct FanoutWindowAggregates {
     /// sum_k te_k te_k' (nodes x nodes), te_k[n] = ingress edge-link
     /// load of source n at sample k.  The pair-space weighting matrix
@@ -72,30 +78,12 @@ struct FanoutOptions {
     /// solution among the near-optimal ones instead of an arbitrary
     /// vertex.  Set to 0 for the paper's pure formulation.
     double gravity_tiebreak_weight = 1e-3;
-    /// Optional precomputed sparse Gram R'R in CSR form (e.g. the
-    /// engine's per-epoch RoutingEpoch::sparse_gram()); MUST equal
-    /// gram_sparse_csr(*problem.routing).  The estimator's data term
-    /// is this structure with per-entry source weights — nothing
-    /// quadratic in the pair count is ever allocated, dense or
-    /// otherwise.  Not owned.
-    const linalg::SparseMatrix* shared_sparse_gram = nullptr;
     /// Optional precomputed equality-constraint structure; MUST equal
     /// FanoutConstraints::build(*problem.topo).  Not owned.
     const FanoutConstraints* shared_constraints = nullptr;
-    /// Gram-free solve: not even the CSR Gram R'R is built.  The QP's
-    /// data term H = sum_k W_k (R'R) W_k is supplied as an operator —
-    /// applies run per window sample through R and R' (O(nnz * window)
-    /// per product), and KKT rows are generated on demand as
-    /// source-weighted Gram columns (linalg::gram_column).  The
-    /// generated values replay the weighted-CSR assembly bit-for-bit,
-    /// so exact-LU-regime solves match the factored path exactly; the
-    /// projected-CG regime agrees to solver precision.  When set,
-    /// shared_sparse_gram is ignored.
-    bool operator_form = false;
     /// Optional precomputed CSR transpose of the routing matrix; MUST
-    /// equal linalg::transpose(*problem.routing).  Only read by the
-    /// operator_form path (the engine caches it per routing epoch);
-    /// derived on the fly when absent.  Not owned.
+    /// equal linalg::transpose(*problem.routing) (the engine caches it
+    /// per routing epoch); derived on the fly when absent.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
     /// Optional QP active-set warm start: the previous window's fanout
     /// vector (pair-indexed).  The QP verifies the seed's KKT
@@ -105,10 +93,11 @@ struct FanoutOptions {
     const linalg::Vector* warm_start = nullptr;
     /// Optional incremental window aggregates (see above).
     FanoutWindowAggregates aggregates;
-    /// Tuning knobs forwarded to the factored QP solve
-    /// (dense-gather limit, projected-CG tolerance/cap).  The
-    /// warm_start and equality_operator members are ignored — the
-    /// estimator manages those itself.
+    /// Tuning knobs forwarded to the operator QP solve
+    /// (solve_eq_qp_nonneg_operator: dense-gather limit, projected-CG
+    /// tolerance/caps, block runner, counters, budget).  The warm_start
+    /// and equality_operator members are ignored — the estimator
+    /// manages those itself.
     linalg::EqQpNonnegOptions qp;
 };
 

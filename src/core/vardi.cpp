@@ -38,37 +38,16 @@ VardiResult vardi_estimate(const SeriesProblem& problem,
         throw std::invalid_argument("vardi_estimate: moment dimensions");
     }
 
-    // Gram pieces.  G1 = R'R; the second-moment block contributes
-    // G2 = G1 .* G1 (see header) and q_p = r_p' Sigmahat r_p.  The
-    // transformed matrix G1 + w*G2 depends only on (R, w), so the
-    // engine hands it in pre-built per routing epoch; otherwise it is
-    // derived here.
-    linalg::Matrix g;
-    const linalg::Matrix* gsolve = nullptr;
-    if (options.operator_form) {
-        // Gram-free path: columns of the transformed Gram are generated
-        // on demand inside the solve below; nothing pairs x pairs is
-        // built here.
-    } else if (options.shared_transformed_gram != nullptr) {
-        if (options.shared_transformed_gram->rows() != pairs ||
-            options.shared_transformed_gram->cols() != pairs) {
-            throw std::invalid_argument(
-                "vardi_estimate: shared transformed gram dimension "
-                "mismatch");
-        }
-        gsolve = options.shared_transformed_gram;
-    } else if (options.shared_gram != nullptr) {
-        if (options.shared_gram->rows() != pairs ||
-            options.shared_gram->cols() != pairs) {
-            throw std::invalid_argument(
-                "vardi_estimate: shared gram dimension mismatch");
-        }
-        g = *options.shared_gram;
-    } else {
-        g = r.gram();
+    if (options.shared_routing_transpose != nullptr &&
+        (options.shared_routing_transpose->rows() != pairs ||
+         options.shared_routing_transpose->cols() != r.rows())) {
+        throw std::invalid_argument(
+            "vardi_estimate: shared routing transpose dimension mismatch");
     }
-    linalg::Vector rhs = r.multiply_transpose(that);
 
+    // Right-hand side R' that + w * q with q_p = r_p' Sigmahat r_p (the
+    // second-moment block, see header).
+    linalg::Vector rhs = r.multiply_transpose(that);
     if (w > 0.0) {
         // Column supports of R for the quadratic forms.
         std::vector<std::vector<std::pair<std::size_t, double>>> columns(
@@ -90,63 +69,41 @@ VardiResult vardi_estimate(const SeriesProblem& problem,
             }
             rhs[p] += w * q;
         }
-        if (!options.operator_form && gsolve == nullptr) {
-            for (std::size_t p = 0; p < pairs; ++p) {
-                for (std::size_t qx = 0; qx < pairs; ++qx) {
-                    const double g1 = g(p, qx);
-                    g(p, qx) = g1 + w * g1 * g1;
-                }
+    }
+
+    // Columns of the transformed Gram G1 + w * (G1 .* G1), G1 = R'R,
+    // generated on demand; nothing pairs x pairs is built.
+    linalg::SparseMatrix rt_local;
+    if (options.shared_routing_transpose == nullptr) {
+        rt_local = linalg::transpose(r);
+    }
+    const linalg::SparseMatrix& rt =
+        options.shared_routing_transpose != nullptr
+            ? *options.shared_routing_transpose
+            : rt_local;
+    const linalg::CsrView rv = r.view();
+    const linalg::CsrView rtv = rt.view();
+    linalg::GramColumnOracle oracle;
+    oracle.dimension = pairs;
+    oracle.column = [rv, rtv, w](std::size_t j,
+                                 std::vector<double>& scratch,
+                                 std::vector<std::size_t>& support) {
+        linalg::gram_column(rv, rtv, j, scratch.data(), support);
+        if (w > 0.0) {
+            // The entrywise transform, applied per support entry (the
+            // skipped entries are exact zeros, which it maps to zero).
+            for (const std::size_t q : support) {
+                const double g1 = scratch[q];
+                scratch[q] = g1 + w * g1 * g1;
             }
         }
-    }
-    if (!options.operator_form && gsolve == nullptr) gsolve = &g;
-
-    VardiResult result;
+    };
     linalg::NnlsOptions nnls_options;
     nnls_options.warm_start = options.warm_start;
     nnls_options.counters = options.counters;
     nnls_options.budget = options.budget;
-    if (options.operator_form) {
-        if (options.shared_routing_transpose != nullptr &&
-            (options.shared_routing_transpose->rows() != pairs ||
-             options.shared_routing_transpose->cols() != r.rows())) {
-            throw std::invalid_argument(
-                "vardi_estimate: shared routing transpose dimension "
-                "mismatch");
-        }
-        linalg::SparseMatrix rt_local;
-        if (options.shared_routing_transpose == nullptr) {
-            rt_local = linalg::transpose(r);
-        }
-        const linalg::SparseMatrix& rt =
-            options.shared_routing_transpose != nullptr
-                ? *options.shared_routing_transpose
-                : rt_local;
-        const linalg::CsrView rv = r.view();
-        const linalg::CsrView rtv = rt.view();
-        linalg::GramColumnOracle oracle;
-        oracle.dimension = pairs;
-        oracle.column = [rv, rtv, w](std::size_t j,
-                                     std::vector<double>& scratch,
-                                     std::vector<std::size_t>& support) {
-            linalg::gram_column(rv, rtv, j, scratch.data(), support);
-            if (w > 0.0) {
-                // Same expression as the dense transform loop above,
-                // applied per support entry (the skipped entries are
-                // exact zeros, which the transform maps to zero) — the
-                // generated column is bitwise the dense row.
-                for (const std::size_t q : support) {
-                    const double g1 = scratch[q];
-                    scratch[q] = g1 + w * g1 * g1;
-                }
-            }
-        };
-        result.lambda =
-            linalg::nnls_operator(oracle, rhs, 0.0, nnls_options).x;
-    } else {
-        result.lambda =
-            linalg::nnls_gram(*gsolve, rhs, 0.0, nnls_options).x;
-    }
+    VardiResult result;
+    result.lambda = linalg::nnls_operator(oracle, rhs, 0.0, nnls_options).x;
 
     // Residual diagnostics.
     const linalg::Vector pred = r.multiply(result.lambda);

@@ -14,7 +14,12 @@
 // the second-moment block has L^2 rows but its Gram contribution has the
 // closed form (R'R) .* (R'R), and its right-hand side is
 // q_p = r_p' Sigmahat r_p — so the problem is solved entirely in Gram
-// form without materializing the stacked matrix.
+// form without materializing the stacked matrix.  Nor is the
+// transformed Gram G1 + w * (G1 .* G1) materialized: its columns are
+// generated on demand from R and R' (linalg::gram_column) with the
+// entrywise transform applied per support entry, and the NNLS runs its
+// factored passive-set solve over them — bit-for-bit the dense
+// nnls_gram over the transformed Gram.
 #pragma once
 
 #include "core/problem.hpp"
@@ -27,15 +32,6 @@ struct VardiOptions {
     /// Weight w = sigma^{-2} on the second-moment equations (paper uses
     /// 0.01 and 1 in Table 1).
     double second_moment_weight = 1.0;
-    /// Optional precomputed Gram matrix R'R; MUST equal
-    /// problem.routing->gram().  Not owned.
-    const linalg::Matrix* shared_gram = nullptr;
-    /// Optional precomputed *transformed* Gram G1 + w * (G1 .* G1) with
-    /// G1 = R'R and w = second_moment_weight (the engine caches it per
-    /// routing epoch).  When set, the O(P^2) copy-and-transform of the
-    /// Gram matrix is skipped entirely and shared_gram is ignored.
-    /// MUST match second_moment_weight.  Not owned.
-    const linalg::Matrix* shared_transformed_gram = nullptr;
     /// Optional precomputed window moments: mean_loads = mean_k t[k] and
     /// load_covariance = the K-normalized sample covariance of the
     /// window (linalg::sample_mean / sample_covariance conventions).  The
@@ -44,20 +40,9 @@ struct VardiOptions {
     /// Either both or neither must be set.  Not owned.
     const linalg::Vector* mean_loads = nullptr;
     const linalg::Matrix* load_covariance = nullptr;
-    /// Gram-free solve: the transformed Gram G1 + w * (G1 .* G1) is
-    /// never materialized — not densely, not in CSR.  Columns are
-    /// generated on demand from R and R' (linalg::gram_column) with the
-    /// entrywise transform applied per support entry, and the NNLS runs
-    /// its factored passive-set solve over them.  Because the generated
-    /// columns replay the Gram kernels' accumulation order and the
-    /// transform is the dense loop's expression, the estimate is
-    /// bit-for-bit the dense path's wherever both can run.  When set,
-    /// shared_gram / shared_transformed_gram are ignored.
-    bool operator_form = false;
     /// Optional precomputed CSR transpose of the routing matrix; MUST
-    /// equal linalg::transpose(*problem.routing).  Only read by the
-    /// operator_form path (the engine caches it per routing epoch);
-    /// derived on the fly when absent.  Not owned.
+    /// equal linalg::transpose(*problem.routing) (the engine caches it
+    /// per routing epoch); derived on the fly when absent.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
     /// Optional warm start for the NNLS (previous window's lambda).
     const linalg::Vector* warm_start = nullptr;

@@ -28,55 +28,6 @@ void RoutingEpoch::record_build(double build_seconds) const {
     if (build_latency_ != nullptr) build_latency_->record(build_seconds);
 }
 
-const linalg::Matrix& RoutingEpoch::gram() const {
-    {
-        std::shared_lock<std::shared_mutex> read(derived_->mutex);
-        if (derived_->gram_built) return derived_->gram;
-    }
-    std::unique_lock<std::shared_mutex> write(derived_->mutex);
-    if (!derived_->gram_built) {
-        obs::Span span("epoch/build_gram");
-        const SteadyClock::time_point start = SteadyClock::now();
-        derived_->gram = linalg::gram_sparse(routing_);
-        derived_->gram_built = true;
-        // Every estimator sharing this epoch consumes the Gram as-is; a
-        // NaN here (corrupted routing values) poisons all of them.
-        TME_CONTRACT_DBG_CHECK(
-            check::finite(derived_->gram, "epoch dense Gram"));
-        record_build(seconds_since(start));
-    }
-    return derived_->gram;
-}
-
-bool RoutingEpoch::gram_built() const {
-    std::shared_lock<std::shared_mutex> read(derived_->mutex);
-    return derived_->gram_built;
-}
-
-const linalg::SparseMatrix& RoutingEpoch::sparse_gram() const {
-    {
-        std::shared_lock<std::shared_mutex> read(derived_->mutex);
-        if (derived_->sparse_gram_built) return derived_->sparse_gram;
-    }
-    std::unique_lock<std::shared_mutex> write(derived_->mutex);
-    if (!derived_->sparse_gram_built) {
-        obs::Span span("epoch/build_sparse_gram");
-        const SteadyClock::time_point start = SteadyClock::now();
-        derived_->sparse_gram = linalg::gram_sparse_csr(routing_);
-        derived_->sparse_gram_built = true;
-        TME_CONTRACT_DBG_CHECK(check::csr_structure(
-            derived_->sparse_gram, "epoch sparse Gram"));
-        ++derived_->builds;
-        record_build(seconds_since(start));
-    }
-    return derived_->sparse_gram;
-}
-
-bool RoutingEpoch::sparse_gram_built() const {
-    std::shared_lock<std::shared_mutex> read(derived_->mutex);
-    return derived_->sparse_gram_built;
-}
-
 const linalg::SparseMatrix& RoutingEpoch::routing_transpose() const {
     {
         std::shared_lock<std::shared_mutex> read(derived_->mutex);
@@ -98,45 +49,6 @@ const linalg::SparseMatrix& RoutingEpoch::routing_transpose() const {
 bool RoutingEpoch::routing_transpose_built() const {
     std::shared_lock<std::shared_mutex> read(derived_->mutex);
     return derived_->transpose_built;
-}
-
-const linalg::Matrix& RoutingEpoch::vardi_gram(double weight) const {
-    // Force the Gram build (under its own critical section) before
-    // taking the exclusive lock below — gram() grabs the same mutex.
-    const linalg::Matrix& g1m = gram();
-    {
-        std::shared_lock<std::shared_mutex> read(derived_->mutex);
-        const auto it = derived_->vardi_by_weight.find(weight);
-        if (it != derived_->vardi_by_weight.end()) return it->second;
-    }
-    std::unique_lock<std::shared_mutex> write(derived_->mutex);
-    // Re-check: another cold caller may have built while we waited for
-    // the exclusive lock.
-    const auto it = derived_->vardi_by_weight.find(weight);
-    if (it != derived_->vardi_by_weight.end()) return it->second;
-    obs::Span span("epoch/build_vardi_gram");
-    const SteadyClock::time_point start = SteadyClock::now();
-    const std::size_t pairs = g1m.rows();
-    // Vardi's transformed Gram is inherently dense (it maps the already-
-    // built dense Gram elementwise); built lazily at most once per
-    // (epoch, weight), never on the per-window path.
-    // lint: allow(dense-alloc)
-    linalg::Matrix g(pairs, pairs, 0.0);
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const double* __restrict src = g1m.row_data(p);
-        double* __restrict dst = g.row_data(p);
-        for (std::size_t q = 0; q < pairs; ++q) {
-            const double g1 = src[q];
-            // Structural zeros of G1 stay exact zeros; skip the writes.
-            if (g1 != 0.0) dst[q] = g1 + weight * g1 * g1;
-        }
-    }
-    TME_CONTRACT_DBG_CHECK(
-        check::finite(g, "epoch Vardi transformed Gram"));
-    ++derived_->builds;
-    record_build(seconds_since(start));
-    return derived_->vardi_by_weight.emplace(weight, std::move(g))
-        .first->second;
 }
 
 const core::FanoutConstraints& RoutingEpoch::fanout_constraints(
@@ -182,7 +94,7 @@ std::shared_ptr<const core::ReducedFactor> RoutingEpoch::reduced_factor(
         obs::Span span("epoch/build_reduced_factor");
         const SteadyClock::time_point start = SteadyClock::now();
         // Built from the sparse routing copy: bitwise what slicing the
-        // dense Gram would give, without ever needing the dense Gram.
+        // dense Gram would give, without the dense Gram ever existing.
         derived_->reduced = std::make_shared<const core::ReducedFactor>(
             core::ReducedFactor::from_routing(routing_, unknown, tau));
         ++derived_->builds;
@@ -218,16 +130,16 @@ std::shared_ptr<const RoutingEpoch> RoutingEpochCache::acquire_shared(
     const linalg::SparseMatrix& routing) {
     // The fingerprint is a pure function of the matrix content; compute
     // it outside the lock so concurrent engines only serialize on the
-    // LRU bookkeeping (a miss now only copies the CSR arrays — the Gram
-    // and all deeper derived data build lazily under the epoch's own
-    // double-checked lock, still exactly once per epoch).
+    // LRU bookkeeping (a miss only copies the CSR arrays — all derived
+    // data builds lazily under the epoch's own double-checked lock,
+    // exactly once per epoch).
     const std::uint64_t fp = fingerprint_(routing);
     obs::Span span("cache/acquire");
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if ((*it)->fingerprint() != fp) continue;
         // A 64-bit fingerprint can collide; serving a colliding entry
-        // would hand the wrong Gram to every solver.  Cheap structural
+        // would hand the wrong derived data to every solver.  Cheap structural
         // identity gates the hit; a mismatch falls through to a miss.
         if ((*it)->rows() != routing.rows() ||
             (*it)->cols() != routing.cols() ||

@@ -6,23 +6,20 @@
 // load samples arrive every five minutes.  Everything derived purely
 // from R is therefore cached per epoch and invalidated *exactly* when a
 // route change produces a matrix with a different fingerprint.  All
-// derived data — the dense Gram R'R, the sparse CSR Gram (the factored
-// fanout-QP/Bayesian data term), Vardi's transformed Gram
-// G1 + w*(G1 .* G1), the fanout equality-constraint structure, and
-// reduced-problem factorizations for the direct-measurement workflow —
-// is built lazily on first use and dies with the epoch.  Laziness
-// matters at generated-backbone scale: a 100-PoP network's dense Gram
-// is ~0.8 GB, and an engine scheduling only Gram-free methods (gravity,
-// Kruithof) or only the direct-measurement workflow (whose reduced Gram
-// is built straight from the sparse routing copy) never pays for it.
-// A small LRU keeps the last few epochs alive so routing flaps that
-// revert to a previous configuration hit the cache again.
+// derived data — the routing transpose R' (the input of every Gram-free
+// estimator: Bayesian, Vardi, fanout), the fanout equality-constraint
+// structure, and reduced-problem factorizations for the
+// direct-measurement workflow — is built lazily on first use and dies
+// with the epoch.  None of it is quadratic in the pair count: no
+// pairs x pairs Gram, dense or CSR, is ever cached.  A small LRU keeps
+// the last few epochs alive so routing flaps that revert to a previous
+// configuration hit the cache again.
 //
 // Fingerprints are 64-bit, so distinct routing matrices could in
 // principle collide; acquire() therefore verifies cheap structural
 // identity (rows / cols / nonzero count) on every fingerprint hit and
 // treats a mismatch as a miss, so a collision can never silently serve
-// the wrong Gram.
+// the wrong derived data.
 //
 // Thread-safety: one cache may be shared by a whole fleet of engines on
 // the same topology.  acquire_shared() is safe to call concurrently
@@ -39,14 +36,12 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 
 #include "core/fanout.hpp"
 #include "core/tomo_direct.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/histogram.hpp"
 
@@ -82,29 +77,6 @@ class RoutingEpoch {
     /// The epoch's own immutable copy of the routing matrix.
     const linalg::SparseMatrix& routing() const { return routing_; }
 
-    /// Dense Gram matrix R'R (pairs x pairs); built lazily from the
-    /// sparse routing copy on first use (shared-mutex double-checked,
-    /// so N racing cold callers build it exactly once), immutable
-    /// afterwards.  Does not count toward derived_builds().
-    const linalg::Matrix& gram() const;
-
-    /// True once the dense Gram has been built (telemetry / tests —
-    /// schedulers running only Gram-free methods must never trigger it).
-    bool gram_built() const;
-
-    /// Sparse CSR Gram R'R (Gustavson), built lazily from the routing
-    /// copy on first use — the factored data term the fanout QP and
-    /// the Bayesian sparse path share per epoch.  Holds only the
-    /// structurally coupled pair-pairs, so it exists at scales where
-    /// the dense Gram cannot (200 PoPs: ~12.7 GB dense), and building
-    /// it never triggers (or reads) the dense Gram.  Same double-
-    /// checked once-build discipline as every other derived item;
-    /// counts toward derived_builds().
-    const linalg::SparseMatrix& sparse_gram() const;
-
-    /// True once the sparse Gram has been built (telemetry / tests).
-    bool sparse_gram_built() const;
-
     /// CSR transpose R' of the routing matrix, built lazily on first
     /// use — the shared input of every Gram-free operator path (Vardi,
     /// Bayesian, fanout): row p of R' lists column p's carriers, source
@@ -112,20 +84,11 @@ class RoutingEpoch {
     /// to replay the Gram kernels bit-for-bit.  O(nnz) to build and
     /// store — the scheduler's default schedule derives everything from
     /// this instead of any pairs x pairs Gram.  Does not count toward
-    /// derived_builds() (like gram(): the counter tracks the expensive
-    /// quadratic builds the tests guard against).
+    /// derived_builds().
     const linalg::SparseMatrix& routing_transpose() const;
 
     /// True once the routing transpose has been built (telemetry).
     bool routing_transpose_built() const;
-
-    /// Vardi's transformed Gram G1 + weight*(G1 .* G1), built lazily on
-    /// first use and cached per weight, so fleet jobs configured with
-    /// different weights can share the epoch safely (each weight builds
-    /// once; node-based storage keeps every returned reference valid
-    /// until the epoch dies, never invalidated by another weight's
-    /// build).
-    const linalg::Matrix& vardi_gram(double weight) const;
 
     /// Fanout equality-constraint structure (row pattern of E and the
     /// all-ones right-hand side), built lazily from the topology on
@@ -154,15 +117,8 @@ class RoutingEpoch {
         /// Readers share; a cold build upgrades to exclusive and
         /// re-checks, so racing cold callers build each item once.
         mutable std::shared_mutex mutex;
-        bool gram_built = false;
-        linalg::Matrix gram;
-        bool sparse_gram_built = false;
-        linalg::SparseMatrix sparse_gram;
         bool transpose_built = false;
         linalg::SparseMatrix transpose;
-        /// Node-based on purpose: inserting one weight's matrix never
-        /// moves another's, so returned references stay valid.
-        std::map<double, linalg::Matrix> vardi_by_weight;
         bool fanout_built = false;
         core::FanoutConstraints fanout;
         std::shared_ptr<const core::ReducedFactor> reduced;

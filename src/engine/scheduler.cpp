@@ -221,9 +221,7 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             opts.qp.parallel = pool;
             // Gram-free: the MAP system is solved through on-demand
             // Gram columns / implicit A'A products off the epoch's
-            // cached R' — neither the dense nor the CSR Gram is ever
-            // triggered by the default schedule.
-            opts.operator_form = true;
+            // cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             if (warm_seed != nullptr) {
                 opts.warm_start = warm_seed;
@@ -244,9 +242,7 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             opts.budget = &budget;
             // Gram-free: columns of the transformed Gram
             // G1 + w*(G1 .* G1) are generated on demand off the
-            // epoch's cached R' — the dense per-epoch transformed Gram
-            // is never built on the default schedule.
-            opts.operator_form = true;
+            // epoch's cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             opts.mean_loads = &ctx.mean_loads;
             opts.load_covariance = &ctx.covariance;
@@ -269,9 +265,7 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             opts.qp.parallel = pool;
             // Gram-free: the QP's data term is applied through R / R'
             // per window sample and its KKT rows are generated on
-            // demand off the epoch's cached R' — not even the CSR Gram
-            // is materialized on the default schedule.
-            opts.operator_form = true;
+            // demand off the epoch's cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             opts.shared_constraints =
                 &ctx.epoch->fanout_constraints(*ctx.series.topo);

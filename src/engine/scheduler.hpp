@@ -51,8 +51,9 @@ using SolveBudget = linalg::SolveBudget;
 using SolveOutcome = linalg::SolveOutcome;
 
 /// Per-method solver options.  The scheduler overrides the reuse hooks
-/// (shared_gram, warm_start, window aggregates) per window; everything
-/// else is honoured as configured.
+/// (shared_routing_transpose, shared_constraints, window moments and
+/// aggregates, warm_start) per window; everything else is honoured as
+/// configured.
 struct MethodOptions {
     core::KruithofOptions kruithof;
     core::EntropyOptions entropy;

@@ -30,8 +30,8 @@ void zeroed_deallocate(void* p);
 /// High-water mark of the largest single Matrix allocation (bytes)
 /// since the last reset.  Telemetry for the scale gates: the
 /// generated-backbone bench asserts that no estimator ever allocates a
-/// dense pairs x pairs structure (the factored fanout QP's whole
-/// point), and a counter beats auditing call sites by hand.  Relaxed
+/// dense pairs x pairs structure (the operator QP's whole point), and
+/// a counter beats auditing call sites by hand.  Relaxed
 /// atomics — cheap enough to leave on unconditionally.
 std::size_t peak_matrix_allocation_bytes();
 void reset_peak_matrix_allocation();

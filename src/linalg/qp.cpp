@@ -373,90 +373,14 @@ ColumnLists column_lists(const CsrView& a) {
     return c;
 }
 
-// --- Hessian access policies ---------------------------------------------
+// --- Hessian access ------------------------------------------------------
 //
-// The active-set driver below is shared between the CSR factored
-// Hessian and the pure-operator form.  A policy answers the five
-// Hessian touchpoints the driver has: the total diagonal, dense
-// gathers of free rows (exact-LU regime), the restricted operator
-// product (CG regime), and the pinned-multiplier terms.  The CSR
-// policy reproduces the pre-refactor loops instruction for
-// instruction, which is what keeps the factored path bit-for-bit its
-// old self — and, transitively, bit-for-bit the dense solver in the
-// exact-LU regime.
+// The five Hessian touchpoints the active-set driver has: the total
+// diagonal, dense gathers of free rows (exact-LU regime), the
+// restricted operator product (CG regime), and the pinned-multiplier
+// terms — all answered through the HessianOperator closures.
 
-struct CsrHessPolicy {
-    CsrView h;
-    const Vector* added;  // optional added diagonal
-    Vector xfull;         // n-sized scatter scratch for apply_free
-
-    explicit CsrHessPolicy(const FactoredHessian& hf)
-        : h(hf.matrix), added(hf.diagonal), xfull(hf.matrix.cols, 0.0) {}
-
-    std::size_t dimension() const { return h.cols; }
-
-    void total_diagonal(Vector& hdiag) const {
-        const std::size_t n = h.cols;
-        hdiag.assign(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-            double v = 0.0;
-            for (std::size_t t = h.offsets[i]; t < h.offsets[i + 1]; ++t) {
-                if (h.col_index[t] == i) {
-                    v = h.values[t];
-                    break;
-                }
-                if (h.col_index[t] > i) break;
-            }
-            if (added != nullptr) v += (*added)[i];
-            hdiag[i] = v;
-        }
-    }
-
-    void gather_free_row(std::size_t i,
-                         const std::vector<std::size_t>& free_index,
-                         double* __restrict krow) const {
-        for (std::size_t t = h.offsets[i]; t < h.offsets[i + 1]; ++t) {
-            const std::size_t b = free_index[h.col_index[t]];
-            if (b != SIZE_MAX) krow[b] = h.values[t];
-        }
-    }
-
-    // out = (H_FF + ridge I) w via a scatter into full space.
-    void apply_free(const Vector& w,
-                    const std::vector<std::size_t>& free_vars, double ridge,
-                    Vector& out) {
-        const std::size_t k = free_vars.size();
-        for (std::size_t a = 0; a < k; ++a) xfull[free_vars[a]] = w[a];
-        for (std::size_t a = 0; a < k; ++a) {
-            const std::size_t i = free_vars[a];
-            double acc = 0.0;
-            for (std::size_t t = h.offsets[i]; t < h.offsets[i + 1]; ++t) {
-                acc += h.values[t] * xfull[h.col_index[t]];
-            }
-            if (added != nullptr) acc += (*added)[i] * w[a];
-            out[a] = acc + ridge * w[a];
-        }
-        for (std::size_t a = 0; a < k; ++a) xfull[free_vars[a]] = 0.0;
-    }
-
-    void prepare_mu(const Vector&, const std::vector<std::size_t>&, bool) {}
-
-    // mu += sum over free columns of H(j, col) * sol[col].  The row walk
-    // restricted to the free columns visits the same nonzero terms,
-    // ascending, as the dense solver's free-variable sweep (the skipped
-    // terms are exact zeros).  The added diagonal never contributes: j
-    // is pinned, so its diagonal multiplies nothing free.
-    void add_mu_terms(std::size_t j,
-                      const std::vector<std::size_t>& free_index,
-                      const Vector& sol, double& mu) const {
-        for (std::size_t t = h.offsets[j]; t < h.offsets[j + 1]; ++t) {
-            const std::size_t a = free_index[h.col_index[t]];
-            if (a != SIZE_MAX) mu += h.values[t] * sol[a];
-        }
-    }
-};
-
-struct OperatorHessPolicy {
+struct HessianAccess {
     const HessianOperator* op;
     Vector xfull;  // n-sized scatter scratch
     Vector ybuf;   // n-sized operator output
@@ -465,7 +389,7 @@ struct OperatorHessPolicy {
     Vector mu_full;        // H x at the current iterate (CG-regime sweep)
     bool mu_ready = false;
 
-    explicit OperatorHessPolicy(const HessianOperator& hop)
+    explicit HessianAccess(const HessianOperator& hop)
         : op(&hop),
           xfull(hop.dimension, 0.0),
           ybuf(hop.dimension, 0.0),
@@ -488,8 +412,8 @@ struct OperatorHessPolicy {
                          const std::vector<std::size_t>& free_index,
                          double* __restrict krow) {
         // Rows through the symmetric column generator; the generated
-        // values are bitwise the CSR row when the generator replays the
-        // Gram kernels' accumulation order.
+        // values are bitwise the dense row when the generator replays
+        // the Gram kernels' accumulation order.
         op->column(i, colscratch, support);
         for (std::size_t q : support) {
             const std::size_t b = free_index[q];
@@ -516,8 +440,8 @@ struct OperatorHessPolicy {
     // CG-regime multiplier sweep: one full operator product serves every
     // pinned coordinate (per-row generation would cost a column per
     // pinned variable — quadratic over the run at scale).  The exact-LU
-    // regime keeps the per-row walk for bitwise parity with the CSR
-    // policy.
+    // regime keeps the per-row walk for bitwise parity with the dense
+    // solver.
     void prepare_mu(const Vector& sol,
                     const std::vector<std::size_t>& free_vars,
                     bool used_cg) {
@@ -547,7 +471,7 @@ struct OperatorHessPolicy {
 
 /// Matrix-free solve of the equality-constrained subproblem on the
 /// free set:  min (1/2) x'(H + ridge I)x - f'x  s.t.  E_F x = d,
-/// where H is the policy's Hessian restricted to the free variables.
+/// where H is the operator's Hessian restricted to the free variables.
 /// Projected CG with the constraint preconditioner [M E'; E 0]
 /// (M = Jacobi diagonal of H + ridge): each application costs one
 /// O(nnz(E_F)) projection plus an m x m triangular solve, and each
@@ -556,8 +480,7 @@ struct OperatorHessPolicy {
 /// Returns (x_F, nu) of length k + m, or an empty vector when
 /// E_F M^-1 E_F' is structurally singular (an equality row with no
 /// free support).
-template <typename HessPolicy>
-Vector pcg_kkt_solve(HessPolicy& hp, const Vector& hdiag_total,
+Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
                      const Vector& f, const CsrView& ev,
                      const ColumnLists& ecols, const Vector& d,
                      const std::vector<std::size_t>& free_vars,
@@ -646,7 +569,7 @@ Vector pcg_kkt_solve(HessPolicy& hp, const Vector& hdiag_total,
             et_apply_scaled_sub(lambda, v);
         }
     };
-    // out = (H_FF + ridge I) w, through the policy.
+    // out = (H_FF + ridge I) w, through the operator.
     auto h_apply = [&](const Vector& w, Vector& out) {
         hp.apply_free(w, free_vars, ridge, out);
     };
@@ -798,18 +721,13 @@ Vector pcg_kkt_solve(HessPolicy& hp, const Vector& hdiag_total,
     return sol;
 }
 
-/// Shared active-set driver over a Hessian access policy.  Both public
-/// entry points validate their inputs and land here; the policy decides
-/// how the five Hessian touchpoints (total diagonal, dense free-row
-/// gathers, restricted operator products, multiplier preparation and
-/// per-coordinate multiplier terms) are evaluated.  `name` labels
-/// diagnostics.
-template <typename HessPolicy>
-EqQpNonnegResult eq_qp_nonneg_active_set(HessPolicy& hp, const Vector& f,
+/// Active-set driver of solve_eq_qp_nonneg_operator (which validates
+/// the inputs); every Hessian touchpoint goes through `hp`.
+EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
                                          const SparseMatrix& e,
                                          const Vector& d,
-                                         const EqQpNonnegOptions& options,
-                                         const char* name) {
+                                         const EqQpNonnegOptions& options) {
+    constexpr const char* name = "solve_eq_qp_nonneg_operator";
     const std::size_t n = hp.dimension();
     const std::size_t m = e.rows();
     const CsrView ev = e.view();
@@ -1196,42 +1114,6 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessPolicy& hp, const Vector& f,
 
 }  // namespace
 
-EqQpNonnegResult solve_eq_qp_nonneg_factored(
-    const FactoredHessian& hf, const Vector& f, const SparseMatrix& e,
-    const Vector& d, const EqQpNonnegOptions& options) {
-    const CsrView h = hf.matrix;
-    const std::size_t n = h.cols;
-    const std::size_t m = e.rows();
-    if (h.rows != n || f.size() != n || (m > 0 && e.cols() != n) ||
-        d.size() != m) {
-        throw std::invalid_argument(
-            "solve_eq_qp_nonneg_factored: dimension mismatch");
-    }
-    if (hf.diagonal != nullptr && hf.diagonal->size() != n) {
-        throw std::invalid_argument(
-            "solve_eq_qp_nonneg_factored: diagonal size mismatch");
-    }
-    TME_CONTRACT_DBG_CHECK(check::csr_structure(
-        h, "solve_eq_qp_nonneg_factored Hessian"));
-    // m == 0 means "no equality constraints": a default-constructed
-    // SparseMatrix with no offsets array, not a malformed CSR.
-    if (m > 0) {
-        TME_CONTRACT_DBG_CHECK(check::csr_structure(
-            e, "solve_eq_qp_nonneg_factored equality operator"));
-    }
-    TME_CONTRACT_DBG_CHECK(
-        check::finite(f, "solve_eq_qp_nonneg_factored f"));
-    TME_CONTRACT_DBG_CHECK(
-        check::finite(d, "solve_eq_qp_nonneg_factored d"));
-    if (hf.diagonal != nullptr) {
-        TME_CONTRACT_DBG_CHECK(check::finite(
-            *hf.diagonal, "solve_eq_qp_nonneg_factored added diagonal"));
-    }
-    CsrHessPolicy hp(hf);
-    return eq_qp_nonneg_active_set(hp, f, e, d, options,
-                                   "solve_eq_qp_nonneg_factored");
-}
-
 EqQpNonnegResult solve_eq_qp_nonneg_operator(
     const HessianOperator& h, const Vector& f, const SparseMatrix& e,
     const Vector& d, const EqQpNonnegOptions& options) {
@@ -1262,9 +1144,8 @@ EqQpNonnegResult solve_eq_qp_nonneg_operator(
         TME_CONTRACT_DBG_CHECK(check::finite(
             *h.diagonal, "solve_eq_qp_nonneg_operator added diagonal"));
     }
-    OperatorHessPolicy hp(h);
-    return eq_qp_nonneg_active_set(hp, f, e, d, options,
-                                   "solve_eq_qp_nonneg_operator");
+    HessianAccess hp(h);
+    return eq_qp_nonneg_active_set(hp, f, e, d, options);
 }
 
 }  // namespace tme::linalg

@@ -5,16 +5,21 @@
 //     minimize    sum_k || R S[k] a - t[k] ||^2
 //     subject to  sum_m a_nm = 1 for every source n,   a >= 0
 //
-// i.e. an equality-constrained QP with non-negativity.  Two solvers are
-// provided:
+// i.e. an equality-constrained QP with non-negativity.  Three solvers
+// are provided:
 //
-//  * solve_eq_qp        — KKT system solve, equality constraints only
-//                         (used when the non-negativity constraint is
-//                         known to be inactive, and inside tests);
-//  * solve_eq_qp_nonneg — active-set iteration on the non-negativity
-//                         constraints over exact KKT solves of the
-//                         equality-constrained subproblem, honouring
-//                         both constraint families.
+//  * solve_eq_qp                 — KKT system solve, equality
+//                                  constraints only (used when the
+//                                  non-negativity constraint is known
+//                                  to be inactive, and inside tests);
+//  * solve_eq_qp_nonneg          — active-set iteration on the
+//                                  non-negativity constraints over
+//                                  exact KKT solves with a dense H
+//                                  (the operator solver's test oracle);
+//  * solve_eq_qp_nonneg_operator — the same problem with H supplied as
+//                                  a matrix-free operator: the fanout
+//                                  and Bayesian estimators' only solve
+//                                  path, at every scale.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +68,7 @@ struct EqQpNonnegOptions {
     /// two paths agree to solver precision.  Not owned; must outlive
     /// the call.
     const SparseMatrix* equality_operator = nullptr;
-    /// solve_eq_qp_nonneg_factored only: KKT systems whose bordered
+    /// solve_eq_qp_nonneg_operator only: KKT systems whose bordered
     /// dimension (free variables + equality rows) is at most this are
     /// gathered into a dense matrix and LU-solved exactly — bit-for-bit
     /// the dense-H path on matching inputs.  Larger systems switch to
@@ -71,25 +76,25 @@ struct EqQpNonnegOptions {
     /// anything quadratic in the variable count.  Every paper-scale
     /// problem (<= 600 pairs) sits far below the default.
     std::size_t dense_kkt_limit = 1024;
-    /// solve_eq_qp_nonneg_factored only: relative preconditioned-
+    /// solve_eq_qp_nonneg_operator only: relative preconditioned-
     /// residual tolerance of the projected-CG inner solve.  The
     /// default sits just above the double-precision floor of the
     /// recurrence; asking for much less makes every inner solve burn
     /// its remaining budget at the floor without gaining accuracy.
     double cg_tolerance = 1e-10;
-    /// solve_eq_qp_nonneg_factored only: hard cap on CG iterations per
+    /// solve_eq_qp_nonneg_operator only: hard cap on CG iterations per
     /// KKT solve; 0 picks min(2 * (free + rows) + 50, 1500).  A capped
     /// (inexact) solve still yields a feasible iterate — the equality
     /// constraint is maintained by the projection, not by convergence.
     std::size_t cg_max_iterations = 0;
-    /// solve_eq_qp_nonneg_factored only: hard cap on active-set rounds
+    /// solve_eq_qp_nonneg_operator only: hard cap on active-set rounds
     /// (KKT solves); 0 picks the dense solver's 3n + 16.  Time-boxed
     /// callers (benches, soft-real-time windows) can bound the whole
     /// solve; a capped run returns the last iterate clamped to the
     /// nonnegative orthant with converged = false.
     std::size_t max_active_set_rounds = 0;
     /// Optional iteration telemetry sink: on return the solver adds its
-    /// active-set rounds to qp_active_set_rounds and (factored solver)
+    /// active-set rounds to qp_active_set_rounds and (operator solver)
     /// its CG total to qp_cg_iterations.  Written once at the return
     /// site only — attaching counters never changes the arithmetic.
     /// Not owned; must outlive the call.
@@ -112,20 +117,6 @@ struct EqQpNonnegOptions {
     BlockRunner* parallel = nullptr;
 };
 
-/// Factored Hessian H = S + diag(extra): a symmetric sparse matrix in
-/// CSR form plus an optional added diagonal, never materialized
-/// densely.  This is exactly the shape of the estimator data terms —
-/// the fanout QP's source-weighted Gram plus its gravity tie-break
-/// ridge, and the Bayesian MAP system's Gram plus the prior precision —
-/// whose dense P x P form is the last quadratic-in-pairs allocation at
-/// generated-backbone scale (a 200-PoP backbone's 39800^2 Hessian would
-/// be ~12.7 GB).  The view (and the diagonal, when set) must outlive
-/// the solver call; `matrix` must be square with sorted CSR rows.
-struct FactoredHessian {
-    CsrView matrix;
-    const Vector* diagonal = nullptr;  ///< optional, length matrix.cols
-};
-
 struct EqQpNonnegResult {
     Vector x;
     /// Final active set: active[j] != 0 iff x_j is pinned at zero.
@@ -139,7 +130,7 @@ struct EqQpNonnegResult {
     /// verification, and shaped the returned solution (no cold
     /// fall-back happened).
     bool warm_accepted = false;
-    /// Total projected-CG iterations across the KKT solves (factored
+    /// Total projected-CG iterations across the KKT solves (operator
     /// solver only; 0 when every solve took the dense-gather path).
     std::size_t cg_iterations = 0;
     /// How the solve ended: converged, stopped by a configured cap
@@ -161,35 +152,11 @@ EqQpNonnegResult solve_eq_qp_nonneg(const Matrix& h, const Vector& f,
                                     const Matrix& e, const Vector& d,
                                     const EqQpNonnegOptions& options = {});
 
-/// Minimizes (1/2) x'Hx - f'x  subject to  E x = d,  x >= 0, with the
-/// Hessian given in factored form (sparse CSR + diagonal) — the dense
-/// P x P H never exists.  Warm-start seeding, equality-row support
-/// checks and scale-relative tolerances follow solve_eq_qp_nonneg.
-/// Problems whose bordered dimension fits
-/// EqQpNonnegOptions::dense_kkt_limit replay the dense solver's
-/// pin-all-negatives / release-worst discipline over exact dense
-/// gathers of the free-set KKT system (LU) — on inputs whose factored
-/// values equal a dense H the produced iterates are bit-for-bit
-/// solve_eq_qp_nonneg's with equality_operator set.  Larger problems
-/// switch to matrix-free projected CG for the inner solves
-/// (constraint-preconditioned with the Jacobi diagonal; O(nnz) per
-/// iteration, feasibility maintained by projection) driven by a block
-/// principal pivoting active set (flip every infeasibility while the
-/// count shrinks, Murty single-pivot fallback when it stops) — the
-/// combination that stays robust under inexact inner solves.  `e`
-/// doubles as the equality operator (no dense E is taken at all);
-/// m == 0 is allowed and reduces to a bound-constrained solve of the
-/// factored normal equations — the Bayesian estimator's sparse path.
-EqQpNonnegResult solve_eq_qp_nonneg_factored(
-    const FactoredHessian& h, const Vector& f, const SparseMatrix& e,
-    const Vector& d, const EqQpNonnegOptions& options = {});
-
 /// Matrix-free Hessian H = A + diag(extra) for
 /// solve_eq_qp_nonneg_operator: not even the CSR form of the matrix
-/// part exists.  This is the last step of the Gram-free ladder — at
-/// 500 PoPs the fanout/Bayesian data term's CSR Gram alone holds
-/// hundreds of millions of nonzeros, so the solver works entirely
-/// through three closures:
+/// part exists — at 500 PoPs the fanout/Bayesian data term's CSR Gram
+/// alone would hold hundreds of millions of nonzeros, so the solver
+/// works entirely through three closures:
 ///  * `apply`:   y = A x (matrix part only; the added `diagonal` and
 ///               the solver's ridge are applied by the driver) — one
 ///               call per CG iteration, O(nnz of the underlying
@@ -200,10 +167,10 @@ EqQpNonnegResult solve_eq_qp_nonneg_factored(
 ///               the dense-gather KKT branch and the pinned-multiplier
 ///               sweep read rows through it.
 /// When `column`/`diag` replay the Gram kernels' accumulation order,
-/// the exact-LU regime is bit-for-bit solve_eq_qp_nonneg_factored on
-/// the equivalent CSR Hessian; the CG regime agrees to solver
-/// precision.  All closures must be set; `diagonal` (when non-null)
-/// must have length `dimension` and outlive the call.
+/// the exact-LU regime is bit-for-bit solve_eq_qp_nonneg on the
+/// equivalent dense Hessian; the CG regime agrees to solver precision.
+/// All closures must be set; `diagonal` (when non-null) must have
+/// length `dimension` and outlive the call.
 struct HessianOperator {
     std::size_t dimension = 0;
     std::function<void(const Vector& x, Vector& y)> apply;
@@ -217,9 +184,23 @@ struct HessianOperator {
 /// Minimizes (1/2) x'Hx - f'x  subject to  E x = d,  x >= 0, with the
 /// Hessian supplied as a pure operator — no dense or CSR form of H is
 /// ever materialized, so peak memory is O(n + nnz(E)) regardless of
-/// how dense H itself would be.  Step discipline, tolerances, warm
-/// starts and the dense-LU / projected-CG regime split all follow
-/// solve_eq_qp_nonneg_factored.
+/// how dense H itself would be.  Warm-start seeding, equality-row
+/// support checks and scale-relative tolerances follow
+/// solve_eq_qp_nonneg.  Problems whose bordered dimension fits
+/// EqQpNonnegOptions::dense_kkt_limit replay the dense solver's
+/// pin-all-negatives / release-worst discipline over exact dense
+/// gathers of the free-set KKT system (LU) — on inputs whose generated
+/// values equal a dense H the produced iterates are bit-for-bit
+/// solve_eq_qp_nonneg's with equality_operator set.  Larger problems
+/// switch to matrix-free projected CG for the inner solves
+/// (constraint-preconditioned with the Jacobi diagonal; one operator
+/// apply per iteration, feasibility maintained by projection) driven
+/// by a block principal pivoting active set (flip every infeasibility
+/// while the count shrinks, Murty single-pivot fallback when it stops)
+/// — the combination that stays robust under inexact inner solves.
+/// `e` doubles as the equality operator (no dense E is taken at all);
+/// m == 0 is allowed and reduces to a bound-constrained solve — the
+/// Bayesian estimator's MAP shape.
 EqQpNonnegResult solve_eq_qp_nonneg_operator(
     const HessianOperator& h, const Vector& f, const SparseMatrix& e,
     const Vector& d, const EqQpNonnegOptions& options = {});

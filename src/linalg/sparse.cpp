@@ -129,8 +129,8 @@ namespace {
 /// CSC-style column supports of a CSR matrix: for each column p, the
 /// CSR positions of its nonzeros (source rows ascending — a
 /// column-counting pass over the row-sorted CSR arrays yields them in
-/// that order) plus the bounds of the row each nonzero lives in.  The
-/// shared indexing pass of both Gram kernels.
+/// that order) plus the bounds of the row each nonzero lives in —
+/// gram_sparse's indexing pass.
 struct ColumnSupports {
     std::vector<std::size_t> col_start;  // cols + 1 entries
     std::vector<std::size_t> entry_pos;
@@ -270,55 +270,6 @@ std::size_t SparseMatrix::column_nonzeros(std::size_t j) const {
         if (c == j) ++count;
     }
     return count;
-}
-
-SparseMatrix gram_sparse_csr(const SparseMatrix& a) {
-    const CsrView v = a.view();
-    const std::size_t n = v.cols;
-    const std::size_t nnz = a.nonzeros();
-    const ColumnSupports cs = column_supports(v, nnz);
-
-    // Gustavson: scatter each output row into a dense scratch that
-    // stays cache-resident, then harvest it in column order (so the
-    // produced CSR rows are sorted without any per-row sort).  Bounds
-    // tracked per row keep the harvest scan to the touched span.
-    std::vector<double> scratch(n, 0.0);
-    std::vector<std::size_t> offsets(n + 1, 0);
-    std::vector<std::size_t> cols_idx;
-    std::vector<double> values;
-    cols_idx.reserve(4 * nnz);
-    values.reserve(4 * nnz);
-    const std::size_t* __restrict qi = v.col_index;
-    const double* __restrict qv = v.values;
-    double* __restrict sc = scratch.data();
-    for (std::size_t p = 0; p < n; ++p) {
-        std::size_t lo = n;
-        std::size_t hi = 0;
-        for (std::size_t slot = cs.col_start[p]; slot < cs.col_start[p + 1];
-             ++slot) {
-            const double vp = qv[cs.entry_pos[slot]];
-            const std::size_t row_end = cs.entry_row_end[slot];
-            const std::size_t row_start = cs.entry_row_start[slot];
-            if (row_start < row_end) {
-                lo = std::min(lo, qi[row_start]);
-                hi = std::max(hi, qi[row_end - 1] + 1);
-            }
-            for (std::size_t l = row_start; l < row_end; ++l) {
-                sc[qi[l]] += vp * qv[l];
-            }
-        }
-        for (std::size_t q = lo; q < hi; ++q) {
-            const double val = sc[q];
-            if (val != 0.0) {
-                cols_idx.push_back(q);
-                values.push_back(val);
-                sc[q] = 0.0;
-            }
-        }
-        offsets[p + 1] = cols_idx.size();
-    }
-    return SparseMatrix::from_csr(n, n, std::move(offsets),
-                                  std::move(cols_idx), std::move(values));
 }
 
 SparseMatrix transpose(const SparseMatrix& a) {

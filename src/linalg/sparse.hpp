@@ -48,7 +48,7 @@ class SparseMatrix {
     /// Adopts ready-made CSR arrays (offsets.size() == rows + 1, column
     /// indices sorted strictly ascending within each row).  O(nnz)
     /// validation, no re-sorting — the constructor for kernels that
-    /// produce CSR output directly (gram_sparse_csr).  Throws
+    /// produce CSR output directly (transpose).  Throws
     /// std::invalid_argument on malformed input.
     static SparseMatrix from_csr(std::size_t rows, std::size_t cols,
                                  std::vector<std::size_t> offsets,
@@ -129,9 +129,9 @@ SparseMatrix transpose(const SparseMatrix& a);
 /// indices to `support` (cleared first).  `at` must be transpose(A)'s
 /// view.  The accumulation visits column j's carriers in source-row
 /// order and folds each carrying row's full span — the same loop, in
-/// the same order, as gram_sparse / gram_sparse_csr run for output row
-/// j, so the scattered values are bitwise equal to that Gram row and
-/// entries that cancel to exactly 0.0 are absent from `support`.  The
+/// the same order, as gram_sparse runs for output row j, so the
+/// scattered values are bitwise equal to that Gram row and entries
+/// that cancel to exactly 0.0 are absent from `support`.  The
 /// caller must zero the support entries of `scratch` back before the
 /// next call.
 void gram_column(const CsrView& a, const CsrView& at, std::size_t j,
@@ -144,17 +144,5 @@ void gram_column(const CsrView& a, const CsrView& at, std::size_t j,
 /// gram(A.to_dense()) (source rows ascending), so the two are bitwise
 /// equal on finite inputs.  SparseMatrix::gram() forwards here.
 Matrix gram_sparse(const SparseMatrix& a);
-
-/// Gram matrix G = A'A in CSR form (Gustavson's algorithm: one dense
-/// scratch row that stays cache-resident, harvested in column order
-/// per output row).  Nothing of size cols^2 is ever allocated, which
-/// is what makes Gram construction possible at scales where the dense
-/// matrix cannot exist at all (a 200-PoP backbone's 39800^2 Gram is
-/// ~12.7 GB dense; its CSR form holds only the structurally coupled
-/// pair-pairs).  Values accumulate in the same source-row-ascending
-/// order as the dense kernels: to_dense() of the result equals
-/// gram(A.to_dense()) bitwise on finite inputs (entries that cancel to
-/// exactly 0.0 become structural zeros).
-SparseMatrix gram_sparse_csr(const SparseMatrix& a);
 
 }  // namespace tme::linalg

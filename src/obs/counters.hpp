@@ -28,9 +28,9 @@ namespace tme::obs {
 /// goes through SolverCounterCells.
 struct SolverCounters {
     /// Active-set rounds (KKT solves) of the eq-QP solvers, dense or
-    /// factored (fanout, Bayesian sparse path).
+    /// operator (fanout, Bayesian above the dense-KKT limit).
     std::size_t qp_active_set_rounds = 0;
-    /// Projected-CG iterations across those KKT solves (factored
+    /// Projected-CG iterations across those KKT solves (operator
     /// solver's matrix-free branch; 0 on the dense-gather path).
     std::size_t qp_cg_iterations = 0;
     /// Accepted exponentiated-gradient iterations of kl_regularized_ls.

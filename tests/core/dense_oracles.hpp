@@ -1,0 +1,176 @@
+// Dense reference solves for the Gram-free estimators.  Each oracle
+// materializes the pairs x pairs matrix the production path never
+// builds — R'R for Bayesian, the transformed Gram G1 + w * (G1 .* G1)
+// for Vardi, the source-weighted Hessian sum_k W_k (R'R) W_k for fanout
+// — and hands it to the dense solver (nnls_gram / solve_eq_qp_nonneg).
+// The production paths generate the same doubles on demand, so at
+// paper scale they are gated bitwise (or, for fanout without window
+// aggregates, whose Hessian accumulates per sample here, to 1e-9)
+// against these.  Paper scale only: the dense matrices are quadratic
+// in the pair count.
+#pragma once
+
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "core/bayesian.hpp"
+#include "core/fanout.hpp"
+#include "core/problem.hpp"
+#include "core/vardi.hpp"
+#include "linalg/nnls.hpp"
+#include "linalg/qp.hpp"
+#include "linalg/stats.hpp"
+
+namespace tme::core::testing {
+
+/// MAP estimate through the dense Gram: nnls_gram over R'R with the
+/// prior precision as a virtual diagonal shift and the O(nnz) dual
+/// refresh through R.
+inline linalg::Vector bayesian_dense_oracle(const SnapshotProblem& problem,
+                                            const linalg::Vector& prior,
+                                            const BayesianOptions& options) {
+    const linalg::SparseMatrix& r = *problem.routing;
+    const double w = 1.0 / options.regularization;
+    const linalg::Matrix g = r.gram();
+    linalg::Vector rhs = r.multiply_transpose(problem.loads);
+    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += w * prior[i];
+
+    linalg::NnlsOptions nnls_options;
+    nnls_options.warm_start = options.warm_start;
+    nnls_options.gram_diagonal_shift = w;
+    nnls_options.gram_operator = &r;
+    return linalg::nnls_gram(g, rhs, 0.0, nnls_options).x;
+}
+
+/// Vardi's moment-matching NNLS through the dense transformed Gram
+/// G1 + w * (G1 .* G1), moments taken from the problem's window.
+inline linalg::Vector vardi_dense_oracle(const SeriesProblem& problem,
+                                         const VardiOptions& options) {
+    const linalg::SparseMatrix& r = *problem.routing;
+    const std::size_t pairs = r.cols();
+    const double w = options.second_moment_weight;
+    const linalg::Vector that = linalg::sample_mean(problem.loads);
+    const linalg::Matrix sigma = linalg::sample_covariance(problem.loads);
+
+    linalg::Matrix g = r.gram();
+    linalg::Vector rhs = r.multiply_transpose(that);
+    if (w > 0.0) {
+        std::vector<std::vector<std::pair<std::size_t, double>>> columns(
+            pairs);
+        const auto& offsets = r.row_offsets();
+        const auto& cols = r.column_indices();
+        const auto& vals = r.values();
+        for (std::size_t l = 0; l < r.rows(); ++l) {
+            for (std::size_t k = offsets[l]; k < offsets[l + 1]; ++k) {
+                columns[cols[k]].push_back({l, vals[k]});
+            }
+        }
+        for (std::size_t p = 0; p < pairs; ++p) {
+            double q = 0.0;
+            for (const auto& [l, vl] : columns[p]) {
+                for (const auto& [m, vm] : columns[p]) {
+                    q += vl * vm * sigma(l, m);
+                }
+            }
+            rhs[p] += w * q;
+        }
+        for (std::size_t p = 0; p < pairs; ++p) {
+            for (std::size_t qx = 0; qx < pairs; ++qx) {
+                const double g1 = g(p, qx);
+                g(p, qx) = g1 + w * g1 * g1;
+            }
+        }
+    }
+    linalg::NnlsOptions nnls_options;
+    nnls_options.warm_start = options.warm_start;
+    return linalg::nnls_gram(g, rhs, 0.0, nnls_options).x;
+}
+
+/// Fanouts through a dense-H solve_eq_qp_nonneg (with the sparse E as
+/// equality operator).  With complete options.aggregates the Hessian
+/// is H(p, q) = outer(src p, src q) * G1(p, q) and f the aggregated
+/// right-hand side — the doubles the production operator generates;
+/// without them H and f accumulate per window sample.  The gravity
+/// tie-break ridge is scaled off H's largest diagonal entry, as in
+/// fanout_estimate.
+inline linalg::Vector fanout_dense_oracle(const SeriesProblem& problem,
+                                          const FanoutOptions& options) {
+    const topology::Topology& topo = *problem.topo;
+    const linalg::SparseMatrix& r = *problem.routing;
+    const std::size_t pairs = r.cols();
+    const std::size_t nodes = topo.pop_count();
+    const std::size_t window = problem.loads.size();
+    const FanoutConstraints constraints = FanoutConstraints::build(topo);
+    const std::vector<std::size_t>& source_of = constraints.source_of;
+    const FanoutWindowAggregates& agg = options.aggregates;
+
+    const linalg::Matrix g1 = r.gram();
+    linalg::Matrix h(pairs, pairs, 0.0);
+    linalg::Vector f(pairs, 0.0);
+    if (agg.complete()) {
+        const linalg::Matrix& outer = *agg.source_outer;
+        for (std::size_t p = 0; p < pairs; ++p) {
+            for (std::size_t q = 0; q < pairs; ++q) {
+                if (g1(p, q) != 0.0) {
+                    h(p, q) = outer(source_of[p], source_of[q]) * g1(p, q);
+                }
+            }
+        }
+        f = *agg.weighted_rhs;
+    } else {
+        for (std::size_t k = 0; k < window; ++k) {
+            linalg::Vector w(pairs, 0.0);
+            for (std::size_t p = 0; p < pairs; ++p) {
+                w[p] = problem.loads[k][topo.ingress_link(source_of[p])];
+            }
+            const linalg::Vector rt = r.multiply_transpose(problem.loads[k]);
+            for (std::size_t p = 0; p < pairs; ++p) {
+                f[p] += w[p] * rt[p];
+                if (w[p] == 0.0) continue;
+                for (std::size_t q = 0; q < pairs; ++q) {
+                    if (g1(p, q) != 0.0) h(p, q) += w[p] * w[q] * g1(p, q);
+                }
+            }
+        }
+    }
+
+    if (options.gravity_tiebreak_weight > 0.0) {
+        linalg::Vector mean_loads(r.rows(), 0.0);
+        if (agg.complete()) {
+            mean_loads = *agg.mean_loads;
+        } else {
+            for (const linalg::Vector& t : problem.loads) {
+                linalg::axpy(1.0, t, mean_loads);
+            }
+            linalg::scale(1.0 / static_cast<double>(window), mean_loads);
+        }
+        double total_exit = 0.0;
+        for (std::size_t m = 0; m < nodes; ++m) {
+            total_exit += mean_loads[topo.egress_link(m)];
+        }
+        double hmax = 0.0;
+        for (std::size_t p = 0; p < pairs; ++p) hmax = std::max(hmax, h(p, p));
+        const double eps =
+            options.gravity_tiebreak_weight * std::max(hmax, 1e-300);
+        for (std::size_t p = 0; p < pairs; ++p) {
+            const std::size_t dst = topo.pair_nodes(p).second;
+            const double alpha_gravity =
+                total_exit > 0.0
+                    ? mean_loads[topo.egress_link(dst)] / total_exit
+                    : 0.0;
+            h(p, p) += eps;
+            f[p] += eps * alpha_gravity;
+        }
+    }
+
+    linalg::Matrix e(nodes, pairs, 0.0);
+    for (std::size_t p = 0; p < pairs; ++p) e(source_of[p], p) = 1.0;
+    linalg::EqQpNonnegOptions qp_options;
+    qp_options.equality_operator = &constraints.equality_sparse;
+    qp_options.warm_start = options.warm_start;
+    return linalg::solve_eq_qp_nonneg(h, f, e, constraints.rhs, qp_options)
+        .x;
+}
+
+}  // namespace tme::core::testing

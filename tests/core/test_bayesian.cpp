@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dense_oracles.hpp"
 #include "core/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace tme::core {
 namespace {
 
+using testing::europe_network;
 using testing::SmallNetwork;
 using testing::tiny_network;
 
@@ -107,63 +109,80 @@ TEST_P(BayesianMonotonicity, ResidualDecreasesWithRegularization) {
     }
 }
 
-TEST(Bayesian, SparseGramFactoredPathMatchesNnls) {
-    // The CSR-Gram factored-QP path must land on the NNLS path's
-    // minimizer: the MAP system is strictly convex, so the minimizer is
-    // unique and solver-independent.
-    const SmallNetwork net = core::testing::europe_network();
-    const SnapshotProblem snap = net.snapshot();
-    linalg::Vector prior(net.truth.size(), 1.0);
-    const linalg::Vector dense_path = bayesian_estimate(snap, prior);
-
-    const linalg::SparseMatrix sparse_gram =
-        linalg::gram_sparse_csr(net.routing);
-    BayesianOptions options;
-    options.shared_sparse_gram = &sparse_gram;
-    const linalg::Vector sparse_path =
-        bayesian_estimate(snap, prior, options);
-    ASSERT_EQ(sparse_path.size(), dense_path.size());
-    double scale = 1.0;
-    for (double v : dense_path) scale = std::max(scale, v);
-    for (std::size_t p = 0; p < dense_path.size(); ++p) {
-        EXPECT_NEAR(sparse_path[p], dense_path[p], 1e-9 * scale)
-            << "pair " << p;
-    }
-
-    // Warm start through the factored path: same minimizer.
-    BayesianOptions warm = options;
-    warm.warm_start = &sparse_path;
-    const linalg::Vector warm_path = bayesian_estimate(snap, prior, warm);
-    for (std::size_t p = 0; p < dense_path.size(); ++p) {
-        EXPECT_NEAR(warm_path[p], dense_path[p], 1e-9 * scale);
-    }
-
-    // Dimension mismatch is rejected.
-    const linalg::SparseMatrix wrong(3, 3, {});
-    BayesianOptions bad;
-    bad.shared_sparse_gram = &wrong;
-    EXPECT_THROW(bayesian_estimate(snap, prior, bad),
-                 std::invalid_argument);
-}
-
-TEST(Bayesian, SparseGramForcedCgPathStaysClose) {
-    // dense_kkt_limit = 0 exercises the projected-CG branch even at
-    // paper scale; the strictly convex minimizer is unchanged.
+TEST(Bayesian, ForcedCgPathMatchesDenseOracle) {
+    // dense_kkt_limit = 0 sends the MAP system through the operator
+    // QP's projected-CG branch (the generated-backbone path); the
+    // system is strictly convex, so it must land on the dense NNLS
+    // oracle's minimizer — cold and warm-started alike.
     const SmallNetwork net = tiny_network(3);
     const SnapshotProblem snap = net.snapshot();
     linalg::Vector prior(net.truth.size(), 1.0);
-    const linalg::Vector dense_path = bayesian_estimate(snap, prior);
-    const linalg::SparseMatrix sparse_gram =
-        linalg::gram_sparse_csr(net.routing);
+    const BayesianOptions defaults;
+    const linalg::Vector oracle =
+        testing::bayesian_dense_oracle(snap, prior, defaults);
+    double scale = 1.0;
+    for (double v : oracle) scale = std::max(scale, v);
+
     BayesianOptions options;
-    options.shared_sparse_gram = &sparse_gram;
     options.qp.dense_kkt_limit = 0;
     const linalg::Vector cg_path = bayesian_estimate(snap, prior, options);
-    double scale = 1.0;
-    for (double v : dense_path) scale = std::max(scale, v);
-    for (std::size_t p = 0; p < dense_path.size(); ++p) {
-        EXPECT_NEAR(cg_path[p], dense_path[p], 1e-6 * scale);
+    ASSERT_EQ(cg_path.size(), oracle.size());
+    for (std::size_t p = 0; p < oracle.size(); ++p) {
+        EXPECT_NEAR(cg_path[p], oracle[p], 1e-6 * scale) << "pair " << p;
     }
+
+    BayesianOptions warm = options;
+    warm.warm_start = &cg_path;
+    const linalg::Vector warm_path = bayesian_estimate(snap, prior, warm);
+    for (std::size_t p = 0; p < oracle.size(); ++p) {
+        EXPECT_NEAR(warm_path[p], oracle[p], 1e-6 * scale) << "pair " << p;
+    }
+}
+
+TEST(Bayesian, WarmStartMatchesDenseOracleBitwise) {
+    // The exact-LU regime (every paper-scale problem) replays the dense
+    // NNLS; a warm seed only shortens the active-set path, and the
+    // oracle seeded the same way must agree bit for bit.
+    const SmallNetwork net = europe_network();
+    const SnapshotProblem snap = net.snapshot();
+    linalg::Vector prior(net.truth.size(), 1.0);
+    const linalg::Vector cold = bayesian_estimate(snap, prior);
+    linalg::Vector seed = cold;
+    for (std::size_t p = 0; p < seed.size(); p += 3) seed[p] = 0.0;
+    BayesianOptions warm;
+    warm.warm_start = &seed;
+    const linalg::Vector warm_path = bayesian_estimate(snap, prior, warm);
+    const linalg::Vector oracle =
+        testing::bayesian_dense_oracle(snap, prior, warm);
+    ASSERT_EQ(warm_path.size(), oracle.size());
+    double scale = 1.0;
+    for (double v : cold) scale = std::max(scale, v);
+    for (std::size_t p = 0; p < oracle.size(); ++p) {
+        EXPECT_EQ(warm_path[p], oracle[p]) << "pair " << p;
+        EXPECT_NEAR(warm_path[p], cold[p], 1e-9 * scale) << "pair " << p;
+    }
+}
+
+TEST(Bayesian, SharedRoutingTransposeIdenticalAndChecked) {
+    const SmallNetwork net = tiny_network(3);
+    const SnapshotProblem snap = net.snapshot();
+    linalg::Vector prior(net.truth.size(), 1.0);
+    const linalg::Vector plain = bayesian_estimate(snap, prior);
+
+    const linalg::SparseMatrix rt = linalg::transpose(net.routing);
+    BayesianOptions options;
+    options.shared_routing_transpose = &rt;
+    const linalg::Vector shared = bayesian_estimate(snap, prior, options);
+    ASSERT_EQ(shared.size(), plain.size());
+    for (std::size_t p = 0; p < plain.size(); ++p) {
+        EXPECT_EQ(shared[p], plain[p]);
+    }
+
+    const linalg::SparseMatrix wrong(3, 3, {});
+    BayesianOptions bad;
+    bad.shared_routing_transpose = &wrong;
+    EXPECT_THROW(bayesian_estimate(snap, prior, bad),
+                 std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BayesianMonotonicity,

@@ -142,16 +142,15 @@ TEST(Fanout, SharedConstraintsIdentical) {
     EXPECT_THROW(fanout_estimate(series, bad), std::invalid_argument);
 }
 
-TEST(Fanout, SharedSparseGramIdentical) {
+TEST(Fanout, SharedRoutingTransposeIdenticalAndChecked) {
     const SmallNetwork net = tiny_network(6);
     const SeriesProblem series = constant_fanout_series(net, 5, 13, nullptr);
     const FanoutResult plain = fanout_estimate(series);
 
-    const linalg::SparseMatrix gram = linalg::gram_sparse_csr(net.routing);
+    const linalg::SparseMatrix rt = linalg::transpose(net.routing);
     FanoutOptions options;
-    options.shared_sparse_gram = &gram;
+    options.shared_routing_transpose = &rt;
     const FanoutResult shared = fanout_estimate(series, options);
-    // Same Gram values, same deterministic QP path: bit-for-bit.
     ASSERT_EQ(shared.fanouts.size(), plain.fanouts.size());
     for (std::size_t p = 0; p < plain.fanouts.size(); ++p) {
         EXPECT_EQ(shared.fanouts[p], plain.fanouts[p]);
@@ -159,7 +158,7 @@ TEST(Fanout, SharedSparseGramIdentical) {
 
     const linalg::SparseMatrix wrong(2, 2, {});
     FanoutOptions bad;
-    bad.shared_sparse_gram = &wrong;
+    bad.shared_routing_transpose = &wrong;
     EXPECT_THROW(fanout_estimate(series, bad), std::invalid_argument);
 }
 

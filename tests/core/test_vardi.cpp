@@ -114,7 +114,7 @@ TEST(Vardi, GramShortcutMatchesNaiveOnMiniProblem) {
     EXPECT_NEAR(res.lambda[1], 10.0, 2.5);
 }
 
-TEST(Vardi, SharedTransformedGramIdentical) {
+TEST(Vardi, SharedRoutingTransposeIdenticalAndChecked) {
     const SmallNetwork net = tiny_network(3);
     std::mt19937_64 rng(17);
     std::uniform_real_distribution<double> dist(0.8, 1.2);
@@ -125,31 +125,20 @@ TEST(Vardi, SharedTransformedGramIdentical) {
         demands.push_back(std::move(s));
     }
     const SeriesProblem series = net.series(demands);
+    const VardiResult plain = vardi_estimate(series);
 
-    VardiOptions plain_options;
-    const VardiResult plain = vardi_estimate(series, plain_options);
-
-    // Transformed Gram built exactly as the engine's epoch cache does.
-    const double w = plain_options.second_moment_weight;
-    linalg::Matrix transformed = net.routing.gram();
-    for (std::size_t p = 0; p < transformed.rows(); ++p) {
-        for (std::size_t q = 0; q < transformed.cols(); ++q) {
-            const double g1 = transformed(p, q);
-            transformed(p, q) = g1 + w * g1 * g1;
-        }
-    }
-    VardiOptions options = plain_options;
-    options.shared_transformed_gram = &transformed;
+    const linalg::SparseMatrix rt = linalg::transpose(net.routing);
+    VardiOptions options;
+    options.shared_routing_transpose = &rt;
     const VardiResult shared = vardi_estimate(series, options);
-    // Same Gram values, same deterministic NNLS path: bit-for-bit.
     ASSERT_EQ(shared.lambda.size(), plain.lambda.size());
     for (std::size_t p = 0; p < plain.lambda.size(); ++p) {
         EXPECT_EQ(shared.lambda[p], plain.lambda[p]);
     }
 
-    const linalg::Matrix wrong(3, 3, 0.0);
+    const linalg::SparseMatrix wrong(3, 3, {});
     VardiOptions bad;
-    bad.shared_transformed_gram = &wrong;
+    bad.shared_routing_transpose = &wrong;
     EXPECT_THROW(vardi_estimate(series, bad), std::invalid_argument);
 }
 

@@ -12,65 +12,26 @@ namespace {
 using core::testing::SmallNetwork;
 using core::testing::tiny_network;
 
-TEST(RoutingEpochDerived, VardiGramLazyBuildAndReuse) {
+TEST(RoutingEpochDerived, RoutingTransposeLazyBuildAndReuse) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
     const RoutingEpoch& epoch = cache.acquire(net.routing);
+
+    EXPECT_FALSE(epoch.routing_transpose_built());
+    const linalg::SparseMatrix& rt = epoch.routing_transpose();
+    EXPECT_TRUE(epoch.routing_transpose_built());
+    // Second call is a cache hit on the same object; the O(nnz)
+    // transpose does not count as a derived build.
+    EXPECT_EQ(&epoch.routing_transpose(), &rt);
     EXPECT_EQ(epoch.derived_builds(), 0u);
 
-    const double w = 0.37;
-    const linalg::Matrix& transformed = epoch.vardi_gram(w);
-    EXPECT_EQ(epoch.derived_builds(), 1u);
-
-    // Values: G1 + w * (G1 .* G1) of the epoch's Gram.
-    const linalg::Matrix g1 = net.routing.gram();
-    ASSERT_EQ(transformed.rows(), g1.rows());
-    for (std::size_t p = 0; p < g1.rows(); ++p) {
-        for (std::size_t q = 0; q < g1.cols(); ++q) {
-            EXPECT_EQ(transformed(p, q),
-                      g1(p, q) + w * g1(p, q) * g1(p, q));
-        }
-    }
-
-    // Second call with the same weight is a cache hit...
-    epoch.vardi_gram(w);
-    EXPECT_EQ(epoch.derived_builds(), 1u);
-    // ...a different weight builds its own cached matrix, leaving the
-    // first weight's (and any outstanding references to it) intact.
-    const linalg::Matrix& other = epoch.vardi_gram(1.0);
-    EXPECT_EQ(epoch.derived_builds(), 2u);
-    EXPECT_EQ(other(0, 0), g1(0, 0) + g1(0, 0) * g1(0, 0));
-    EXPECT_EQ(&epoch.vardi_gram(w), &transformed);
-    EXPECT_EQ(epoch.derived_builds(), 2u);  // both weights stay cached
-}
-
-TEST(RoutingEpochDerived, SparseGramLazyBuildAndDenseGramUntouched) {
-    const SmallNetwork net = tiny_network();
-    RoutingEpochCache cache(2);
-    const RoutingEpoch& epoch = cache.acquire(net.routing);
-
-    EXPECT_FALSE(epoch.sparse_gram_built());
-    const linalg::SparseMatrix& g = epoch.sparse_gram();
-    EXPECT_TRUE(epoch.sparse_gram_built());
-    const std::size_t builds = epoch.derived_builds();
-    EXPECT_GE(builds, 1u);
-    // Second call is a cache hit on the same object.
-    EXPECT_EQ(&epoch.sparse_gram(), &g);
-    EXPECT_EQ(epoch.derived_builds(), builds);
-    // The CSR Gram never requires (or triggers) the dense Gram.
-    EXPECT_FALSE(epoch.gram_built());
-
-    // Values are exactly gram_sparse_csr of the routing copy.
-    const linalg::SparseMatrix expected =
-        linalg::gram_sparse_csr(net.routing);
-    ASSERT_EQ(g.nonzeros(), expected.nonzeros());
-    const linalg::Matrix gd = g.to_dense();
-    const linalg::Matrix ed = expected.to_dense();
-    for (std::size_t i = 0; i < ed.rows(); ++i) {
-        for (std::size_t j = 0; j < ed.cols(); ++j) {
-            EXPECT_EQ(gd(i, j), ed(i, j));
-        }
-    }
+    // Values are exactly linalg::transpose of the routing copy.
+    const linalg::SparseMatrix expected = linalg::transpose(net.routing);
+    ASSERT_EQ(rt.rows(), expected.rows());
+    ASSERT_EQ(rt.cols(), expected.cols());
+    EXPECT_EQ(rt.row_offsets(), expected.row_offsets());
+    EXPECT_EQ(rt.column_indices(), expected.column_indices());
+    EXPECT_EQ(rt.values(), expected.values());
 }
 
 TEST(RoutingEpochDerived, FanoutConstraintsLazyBuild) {
@@ -149,7 +110,7 @@ TEST(RoutingEpochDerived, ReducedFactorMemoAndEvictionSafety) {
 TEST(RoutingEpochCache, FingerprintCollisionIsNotServed) {
     // Force every matrix onto one fingerprint: the structural identity
     // check must keep two distinct routings in separate epochs instead
-    // of silently serving the first one's Gram for the second.
+    // of silently serving the first one's derived data for the second.
     RoutingEpochCache cache(4, [](const linalg::SparseMatrix&) {
         return std::uint64_t{42};
     });
@@ -168,15 +129,13 @@ TEST(RoutingEpochCache, FingerprintCollisionIsNotServed) {
     // compares to decide whether the epoch (and thus the window) must
     // be flushed.
     EXPECT_NE(ea.serial(), eb.serial());
-    EXPECT_EQ(linalg::max_abs_diff(ea.gram(), a.gram()), 0.0);
-    EXPECT_EQ(linalg::max_abs_diff(eb.gram(), b.gram()), 0.0);
+    EXPECT_EQ(ea.routing().to_dense(), a.to_dense());
+    EXPECT_EQ(eb.routing().to_dense(), b.to_dense());
 
     // Both colliding epochs stay acquirable; each hit re-verifies
     // structure and lands on the right entry.
-    EXPECT_EQ(linalg::max_abs_diff(cache.acquire(a).gram(), a.gram()),
-              0.0);
-    EXPECT_EQ(linalg::max_abs_diff(cache.acquire(b).gram(), b.gram()),
-              0.0);
+    EXPECT_EQ(cache.acquire(a).routing().to_dense(), a.to_dense());
+    EXPECT_EQ(cache.acquire(b).routing().to_dense(), b.to_dense());
     EXPECT_EQ(cache.hits(), 2u);
 }
 
@@ -189,7 +148,8 @@ TEST(RoutingEpochCache, EvictionRebuildsLazyDerivedData) {
     RoutingEpochCache cache(2);
 
     const RoutingEpoch& first = cache.acquire(net.routing);
-    first.vardi_gram(1.0);
+    first.routing_transpose();
+    first.reduced_factor({0, 2}, 10.0);
     first.fanout_constraints(net.topo);
     EXPECT_EQ(first.derived_builds(), 2u);
 
@@ -204,9 +164,9 @@ TEST(RoutingEpochCache, EvictionRebuildsLazyDerivedData) {
     const RoutingEpoch& rebuilt = cache.acquire(net.routing);
     EXPECT_EQ(cache.misses(), 4u);
     EXPECT_EQ(rebuilt.derived_builds(), 0u);
-    const linalg::Matrix g1 = net.routing.gram();
-    const linalg::Matrix& transformed = rebuilt.vardi_gram(0.5);
-    EXPECT_EQ(transformed(0, 0), g1(0, 0) + 0.5 * g1(0, 0) * g1(0, 0));
+    EXPECT_FALSE(rebuilt.routing_transpose_built());
+    rebuilt.fanout_constraints(net.topo);
+    EXPECT_EQ(rebuilt.derived_builds(), 1u);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(RoutingFingerprint, ContentDetermined) {
               routing_fingerprint(rerouted));
 }
 
-TEST(RoutingEpochCache, HitMissAndGramCorrectness) {
+TEST(RoutingEpochCache, HitMissAndDerivedCorrectness) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
 
@@ -35,52 +35,44 @@ TEST(RoutingEpochCache, HitMissAndGramCorrectness) {
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(first.fingerprint(), routing_fingerprint(net.routing));
-    // The cached Gram matrix is exactly R'R of the acquired matrix.
-    EXPECT_EQ(linalg::max_abs_diff(first.gram(), net.routing.gram()), 0.0);
+    // The cached transpose is exactly R' of the acquired matrix.
+    EXPECT_EQ(first.routing_transpose().to_dense(),
+              linalg::transpose(net.routing).to_dense());
 
     const RoutingEpoch& again = cache.acquire(net.routing);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(again.fingerprint(), first.fingerprint());
 
-    // A route change invalidates: a new epoch is built, and its Gram is
-    // the NEW matrix's Gram, never the stale one.
+    // A route change invalidates: a new epoch is built, and its derived
+    // data is the NEW matrix's, never the stale one's.
     const linalg::SparseMatrix rerouted =
         core::perturbed_routing(net.topo, 0.9, 42);
     const RoutingEpoch& changed = cache.acquire(rerouted);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(changed.fingerprint(), routing_fingerprint(rerouted));
-    EXPECT_EQ(linalg::max_abs_diff(changed.gram(), rerouted.gram()), 0.0);
-    EXPECT_GT(linalg::max_abs_diff(changed.gram(), net.routing.gram()),
+    const linalg::Matrix changed_rt = changed.routing_transpose().to_dense();
+    EXPECT_EQ(changed_rt, linalg::transpose(rerouted).to_dense());
+    EXPECT_GT(linalg::max_abs_diff(
+                  changed_rt, linalg::transpose(net.routing).to_dense()),
               0.0);
 }
 
-// The dense Gram is lazy: engines scheduling only Gram-free methods
-// (gravity, Kruithof) or only the direct-measurement workflow must
-// never pay for a P x P matrix.
-TEST(RoutingEpochCache, GramIsLazy) {
+// The reduced factor of the direct-measurement workflow builds from the
+// epoch's sparse routing copy, never from a P x P Gram.
+TEST(RoutingEpochCache, ReducedFactorMatchesDenseGramSlice) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
     const RoutingEpoch& epoch = cache.acquire(net.routing);
-    EXPECT_FALSE(epoch.gram_built());
     // The epoch's private routing copy is content-identical.
     EXPECT_EQ(epoch.routing().nonzeros(), net.routing.nonzeros());
 
-    // The reduced factor builds from the sparse routing copy — still no
-    // dense Gram.
     const std::vector<std::size_t> unknown = {0, 2, 5};
     const auto factor = epoch.reduced_factor(unknown, 1e-3);
     ASSERT_NE(factor, nullptr);
-    EXPECT_FALSE(epoch.gram_built());
     // ... and matches the dense-Gram slice bitwise.
     const core::ReducedFactor sliced =
         core::ReducedFactor::slice(net.routing.gram(), unknown, 1e-3);
     EXPECT_EQ(linalg::max_abs_diff(factor->gram, sliced.gram), 0.0);
-
-    // First gram() call builds; later calls return the same object.
-    const linalg::Matrix& g = epoch.gram();
-    EXPECT_TRUE(epoch.gram_built());
-    EXPECT_EQ(&epoch.gram(), &g);
-    EXPECT_EQ(linalg::max_abs_diff(g, net.routing.gram()), 0.0);
 }
 
 TEST(RoutingEpochCache, FlapRecoveryAndEviction) {

@@ -28,10 +28,9 @@ TEST(RoutingEpochConcurrency, ColdDerivedDataBuildsExactlyOnce) {
     ASSERT_EQ(epoch->derived_builds(), 0u);
 
     const std::vector<std::size_t> unknown = {0, 2};
-    constexpr double kWeight = 0.5;
     constexpr double kTau = 1e-3;
 
-    std::vector<const linalg::Matrix*> vardi_ptrs(kThreads);
+    std::vector<const linalg::SparseMatrix*> transpose_ptrs(kThreads);
     std::vector<const core::FanoutConstraints*> fanout_ptrs(kThreads);
     std::vector<std::shared_ptr<const core::ReducedFactor>> reduced(
         kThreads);
@@ -41,76 +40,33 @@ TEST(RoutingEpochConcurrency, ColdDerivedDataBuildsExactlyOnce) {
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             sync.arrive_and_wait();  // maximize the cold-build race
-            vardi_ptrs[t] = &epoch->vardi_gram(kWeight);
+            transpose_ptrs[t] = &epoch->routing_transpose();
             fanout_ptrs[t] = &epoch->fanout_constraints(net.topo);
             reduced[t] = epoch->reduced_factor(unknown, kTau);
         });
     }
     for (std::thread& t : threads) t.join();
 
-    // Exactly one build per derived quantity, however the race went.
-    EXPECT_EQ(epoch->derived_builds(), 3u);
+    // Exactly one build per counted quantity (the fanout constraints
+    // and the reduced factor; the O(nnz) transpose is not counted),
+    // however the race went.
+    EXPECT_EQ(epoch->derived_builds(), 2u);
+    EXPECT_TRUE(epoch->routing_transpose_built());
     // Every thread observed the same objects.
     for (std::size_t t = 1; t < kThreads; ++t) {
-        EXPECT_EQ(vardi_ptrs[t], vardi_ptrs[0]);
+        EXPECT_EQ(transpose_ptrs[t], transpose_ptrs[0]);
         EXPECT_EQ(fanout_ptrs[t], fanout_ptrs[0]);
         EXPECT_EQ(reduced[t].get(), reduced[0].get());
     }
     // The race never misfired into the collision path.
     EXPECT_EQ(cache.collisions(), 0u);
 
-    // The built data is correct, not just unique: spot-check Vardi's
-    // transform against the eager Gram.
-    const linalg::Matrix& gram = epoch->gram();
-    const linalg::Matrix& vardi = *vardi_ptrs[0];
-    for (std::size_t p = 0; p < gram.rows(); ++p) {
-        for (std::size_t q = 0; q < gram.cols(); ++q) {
-            const double g1 = gram(p, q);
-            EXPECT_DOUBLE_EQ(vardi(p, q), g1 + kWeight * g1 * g1);
-        }
-    }
-}
-
-TEST(RoutingEpochConcurrency, DistinctVardiWeightsCoexistSafely) {
-    // Regression: fleet jobs may configure different Vardi weights on
-    // one shared epoch.  Each weight builds its own cached matrix and
-    // earlier references stay valid (no rebuild-in-place).
-    const SmallNetwork net = tiny_network();
-    RoutingEpochCache cache(2);
-    const std::shared_ptr<const RoutingEpoch> epoch =
-        cache.acquire_shared(net.routing);
-
-    const linalg::Matrix& light = epoch->vardi_gram(0.25);
-    const double light_00 = light(0, 0);
-    std::vector<const linalg::Matrix*> heavy_ptrs(kThreads);
-    std::barrier sync(kThreads);
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            sync.arrive_and_wait();
-            // Half the threads race on a NEW weight while the other
-            // half keep reading the existing one.
-            if (t % 2 == 0) {
-                heavy_ptrs[t] = &epoch->vardi_gram(2.0);
-            } else {
-                heavy_ptrs[t] = &epoch->vardi_gram(0.25);
-            }
-        });
-    }
-    for (std::thread& t : threads) t.join();
-
-    // Two weights -> exactly two builds, and the first weight's matrix
-    // was neither moved nor overwritten.
-    EXPECT_EQ(epoch->derived_builds(), 2u);
-    EXPECT_EQ(&epoch->vardi_gram(0.25), &light);
-    EXPECT_EQ(light(0, 0), light_00);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(heavy_ptrs[t],
-                  t % 2 == 0 ? &epoch->vardi_gram(2.0) : &light);
-    }
-    const double g00 = epoch->gram()(0, 0);
-    EXPECT_DOUBLE_EQ(epoch->vardi_gram(2.0)(0, 0), g00 + 2.0 * g00 * g00);
-    EXPECT_DOUBLE_EQ(light(0, 0), g00 + 0.25 * g00 * g00);
+    // The built data is correct, not just unique.
+    EXPECT_EQ(transpose_ptrs[0]->to_dense(),
+              linalg::transpose(net.routing).to_dense());
+    EXPECT_EQ(fanout_ptrs[0]->source_of,
+              core::FanoutConstraints::build(net.topo).source_of);
+    EXPECT_EQ(reduced[0]->unknown, unknown);
 }
 
 TEST(RoutingEpochCacheConcurrency, ConcurrentAcquiresBuildOneEpoch) {
@@ -151,9 +107,10 @@ TEST(RoutingEpochCacheConcurrency, PinnedEpochSurvivesEviction) {
     // ...but the pinned epoch (an in-flight pipeline window, say) is
     // still fully usable, derived data included.
     EXPECT_EQ(pinned->serial(), serial);
-    EXPECT_EQ(linalg::max_abs_diff(pinned->gram(), net.routing.gram()),
-              0.0);
-    EXPECT_GT(pinned->vardi_gram(1.0).rows(), 0u);
+    EXPECT_EQ(pinned->routing_transpose().to_dense(),
+              linalg::transpose(net.routing).to_dense());
+    EXPECT_EQ(pinned->fanout_constraints(net.topo).source_of.size(),
+              net.routing.cols());
 
     // Re-acquiring the original routing rebuilds a NEW epoch (distinct
     // serial): eviction really dropped it from the cache.

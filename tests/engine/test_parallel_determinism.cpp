@@ -126,12 +126,10 @@ TEST(ParallelDeterminism, OperatorEstimatorsOnPoolsMatchSerial) {
     const linalg::Vector prior = core::gravity_estimate(snap);
 
     core::FanoutOptions fopt;
-    fopt.operator_form = true;
     fopt.shared_routing_transpose = &rt;
     fopt.qp.cg_max_iterations = 80;
     fopt.qp.max_active_set_rounds = 6;
     core::BayesianOptions bopt;
-    bopt.operator_form = true;
     bopt.shared_routing_transpose = &rt;
     bopt.qp.cg_max_iterations = 80;
     bopt.qp.max_active_set_rounds = 4;

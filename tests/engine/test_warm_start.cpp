@@ -95,27 +95,6 @@ TEST(WarmStart, BayesianSameEstimate) {
     EXPECT_LT(max_abs_diff(warm2, cold), 1e-9);
 }
 
-TEST(WarmStart, BayesianSharedGramIdentical) {
-    const SmallNetwork net = tiny_network();
-    const core::SnapshotProblem snap = net.snapshot();
-    const linalg::Vector prior = core::gravity_estimate(snap);
-    const linalg::Vector plain = core::bayesian_estimate(snap, prior);
-
-    const linalg::Matrix gram = net.routing.gram();
-    core::BayesianOptions options;
-    options.shared_gram = &gram;
-    const linalg::Vector shared =
-        core::bayesian_estimate(snap, prior, options);
-    // Same Gram values, same deterministic active-set path: bit-for-bit.
-    EXPECT_EQ(max_abs_diff(shared, plain), 0.0);
-
-    const linalg::Matrix wrong(3, 3, 0.0);
-    core::BayesianOptions bad;
-    bad.shared_gram = &wrong;
-    EXPECT_THROW(core::bayesian_estimate(snap, prior, bad),
-                 std::invalid_argument);
-}
-
 TEST(WarmStart, EntropyWarmNeverWorseAndNearby) {
     const SmallNetwork net = tiny_network();
     const core::SnapshotProblem snap = net.snapshot();

@@ -113,22 +113,6 @@ TEST(BlockedKernels, SparseGramExactlyMatchesDense) {
     }
 }
 
-TEST(BlockedKernels, CsrGramExactlyMatchesDense) {
-    std::mt19937_64 rng(45);
-    for (const double density : {0.05, 0.3}) {
-        for (const std::size_t rows : {1ul, 9ul, 33ul, 90ul}) {
-            const std::size_t cols = rows + 5;
-            const Matrix dense = random_matrix(rows, cols, rng, density);
-            const SparseMatrix sparse = SparseMatrix::from_dense(dense);
-            const SparseMatrix g = gram_sparse_csr(sparse);
-            EXPECT_EQ(g.rows(), cols);
-            EXPECT_EQ(g.cols(), cols);
-            EXPECT_EQ(g.to_dense(), gram(dense))
-                << rows << "x" << cols << " density " << density;
-        }
-    }
-}
-
 TEST(BlockedKernels, FromCsrValidates) {
     // Well-formed round trip.
     const SparseMatrix ok = SparseMatrix::from_csr(

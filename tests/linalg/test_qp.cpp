@@ -256,21 +256,56 @@ TEST_P(EqQpNonnegScale, LargeLoadsDoNotBurnExtraRounds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EqQpNonnegScale,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-// ---- Factored-Hessian solver -------------------------------------------
+// ---- Operator-Hessian solver -------------------------------------------
 
-/// Random factored problem H = A'A (sparse CSR) + diag(shift) with its
-/// dense twin, plus two disjoint sum constraints in both forms.
-struct FactoredProblem {
-    SparseMatrix gram;   // CSR A'A
-    Matrix dense_h;      // dense twin, shift already on the diagonal
+/// Matrix-free H = A'A over a sparse A, the shape of the estimators'
+/// data terms: `apply` runs A'(A x), `diag` sums squares over A's
+/// columns (source rows ascending) and `column` replays the Gram
+/// kernels through gram_column on A' — so every generated value is
+/// bitwise the dense Gram's.  `a` and `at` must outlive the operator.
+HessianOperator gram_operator(const SparseMatrix& a, const SparseMatrix& at,
+                              const Vector* diagonal) {
+    HessianOperator h;
+    h.dimension = a.cols();
+    h.apply = [&a](const Vector& x, Vector& y) {
+        y = a.multiply_transpose(a.multiply(x));
+    };
+    const CsrView av = a.view();
+    const CsrView atv = at.view();
+    h.diag = [atv](Vector& out) {
+        for (std::size_t j = 0; j < atv.rows; ++j) {
+            double dj = 0.0;
+            for (std::size_t t = atv.offsets[j]; t < atv.offsets[j + 1];
+                 ++t) {
+                dj += atv.values[t] * atv.values[t];
+            }
+            out[j] = dj;
+        }
+    };
+    h.column = [av, atv](std::size_t j, std::vector<double>& scratch,
+                         std::vector<std::size_t>& support) {
+        gram_column(av, atv, j, scratch.data(), support);
+    };
+    h.diagonal = diagonal;
+    return h;
+}
+
+/// Random problem H = A'A + diag(shift) with its dense twin, plus two
+/// disjoint sum constraints in both forms.
+struct OperatorProblem {
+    SparseMatrix a;
+    SparseMatrix at;
+    Matrix dense_h;  // dense twin, shift already on the diagonal
     Vector shift;
     Vector f;
     Matrix e_dense;
     SparseMatrix e_sparse;
     Vector d;
+
+    HessianOperator hessian() const { return gram_operator(a, at, &shift); }
 };
 
-FactoredProblem make_factored_problem(unsigned seed, std::size_t n,
+OperatorProblem make_operator_problem(unsigned seed, std::size_t n,
                                       double shift_value) {
     std::mt19937_64 rng(seed);
     std::uniform_real_distribution<double> dist(0.1, 1.0);
@@ -281,10 +316,11 @@ FactoredProblem make_factored_problem(unsigned seed, std::size_t n,
             if (coin(rng) == 0) a(i, j) = dist(rng);
         }
     }
-    FactoredProblem p;
-    p.gram = gram_sparse_csr(SparseMatrix::from_dense(a));
+    OperatorProblem p;
+    p.a = SparseMatrix::from_dense(a);
+    p.at = transpose(p.a);
     p.shift.assign(n, shift_value);
-    p.dense_h = p.gram.to_dense();
+    p.dense_h = p.a.gram();
     for (std::size_t i = 0; i < n; ++i) p.dense_h(i, i) += shift_value;
     p.f.resize(n);
     for (double& v : p.f) v = dist(rng) - 0.3;
@@ -300,80 +336,74 @@ FactoredProblem make_factored_problem(unsigned seed, std::size_t n,
     return p;
 }
 
-class EqQpFactored : public ::testing::TestWithParam<unsigned> {};
+class EqQpOperator : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(EqQpFactored, GatherPathBitwiseMatchesDense) {
-    // Below dense_kkt_limit the factored solver gathers the same KKT
+TEST_P(EqQpOperator, GatherPathBitwiseMatchesDense) {
+    // Below dense_kkt_limit the operator solver gathers the same KKT
     // doubles the dense solver assembles, so the whole active-set
     // trajectory — and the returned minimizer — must be bit-for-bit.
-    const FactoredProblem p = make_factored_problem(GetParam(), 14, 0.05);
+    const OperatorProblem p = make_operator_problem(GetParam(), 14, 0.05);
     EqQpNonnegOptions dense_opts;
     dense_opts.equality_operator = &p.e_sparse;
     const EqQpNonnegResult dense =
         solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d, dense_opts);
 
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
-    const EqQpNonnegResult fact =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d);
-    ASSERT_TRUE(fact.converged);
-    ASSERT_EQ(fact.x.size(), dense.x.size());
+    const EqQpNonnegResult op =
+        solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d);
+    ASSERT_TRUE(op.converged);
+    ASSERT_EQ(op.x.size(), dense.x.size());
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
-        EXPECT_EQ(fact.x[j], dense.x[j]) << "var " << j;
+        EXPECT_EQ(op.x[j], dense.x[j]) << "var " << j;
     }
-    EXPECT_EQ(fact.iterations, dense.iterations);
-    EXPECT_EQ(fact.cg_iterations, 0u);
-    EXPECT_EQ(fact.active, dense.active);
+    EXPECT_EQ(op.iterations, dense.iterations);
+    EXPECT_EQ(op.cg_iterations, 0u);
+    EXPECT_EQ(op.active, dense.active);
 }
 
-TEST_P(EqQpFactored, ProjectedCgMatchesDense) {
+TEST_P(EqQpOperator, ProjectedCgMatchesDense) {
     // dense_kkt_limit = 0 forces every KKT solve through the
     // matrix-free projected CG; the strictly convex problem has one
     // minimizer, so the two paths must agree to solver precision.
-    const FactoredProblem p = make_factored_problem(GetParam() + 50, 24,
+    const OperatorProblem p = make_operator_problem(GetParam() + 50, 24,
                                                     0.5);
     EqQpNonnegOptions dense_opts;
     dense_opts.equality_operator = &p.e_sparse;
     const EqQpNonnegResult dense =
         solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d, dense_opts);
 
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
     opts.cg_tolerance = 1e-13;
-    const EqQpNonnegResult fact =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, opts);
-    ASSERT_TRUE(fact.converged);
-    EXPECT_GT(fact.cg_iterations, 0u);
+    const EqQpNonnegResult op =
+        solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d,
+                                    opts);
+    ASSERT_TRUE(op.converged);
+    EXPECT_GT(op.cg_iterations, 0u);
     // The CG path trades the last two digits of active-set resolution
     // for scale-independence (decision band 1e-7 vs the gather path's
     // 1e-9), so agreement is to ~1e-6 relative, not bitwise.
     const double scale = std::max(1.0, nrm_inf(dense.x));
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
-        EXPECT_NEAR(fact.x[j], dense.x[j], 1e-6 * scale) << "var " << j;
+        EXPECT_NEAR(op.x[j], dense.x[j], 1e-6 * scale) << "var " << j;
     }
-    EXPECT_LT(fact.equality_violation, 1e-9 * scale);
+    EXPECT_LT(op.equality_violation, 1e-9 * scale);
 }
 
-TEST_P(EqQpFactored, WarmStartOnCgPathReturnsSameMinimizer) {
-    const FactoredProblem p = make_factored_problem(GetParam() + 90, 20,
+TEST_P(EqQpOperator, WarmStartOnCgPathReturnsSameMinimizer) {
+    const OperatorProblem p = make_operator_problem(GetParam() + 90, 20,
                                                     0.4);
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
     const EqQpNonnegResult cold =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, opts);
+        solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d,
+                                    opts);
     ASSERT_TRUE(cold.converged);
 
     EqQpNonnegOptions warm_opts = opts;
     warm_opts.warm_start = &cold.x;
     const EqQpNonnegResult warm =
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, warm_opts);
+        solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d,
+                                    warm_opts);
     ASSERT_TRUE(warm.converged);
     EXPECT_LE(warm.iterations, cold.iterations);
     const double scale = std::max(1.0, nrm_inf(cold.x));
@@ -382,59 +412,65 @@ TEST_P(EqQpFactored, WarmStartOnCgPathReturnsSameMinimizer) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EqQpFactored,
+INSTANTIATE_TEST_SUITE_P(Seeds, EqQpOperator,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
-TEST(EqQpFactoredEdge, NoEqualityReducesToBoundConstrainedSolve) {
-    // m == 0 is the Bayesian MAP shape: factored normal equations with
+TEST(EqQpOperatorEdge, NoEqualityReducesToBoundConstrainedSolve) {
+    // m == 0 is the Bayesian MAP shape: normal equations with
     // non-negativity only.  Gather path bitwise vs the dense solver,
-    // CG path to 1e-9.
-    const FactoredProblem p = make_factored_problem(7, 12, 0.3);
+    // CG path to 1e-6.
+    const OperatorProblem p = make_operator_problem(7, 12, 0.3);
     const EqQpNonnegResult dense =
         solve_eq_qp_nonneg(p.dense_h, p.f, Matrix(0, 12), {});
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
     const EqQpNonnegResult gather =
-        solve_eq_qp_nonneg_factored(h, p.f, SparseMatrix(), {});
+        solve_eq_qp_nonneg_operator(p.hessian(), p.f, SparseMatrix(), {});
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
         EXPECT_EQ(gather.x[j], dense.x[j]) << "var " << j;
     }
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
-    const EqQpNonnegResult cg =
-        solve_eq_qp_nonneg_factored(h, p.f, SparseMatrix(), {}, opts);
+    const EqQpNonnegResult cg = solve_eq_qp_nonneg_operator(
+        p.hessian(), p.f, SparseMatrix(), {}, opts);
     const double scale = std::max(1.0, nrm_inf(dense.x));
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
         EXPECT_NEAR(cg.x[j], dense.x[j], 1e-6 * scale) << "var " << j;
     }
 }
 
-TEST(EqQpFactoredEdge, Validation) {
-    const FactoredProblem p = make_factored_problem(3, 10, 0.1);
-    FactoredHessian h;
-    h.matrix = p.gram.view();
-    h.diagonal = &p.shift;
+TEST(EqQpOperatorEdge, Validation) {
+    const OperatorProblem p = make_operator_problem(3, 10, 0.1);
+    const HessianOperator h = p.hessian();
     // f of the wrong length.
     EXPECT_THROW(
-        solve_eq_qp_nonneg_factored(h, Vector(3, 0.0), p.e_sparse, p.d),
+        solve_eq_qp_nonneg_operator(h, Vector(3, 0.0), p.e_sparse, p.d),
         std::invalid_argument);
     // Added diagonal of the wrong length.
     const Vector bad_diag(4, 1.0);
-    FactoredHessian bad = h;
+    HessianOperator bad = h;
     bad.diagonal = &bad_diag;
-    EXPECT_THROW(solve_eq_qp_nonneg_factored(bad, p.f, p.e_sparse, p.d),
+    EXPECT_THROW(solve_eq_qp_nonneg_operator(bad, p.f, p.e_sparse, p.d),
                  std::invalid_argument);
     // Warm-start seed of the wrong length.
     const Vector bad_seed(3, 1.0);
     EqQpNonnegOptions opts;
     opts.warm_start = &bad_seed;
     EXPECT_THROW(
-        solve_eq_qp_nonneg_factored(h, p.f, p.e_sparse, p.d, opts),
+        solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d, opts),
         std::invalid_argument);
+    // Every closure must be set.
+    for (int which = 0; which < 3; ++which) {
+        HessianOperator unset = h;
+        if (which == 0) unset.apply = nullptr;
+        if (which == 1) unset.diag = nullptr;
+        if (which == 2) unset.column = nullptr;
+        EXPECT_THROW(
+            solve_eq_qp_nonneg_operator(unset, p.f, p.e_sparse, p.d),
+            std::invalid_argument)
+            << "closure " << which;
+    }
 }
 
-TEST(EqQpFactoredScale, HundredPopFanoutShapeKktResiduals) {
+TEST(EqQpOperatorScale, HundredPopFanoutShapeKktResiduals) {
     // Property test at generated-backbone scale (100 PoPs, 9900 pairs):
     // the projected-CG path must satisfy the KKT conditions of the
     // fanout-shaped QP — per-source sum constraints met, per-source
@@ -443,17 +479,17 @@ TEST(EqQpFactoredScale, HundredPopFanoutShapeKktResiduals) {
     // quadratic in the pair count.
     const topology::Topology topo = topology::generated_backbone(100, 4.0, 1);
     const SparseMatrix r = routing::igp_routing_matrix(topo);
+    const SparseMatrix rt = transpose(r);
     const std::size_t pairs = r.cols();
     const std::size_t nodes = topo.pop_count();
-    const SparseMatrix g = gram_sparse_csr(r);
-    const CsrView gv = g.view();
 
+    Vector gdiag(pairs, 0.0);
+    gram_operator(r, rt, nullptr).diag(gdiag);
     double diag_mean = 0.0;
-    for (std::size_t p = 0; p < pairs; ++p) {
-        diag_mean += g.at(p, p);
-    }
+    for (std::size_t p = 0; p < pairs; ++p) diag_mean += gdiag[p];
     diag_mean /= static_cast<double>(pairs);
     const Vector shift(pairs, 0.5 * diag_mean);
+    const HessianOperator h = gram_operator(r, rt, &shift);
 
     std::vector<Triplet> trips;
     std::vector<std::size_t> source_of(pairs);
@@ -477,14 +513,8 @@ TEST(EqQpFactoredScale, HundredPopFanoutShapeKktResiduals) {
     for (std::size_t p = 0; p < pairs; ++p) alpha[p] /= row_sum[source_of[p]];
     auto h_times = [&](const Vector& x) {
         Vector y(pairs, 0.0);
-        for (std::size_t p = 0; p < pairs; ++p) {
-            double acc = 0.0;
-            for (std::size_t t = gv.offsets[p]; t < gv.offsets[p + 1];
-                 ++t) {
-                acc += gv.values[t] * x[gv.col_index[t]];
-            }
-            y[p] = acc + shift[p] * x[p];
-        }
+        h.apply(x, y);
+        for (std::size_t p = 0; p < pairs; ++p) y[p] += shift[p] * x[p];
         return y;
     };
     Vector f = h_times(alpha);
@@ -492,14 +522,11 @@ TEST(EqQpFactoredScale, HundredPopFanoutShapeKktResiduals) {
         f[p] += (dist(rng) - 0.7) * 0.05 * diag_mean;
     }
 
-    FactoredHessian h;
-    h.matrix = gv;
-    h.diagonal = &shift;
     EqQpNonnegOptions opts;
     opts.cg_tolerance = 1e-12;
     detail::reset_peak_matrix_allocation();
     const EqQpNonnegResult result =
-        solve_eq_qp_nonneg_factored(h, f, e, d, opts);
+        solve_eq_qp_nonneg_operator(h, f, e, d, opts);
     // 9900 free variables >> dense_kkt_limit: this must have gone
     // through the projected CG, and nothing close to a pairs x pairs
     // dense matrix may have been allocated along the way.
@@ -522,7 +549,7 @@ TEST(EqQpFactoredScale, HundredPopFanoutShapeKktResiduals) {
     const Vector hx = h_times(result.x);
     double hmax = 0.0;
     for (std::size_t p = 0; p < pairs; ++p) {
-        hmax = std::max(hmax, g.at(p, p) + shift[p]);
+        hmax = std::max(hmax, gdiag[p] + shift[p]);
     }
     const double tol = 1e-6 * std::max(1.0, hmax * std::max(1.0, xmax));
     std::vector<double> nu(nodes, 0.0);

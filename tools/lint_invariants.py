@@ -9,14 +9,6 @@ compiler flag checks:
                   allocation that cannot exist at scale (200 PoPs:
                   ~12.7 GB); every estimation-path consumer must go
                   through the sparse/factored kernels in src/linalg/.
-  gram-alloc      No RoutingEpoch::sparse_gram() / vardi_gram() call
-                  outside an audited allowlist (the accessor definitions
-                  and the tests that exercise them).  Both materialize
-                  pairs x pairs structure — dense or CSR — so any new
-                  call site silently re-introduces the quadratic build
-                  the Gram-free operator paths (routing_transpose() +
-                  linalg::gram_column / gram_operator) were built to
-                  eliminate; at 500 PoPs no such structure fits.
   memory-order    Every operation on a raw std::atomic names an explicit
                   std::memory_order.  Defaulted seq_cst hides the
                   intended ordering contract and silently costs fences;
@@ -31,8 +23,9 @@ compiler flag checks:
                   engine, and the engine without the serving layer
                   (serve may include engine/obs, not vice versa).
   self-contained  Every header under src/ compiles standalone
-                  (g++ -fsyntax-only): a header that leans on its
-                  includer's includes breaks the next reorganisation.
+                  (g++ -fsyntax-only, one compile per header, run
+                  concurrently): a header that leans on its includer's
+                  includes breaks the next reorganisation.
 
 Suppression: append a comment containing `lint: allow(<rule>)` on the
 offending line or the line directly above it, with a justification.
@@ -49,6 +42,7 @@ Exit status: 0 clean, 1 violations found (or self-test failure).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import os
 import re
 import shutil
@@ -67,23 +61,6 @@ SUPPRESS_RE = re.compile(r"lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 DENSE_ALLOC_RE = re.compile(
     r"\bMatrix\s+?(?:[A-Za-z_]\w*\s*)?[({]\s*([A-Za-z_]\w*)\s*,\s*\1\b|"
     r"\bMatrix\s*\(\s*([A-Za-z_]\w*)\s*,\s*\2\b")
-
-# Call (or declaration) form of the two epoch accessors that build
-# pairs x pairs Gram structure.  `sparse_gram_built()` / `gram_built()`
-# telemetry probes do not match (no `(` directly after the name).
-GRAM_ALLOC_RE = re.compile(r"\b(sparse_gram|vardi_gram)\s*\(")
-
-# Audited allowlist for gram-alloc: the accessor definitions themselves
-# and the tests that exercise the lazy-build/caching contract of those
-# accessors.  Everything else — estimators, scheduler, serving, benches
-# — must stay on the routing_transpose() operator paths or carry a
-# `lint: allow(gram-alloc)` justification.
-GRAM_ALLOC_ALLOWED = frozenset({
-    "src/engine/epoch_cache.hpp",
-    "src/engine/epoch_cache.cpp",
-    "tests/engine/test_derived_cache.cpp",
-    "tests/engine/test_epoch_cache_concurrency.cpp",
-})
 
 ATOMIC_DECL_RE = re.compile(
     r"std::atomic(?:<[^<>]*(?:<[^<>]*>[^<>]*)*>|_flag|_bool|_int|_uint|"
@@ -213,28 +190,6 @@ def check_dense_alloc(root: str) -> list[Violation]:
     return violations
 
 
-def check_gram_alloc(root: str) -> list[Violation]:
-    violations = []
-    for path in iter_source_files(root, ("src", "tests", "bench"),
-                                  SOURCE_EXTS):
-        rel = relpath(root, path)
-        if rel in GRAM_ALLOC_ALLOWED:
-            continue
-        raw = open(path, encoding="utf-8", errors="replace").read()
-        raw_lines = raw.splitlines()
-        clean = strip_comments_and_strings(raw).splitlines()
-        for lineno, line in enumerate(clean, 1):
-            m = GRAM_ALLOC_RE.search(line)
-            if m and not suppressed(raw_lines, lineno, "gram-alloc"):
-                violations.append(Violation(
-                    "gram-alloc", rel, lineno,
-                    f"{m.group(1)}() materializes pairs x pairs Gram "
-                    "structure outside the audited allowlist — use the "
-                    "routing_transpose() operator path, or justify "
-                    "with // lint: allow(gram-alloc)"))
-    return violations
-
-
 def collect_atomic_names(root: str,
                          subdirs: tuple[str, ...]) -> set[str]:
     names = set()
@@ -334,22 +289,31 @@ def check_self_contained(root: str,
         print("lint: no C++ compiler found; skipping self-contained "
               "rule", file=sys.stderr)
         return []
-    violations = []
+    headers = []
     for path in iter_source_files(root, ("src",), HEADER_EXTS):
-        rel = relpath(root, path)
         raw_lines = open(path, encoding="utf-8",
                          errors="replace").read().splitlines()
-        if suppressed(raw_lines, 1, "self-contained"):
-            continue
-        proc = subprocess.run(
+        if not suppressed(raw_lines, 1, "self-contained"):
+            headers.append(path)
+
+    def compile_header(path: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
             [compiler, "-std=c++20", "-fsyntax-only",
              "-I", os.path.join(root, "src"), "-x", "c++", path],
             capture_output=True, text=True)
+
+    # The compiles are independent; map() keeps the results (and so the
+    # violations) in header order.
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=os.cpu_count() or 1) as pool:
+        procs = list(pool.map(compile_header, headers))
+    violations = []
+    for path, proc in zip(headers, procs):
         if proc.returncode != 0:
             first = next((ln for ln in proc.stderr.splitlines()
                           if "error" in ln), proc.stderr.strip())
             violations.append(Violation(
-                "self-contained", rel, 1,
+                "self-contained", relpath(root, path), 1,
                 f"header does not compile standalone: {first}"))
     return violations
 
@@ -357,7 +321,6 @@ def check_self_contained(root: str,
 def run_all(root: str, headers: bool = True) -> list[Violation]:
     violations = []
     violations += check_dense_alloc(root)
-    violations += check_gram_alloc(root)
     violations += check_memory_order(root, ("src", "tests", "bench",
                                             "examples"))
     violations += check_layering(root)
@@ -383,34 +346,6 @@ SELF_TEST_CASES = [
         "    // Vardi transform is inherently dense; built once per "
         "epoch.  lint: allow(dense-alloc)\n"
         "    auto g = linalg::Matrix(pairs, pairs);\n"
-        "}\n",
-    ),
-    (
-        "gram-alloc",
-        "src/engine/bad_gram.cpp",
-        "void f(const RoutingEpoch& epoch) {\n"
-        "    const auto& g = epoch.sparse_gram();\n"
-        "    (void)g;\n"
-        "}\n",
-        "void f(const RoutingEpoch& epoch) {\n"
-        "    const auto& rt = epoch.routing_transpose();\n"
-        "    (void)rt;\n"
-        "}\n",
-    ),
-    (
-        # vardi_gram matches too, and the suppression comment is the
-        # audit trail for a justified dense fallback.
-        "gram-alloc",
-        "src/engine/bad_vardi_gram.cpp",
-        "void f(const RoutingEpoch& epoch) {\n"
-        "    const auto& g = epoch.vardi_gram(0.5);\n"
-        "    (void)g;\n"
-        "}\n",
-        "void f(const RoutingEpoch& epoch) {\n"
-        "    // Dense fallback kept for the paper-scale bitwise gate."
-        "  lint: allow(gram-alloc)\n"
-        "    const auto& g = epoch.vardi_gram(0.5);\n"
-        "    (void)g;\n"
         "}\n",
     ),
     (
