@@ -34,7 +34,7 @@
 //     NNLS — its dense transformed Gram would be those same 12.7 GB —
 //     and a warm start from the cold solution must verify and return
 //     the same estimate to 1e-9.  Hessian-apply kernel rows and the
-//     fanout-only scheduler window run serial, inline and pooled, with
+//     fanout-only engine window run serial, inline and pooled, with
 //     pooled == serial gated bitwise.
 //
 //  6. Contract-layer cost.
@@ -42,8 +42,8 @@
 //  7. 500-PoP Gram-free window.  Gravity, Kruithof, entropy, Bayesian
 //     and fanout complete a window at 249500 pairs with no pairs x pairs
 //     structure ever materialized (peak dense Matrix allocation
-//     < 10 MB), and the engine scheduler's default schedule finishes a
-//     full window off the epoch's shared routing transpose.
+//     < 10 MB), and the engine's default schedule finishes a full
+//     window off the epoch's shared routing transpose.
 //
 // Results land in BENCH_solvers.json next to BENCH_engine.json so the
 // perf trajectory stays machine-readable across PRs.
@@ -67,11 +67,10 @@
 #include "core/gravity.hpp"
 #include "core/kruithof.hpp"
 #include "core/vardi.hpp"
+#include "engine/engine.hpp"
 #include "engine/epoch_cache.hpp"
 #include "engine/method.hpp"
-#include "engine/scheduler.hpp"
 #include "engine/thread_pool.hpp"
-#include "engine/window.hpp"
 #include "linalg/blocked_spmv.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/entropy_solver.hpp"
@@ -144,6 +143,29 @@ void warm_pool(engine::ThreadPool& pool) {
         }
     });
     pool.run_batch(std::move(tasks));
+}
+
+/// One full window through the engine: its result, wall time, and the
+/// kernel blocks pool helpers ran inside it.
+struct TimedWindow {
+    engine::WindowResult result;
+    double seconds = 0.0;
+    std::size_t helper_blocks = 0;
+};
+
+/// Feeds all but the last sample of `loads` into `eng` (its
+/// min_series_window is the window size, so no series method solves
+/// yet), then times the ingest of the last sample.
+TimedWindow ingest_timed_window(engine::OnlineEngine& eng,
+                                const std::vector<linalg::Vector>& loads) {
+    const std::size_t last = loads.size() - 1;
+    for (std::size_t k = 0; k < last; ++k) eng.ingest(k, loads[k]);
+    TimedWindow out;
+    const std::size_t blocks_before = eng.metrics().kernel_helper_blocks;
+    out.seconds =
+        time_best(1, [&] { out.result = eng.ingest(last, loads[last]); });
+    out.helper_blocks = eng.metrics().kernel_helper_blocks - blocks_before;
+    return out;
 }
 
 double vec_max_abs_diff(const linalg::Vector& a, const linalg::Vector& b) {
@@ -846,7 +868,7 @@ int main(int argc, char** argv) {
     double p200_bayesian_apply_serial_seconds = 0.0;
     double p200_bayesian_apply_inline_seconds = 0.0;
     double p200_bayesian_apply_pooled_seconds = 0.0;
-    // The fanout-only window through a scheduler, inline and on a pool
+    // The fanout-only window through the engine, inline and on a pool
     // of every hardware thread: the one solve's helpers come only from
     // its solve scope.  pooled == serial bitwise is gated.
     double p200_fanout_window_serial_seconds = 0.0;
@@ -972,8 +994,8 @@ int main(int argc, char** argv) {
         // before, as the blocked kernel inline, and as the blocked
         // kernel on a pool of every hardware thread inside a solve
         // scope, as a CG-regime solve runs them (pooled == serial
-        // bitwise is gated).  Whole pooled solves are timed through a
-        // scheduler below.
+        // bitwise is gated).  Whole pooled solves are timed through the
+        // engine below.
         {
             engine::ThreadPool pool(pool_workers());
             const linalg::SolveScope scope(&pool);
@@ -1067,29 +1089,26 @@ int main(int argc, char** argv) {
             }
         }
 
-        // The fanout-only window through a scheduler (the engine's
-        // operator wiring, fanout's caps above), inline and pooled.
+        // The fanout-only window through the engine (its operator
+        // wiring, fanout's caps above), inline and pooled.
         {
-            engine::RoutingEpochCache cache;
-            const std::shared_ptr<const engine::RoutingEpoch> epoch =
-                cache.acquire_shared(r);
-            engine::SlidingWindow win(&topo, &r, window,
-                                      /*track_load_moments=*/false);
-            for (std::size_t k = 0; k < window; ++k) {
-                win.push(k, series.loads[k]);
-            }
-            engine::MethodOptions mopts;
-            mopts.fanout.qp = fopt.qp;
+            // One epoch cache: the pooled run reads the derived data the
+            // inline run built.
+            const auto cache = std::make_shared<engine::RoutingEpochCache>();
+            engine::EngineConfig config;
+            config.window_size = window;
+            config.min_series_window = window;
+            config.methods = {engine::Method::fanout};
+            config.method_options.fanout.qp = fopt.qp;
+            config.warm_start = false;
             const auto fanout_window = [&](std::size_t threads,
                                            double& seconds) {
-                engine::EstimatorScheduler scheduler(
-                    {engine::Method::fanout}, mopts, threads,
-                    /*warm_start=*/false, /*min_series_window=*/window);
-                engine::WindowResult res;
-                seconds = time_best(1, [&] { res = scheduler.run(win, epoch); });
-                p200_fanout_window_helper_blocks =
-                    scheduler.kernel_stats().helper_blocks;
-                return res.runs.at(0).estimate;
+                config.threads = threads;
+                engine::OnlineEngine eng(topo, r, config, cache);
+                TimedWindow timed = ingest_timed_window(eng, series.loads);
+                seconds = timed.seconds;
+                p200_fanout_window_helper_blocks = timed.helper_blocks;
+                return std::move(timed.result.runs.at(0).estimate);
             };
             const linalg::Vector serial =
                 fanout_window(0, p200_fanout_window_serial_seconds);
@@ -1259,9 +1278,9 @@ int main(int argc, char** argv) {
     //     QP, fanout operator QP) complete a window inside the wall
     //     budget with peak dense Matrix allocation < 10 MB — five
     //     orders below the ~498 GB dense pairs^2 Gram;
-    //   * the engine scheduler's default schedule (gravity + Bayesian +
-    //     fanout) finishes a full window on a cold routing epoch and
-    //     built the epoch's shared routing transpose.
+    //   * the engine's default schedule (gravity + Bayesian + fanout)
+    //     finishes a full window and built the epoch's shared routing
+    //     transpose.
     std::printf("\n[7] 500-PoP generated backbone (Gram-free window)\n");
     double p500_build_seconds = 0.0;
     double p500_gravity_seconds = 0.0;
@@ -1270,7 +1289,7 @@ int main(int argc, char** argv) {
     double p500_bayesian_seconds = 0.0;
     double p500_fanout_seconds = 0.0;
     double p500_scheduler_seconds = 0.0;
-    // The five-method window through a scheduler whose worker count
+    // The five-method window through an engine whose worker count
     // matches the hardware (helpers come from the workers whose
     // methods finish first).
     const std::size_t p500_pool_threads = pool_workers() + 1;
@@ -1419,39 +1438,40 @@ int main(int argc, char** argv) {
             p500_ok = false;
         }
 
-        // The scheduler's default schedule over a cold epoch: the
-        // operator wiring must build (and read) the epoch's R'.
-        engine::RoutingEpochCache cache;
+        // The engine's default schedule, inline: the operator wiring
+        // must build (and read) the epoch's R'.  Both engines below
+        // share one epoch cache; warm starts are off, so every timed
+        // solve is cold.
+        const auto cache = std::make_shared<engine::RoutingEpochCache>();
         const std::shared_ptr<const engine::RoutingEpoch> epoch =
-            cache.acquire_shared(r);
-        engine::SlidingWindow win(&topo, &r, window,
-                                  /*track_load_moments=*/false);
-        for (std::size_t k = 0; k < window; ++k) {
-            win.push(k, series.loads[k]);
-        }
-        engine::MethodOptions mopts;
-        mopts.bayesian.qp.cg_max_iterations = 120;
-        mopts.bayesian.qp.max_active_set_rounds = 6;
-        mopts.fanout.qp.cg_max_iterations = 80;
-        mopts.fanout.qp.max_active_set_rounds = 24;
-        engine::EstimatorScheduler scheduler(
-            {engine::Method::gravity, engine::Method::bayesian,
-             engine::Method::fanout},
-            mopts, /*threads=*/0, /*warm_start=*/true,
-            /*min_series_window=*/3);
+            cache->acquire_shared(r);
+        engine::EngineConfig config;
+        config.window_size = window;
+        config.min_series_window = window;
+        config.methods = {engine::Method::gravity, engine::Method::bayesian,
+                          engine::Method::fanout};
+        config.method_options.bayesian.qp.cg_max_iterations = 120;
+        config.method_options.bayesian.qp.max_active_set_rounds = 6;
+        config.method_options.fanout.qp.cg_max_iterations = 80;
+        config.method_options.fanout.qp.max_active_set_rounds = 24;
+        config.warm_start = false;
         engine::WindowResult wres;
-        p500_scheduler_seconds =
-            time_best(1, [&] { wres = scheduler.run(win, epoch); });
+        {
+            engine::OnlineEngine eng(topo, r, config, cache);
+            TimedWindow timed = ingest_timed_window(eng, series.loads);
+            p500_scheduler_seconds = timed.seconds;
+            wres = std::move(timed.result);
+        }
         for (const engine::MethodRun& run : wres.runs) {
-            check_estimate("scheduler", run.estimate);
+            check_estimate("engine", run.estimate);
         }
         if (wres.runs.size() != 3) {
-            fail("500-PoP scheduler window ran %zu methods, expected 3",
+            fail("500-PoP engine window ran %zu methods, expected 3",
                  wres.runs.size());
             p500_ok = false;
         }
         p500_transpose_built = epoch->routing_transpose_built();
-        std::printf("  scheduler %7.2fs (default schedule; R' built=%s)\n",
+        std::printf("  engine    %7.2fs (default schedule; R' built=%s)\n",
                     p500_scheduler_seconds,
                     p500_transpose_built ? "yes" : "NO");
         if (!p500_transpose_built) {
@@ -1462,24 +1482,25 @@ int main(int argc, char** argv) {
         }
 
         // The yardstick window on every core: all five methods through
-        // a scheduler with one worker per hardware thread, so the
-        // workers whose methods finish first help the operator QPs.
+        // an engine with one worker per hardware thread, so the workers
+        // whose methods finish first help the operator QPs.
         {
-            engine::MethodOptions five = mopts;
-            five.kruithof = kopt;
-            five.entropy = ent;
-            engine::EstimatorScheduler pooled(
-                {engine::Method::gravity, engine::Method::kruithof,
-                 engine::Method::entropy, engine::Method::bayesian,
-                 engine::Method::fanout},
-                five, /*threads=*/p500_pool_threads, /*warm_start=*/false,
-                /*min_series_window=*/3);
-            engine::WindowResult pres;
-            p500_window_pooled_seconds =
-                time_best(1, [&] { pres = pooled.run(win, epoch); });
-            p500_window_helper_blocks = pooled.kernel_stats().helper_blocks;
-            for (const engine::MethodRun& run : pres.runs) {
-                check_estimate("pooled scheduler", run.estimate);
+            engine::EngineConfig five = config;
+            five.methods = {engine::Method::gravity,
+                            engine::Method::kruithof,
+                            engine::Method::entropy,
+                            engine::Method::bayesian,
+                            engine::Method::fanout};
+            five.method_options.kruithof = kopt;
+            five.method_options.entropy = ent;
+            five.threads = p500_pool_threads;
+            engine::OnlineEngine pooled(topo, r, five, cache);
+            const TimedWindow timed =
+                ingest_timed_window(pooled, series.loads);
+            p500_window_pooled_seconds = timed.seconds;
+            p500_window_helper_blocks = timed.helper_blocks;
+            for (const engine::MethodRun& run : timed.result.runs) {
+                check_estimate("pooled engine", run.estimate);
             }
             std::printf("  window    %7.2fs (five methods on %zu worker "
                         "threads, %zu helper blocks; serial sum %.2fs)\n",

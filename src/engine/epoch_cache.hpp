@@ -82,7 +82,7 @@ class RoutingEpoch {
     /// Bayesian, fanout): row p of R' lists column p's carriers, source
     /// rows ascending, which is exactly what linalg::gram_column needs
     /// to replay the Gram kernels bit-for-bit.  O(nnz) to build and
-    /// store — the scheduler's default schedule derives everything from
+    /// store — the engine's default schedule derives everything from
     /// this instead of any pairs x pairs Gram.  Does not count toward
     /// derived_builds().
     const linalg::SparseMatrix& routing_transpose() const;
@@ -154,7 +154,7 @@ class RoutingEpochCache {
     /// (rows/cols/nnz); a colliding entry is left in place and a fresh
     /// epoch is built.  The returned pointer pins the epoch: it stays
     /// valid after eviction for as long as the caller holds it, so
-    /// in-flight pipeline windows and fleet engines can never observe a
+    /// in-flight windows and fleet engines can never observe a
     /// destroyed epoch.  No pointer to `routing` is retained past this
     /// call.  Safe to call concurrently from many engines.
     std::shared_ptr<const RoutingEpoch> acquire_shared(
@@ -196,7 +196,7 @@ class RoutingEpochCache {
     mutable std::mutex mutex_;  ///< guards entries_ and next_serial_
     std::uint64_t next_serial_ = 0;
     /// Most recently used first.  shared_ptr entries so a concurrent
-    /// holder (pipeline window in flight, fleet engine) outlives an
+    /// holder (window in flight, fleet engine) outlives an
     /// eviction.
     std::list<std::shared_ptr<RoutingEpoch>> entries_;
     std::atomic<std::size_t> hits_{0};

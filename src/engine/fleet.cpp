@@ -53,8 +53,7 @@ FleetDriver::FleetDriver(const topology::Topology& topo, FleetConfig config)
       config_(std::move(config)),
       cache_(std::make_shared<RoutingEpochCache>(
           config_.cache_capacity == 0 ? 4 : config_.cache_capacity)) {
-    const SchedulerConfigCheck check =
-        EstimatorScheduler::validate_methods(config_.engine.methods);
+    const SchedulerConfigCheck check = validate_methods(config_.engine.methods);
     if (!check) throw SchedulerConfigException(check);
 }
 
@@ -71,32 +70,14 @@ void FleetDriver::run_job(const FleetJob& job, FleetJobReport& report,
     const EngineConfig& cfg =
         job.engine.has_value() ? *job.engine : config_.engine;
     const Clock::time_point start = Clock::now();
-    ReplayResult replay;
-    if (config_.pipeline_depth > 1) {
-        PipelineOptions pipeline;
-        pipeline.depth = config_.pipeline_depth;
-        // A zero-thread pipeline runs every stage inline (no overlap);
-        // asking for depth > 1 means asking for overlap, so give the
-        // engine a small worker pool unless the job sized one itself.
-        EngineConfig piped = cfg;
-        if (piped.threads == 0) piped.threads = 2;
-        PipelinedEngine engine(sc.topo, sc.routing, piped, pipeline,
-                               cache_);
-        if (job.window_sink) engine.set_window_sink(job.window_sink);
-        replay = replay_scenario(engine, sc, job.replay);
-        report.metrics = engine.metrics();
-    } else if (config_.async_ingest) {
-        OnlineEngine engine(sc.topo, sc.routing, cfg, cache_);
-        if (job.window_sink) engine.set_window_sink(job.window_sink);
-        replay = replay_scenario_async(engine, sc, job.replay,
-                                       config_.ingest_queue_capacity);
-        report.metrics = engine.metrics();
-    } else {
-        OnlineEngine engine(sc.topo, sc.routing, cfg, cache_);
-        if (job.window_sink) engine.set_window_sink(job.window_sink);
-        replay = replay_scenario(engine, sc, job.replay);
-        report.metrics = engine.metrics();
-    }
+    OnlineEngine engine(sc.topo, sc.routing, cfg, cache_);
+    if (job.window_sink) engine.set_window_sink(job.window_sink);
+    ReplayResult replay =
+        config_.async_ingest
+            ? replay_scenario_async(engine, sc, job.replay,
+                                    config_.ingest_queue_capacity)
+            : replay_scenario(engine, sc, job.replay);
+    report.metrics = engine.metrics();
     report.seconds = seconds_since(start);
     report.windows = replay.windows.size();
     span.arg("windows", static_cast<long long>(report.windows));
@@ -119,7 +100,7 @@ FleetReport FleetDriver::run(const std::vector<FleetJob>& jobs) {
         }
         const SchedulerConfigCheck check =
             job.engine.has_value()
-                ? EstimatorScheduler::validate_methods(job.engine->methods)
+                ? validate_methods(job.engine->methods)
                 : SchedulerConfigCheck{};
         if (!check) {
             throw SchedulerConfigException(check);

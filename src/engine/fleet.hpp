@@ -34,31 +34,27 @@ struct FleetJob {
     ReplayOptions replay;
     /// Per-job engine configuration; nullopt uses FleetConfig::engine.
     std::optional<EngineConfig> engine;
-    /// Window-completion sink installed on this job's engine (all three
-    /// drive modes).  Called from the job's worker thread, one window
-    /// at a time, in submission order — a serving-layer publisher
-    /// (serve::make_publisher) slots in directly.  Jobs never share an
-    /// engine, so per-job sinks need no cross-job synchronization, but
-    /// one sink attached to several jobs must be thread-safe.
+    /// Window-completion sink installed on this job's engine.  Called
+    /// one window at a time, in submission order (from the job's worker
+    /// thread at pipeline_depth 1, from the engine's pool above it) — a
+    /// serving-layer publisher (serve::make_publisher) slots in
+    /// directly.  Jobs never share an engine, so per-job sinks need no
+    /// cross-job synchronization, but one sink attached to several jobs
+    /// must be thread-safe.
     WindowSink window_sink;
 };
 
 struct FleetConfig {
     /// Engine template for jobs without a per-job override.  Engines
-    /// default to threads = 0: the fleet parallelizes across
-    /// scenarios, not within a window.
+    /// default to threads = 0 and pipeline_depth = 1: the fleet
+    /// parallelizes across scenarios, not within one; raise both to
+    /// overlap window passes within a scenario too.
     EngineConfig engine;
     /// Concurrent scenario workers; 0 picks
     /// min(jobs, hardware_concurrency).
     std::size_t concurrency = 0;
-    /// Per-engine pipeline depth; > 1 runs each job on a PipelinedEngine
-    /// (window passes overlap within a scenario too).  Overlap needs
-    /// workers, so a job left at the engine default threads = 0 gets a
-    /// small pool (2) on this path instead of silent inline execution.
-    std::size_t pipeline_depth = 1;
     /// Decouple sample production from estimation with a bounded
-    /// producer/consumer queue (replay_scenario_async) on the
-    /// serial-engine path.
+    /// producer/consumer queue (replay_scenario_async).
     bool async_ingest = true;
     std::size_t ingest_queue_capacity = 16;
     /// Capacity of the shared routing-epoch cache.  Size it to the

@@ -21,8 +21,8 @@ enum class Method {
 };
 
 /// Every method, in enum order.  Keep in sync when extending Method —
-/// method_count sizes per-method state tables (e.g. the scheduler's
-/// warm-start slots).
+/// method_count sizes per-method state tables (e.g. the engine's
+/// method lineages).
 inline constexpr Method all_methods[] = {
     Method::gravity, Method::kruithof, Method::entropy,
     Method::bayesian, Method::vardi,   Method::fanout,

@@ -197,7 +197,7 @@ struct EngineMetrics {
     MetricCell<std::size_t> kernel_helper_blocks;
     /// Bounded per-event detail for the tallies above.
     DegradationLog degradation;
-    MetricCell<double> total_seconds{0.0};  ///< scheduler time across windows
+    MetricCell<double> total_seconds{0.0};  ///< window walls, summed
     MetricCell<double> last_window_seconds{0.0};
     /// End-to-end window latency distribution (same samples that feed
     /// total_seconds / last_window_seconds).
@@ -205,7 +205,7 @@ struct EngineMetrics {
     /// Consumer-side waits popping the bounded ingest queue during
     /// async replay (time the engine sat starved for samples).
     obs::LatencyHistogram ingest_wait;
-    /// Producer-side stalls: pipeline submit() blocked at depth, and
+    /// Producer-side stalls: submit() blocked at pipeline depth, and
     /// ingest-queue push() blocked on a full queue.
     obs::LatencyHistogram backpressure_wait;
     /// Routing-epoch derived-data build times (gram, vardi gram,
@@ -237,13 +237,12 @@ struct MethodRun;  // scheduler.hpp
 
 /// Folds one run's quality flags into the per-method and engine-wide
 /// degradation counters, appending a DegradationRecord for every
-/// non-exact run.  Call from the engines' single-writer metrics-update
-/// points (serial ingest loop, pipeline finalize).
+/// non-exact run.  Called from the engine's window finalize.
 void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
                         std::size_t window_end_sample);
 
 /// Folds a pool's cumulative kernel-region counters into the kernel_*
-/// cells.  Monotone (fetch_max), so concurrent pipeline finalizes never
+/// cells.  Monotone (fetch_max), so concurrent window finalizes never
 /// move a cell backwards.
 void record_kernel_stats(EngineMetrics& metrics,
                          const ThreadPool::KernelStats& stats);

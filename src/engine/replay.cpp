@@ -35,8 +35,8 @@ std::map<Method, double> summarize_mre(
 
 /// Installs the scenario truth provider for the duration of `body`,
 /// restoring whatever the caller had attached on every exit path.
-template <typename Engine, typename Body>
-void with_scenario_truth(Engine& engine, const scenario::Scenario& sc,
+template <typename Body>
+void with_scenario_truth(OnlineEngine& engine, const scenario::Scenario& sc,
                          bool attach, const Body& body) {
     TruthProvider saved = engine.truth();
     if (attach) {
@@ -62,7 +62,6 @@ ReplayResult replay_scenario(OnlineEngine& engine,
             "replay_scenario: engine routing does not match scenario");
     }
     ReplayResult result;
-    result.windows.reserve(sc.demands.size());
     with_scenario_truth(engine, sc, options.attach_truth, [&] {
         scenario::replay(
             sc, options.events,
@@ -73,8 +72,9 @@ ReplayResult replay_scenario(OnlineEngine& engine,
                 if (&routing != &engine.routing()) {
                     engine.set_routing(routing);
                 }
-                result.windows.push_back(engine.ingest(sample, loads));
+                engine.submit(sample, loads);
             });
+        result.windows = engine.finish();
     });
     result.mean_mre = summarize_mre(result.windows);
     return result;
@@ -90,7 +90,6 @@ ReplayResult replay_scenario_async(OnlineEngine& engine,
             "scenario");
     }
     ReplayResult result;
-    result.windows.reserve(sc.demands.size());
     with_scenario_truth(engine, sc, options.attach_truth, [&] {
         IngestQueue queue(queue_capacity);
         // Producer stalls (full queue) and consumer waits (empty queue)
@@ -135,8 +134,8 @@ ReplayResult replay_scenario_async(OnlineEngine& engine,
                     item->routing != &engine.routing()) {
                     engine.set_routing(*item->routing);
                 }
-                result.windows.push_back(engine.ingest(
-                    item->sample, std::move(item->loads), item->gap));
+                engine.submit(item->sample, std::move(item->loads),
+                              item->gap);
             }
         } catch (...) {
             // Unblock and stop the producer before rethrowing.
@@ -156,31 +155,6 @@ ReplayResult replay_scenario_async(OnlineEngine& engine,
                 // benign: consumer hung up first
             }
         }
-    });
-    result.mean_mre = summarize_mre(result.windows);
-    return result;
-}
-
-ReplayResult replay_scenario(PipelinedEngine& engine,
-                             const scenario::Scenario& sc,
-                             const ReplayOptions& options) {
-    if (engine.routing().cols() != sc.topo.pair_count()) {
-        throw std::invalid_argument(
-            "replay_scenario: engine routing does not match scenario");
-    }
-    ReplayResult result;
-    with_scenario_truth(engine, sc, options.attach_truth, [&] {
-        scenario::replay(
-            sc, options.events,
-            [&](std::size_t sample, const linalg::SparseMatrix& routing,
-                const linalg::Vector& loads,
-                const linalg::Vector& demands) {
-                (void)demands;
-                if (&routing != &engine.routing()) {
-                    engine.set_routing(routing);
-                }
-                engine.submit(sample, loads);
-            });
         result.windows = engine.finish();
     });
     result.mean_mre = summarize_mre(result.windows);

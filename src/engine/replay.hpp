@@ -3,15 +3,15 @@
 // injected route changes and scoring every window against the
 // scenario's ground-truth demands.
 //
-// Three drive modes share one result shape:
-//   * replay_scenario(OnlineEngine&, ...)    — synchronous, serial;
-//   * replay_scenario_async(OnlineEngine&, ...) — a producer thread
-//     generates the samples and pushes them through a bounded
-//     IngestQueue while the calling thread consumes and estimates;
-//     identical results, but sample generation no longer blocks on the
-//     solvers (and backpressure bounds the decoupling buffer);
-//   * replay_scenario(PipelinedEngine&, ...) — pipelined window
-//     fan-out: successive windows' estimation passes overlap.
+// Two drive modes share one result shape, and both submit every sample
+// and collect the windows with finish(), so successive windows overlap
+// whenever the engine's pipeline_depth allows it:
+//   * replay_scenario — the calling thread produces and submits;
+//   * replay_scenario_async — a producer thread generates the samples
+//     and pushes them through a bounded IngestQueue while the calling
+//     thread submits; identical results, but sample generation no
+//     longer blocks on the solvers (and backpressure bounds the
+//     decoupling buffer).
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
 #include "scenario/scenario.hpp"
 
 namespace tme::engine {
@@ -39,7 +38,8 @@ struct ReplayResult {
 };
 
 /// Replays the scenario through the engine.  The engine must have been
-/// constructed on the scenario's topology and routing matrix.
+/// constructed on the scenario's topology and routing matrix, and hold
+/// no unfinished windows (finish() returns them with the replay's).
 ReplayResult replay_scenario(OnlineEngine& engine,
                              const scenario::Scenario& sc,
                              const ReplayOptions& options = {});
@@ -53,12 +53,5 @@ ReplayResult replay_scenario_async(OnlineEngine& engine,
                                    const scenario::Scenario& sc,
                                    const ReplayOptions& options = {},
                                    std::size_t queue_capacity = 16);
-
-/// Replays the scenario through a pipelined engine (overlapping window
-/// passes) and waits for the pipeline to drain.  Warm-start lineage
-/// makes the estimates equivalent to the serial engine's.
-ReplayResult replay_scenario(PipelinedEngine& engine,
-                             const scenario::Scenario& sc,
-                             const ReplayOptions& options = {});
 
 }  // namespace tme::engine

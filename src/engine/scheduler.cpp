@@ -1,7 +1,6 @@
 #include "engine/scheduler.hpp"
 
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include <cmath>
@@ -56,16 +55,15 @@ std::string SchedulerConfigCheck::message() const {
     return "?";
 }
 
-SchedulerConfigCheck EstimatorScheduler::validate_methods(
-    const std::vector<Method>& methods) {
+SchedulerConfigCheck validate_methods(const std::vector<Method>& methods) {
     SchedulerConfigCheck check;
     if (methods.empty()) {
         check.error = SchedulerConfigError::no_methods;
         return check;
     }
     // Uniqueness is load-bearing, not just hygiene: each method owns
-    // one warm-start slot (and, on the pipeline, one lineage), so two
-    // runs of the same method per window would race.
+    // one warm-start lineage, so two runs of the same method per window
+    // would race.
     std::vector<bool> seen(method_count, false);
     for (Method m : methods) {
         std::vector<bool>::reference slot_seen =
@@ -463,97 +461,6 @@ MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
     }
     run.seconds = seconds_since(start);
     return out;
-}
-
-EstimatorScheduler::EstimatorScheduler(std::vector<Method> methods,
-                                       MethodOptions options,
-                                       std::size_t threads, bool warm_start,
-                                       std::size_t min_series_window)
-    : methods_(std::move(methods)),
-      options_(std::move(options)),
-      warm_start_(warm_start),
-      min_series_window_(min_series_window < 1 ? 1 : min_series_window),
-      warm_(method_count),
-      last_good_(method_count),
-      pool_(threads) {
-    const SchedulerConfigCheck check = validate_methods(methods_);
-    if (!check) throw SchedulerConfigException(check);
-}
-
-void EstimatorScheduler::reset_warm_state() {
-    for (WarmSlot& s : warm_) s.valid = false;
-}
-
-WindowResult EstimatorScheduler::run(
-    const SlidingWindow& window,
-    std::shared_ptr<const RoutingEpoch> epoch) {
-    if (window.empty()) {
-        throw std::logic_error("EstimatorScheduler::run: empty window");
-    }
-    obs::Span span("scheduler/window", "ordinal",
-                   static_cast<long long>(next_ordinal_), "end_sample",
-                   static_cast<long long>(window.last_sample()));
-    const Clock::time_point pass_start = Clock::now();
-
-    const WindowContext ctx =
-        WindowContext::capture(window, std::move(epoch), methods_,
-                               min_series_window_, next_ordinal_++);
-
-    std::vector<std::optional<MethodExecution>> slots(methods_.size());
-    std::vector<std::exception_ptr> errors(methods_.size());
-    std::vector<std::function<void()>> tasks;
-
-    for (std::size_t i = 0; i < methods_.size(); ++i) {
-        const Method m = methods_[i];
-        if (is_series_method(m) && !ctx.run_series) continue;
-        if (m == Method::gravity) {
-            // The prior was already computed in capture(); no task.
-            slots[i] = execute_method_guarded(
-                m, ctx, options_, nullptr,
-                last_good_[static_cast<std::size_t>(m)]);
-            continue;
-        }
-        tasks.push_back([this, i, m, &ctx, &slots, &errors] {
-            try {
-                const WarmSlot& warm = slot(m);
-                const linalg::Vector* seed =
-                    warm_start_ && warm.valid ? &warm.estimate : nullptr;
-                // Each task touches only its own method's last-good
-                // slot, like the warm slots — no locking needed.
-                slots[i] = execute_method_guarded(
-                    m, ctx, options_, seed,
-                    last_good_[static_cast<std::size_t>(m)], warm_start_,
-                    &pool_);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    pool_.run_batch(std::move(tasks));
-
-    for (const std::exception_ptr& error : errors) {
-        if (error) std::rethrow_exception(error);
-    }
-
-    WindowResult result;
-    result.window_start_sample = ctx.window_start_sample;
-    result.window_end_sample = ctx.window_end_sample;
-    result.window_size = ctx.window_size;
-    result.epoch_fingerprint = ctx.epoch->fingerprint();
-    for (std::optional<MethodExecution>& maybe : slots) {
-        if (!maybe.has_value()) continue;
-        // Thread the solution into the next window's warm start.  Safe
-        // here without locking: the pool batch has been joined, so no
-        // task can still touch the slots.
-        if (warm_start_ && maybe->warm_next_valid) {
-            WarmSlot& s = slot(maybe->run.method);
-            s.estimate = std::move(maybe->warm_next);
-            s.valid = true;
-        }
-        result.runs.push_back(std::move(maybe->run));
-    }
-    result.seconds = seconds_since(pass_start);
-    return result;
 }
 
 }  // namespace tme::engine

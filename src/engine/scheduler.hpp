@@ -1,6 +1,6 @@
-// Estimator scheduler: runs a configurable set of estimation methods
-// over the current sliding window on a small thread pool, threading
-// warm-start state from one window into the next.
+// Per-window estimation pass: the pieces the engine (engine.hpp) runs
+// for every window — snapshot, per-method execution with graceful
+// degradation, and the result types it hands to sinks.
 //
 // Warm starts are only applied where the optimization problem has a
 // unique minimizer independent of the starting point (Bayesian/Vardi
@@ -11,9 +11,8 @@
 // gravity prior is computed once per window and shared by Kruithof,
 // entropy and Bayesian, exactly as in the paper's evaluation.
 //
-// The per-window estimation pass is split into two reusable pieces so
-// the serial scheduler and the window pipeline share one code path
-// (which is what makes their estimates bitwise identical):
+// The pass is split into two reusable pieces, so a window's estimates
+// do not depend on which thread runs which method, or when:
 //   * WindowContext::capture() snapshots everything a pass consumes —
 //     an owning copy of the window loads, the materialized incremental
 //     aggregates, the pinned routing epoch, and the gravity prior;
@@ -50,7 +49,7 @@ namespace tme::engine {
 using SolveBudget = linalg::SolveBudget;
 using SolveOutcome = linalg::SolveOutcome;
 
-/// Per-method solver options.  The scheduler overrides the reuse hooks
+/// Per-method solver options.  execute_method overrides the reuse hooks
 /// (shared_routing_transpose, shared_constraints, window moments and
 /// aggregates, warm_start) per window; everything else is honoured as
 /// configured.
@@ -124,17 +123,16 @@ struct WindowResult {
     const MethodRun* find(Method method) const;
 };
 
-/// Window-completion hook: every engine flavour invokes it once per
-/// completed window, in submission order, from exactly one thread at a
-/// time (the serving layer's snapshot publisher attaches here — see
+/// Window-completion hook: the engine invokes it once per completed
+/// window, in submission order, from exactly one thread at a time (the serving layer's snapshot publisher attaches here — see
 /// src/serve/publish.hpp).  The engine layer only defines the seam, so
 /// it stays embeddable without the serving layer.
 using WindowSink = std::function<void(const WindowResult&)>;
 
-/// Typed scheduler configuration diagnosis.  validate_methods() lets
-/// callers reject a bad method list up front without catching an
-/// exception mid-stream; the scheduler constructor throws the same
-/// diagnosis wrapped in SchedulerConfigException (which still derives
+/// Typed method-list diagnosis.  validate_methods() lets callers reject
+/// a bad method list up front without catching an exception
+/// mid-stream; the engine constructor throws the same diagnosis wrapped
+/// in SchedulerConfigException (which still derives
 /// std::invalid_argument for callers that only care that construction
 /// failed).
 enum class SchedulerConfigError {
@@ -156,7 +154,7 @@ struct SchedulerConfigCheck {
 class SchedulerConfigException : public std::invalid_argument {
   public:
     explicit SchedulerConfigException(SchedulerConfigCheck check)
-        : std::invalid_argument("EstimatorScheduler: " + check.message()),
+        : std::invalid_argument("OnlineEngine: " + check.message()),
           check_(check) {}
     const SchedulerConfigCheck& check() const { return check_; }
 
@@ -164,14 +162,20 @@ class SchedulerConfigException : public std::invalid_argument {
     SchedulerConfigCheck check_;
 };
 
+/// Non-throwing method-list check: empty lists and duplicate methods
+/// are rejected.  Duplicates matter because each method owns one
+/// warm-start lineage — two runs of the same method per window would
+/// race on it.
+SchedulerConfigCheck validate_methods(const std::vector<Method>& methods);
+
 /// Immutable snapshot of everything one window's estimation pass
 /// consumes.  The snapshot owns copies of the window loads and the
 /// materialized incremental aggregates, and pins the routing epoch, so
 /// the live window may keep sliding (and the epoch cache evicting)
-/// while the pass is still in flight on a pipeline.
+/// while the pass is still in flight.
 struct WindowContext {
-    /// Monotone window index within the engine (pipeline lineage
-    /// position; purely informational for the serial scheduler).
+    /// Monotone window index within the engine (lineage position;
+    /// informational).
     std::size_t ordinal = 0;
     std::size_t window_start_sample = 0;
     std::size_t window_end_sample = 0;
@@ -237,9 +241,8 @@ struct FallbackState {
     std::size_t age = 0;
 };
 
-/// execute_method wrapped in graceful degradation; the serial scheduler
-/// and the pipeline both run methods through here, which keeps their
-/// degradation behaviour (and estimates) identical.
+/// execute_method wrapped in graceful degradation; the engine runs every
+/// method through here.
 ///
 /// The run always comes back usable and honestly labelled:
 ///  * clean solve                      -> exact (last_good updated);
@@ -255,7 +258,7 @@ struct FallbackState {
 /// Unexpected exception types (std::logic_error etc. — programming
 /// errors, not data/solver faults) still propagate.  A degraded run
 /// never updates the warm slot (warm_next_valid = false) nor last_good.
-/// `pool` is passed through to execute_method (both engines pass their
+/// `pool` is passed through to execute_method (the engine passes its
 /// own pool; nullptr keeps every kernel on the calling thread).
 MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
                                        const MethodOptions& options,
@@ -263,61 +266,5 @@ MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
                                        FallbackState& last_good,
                                        bool collect_warm = true,
                                        ThreadPool* pool = nullptr);
-
-class EstimatorScheduler {
-  public:
-    EstimatorScheduler(std::vector<Method> methods, MethodOptions options,
-                       std::size_t threads, bool warm_start,
-                       std::size_t min_series_window);
-
-    /// Non-throwing configuration check (typed error instead of an
-    /// exception): empty list and duplicate methods are rejected.
-    /// Duplicates matter because each method owns one warm-start slot —
-    /// two runs of the same method per window would race on it.
-    static SchedulerConfigCheck validate_methods(
-        const std::vector<Method>& methods);
-
-    /// Runs every scheduled method over the window.  Series methods are
-    /// skipped while the window holds fewer than min_series_window
-    /// samples.  Throws if an estimator throws.
-    WindowResult run(const SlidingWindow& window,
-                     std::shared_ptr<const RoutingEpoch> epoch);
-
-    /// Drops all warm-start state (routing-epoch change: the previous
-    /// window's estimates are no longer valid starting points).
-    void reset_warm_state();
-
-    const std::vector<Method>& methods() const { return methods_; }
-    const MethodOptions& options() const { return options_; }
-    bool warm_start_enabled() const { return warm_start_; }
-    std::size_t min_series_window() const { return min_series_window_; }
-    /// The scheduler pool's cumulative kernel-region counters.
-    ThreadPool::KernelStats kernel_stats() const {
-        return pool_.kernel_stats();
-    }
-
-  private:
-    struct WarmSlot {
-        /// Previous window's solution in the solver's own variable
-        /// space: the demand estimate for entropy/Bayesian/Vardi, the
-        /// *fanout vector* (QP primal) for the fanout method.
-        linalg::Vector estimate;
-        bool valid = false;
-    };
-    WarmSlot& slot(Method m) { return warm_[static_cast<std::size_t>(m)]; }
-
-    std::vector<Method> methods_;
-    MethodOptions options_;
-    bool warm_start_;
-    std::size_t min_series_window_;
-    std::size_t next_ordinal_ = 0;
-    std::vector<WarmSlot> warm_;
-    /// Per-method last-good estimates for degradation (each method's
-    /// task touches only its own slot, like warm_).  Survives
-    /// reset_warm_state: staleness beats nothing when solvers fail
-    /// right after an epoch change.
-    std::vector<FallbackState> last_good_;
-    ThreadPool pool_;
-};
 
 }  // namespace tme::engine

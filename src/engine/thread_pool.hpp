@@ -1,12 +1,11 @@
-// Minimal fixed-size thread pool for the estimator scheduler and the
-// window pipeline.
+// Minimal fixed-size thread pool for the engine's per-method stages.
 //
 // Three usage patterns share one set of workers:
-//   * run_batch(): one engine window fans its per-method estimation
-//     tasks out as a batch and waits for completion (the serial
-//     scheduler; batches never overlap within one engine);
-//   * submit(): the window pipeline enqueues free-running tasks and
-//     tracks completion itself, never waiting on the pool;
+//   * submit(): the engine enqueues free-running tasks (one drainer per
+//     method lineage) and tracks completion itself, never waiting on
+//     the pool;
+//   * run_batch(): fans a batch of tasks out and waits for all of them
+//     (tests and benches use it to spread the workers over CPUs);
 //   * run() (linalg::BlockRunner): a kernel region.  A running task
 //     splits an operator apply into blocks and claims blocks itself;
 //     workers that are idle and spinning join in, one block at a
@@ -14,8 +13,8 @@
 //     call, so a busy pool costs the caller nothing.  Regions from
 //     several tasks may be open at once; queued tasks take precedence.
 // run_batch() waits for the pool to go globally idle, so it must not be
-// mixed with concurrent submit() traffic on the same pool — the
-// pipeline therefore owns its pool exclusively.  Regions do not count
+// mixed with concurrent submit() traffic on the same pool — the engine
+// therefore owns its pool exclusively.  Regions do not count
 // as pending work and mix freely with both.
 //
 // Who helps: a worker with no queued task spins while a solve scope is
@@ -78,7 +77,7 @@ class ThreadPool final : public linalg::BlockRunner {
     std::size_t thread_count() const { return workers_.size(); }
 
     /// Runs all tasks and blocks until every one has finished.  Tasks
-    /// must not throw (the scheduler wraps them to capture exceptions).
+    /// must not throw.
     void run_batch(std::vector<std::function<void()>> tasks) {
         if (workers_.empty()) {
             for (auto& task : tasks) task();

@@ -60,7 +60,7 @@ class SolveBudget {
 
     /// `deadline_seconds` caps the wall-clock of one solve; <= 0 means
     /// unlimited.  `scope` labels the budget for fault-schedule
-    /// matching (the scheduler passes the method name); it must outlive
+    /// matching (the engine passes the method name); it must outlive
     /// the budget.
     explicit SolveBudget(double deadline_seconds, const char* scope = "")
         : deadline_seconds_(deadline_seconds), scope_(scope) {}

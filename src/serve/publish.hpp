@@ -1,8 +1,8 @@
 // Publication glue: engine window completion -> EstimateStore.
 //
 // make_publisher() turns a store into an engine::WindowSink — the hook
-// all three engine flavours expose (OnlineEngine / PipelinedEngine
-// via set_window_sink, FleetJob::window_sink per fleet job).  Every
+// the engine exposes (OnlineEngine::set_window_sink, and
+// FleetJob::window_sink per fleet job).  Every
 // completed window becomes one published EstimateSnapshot version:
 //
 //   serve::EstimateStore store;
@@ -11,9 +11,9 @@
 //   serve::Reader reader(store);      // any thread, lock-free
 //   auto head = reader.latest();
 //
-// The sink runs on the engine's completion path (ingest thread /
-// pipeline flusher / fleet worker) and is strictly ordered per engine,
-// so per-engine stores see monotone window order.  The store tolerates
+// The sink runs on the engine's completion path (the submitting thread
+// at pipeline depth 1, a pool worker above it) and is strictly ordered
+// per engine, so per-engine stores see monotone window order.  The store tolerates
 // several engines publishing into it concurrently (publishes
 // serialize), at the cost of interleaved version order.
 #pragma once

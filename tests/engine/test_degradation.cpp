@@ -39,7 +39,7 @@ EngineConfig all_methods_config(std::size_t window_size) {
     return config;
 }
 
-// record_run_quality is the single aggregation point both engines use;
+// record_run_quality is the engine's single aggregation point;
 // pin its counter/record/json behaviour for every quality level.
 TEST(Degradation, RecordRunQualityCountersRecordsAndJson) {
     EngineMetrics metrics;
@@ -317,21 +317,36 @@ TEST(Degradation, MissingDataWindowsRunAllMethodsFlaggedAsGaps) {
     EXPECT_EQ(metrics.failed_runs.load(), 0u);
 }
 
-// The pipelined engine shares the guarded executor: a zero deadline
-// degrades its budgeted methods identically (per-lineage last-good
-// slots, same flags).
-TEST(Degradation, PipelinedEngineFlagsBudgetExhaustionToo) {
+// Overlapping windows share the guarded executor: at depth 2 on a pool
+// a zero deadline degrades the budgeted methods exactly as at depth 1
+// (per-lineage last-good slots, same flags, same bits).
+TEST(Degradation, DepthTwoFlagsBudgetExhaustionLikeDepthOne) {
     const scenario::Scenario sc = short_scenario(6);
     EngineConfig config = all_methods_config(3);
     config.method_options.solve_deadline_seconds = 1e-12;
-    PipelineOptions popts;
-    popts.depth = 2;
-    PipelinedEngine engine(sc.topo, sc.routing, config, popts);
+    OnlineEngine serial(sc.topo, sc.routing, config);
+    config.pipeline_depth = 2;
+    config.threads = 2;
+    OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < sc.loads.size(); ++k) {
+        serial.submit(k, sc.loads[k]);
         engine.submit(k, sc.loads[k]);
     }
+    const std::vector<WindowResult> want = serial.finish();
     const std::vector<WindowResult> results = engine.finish();
     ASSERT_FALSE(results.empty());
+    ASSERT_EQ(results.size(), want.size());
+    for (std::size_t w = 0; w < results.size(); ++w) {
+        ASSERT_EQ(results[w].runs.size(), want[w].runs.size());
+        for (std::size_t m = 0; m < results[w].runs.size(); ++m) {
+            const MethodRun& got = results[w].runs[m];
+            const MethodRun& ref = want[w].runs[m];
+            EXPECT_EQ(got.quality, ref.quality) << "window " << w;
+            EXPECT_EQ(got.used_fallback, ref.used_fallback);
+            EXPECT_EQ(got.estimate, ref.estimate)
+                << method_name(got.method) << " window " << w;
+        }
+    }
     for (const MethodRun& run : results.back().runs) {
         if (run.method == Method::gravity) {
             EXPECT_EQ(run.quality, EstimateQuality::exact);
@@ -343,6 +358,8 @@ TEST(Degradation, PipelinedEngineFlagsBudgetExhaustionToo) {
     EXPECT_GT(engine.metrics().degraded_runs.load(), 0u);
     EXPECT_EQ(engine.metrics().degraded_runs.load(),
               engine.metrics().budget_exhausted_runs.load());
+    EXPECT_EQ(engine.metrics().degraded_runs.load(),
+              serial.metrics().degraded_runs.load());
 }
 
 }  // namespace

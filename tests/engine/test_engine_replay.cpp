@@ -135,25 +135,44 @@ TEST(EngineReplay, TelemetryIngestionFlagsGaps) {
     ASSERT_EQ(outcome.store.objects(), links);
     ASSERT_GT(outcome.polls_lost, 0u);
 
-    EngineConfig config;
-    config.window_size = 6;
-    config.methods = {Method::gravity, Method::bayesian};
-    OnlineEngine engine(sc.topo, sc.routing, config);
-    const std::vector<WindowResult> windows = engine.ingest_outcome(outcome);
-    EXPECT_EQ(windows.size(), intervals);
-    EXPECT_EQ(engine.metrics().samples_ingested, intervals);
-    // Lost polls surfaced as gap-flagged samples.
-    EXPECT_GT(engine.metrics().gap_samples, 0u);
-    EXPECT_EQ(engine.window().gap_count(), engine.metrics().gap_samples);
-    for (const WindowResult& window : windows) {
-        for (const MethodRun& run : window.runs) {
-            EXPECT_TRUE(linalg::all_finite(run.estimate));
+    // Depth 1, and depth 2 on a pool: the outcome replays the same.
+    std::vector<WindowResult> depth_one;
+    for (const std::size_t depth : {1u, 2u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        EngineConfig config;
+        config.window_size = 6;
+        config.methods = {Method::gravity, Method::bayesian};
+        config.pipeline_depth = depth;
+        config.threads = depth == 1 ? 0 : 2;
+        OnlineEngine engine(sc.topo, sc.routing, config);
+        const std::vector<WindowResult> windows =
+            engine.ingest_outcome(outcome);
+        EXPECT_EQ(windows.size(), intervals);
+        EXPECT_EQ(engine.metrics().samples_ingested, intervals);
+        EXPECT_EQ(engine.metrics().windows_run, intervals);
+        // Lost polls surfaced as gap-flagged samples.
+        EXPECT_GT(engine.metrics().gap_samples, 0u);
+        EXPECT_EQ(engine.window().gap_count(),
+                  engine.metrics().gap_samples);
+        for (std::size_t k = 0; k < windows.size(); ++k) {
+            for (std::size_t m = 0; m < windows[k].runs.size(); ++m) {
+                const MethodRun& run = windows[k].runs[m];
+                EXPECT_TRUE(linalg::all_finite(run.estimate));
+                if (!depth_one.empty()) {
+                    EXPECT_EQ(run.estimate,
+                              depth_one[k].runs.at(m).estimate)
+                        << "window " << k;
+                }
+            }
         }
-    }
+        if (depth_one.empty()) depth_one = windows;
 
-    // Object-count mismatch is rejected.
-    telemetry::TimeSeriesStore tiny(3, 2);
-    EXPECT_THROW(engine.ingest_interval(tiny, 0), std::invalid_argument);
+        // Object-count mismatch is rejected.
+        telemetry::TimeSeriesStore tiny(3, 2);
+        EXPECT_THROW(engine.ingest_interval(tiny, 0),
+                     std::invalid_argument);
+        EXPECT_THROW(engine.ingest_outcome({tiny}), std::invalid_argument);
+    }
 }
 
 TEST(EngineReplay, AsyncIngestionMatchesSynchronousReplay) {
@@ -176,29 +195,33 @@ TEST(EngineReplay, AsyncIngestionMatchesSynchronousReplay) {
         replay_scenario(sync_engine, sc, options);
 
     // Tiny queue: the producer must block on backpressure many times,
-    // yet order (and therefore every estimate) is preserved exactly.
-    OnlineEngine async_engine(sc.topo, sc.routing, config);
-    const ReplayResult async_result = replay_scenario_async(
-        async_engine, sc, options, /*queue_capacity=*/2);
+    // yet order (and therefore every estimate) is preserved exactly —
+    // at depth 1, and at depth 2 with windows overlapping on a pool.
+    for (const std::size_t depth : {1u, 2u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        EngineConfig async_config = config;
+        async_config.pipeline_depth = depth;
+        async_config.threads = depth == 1 ? 0 : 2;
+        OnlineEngine async_engine(sc.topo, sc.routing, async_config);
+        const ReplayResult async_result = replay_scenario_async(
+            async_engine, sc, options, /*queue_capacity=*/2);
 
-    ASSERT_EQ(async_result.windows.size(), sync_result.windows.size());
-    for (std::size_t k = 0; k < sync_result.windows.size(); ++k) {
-        const WindowResult& a = sync_result.windows[k];
-        const WindowResult& b = async_result.windows[k];
-        EXPECT_EQ(a.epoch_fingerprint, b.epoch_fingerprint);
-        ASSERT_EQ(a.runs.size(), b.runs.size());
-        for (std::size_t m = 0; m < a.runs.size(); ++m) {
-            ASSERT_EQ(a.runs[m].estimate.size(),
-                      b.runs[m].estimate.size());
-            for (std::size_t p = 0; p < a.runs[m].estimate.size(); ++p) {
-                EXPECT_EQ(a.runs[m].estimate[p], b.runs[m].estimate[p])
+        ASSERT_EQ(async_result.windows.size(), sync_result.windows.size());
+        for (std::size_t k = 0; k < sync_result.windows.size(); ++k) {
+            const WindowResult& a = sync_result.windows[k];
+            const WindowResult& b = async_result.windows[k];
+            EXPECT_EQ(a.epoch_fingerprint, b.epoch_fingerprint);
+            ASSERT_EQ(a.runs.size(), b.runs.size());
+            for (std::size_t m = 0; m < a.runs.size(); ++m) {
+                EXPECT_EQ(a.runs[m].estimate, b.runs[m].estimate)
                     << "window " << k;
             }
         }
+        // The route change travelled in-band and was applied
+        // identically.
+        EXPECT_EQ(async_engine.metrics().epoch_changes.load(), 1u);
+        EXPECT_EQ(async_engine.metrics().window_flushes.load(), 1u);
     }
-    // The route change travelled in-band and was applied identically.
-    EXPECT_EQ(async_engine.metrics().epoch_changes.load(), 1u);
-    EXPECT_EQ(async_engine.metrics().window_flushes.load(), 1u);
 }
 
 TEST(EngineReplay, MetricsSummaryMentionsEveryMethod) {

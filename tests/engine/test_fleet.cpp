@@ -134,7 +134,7 @@ TEST(FleetDriver, PerJobRouteChangesKeepEpochsApart) {
     EXPECT_EQ(again.cache_misses, 3u);
 }
 
-TEST(FleetDriver, PipelinedJobsMatchSerialJobs) {
+TEST(FleetDriver, PipelinedJobsMatchDepthOneJobs) {
     constexpr std::size_t kSamples = 30;
     const scenario::Scenario sc = short_scenario(kSamples);
     std::vector<FleetJob> jobs(2);
@@ -151,11 +151,17 @@ TEST(FleetDriver, PipelinedJobsMatchSerialJobs) {
     FleetDriver serial_driver(sc.topo, serial_config);
     const FleetReport serial = serial_driver.run(jobs);
 
+    // Depth 3 on a pool, through the fleet template and the per-job
+    // override alike, and through the async feed.
     FleetConfig piped_config = serial_config;
-    piped_config.pipeline_depth = 3;
+    piped_config.engine.pipeline_depth = 3;
     piped_config.engine.threads = 2;
+    piped_config.async_ingest = true;
+    std::vector<FleetJob> piped_jobs = jobs;
+    piped_jobs[1].engine->pipeline_depth = 3;
+    piped_jobs[1].engine->threads = 2;
     FleetDriver piped_driver(sc.topo, piped_config);
-    const FleetReport piped = piped_driver.run(jobs);
+    const FleetReport piped = piped_driver.run(piped_jobs);
 
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         ASSERT_EQ(serial.jobs[j].window_results.size(),
@@ -165,11 +171,8 @@ TEST(FleetDriver, PipelinedJobsMatchSerialJobs) {
             const WindowResult& b = piped.jobs[j].window_results[k];
             ASSERT_EQ(a.runs.size(), b.runs.size());
             for (std::size_t m = 0; m < a.runs.size(); ++m) {
-                for (std::size_t p = 0; p < a.runs[m].estimate.size();
-                     ++p) {
-                    EXPECT_NEAR(a.runs[m].estimate[p],
-                                b.runs[m].estimate[p], 1e-9);
-                }
+                EXPECT_EQ(a.runs[m].estimate, b.runs[m].estimate)
+                    << "job " << j << " window " << k;
             }
         }
     }
@@ -216,7 +219,7 @@ TEST(FleetDriver, TypedValidationErrors) {
     config.engine = small_config(4);
 
     // Duplicate methods in the fleet template are rejected up front
-    // with the scheduler's typed error.
+    // with the engine's typed error.
     FleetConfig bad = config;
     bad.engine.methods = {Method::gravity, Method::gravity};
     try {

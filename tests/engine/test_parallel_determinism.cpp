@@ -1,10 +1,10 @@
 // Bitwise determinism gates for the pooled operator kernels: the
 // row-blocked R x / R' y products, fanout_estimate and
-// bayesian_estimate in the projected-CG regime, and both engines (a
-// four-method schedule and fanout-only / Bayesian-only ones, whose
-// solves get helpers only through the solve scope), all give the same
-// bits on a ThreadPool of 0, 1, 2, 3 or 7 workers as with no pool at
-// all, estimates and warm seeds alike.  The 40-PoP backbone (1560
+// bayesian_estimate in the projected-CG regime, and the engine at
+// pipeline depths 1 and 2 (a four-method schedule and fanout-only /
+// Bayesian-only ones, whose solves get helpers only through the solve
+// scope), all give the same bits on a ThreadPool of 0, 1, 2, 3 or 7
+// workers as with no pool at all, estimates and warm seeds alike.  The 40-PoP backbone (1560
 // pairs) sits above dense_kkt_limit, so the Hessian applies really run
 // through the blocked kernels.  Also checks that pooled windows report
 // helper blocks in EngineMetrics.  Labelled `engine`, so the TSan lane
@@ -23,7 +23,6 @@
 #include "core/gravity.hpp"
 #include "engine/engine.hpp"
 #include "engine/epoch_cache.hpp"
-#include "engine/pipeline.hpp"
 #include "engine/replay.hpp"
 #include "engine/thread_pool.hpp"
 #include "engine/window.hpp"
@@ -165,13 +164,14 @@ TEST(ParallelDeterminism, OperatorEstimatorsOnPoolsMatchSerial) {
     }
 }
 
-EngineConfig backbone_config(std::size_t threads) {
+EngineConfig backbone_config(std::size_t threads, std::size_t depth = 1) {
     EngineConfig config;
     config.window_size = 3;
     config.min_series_window = 2;
     config.methods = {Method::gravity, Method::kruithof, Method::bayesian,
                       Method::fanout};
     config.threads = threads;
+    config.pipeline_depth = depth;
     config.method_options.kruithof.max_iterations = 20;
     config.method_options.bayesian.qp.cg_max_iterations = 60;
     config.method_options.bayesian.qp.max_active_set_rounds = 4;
@@ -205,7 +205,7 @@ void expect_same_windows(const std::vector<WindowResult>& a,
     }
 }
 
-TEST(ParallelDeterminism, EnginesOnPoolsMatchSerialEngine) {
+TEST(ParallelDeterminism, EngineDepthsOnPoolsMatchInlineEngine) {
     const scenario::Scenario& sc = backbone();
     OnlineEngine serial(sc.topo, sc.routing, backbone_config(0));
     const ReplayResult want = replay_scenario(serial, sc);
@@ -214,14 +214,13 @@ TEST(ParallelDeterminism, EnginesOnPoolsMatchSerialEngine) {
     OnlineEngine pooled(sc.topo, sc.routing, backbone_config(4));
     expect_same_windows(replay_scenario(pooled, sc).windows, want.windows);
 
-    PipelineOptions pipeline;
-    pipeline.depth = 2;
-    PipelinedEngine piped(sc.topo, sc.routing, backbone_config(4), pipeline);
+    OnlineEngine piped(sc.topo, sc.routing, backbone_config(4, 2));
     expect_same_windows(replay_scenario(piped, sc).windows, want.windows);
 }
 
-EngineConfig single_method_config(Method m, std::size_t threads) {
-    EngineConfig config = backbone_config(threads);
+EngineConfig single_method_config(Method m, std::size_t threads,
+                                  std::size_t depth = 1) {
+    EngineConfig config = backbone_config(threads, depth);
     config.methods = {m};
     // Bayesian's first round is the CG one; later rounds pin enough
     // coordinates to drop into the exact-LU regime, which runs no
@@ -254,10 +253,8 @@ TEST(ParallelDeterminism, SingleOperatorMethodEnginesOnPoolsMatchSerial) {
                                 single_method_config(m, n));
             expect_same_windows(replay_scenario(pooled, sc).windows,
                                 want.windows);
-            PipelineOptions pipeline;
-            pipeline.depth = 2;
-            PipelinedEngine piped(sc.topo, sc.routing,
-                                  single_method_config(m, n), pipeline);
+            OnlineEngine piped(sc.topo, sc.routing,
+                               single_method_config(m, n, 2));
             expect_same_windows(replay_scenario(piped, sc).windows,
                                 want.windows);
         }
@@ -266,7 +263,7 @@ TEST(ParallelDeterminism, SingleOperatorMethodEnginesOnPoolsMatchSerial) {
 
 /// The (estimate, warm seed) pair of every window of a warm-started
 /// execute_method chain for `m` over the backbone's samples, as the
-/// engines run it, with `pool` lending its workers.
+/// engine runs it, with `pool` lending its workers.
 std::vector<MethodExecution> warm_chain(Method m, ThreadPool* pool) {
     const scenario::Scenario& sc = short_backbone();
     const EngineConfig config = single_method_config(m, 0);
@@ -337,11 +334,8 @@ TEST(ParallelDeterminism, PooledWindowsReportHelperBlocks) {
                   metrics.kernel_regions.load());
         online_helped = online_helped || metrics.kernel_helper_blocks > 0;
 
-        PipelineOptions pipeline;
-        pipeline.depth = 2;
-        PipelinedEngine piped(sc.topo, sc.routing,
-                              single_method_config(Method::fanout, 3),
-                              pipeline);
+        OnlineEngine piped(sc.topo, sc.routing,
+                           single_method_config(Method::fanout, 3, 2));
         replay_scenario(piped, sc);
         piped_helped = piped_helped ||
                        piped.metrics().kernel_helper_blocks > 0;
@@ -351,8 +345,8 @@ TEST(ParallelDeterminism, PooledWindowsReportHelperBlocks) {
                   static_cast<long long>(
                       piped.metrics().kernel_helper_blocks.load()));
     }
-    EXPECT_TRUE(online_helped) << "no helper block in a pooled OnlineEngine";
-    EXPECT_TRUE(piped_helped) << "no helper block in a pooled PipelinedEngine";
+    EXPECT_TRUE(online_helped) << "no helper block at depth 1";
+    EXPECT_TRUE(piped_helped) << "no helper block at depth 2";
 }
 
 }  // namespace

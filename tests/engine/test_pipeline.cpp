@@ -1,16 +1,19 @@
-// Pipelined window fan-out: deterministic equivalence against the
-// serial engine.  Every concurrency claim is pinned here: pipeline
-// depths 1/2/4 reproduce the serial estimates to 1e-9 for every method
-// on Europe and USA days with a mid-day reroute; the zero-thread
-// fallback is bitwise identical; warm-start lineage produces exactly
-// the serial engine's warm-run pattern (no stale-window seeding); and
-// the depth bound (backpressure) is never exceeded.
-#include "engine/pipeline.hpp"
+// Overlapping window passes (EngineConfig::pipeline_depth > 1):
+// deterministic equivalence against the depth-1 engine.  Every
+// concurrency claim is pinned here: depths 1/2/4 on a pool reproduce
+// the inline depth-1 estimates bit for bit for every method on Europe
+// and USA days with a mid-day reroute; the zero-thread fallback is
+// bitwise identical; warm-start lineage produces exactly the depth-1
+// warm-run pattern (no stale-window seeding); the depth bound
+// (backpressure) is never exceeded; and a window with a failed stage
+// is neither counted nor published at any depth.
+#include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "core/route_change.hpp"
 #include "engine/replay.hpp"
@@ -39,13 +42,15 @@ scenario::Scenario day_scenario(scenario::Network network,
     return sc;
 }
 
-EngineConfig all_method_config(std::size_t threads) {
+EngineConfig all_method_config(std::size_t threads,
+                               std::size_t depth = 1) {
     EngineConfig config;
     config.window_size = 8;
     config.min_series_window = 3;
     config.methods = {Method::gravity, Method::kruithof, Method::entropy,
                       Method::bayesian, Method::vardi,   Method::fanout};
     config.threads = threads;
+    config.pipeline_depth = depth;
     config.warm_start = true;
     // The equivalence claim is about scheduling, not solver depth: cap
     // the iterative solvers so whole-day sweeps stay fast.  Both sides
@@ -94,7 +99,7 @@ double worst_estimate_diff(const std::vector<WindowResult>& a,
     return worst;
 }
 
-TEST(PipelinedEngine, MatchesSerialEngineAtDepths124WithMidDayReroute) {
+TEST(EnginePipeline, DepthsOneTwoFourMatchInlineDepthOneWithMidDayReroute) {
     for (const scenario::Network network :
          {scenario::Network::europe, scenario::Network::usa}) {
         const scenario::Scenario sc = day_scenario(network, sweep_samples());
@@ -111,19 +116,16 @@ TEST(PipelinedEngine, MatchesSerialEngineAtDepths124WithMidDayReroute) {
         ASSERT_EQ(serial.metrics().epoch_changes.load(), 1u);
 
         for (const std::size_t depth : {1u, 2u, 4u}) {
-            PipelineOptions pipeline;
-            pipeline.depth = depth;
-            PipelinedEngine engine(sc.topo, sc.routing,
-                                   all_method_config(2), pipeline);
+            OnlineEngine engine(sc.topo, sc.routing,
+                                all_method_config(2, depth));
             const ReplayResult result =
                 replay_scenario(engine, sc, options);
-            const double worst =
-                worst_estimate_diff(reference.windows, result.windows);
-            EXPECT_LE(worst, 1e-9)
+            EXPECT_EQ(worst_estimate_diff(reference.windows, result.windows),
+                      0.0)
                 << sc.name << " depth " << depth;
             EXPECT_LE(engine.max_in_flight(), depth);
 
-            // Warm-start lineage replicates the serial warm pattern
+            // Warm-start lineage replicates the depth-1 warm pattern
             // exactly: same number of runs and warm(-accepted) runs per
             // method, including the cold restart after the reroute — an
             // out-of-order completion seeding from a stale window would
@@ -144,16 +146,13 @@ TEST(PipelinedEngine, MatchesSerialEngineAtDepths124WithMidDayReroute) {
     }
 }
 
-TEST(PipelinedEngine, ZeroThreadFallbackIsBitwiseIdenticalToSerial) {
+TEST(EnginePipeline, ZeroThreadDepthFourIsBitwiseDepthOne) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 60);
     OnlineEngine serial(sc.topo, sc.routing, all_method_config(0));
     const ReplayResult reference = replay_scenario(serial, sc);
 
-    PipelineOptions pipeline;
-    pipeline.depth = 4;
-    PipelinedEngine engine(sc.topo, sc.routing, all_method_config(0),
-                           pipeline);
+    OnlineEngine engine(sc.topo, sc.routing, all_method_config(0, 4));
     const ReplayResult result = replay_scenario(engine, sc);
     // Inline execution: not just within tolerance — identical bits.
     EXPECT_EQ(worst_estimate_diff(reference.windows, result.windows), 0.0);
@@ -161,13 +160,10 @@ TEST(PipelinedEngine, ZeroThreadFallbackIsBitwiseIdenticalToSerial) {
     EXPECT_EQ(engine.max_in_flight(), 1u);
 }
 
-TEST(PipelinedEngine, DepthOneIsStrictlySerialEvenWithWorkers) {
+TEST(EnginePipeline, DepthOneIsStrictlySerialEvenWithWorkers) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 40);
-    PipelineOptions pipeline;
-    pipeline.depth = 1;
-    PipelinedEngine engine(sc.topo, sc.routing, all_method_config(2),
-                           pipeline);
+    OnlineEngine engine(sc.topo, sc.routing, all_method_config(2));
     const ReplayResult result = replay_scenario(engine, sc);
     EXPECT_EQ(result.windows.size(), sc.demands.size());
     // Backpressure at depth 1 admits one window at a time,
@@ -179,18 +175,16 @@ TEST(PipelinedEngine, DepthOneIsStrictlySerialEvenWithWorkers) {
     }
 }
 
-TEST(PipelinedEngine, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
+TEST(EnginePipeline, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
     // Regression: in-flight windows alias the current routing matrix;
     // swapping to a new (even content-identical) object must drain
     // them first, because the caller may free the old object the
     // moment set_routing returns.
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 16);
-    EngineConfig config = all_method_config(2);
+    EngineConfig config = all_method_config(2, 4);
     config.methods = {Method::gravity, Method::bayesian, Method::fanout};
-    PipelineOptions pipeline;
-    pipeline.depth = 4;
-    PipelinedEngine engine(sc.topo, sc.routing, config, pipeline);
+    OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < 8; ++k) {
         engine.submit(k, sc.loads[k]);
     }
@@ -221,11 +215,11 @@ TEST(PipelinedEngine, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
     EXPECT_EQ(engine.metrics().windows_run.load(), 13u);
 }
 
-TEST(PipelinedEngine, SeriesOnlyConfigCompletesWarmupWindows) {
+TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
     // Regression: a window where EVERY scheduled method is a series
     // method still below min_series_window has zero stages — it must
-    // complete (with an empty run list, like the serial scheduler)
-    // instead of holding its pipeline slot forever.
+    // complete (with an empty run list) instead of holding its slot
+    // forever.
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 8);
     EngineConfig config;
@@ -233,9 +227,8 @@ TEST(PipelinedEngine, SeriesOnlyConfigCompletesWarmupWindows) {
     config.min_series_window = 3;
     config.methods = {Method::vardi, Method::fanout};
     config.threads = 2;
-    PipelineOptions pipeline;
-    pipeline.depth = 2;
-    PipelinedEngine engine(sc.topo, sc.routing, config, pipeline);
+    config.pipeline_depth = 2;
+    OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < sc.loads.size(); ++k) {
         engine.submit(k, sc.loads[k]);
     }
@@ -251,12 +244,12 @@ TEST(PipelinedEngine, SeriesOnlyConfigCompletesWarmupWindows) {
     EXPECT_EQ(engine.metrics().windows_run.load(), sc.loads.size());
 }
 
-TEST(PipelinedEngine, ReusableAfterFinishAndValidatesConfig) {
+TEST(EnginePipeline, ReusableAfterFinishAndValidatesConfig) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 12);
-    EngineConfig config = all_method_config(1);
+    EngineConfig config = all_method_config(1, 2);
     config.methods = {Method::gravity, Method::bayesian};
-    PipelinedEngine engine(sc.topo, sc.routing, config);
+    OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < 6; ++k) {
         engine.submit(k, sc.loads[k]);
     }
@@ -271,11 +264,79 @@ TEST(PipelinedEngine, ReusableAfterFinishAndValidatesConfig) {
     EXPECT_EQ(second.front().window_end_sample, 6u);
     EXPECT_EQ(engine.metrics().windows_run.load(), 12u);
 
-    // Config validation is typed, as for the scheduler.
+    // Config validation is typed.
     EngineConfig bad = config;
     bad.methods = {Method::gravity, Method::gravity};
-    EXPECT_THROW(PipelinedEngine(sc.topo, sc.routing, bad),
+    EXPECT_THROW(OnlineEngine(sc.topo, sc.routing, bad),
                  SchedulerConfigException);
+}
+
+// A stage that throws a non-degradable error (std::invalid_argument
+// from an invalid solver option) fails its window: the window is
+// neither counted nor published, ingest() / finish() rethrow, and the
+// engine keeps streaming — at every depth, inline and on a pool.
+TEST(EnginePipeline, FailedStageWindowIsNeitherCountedNorPublished) {
+    const scenario::Scenario sc =
+        day_scenario(scenario::Network::europe, 8);
+    const linalg::SparseMatrix rerouted =
+        core::perturbed_routing(sc.topo, 0.8, 5);
+    for (const std::size_t depth : {1u, 2u}) {
+        for (const std::size_t threads : {0u, 2u}) {
+            SCOPED_TRACE("depth " + std::to_string(depth) + ", " +
+                         std::to_string(threads) + " threads");
+            std::size_t published = 0;
+            const WindowSink count = [&](const WindowResult&) {
+                ++published;
+            };
+
+            // Every window fails: Bayesian rejects a zero regularization.
+            EngineConfig bad_bayes = all_method_config(threads, depth);
+            bad_bayes.methods = {Method::gravity, Method::bayesian};
+            bad_bayes.method_options.bayesian.regularization = 0.0;
+            OnlineEngine failing(sc.topo, sc.routing, bad_bayes);
+            failing.set_window_sink(count);
+            EXPECT_THROW(failing.ingest(0, sc.loads[0]),
+                         std::invalid_argument);
+            failing.submit(1, sc.loads[1]);
+            failing.submit(2, sc.loads[2]);
+            EXPECT_THROW(failing.finish(), std::invalid_argument);
+            EXPECT_EQ(published, 0u);
+            EXPECT_EQ(failing.metrics().windows_run.load(), 0u);
+            EXPECT_EQ(failing.metrics().samples_ingested.load(), 3u);
+
+            // Only windows that reach Vardi fail (min_series_window 2);
+            // a reroute flushes the window back below it.
+            EngineConfig bad_vardi = all_method_config(threads, depth);
+            bad_vardi.methods = {Method::gravity, Method::vardi};
+            bad_vardi.min_series_window = 2;
+            bad_vardi.method_options.vardi.second_moment_weight = -1.0;
+            OnlineEngine engine(sc.topo, sc.routing, bad_vardi);
+            engine.set_window_sink(count);
+            EXPECT_EQ(engine.ingest(0, sc.loads[0]).runs.size(), 1u);
+            EXPECT_THROW(engine.ingest(1, sc.loads[1]),
+                         std::invalid_argument);
+            EXPECT_EQ(published, 1u);
+            EXPECT_EQ(engine.metrics().windows_run.load(), 1u);
+            engine.set_routing(rerouted);
+            EXPECT_EQ(engine.ingest(2, sc.loads[2]).runs.size(), 1u);
+            EXPECT_EQ(published, 2u);
+
+            engine.submit(3, sc.loads[3]);
+            EXPECT_THROW(engine.finish(), std::invalid_argument);
+            EXPECT_EQ(published, 2u);
+            EXPECT_EQ(engine.metrics().windows_run.load(), 2u);
+            engine.set_routing(sc.routing);
+            engine.submit(4, sc.loads[4]);
+            const std::vector<WindowResult> tail = engine.finish();
+            ASSERT_EQ(tail.size(), 1u);
+            EXPECT_EQ(tail[0].window_end_sample, 4u);
+            EXPECT_EQ(published, 3u);
+            EXPECT_EQ(engine.metrics().windows_run.load(), 3u);
+            const MethodStats& vardi =
+                engine.metrics().methods.at(Method::vardi);
+            EXPECT_EQ(vardi.runs.load(), 0u);
+        }
+    }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Typed scheduler configuration errors: validate_methods() reports a
-// bad method list without throwing, and the throwing path carries the
-// same typed diagnosis (while still deriving std::invalid_argument for
+// Typed method-list errors: validate_methods() reports a bad method
+// list without throwing, and the engine constructor throws the same
+// typed diagnosis (while still deriving std::invalid_argument for
 // legacy catch sites).
 #include "engine/scheduler.hpp"
 
@@ -16,14 +16,14 @@ using core::testing::SmallNetwork;
 using core::testing::tiny_network;
 
 TEST(SchedulerConfig, ValidateReturnsTypedErrorWithoutThrowing) {
-    const SchedulerConfigCheck ok = EstimatorScheduler::validate_methods(
+    const SchedulerConfigCheck ok = validate_methods(
         {Method::gravity, Method::vardi, Method::fanout});
     EXPECT_TRUE(ok.ok());
     EXPECT_TRUE(static_cast<bool>(ok));
     EXPECT_EQ(ok.error, SchedulerConfigError::none);
     EXPECT_EQ(ok.message(), "ok");
 
-    const SchedulerConfigCheck dup = EstimatorScheduler::validate_methods(
+    const SchedulerConfigCheck dup = validate_methods(
         {Method::gravity, Method::vardi, Method::vardi});
     EXPECT_FALSE(dup.ok());
     EXPECT_EQ(dup.error, SchedulerConfigError::duplicate_method);
@@ -32,16 +32,17 @@ TEST(SchedulerConfig, ValidateReturnsTypedErrorWithoutThrowing) {
     EXPECT_NE(dup.message().find("vardi"), std::string::npos);
 
     const SchedulerConfigCheck empty =
-        EstimatorScheduler::validate_methods({});
+        validate_methods({});
     EXPECT_FALSE(empty.ok());
     EXPECT_EQ(empty.error, SchedulerConfigError::no_methods);
 }
 
-TEST(SchedulerConfig, ConstructorThrowsTheSameTypedDiagnosis) {
+TEST(SchedulerConfig, EngineConstructorThrowsTheSameTypedDiagnosis) {
+    const SmallNetwork net = tiny_network();
+    EngineConfig config;
+    config.methods = {Method::fanout, Method::gravity, Method::fanout};
     try {
-        EstimatorScheduler scheduler(
-            {Method::fanout, Method::gravity, Method::fanout},
-            MethodOptions{}, 0, true, 3);
+        OnlineEngine engine(net.topo, net.routing, config);
         FAIL() << "duplicate method list not rejected";
     } catch (const SchedulerConfigException& e) {
         EXPECT_EQ(e.check().error,
@@ -52,14 +53,13 @@ TEST(SchedulerConfig, ConstructorThrowsTheSameTypedDiagnosis) {
     }
     // Legacy catch sites keep working: the typed exception IS an
     // invalid_argument.
-    EXPECT_THROW(EstimatorScheduler({}, MethodOptions{}, 0, true, 3),
+    config.methods = {};
+    EXPECT_THROW(OnlineEngine(net.topo, net.routing, config),
                  std::invalid_argument);
-}
-
-TEST(SchedulerConfig, EngineSurfacesTheTypedError) {
-    const SmallNetwork net = tiny_network();
-    EngineConfig config;
+    // Pipelined engines validate identically.
     config.methods = {Method::bayesian, Method::bayesian};
+    config.pipeline_depth = 3;
+    config.threads = 2;
     try {
         OnlineEngine engine(net.topo, net.routing, config);
         FAIL() << "duplicate method list not rejected";
@@ -70,7 +70,7 @@ TEST(SchedulerConfig, EngineSurfacesTheTypedError) {
     }
     // Callers that validate up front never reach the throw: this is
     // the non-throwing rejection path an ingestion loop should use.
-    ASSERT_FALSE(EstimatorScheduler::validate_methods(config.methods));
+    ASSERT_FALSE(validate_methods(config.methods));
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ TEST(WarmStart, DuplicateMethodsAreRejected) {
 
 TEST(WarmStart, AllQuietTruthWindowScoresNaNInsteadOfThrowing) {
     // A truth provider that reports zero traffic must not let the MRE
-    // metric throw out of the scheduler; the run is scored NaN and
+    // metric throw out of the engine; the run is scored NaN and
     // stays out of the per-method MRE aggregates.
     const SmallNetwork net = tiny_network();
     EngineConfig config;

@@ -1,12 +1,13 @@
-// Publication wiring: every engine flavour (serial OnlineEngine,
-// PipelinedEngine, FleetDriver jobs) publishes one EstimateSnapshot per
-// completed window into an EstimateStore, with strictly monotone
-// versions in submission order and snapshot contents bitwise equal to
-// the engine's own WindowResults.
+// Publication wiring: the engine (at pipeline depth 1 and 4, and under
+// FleetDriver jobs) publishes one EstimateSnapshot per completed window
+// into an EstimateStore, with strictly monotone versions in submission
+// order and snapshot contents bitwise equal to the engine's own
+// WindowResults; at depth 1 ingest() publishes on its calling thread.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "engine/fleet.hpp"
@@ -83,16 +84,15 @@ TEST(ServePublishIntegration, OnlineEnginePublishesEveryWindow) {
     }
 }
 
-TEST(ServePublishIntegration, PipelinedEnginePublishesInSubmissionOrder) {
+TEST(ServePublishIntegration, PipelinedWindowsPublishInSubmissionOrder) {
     const scenario::Scenario sc = trimmed_scenario(24);
     StoreOptions options;
     options.retention = 32;
     EstimateStore store(options);
     engine::EngineConfig config = cheap_config();
     config.threads = 2;  // real overlap: finalize order is arbitrary
-    engine::PipelineOptions pipeline;
-    pipeline.depth = 4;
-    engine::PipelinedEngine eng(sc.topo, sc.routing, config, pipeline);
+    config.pipeline_depth = 4;
+    engine::OnlineEngine eng(sc.topo, sc.routing, config);
     eng.set_window_sink(make_publisher(store));
 
     const engine::ReplayResult replay = engine::replay_scenario(eng, sc);
@@ -154,10 +154,21 @@ TEST(ServePublishIntegration, FleetJobsPublishIntoPerJobStores) {
 TEST(ServePublishIntegration, SinkDetachesAndEngineKeepsRunning) {
     const scenario::Scenario sc = trimmed_scenario(8);
     EstimateStore store;
-    engine::OnlineEngine eng(sc.topo, sc.routing, cheap_config());
-    eng.set_window_sink(make_publisher(store));
+    // Workers exist, yet at depth 1 ingest() publishes on the thread
+    // that called it, before it returns.
+    engine::EngineConfig config = cheap_config();
+    config.threads = 2;
+    engine::OnlineEngine eng(sc.topo, sc.routing, config);
+    std::thread::id sink_thread;
+    eng.set_window_sink(
+        [&sink_thread, publish = make_publisher(store)](
+            const engine::WindowResult& window) {
+            sink_thread = std::this_thread::get_id();
+            publish(window);
+        });
     eng.ingest(0, sc.loads[0]);
     EXPECT_EQ(store.head_version(), 1u);
+    EXPECT_EQ(sink_thread, std::this_thread::get_id());
     eng.set_window_sink({});  // detach
     eng.ingest(1, sc.loads[1]);
     EXPECT_EQ(store.head_version(), 1u);
