@@ -103,7 +103,6 @@ linalg::Vector bayesian_estimate(const SnapshotProblem& problem,
     };
     hessian.diagonal = &shift;
     linalg::EqQpNonnegOptions qp_options = options.qp;
-    qp_options.equality_operator = nullptr;
     qp_options.warm_start = options.warm_start;
     qp_options.counters = options.counters;
     if (options.budget != nullptr) qp_options.budget = options.budget;

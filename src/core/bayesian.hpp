@@ -38,8 +38,8 @@ struct BayesianOptions {
     /// Solve tuning.  dense_kkt_limit picks the solver (see the file
     /// comment); the operator QP above it also reads the projected-CG
     /// tolerance and caps and the block runner `parallel`.  The
-    /// warm_start, equality_operator and counters members are ignored
-    /// — the estimator sets those itself.
+    /// warm_start and counters members are ignored — the estimator sets
+    /// those itself.
     linalg::EqQpNonnegOptions qp;
     /// Optional iteration telemetry sink, forwarded to whichever solver
     /// runs: the operator QP adds active-set rounds / CG iterations,

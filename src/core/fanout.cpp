@@ -197,7 +197,6 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     }
 
     linalg::EqQpNonnegOptions qp_options = options.qp;
-    qp_options.equality_operator = nullptr;
     qp_options.warm_start = nullptr;
     if (options.warm_start != nullptr) {
         if (options.warm_start->size() != pairs) {

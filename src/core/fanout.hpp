@@ -96,8 +96,7 @@ struct FanoutOptions {
     /// Tuning knobs forwarded to the operator QP solve
     /// (solve_eq_qp_nonneg_operator: dense-gather limit, projected-CG
     /// tolerance/caps, block runner, counters, budget).  The warm_start
-    /// and equality_operator members are ignored — the estimator
-    /// manages those itself.
+    /// member is ignored — the estimator manages it itself.
     linalg::EqQpNonnegOptions qp;
 };
 

@@ -212,43 +212,20 @@ Vector gemv_transpose(const Matrix& a, const Vector& x) {
     return y;
 }
 
-namespace {
-
-// Blocking shape shared by gemm and gram: kRowTile output rows advance
-// together through the k sweep (each B/source row is loaded once per
-// row *block* instead of once per row), over j tiles of kColTile
-// doubles (4 KB) so the active output slice stays in L1 however wide
-// the matrices get.  Each output element still accumulates its terms
-// with k strictly ascending and with the same zero-skip as the plain
-// triple loop, so the blocked kernels are bit-for-bit identical to the
-// naive ones on finite inputs.
-constexpr std::size_t kRowTile = 4;
-constexpr std::size_t kColTile = 512;
-
-}  // namespace
-
 Matrix gemm(const Matrix& a, const Matrix& b) {
     if (a.cols() != b.rows()) {
         throw std::invalid_argument("gemm: dimension mismatch");
     }
-    const std::size_t m = a.rows();
-    const std::size_t kk = a.cols();
-    const std::size_t n = b.cols();
-    Matrix c(m, n, 0.0);
-    for (std::size_t i0 = 0; i0 < m; i0 += kRowTile) {
-        const std::size_t ilim = std::min(m, i0 + kRowTile);
-        for (std::size_t j0 = 0; j0 < n; j0 += kColTile) {
-            const std::size_t jn = std::min(n, j0 + kColTile) - j0;
-            for (std::size_t k = 0; k < kk; ++k) {
-                const double* __restrict brow = b.row_data(k) + j0;
-                for (std::size_t ii = i0; ii < ilim; ++ii) {
-                    const double aik = a(ii, k);
-                    if (aik == 0.0) continue;
-                    double* __restrict crow = c.row_data(ii) + j0;
-                    for (std::size_t jj = 0; jj < jn; ++jj) {
-                        crow[jj] += aik * brow[jj];
-                    }
-                }
+    Matrix c(a.rows(), b.cols(), 0.0);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const double* __restrict arow = a.row_data(i);
+        double* __restrict crow = c.row_data(i);
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = arow[k];
+            if (aik == 0.0) continue;
+            const double* __restrict brow = b.row_data(k);
+            for (std::size_t j = 0; j < b.cols(); ++j) {
+                crow[j] += aik * brow[j];
             }
         }
     }
@@ -257,28 +234,17 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
 
 Matrix gram(const Matrix& a) {
     const std::size_t n = a.cols();
-    const std::size_t m = a.rows();
     Matrix g(n, n, 0.0);
-    // Upper triangle, kRowTile output rows per pass over A: each source
-    // row is read once per row block, and every (p, q) element sums its
-    // terms with i ascending, exactly like the naive rank-1 loop.
-    for (std::size_t p0 = 0; p0 < n; p0 += kRowTile) {
-        const std::size_t plim = std::min(n, p0 + kRowTile);
-        for (std::size_t q0 = p0; q0 < n; q0 += kColTile) {
-            const std::size_t qlim = std::min(n, q0 + kColTile);
-            for (std::size_t i = 0; i < m; ++i) {
-                const double* __restrict row = a.row_data(i);
-                for (std::size_t pp = p0; pp < plim; ++pp) {
-                    const double rp = row[pp];
-                    if (rp == 0.0) continue;
-                    // Stay on or above the diagonal inside the tile.
-                    const std::size_t qs = std::max(pp, q0);
-                    double* __restrict grow = g.row_data(pp);
-                    for (std::size_t q = qs; q < qlim; ++q) {
-                        grow[q] += rp * row[q];
-                    }
-                }
-            }
+    // Upper triangle by per-row rank-1 updates: every (p, q) element sums
+    // its terms with i ascending, skipping exact zeros — the order
+    // gram_sparse replays.
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const double* __restrict row = a.row_data(i);
+        for (std::size_t p = 0; p < n; ++p) {
+            const double rp = row[p];
+            if (rp == 0.0) continue;
+            double* __restrict grow = g.row_data(p);
+            for (std::size_t q = p; q < n; ++q) grow[q] += rp * row[q];
         }
     }
     symmetrize_from_upper(g);

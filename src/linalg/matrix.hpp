@@ -1,10 +1,9 @@
 // Dense row-major matrix of doubles plus the BLAS-level-2/3 surface needed
 // by the traffic-matrix estimation solvers (gemv, gemm, transpose, Gram
-// products).  The level-3 kernels (gemm, gram) are register-blocked for
-// the generated large-backbone workloads while accumulating each output
-// element in exactly the same floating-point order as the plain triple
-// loop, so results stay bit-for-bit identical to the naive kernels (see
-// PERF.md for the blocking scheme and measured speedups).
+// products).  The level-3 kernels (gemm, gram) are the plain loops: no
+// estimation path builds a dense product at scale (the Gram-free solvers
+// generate columns on demand), so they serve tests and paper-scale
+// setup only.
 #pragma once
 
 #include <cstddef>

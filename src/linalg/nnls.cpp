@@ -592,31 +592,4 @@ NnlsResult nnls_operator(const GramColumnOracle& gram, const Vector& atb,
     return nnls_active_set(access, atb, btb, options);
 }
 
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
-    if (a.rows() != b.size()) {
-        throw std::invalid_argument("nnls: dimension mismatch");
-    }
-    NnlsResult r =
-        nnls_gram(gram(a), gemv_transpose(a, b), dot(b, b), options);
-    r.residual_norm = nrm2(sub(gemv(a, r.x), b));
-    return r;
-}
-
-NnlsResult nnls(const SparseMatrix& a, const Vector& b,
-                const NnlsOptions& options) {
-    if (a.rows() != b.size()) {
-        throw std::invalid_argument("nnls: dimension mismatch");
-    }
-    // The Gram is the operator's own, so the dual refresh can run over
-    // A's nonzeros instead of dense Gram rows.
-    NnlsOptions sparse_options = options;
-    if (sparse_options.gram_operator == nullptr) {
-        sparse_options.gram_operator = &a;
-    }
-    NnlsResult r = nnls_gram(gram_sparse(a), a.multiply_transpose(b),
-                             dot(b, b), sparse_options);
-    r.residual_norm = nrm2(sub(a.multiply(r.x), b));
-    return r;
-}
-
 }  // namespace tme::linalg

@@ -1,18 +1,21 @@
 // Non-negative least squares:  minimize ||A x - b||_2  subject to x >= 0.
 //
 // Implemented as Lawson-Hanson active-set iteration working on the normal
-// equations.  Two entry points are provided:
+// equations.  Two entry points are provided, sharing one active-set loop:
 //
-//  * nnls(A, b)            — dense or sparse A supplied explicitly;
-//  * nnls_gram(AtA, Atb)   — caller supplies the Gram matrix A'A and the
-//                            right-hand side A'b.  This is essential for
-//                            the Vardi estimator, whose stacked second-
-//                            moment system has L(L+1)/2 rows (tens of
-//                            thousands) but whose Gram matrix has a cheap
-//                            closed form.
+//  * nnls_gram(AtA, Atb)     — caller supplies the dense Gram matrix A'A
+//                              and the right-hand side A'b (the cao,
+//                              route-change and dense-oracle solves);
+//  * nnls_operator(G, Atb)   — the Gram is never materialized: columns
+//                              are generated on demand.  Vardi runs here
+//                              at every scale (its stacked second-moment
+//                              system has L(L+1)/2 rows, but its Gram
+//                              has a cheap closed form), and so does the
+//                              Bayesian MAP estimate at or below the QP's
+//                              dense_kkt_limit.
 //
-// The Bayesian/MAP estimator and the penalized fanout QP also route
-// through nnls_gram.
+// The fanout QP and the Bayesian MAP above that limit run through the
+// operator QP instead (linalg/qp.hpp).
 #pragma once
 
 #include <cstddef>
@@ -74,14 +77,6 @@ struct NnlsResult {
     /// linalg/budget.hpp for why the last two are distinct).
     SolveOutcome outcome = SolveOutcome::converged;
 };
-
-/// Lawson-Hanson NNLS on an explicit dense matrix.
-NnlsResult nnls(const Matrix& a, const Vector& b,
-                const NnlsOptions& options = {});
-
-/// Lawson-Hanson NNLS on an explicit sparse matrix.
-NnlsResult nnls(const SparseMatrix& a, const Vector& b,
-                const NnlsOptions& options = {});
 
 /// Lawson-Hanson NNLS given the Gram matrix G = A'A and g = A'b.
 /// residual_norm in the result is sqrt(max(0, x'Gx - 2 g'x + btb)) when

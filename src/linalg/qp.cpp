@@ -14,333 +14,6 @@
 
 namespace tme::linalg {
 
-Vector solve_eq_qp(const Matrix& h, const Vector& f, const Matrix& e,
-                   const Vector& d) {
-    const std::size_t n = h.rows();
-    const std::size_t m = e.rows();
-    if (h.cols() != n || f.size() != n || (m > 0 && e.cols() != n) ||
-        d.size() != m) {
-        throw std::invalid_argument("solve_eq_qp: dimension mismatch");
-    }
-    // KKT system: [H E'; E 0] [x; nu] = [f; d].
-    Matrix kkt(n + m, n + m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) kkt(i, j) = h(i, j);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            kkt(n + i, j) = e(i, j);
-            kkt(j, n + i) = e(i, j);
-        }
-    }
-    Vector rhs(n + m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = f[i];
-    for (std::size_t i = 0; i < m; ++i) rhs[n + i] = d[i];
-
-    Lu lu(kkt);
-    if (lu.singular()) {
-        throw std::runtime_error("solve_eq_qp: singular KKT system");
-    }
-    Vector sol = lu.solve(rhs);
-    return Vector(sol.begin(), sol.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
-EqQpNonnegResult solve_eq_qp_nonneg(const Matrix& h, const Vector& f,
-                                    const Matrix& e, const Vector& d,
-                                    const EqQpNonnegOptions& options) {
-    const std::size_t n = h.rows();
-    const std::size_t m = e.rows();
-    if (h.cols() != n || f.size() != n || (m > 0 && e.cols() != n) ||
-        d.size() != m) {
-        throw std::invalid_argument("solve_eq_qp_nonneg: dimension mismatch");
-    }
-    const SparseMatrix* eop = options.equality_operator;
-    if (eop != nullptr && (eop->rows() != m || eop->cols() != n)) {
-        throw std::invalid_argument(
-            "solve_eq_qp_nonneg: equality_operator dimensions do not "
-            "match e");
-    }
-    TME_CONTRACT_DBG_CHECK(
-        check::solver_boundary("solve_eq_qp_nonneg", h, f));
-    TME_CONTRACT_DBG_CHECK(check::finite(d, "solve_eq_qp_nonneg d"));
-    if (eop != nullptr) {
-        TME_CONTRACT_DBG_CHECK(check::csr_structure(
-            *eop, "solve_eq_qp_nonneg equality_operator"));
-    }
-    // Active-set on the non-negativity constraints over exact KKT solves
-    // of the equality-constrained subproblem (free variables only).  A
-    // penalty reformulation would bury the data term's fine structure
-    // under the penalty's conditioning; the KKT route preserves it.
-    double hmax = 1.0;
-    for (std::size_t i = 0; i < n; ++i) hmax = std::max(hmax, h(i, i));
-    double fmax = 1.0;
-    for (std::size_t i = 0; i < n; ++i) fmax = std::max(fmax, std::abs(f[i]));
-
-    std::vector<std::uint8_t> fixed_zero(n, 0);
-    EqQpNonnegResult result;
-    result.x.assign(n, 0.0);
-
-    // Warm start: pin the coordinates the seed holds at zero.  A seed
-    // with nothing free cannot satisfy a generic E x = d; run cold.
-    bool seeded = false;
-    if (options.warm_start != nullptr) {
-        if (options.warm_start->size() != n) {
-            throw std::invalid_argument(
-                "solve_eq_qp_nonneg: warm start size mismatch");
-        }
-        std::size_t pinned = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            fixed_zero[j] = (*options.warm_start)[j] <= 0.0 ? 1 : 0;
-            pinned += fixed_zero[j];
-        }
-        if (pinned < n) {
-            seeded = true;
-        } else {
-            std::fill(fixed_zero.begin(), fixed_zero.end(), 0);
-        }
-    }
-
-    const std::size_t max_rounds = 3 * n + 16;
-    constexpr std::size_t kMaxSeedRepairs = 4;
-    std::size_t releases = 0;
-    std::size_t seed_repairs = 0;
-    bool budget_tripped = false;
-    for (std::size_t round = 0; round < max_rounds; ++round) {
-        if (options.budget != nullptr && options.budget->exhausted()) {
-            // Deadline cut: hand back the newest iterate (the previous
-            // round's primal-feasible point, or the zero vector before
-            // any round completed) honestly flagged below.
-            budget_tripped = true;
-            result.converged = false;
-            break;
-        }
-        std::vector<std::size_t> free_vars;
-        for (std::size_t j = 0; j < n; ++j) {
-            if (!fixed_zero[j]) free_vars.push_back(j);
-        }
-        if (free_vars.empty()) break;
-        const std::size_t k = free_vars.size();
-
-        // A seed that pins an equality row's entire support leaves the
-        // KKT system structurally singular (a multiplier row with no
-        // free columns); fall back to cold before burning ridge
-        // escalations on it.
-        if (seeded) {
-            bool rows_supported = true;
-            if (eop != nullptr) {
-                const CsrView ev = eop->view();
-                for (std::size_t r = 0; r < m && rows_supported; ++r) {
-                    bool has_free = false;
-                    for (std::size_t t = ev.offsets[r];
-                         t < ev.offsets[r + 1] && !has_free; ++t) {
-                        has_free = !fixed_zero[ev.col_index[t]];
-                    }
-                    rows_supported = has_free;
-                }
-            } else {
-                for (std::size_t r = 0; r < m && rows_supported; ++r) {
-                    bool has_free = false;
-                    for (std::size_t a = 0; a < k && !has_free; ++a) {
-                        has_free = e(r, free_vars[a]) != 0.0;
-                    }
-                    rows_supported = has_free;
-                }
-            }
-            if (!rows_supported) {
-                std::fill(fixed_zero.begin(), fixed_zero.end(), 0);
-                seeded = false;
-                continue;
-            }
-        }
-        ++result.iterations;
-
-        // KKT system on the free variables, ridge-regularized because H
-        // restricted to the constraint manifold may be singular.  The
-        // off-diagonal blocks do not depend on the ridge, so the system
-        // is assembled once and only the diagonal is rewritten when a
-        // singular factorization forces an escalation.
-        Matrix kkt(k + m, k + m, 0.0);
-        Vector rhs(k + m, 0.0);
-        for (std::size_t a = 0; a < k; ++a) {
-            rhs[a] = f[free_vars[a]];
-            const double* __restrict hrow = h.row_data(free_vars[a]);
-            double* __restrict krow = kkt.row_data(a);
-            for (std::size_t b = 0; b < k; ++b) {
-                krow[b] = hrow[free_vars[b]];
-            }
-        }
-        if (eop != nullptr) {
-            // Free-variable index per column, for scattering E's
-            // nonzeros straight into the bordered blocks.
-            std::vector<std::size_t> free_index(n, SIZE_MAX);
-            for (std::size_t a = 0; a < k; ++a) {
-                free_index[free_vars[a]] = a;
-            }
-            const CsrView ev = eop->view();
-            for (std::size_t r = 0; r < m; ++r) {
-                for (std::size_t t = ev.offsets[r]; t < ev.offsets[r + 1];
-                     ++t) {
-                    const std::size_t a = free_index[ev.col_index[t]];
-                    if (a == SIZE_MAX) continue;
-                    kkt(a, k + r) = ev.values[t];
-                    kkt(k + r, a) = ev.values[t];
-                }
-            }
-        } else {
-            for (std::size_t a = 0; a < k; ++a) {
-                for (std::size_t r = 0; r < m; ++r) {
-                    kkt(a, k + r) = e(r, free_vars[a]);
-                    kkt(k + r, a) = e(r, free_vars[a]);
-                }
-            }
-        }
-        for (std::size_t r = 0; r < m; ++r) rhs[k + r] = d[r];
-
-        double ridge = 1e-10 * hmax;
-        Vector sol;
-        for (int attempt = 0; attempt < 12; ++attempt) {
-            for (std::size_t a = 0; a < k; ++a) {
-                kkt(a, a) = h(free_vars[a], free_vars[a]) + ridge;
-            }
-            Lu lu(kkt);
-            if (!lu.singular()) {
-                sol = lu.solve(rhs);
-                break;
-            }
-            ridge *= 100.0;
-        }
-        if (sol.empty()) {
-            if (seeded) {
-                // A seed that pins an equality row's entire support
-                // leaves the KKT system structurally singular (a
-                // multiplier row with no free columns).  Treat it like
-                // any other inconsistent seed: fall back to cold.
-                std::fill(fixed_zero.begin(), fixed_zero.end(), 0);
-                seeded = false;
-                continue;
-            }
-            throw std::runtime_error(
-                "solve_eq_qp_nonneg: singular KKT system");
-        }
-
-        // Fix the negative coordinates at zero and re-solve; the
-        // threshold scales with the iterate so numerically-zero
-        // coordinates of large-magnitude solutions (loads of order
-        // 1e9) are not mislabeled negative.
-        double xmax = 0.0;
-        for (std::size_t a = 0; a < k; ++a) {
-            xmax = std::max(xmax, std::abs(sol[a]));
-        }
-        const double neg_tol = 1e-9 * std::max(1.0, xmax);
-        bool any_negative = false;
-        for (std::size_t a = 0; a < k; ++a) {
-            if (sol[a] < -neg_tol) {
-                fixed_zero[free_vars[a]] = 1;
-                any_negative = true;
-            }
-        }
-        if (any_negative) continue;
-
-        // Primal feasible: provisional solution on the free set.
-        result.x.assign(n, 0.0);
-        for (std::size_t a = 0; a < k; ++a) {
-            result.x[free_vars[a]] = std::max(0.0, sol[a]);
-        }
-        result.converged = true;
-
-        // KKT verification: at the optimum the multiplier of every
-        // pinned coordinate, mu_j = (H x - f + E' nu)_j, must be
-        // non-negative (nu comes out of the same KKT solve).  A pinned
-        // coordinate with mu_j < 0 would lower the objective if freed.
-        const double mu_tol = 1e-9 * std::max({1.0, fmax, hmax * xmax});
-        std::size_t worst = n;
-        double worst_mu = -mu_tol;
-        std::vector<std::size_t> violators;
-        // E' nu gathered once over the nonzeros when the CSR form is
-        // available (the dense fallback walks column j per coordinate).
-        Vector etnu;
-        if (eop != nullptr && m > 0) {
-            const Vector nu(sol.begin() + static_cast<std::ptrdiff_t>(k),
-                            sol.begin() + static_cast<std::ptrdiff_t>(k + m));
-            etnu = eop->multiply_transpose(nu);
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-            if (!fixed_zero[j]) continue;
-            double mu = -f[j];
-            const double* __restrict hrow = h.row_data(j);
-            for (std::size_t a = 0; a < k; ++a) {
-                mu += hrow[free_vars[a]] * sol[a];
-            }
-            if (eop != nullptr) {
-                if (m > 0) mu += etnu[j];
-            } else {
-                for (std::size_t r = 0; r < m; ++r) {
-                    mu += e(r, j) * sol[k + r];
-                }
-            }
-            if (mu < -mu_tol) violators.push_back(j);
-            if (mu < worst_mu) {
-                worst_mu = mu;
-                worst = j;
-            }
-        }
-        if (worst == n) {
-            result.warm_accepted = seeded;
-            break;
-        }
-        if (seeded && seed_repairs >= kMaxSeedRepairs) {
-            // The seed pinned several coordinates the optimum needs
-            // free: it describes a different active set entirely.  Fall
-            // back to the cold path wholesale instead of unwinding one
-            // coordinate at a time.
-            std::fill(fixed_zero.begin(), fixed_zero.end(), 0);
-            seeded = false;
-            result.converged = false;
-            continue;
-        }
-        if (!seeded && releases >= n) {
-            // Anti-cycling cap: keep the primal-feasible point but do
-            // not claim KKT optimality — a violating multiplier was
-            // just found.
-            result.converged = false;
-            break;
-        }
-        // Release infeasible pinned coordinates and re-solve.  A seeded
-        // run repairs its mildly drifted active set by freeing every
-        // violator at once (usually one extra small KKT solve — far
-        // cheaper than a cold restart whose first solve runs on the
-        // full free set); the cold path releases one coordinate at a
-        // time, the textbook anti-cycling discipline.
-        if (seeded) {
-            ++seed_repairs;
-            for (std::size_t j : violators) fixed_zero[j] = 0;
-        } else {
-            ++releases;
-            fixed_zero[worst] = 0;
-        }
-        result.converged = false;
-    }
-
-    result.active.assign(fixed_zero.begin(), fixed_zero.end());
-    if (m > 0) {
-        Vector ex = eop != nullptr ? eop->multiply(result.x)
-                                   : gemv(e, result.x);
-        result.equality_violation = nrm_inf(sub(ex, d));
-    }
-    result.outcome = result.converged  ? SolveOutcome::converged
-                     : budget_tripped ? SolveOutcome::budget_exhausted
-                                      : SolveOutcome::iteration_capped;
-    if (options.counters != nullptr) {
-        options.counters->qp_active_set_rounds += result.iterations;
-        if (result.outcome == SolveOutcome::iteration_capped) {
-            ++options.counters->capped_solves;
-        }
-    }
-    TME_CONTRACT_DBG_CHECK(
-        check::solver_boundary("solve_eq_qp_nonneg", result.x));
-    return result;
-}
-
 namespace {
 
 /// Column adjacency of a CSR matrix: per column, the (row, value)
@@ -440,8 +113,8 @@ struct HessianAccess {
     // CG-regime multiplier sweep: one full operator product serves every
     // pinned coordinate (per-row generation would cost a column per
     // pinned variable — quadratic over the run at scale).  The exact-LU
-    // regime keeps the per-row walk for bitwise parity with the dense
-    // solver.
+    // regime keeps the per-row walk, whose multipliers are bitwise a
+    // dense-H sweep's.
     void prepare_mu(const Vector& sol,
                     const std::vector<std::size_t>& free_vars,
                     bool used_cg) {
@@ -731,12 +404,12 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
     const std::size_t n = hp.dimension();
     const std::size_t m = e.rows();
     const CsrView ev = e.view();
-    // CG regime (see the step discipline below): the solve opens kernel
-    // regions on options.parallel from its first apply to its last, so
-    // it holds a solve scope for its whole run and the runner's helpers
-    // stay with it across the serial stretches between regions.
-    const bool block_pivoting = n + m > options.dense_kkt_limit;
-    const SolveScope solve_scope(block_pivoting ? options.parallel : nullptr);
+    // CG regime: the solve opens kernel regions on options.parallel
+    // from its first apply to its last, so it holds a solve scope for
+    // its whole run and the runner's helpers stay with it across the
+    // serial stretches between regions.
+    const bool cg_regime = n + m > options.dense_kkt_limit;
+    const SolveScope solve_scope(cg_regime ? options.parallel : nullptr);
 
     // Total Hessian diagonal (matrix diagonal + added diagonal) — the
     // only dense-H quantity the active-set driver ever reads.
@@ -753,8 +426,10 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
     EqQpNonnegResult result;
     result.x.assign(n, 0.0);
 
-    // Warm start: pin the coordinates the seed holds at zero (same
-    // verified-seed discipline as the dense solver).
+    // Warm start: pin the coordinates the seed holds at zero.  The seed
+    // is only a starting active set — the pivoting below verifies and
+    // repairs it like any other — so warm and cold runs reach the same
+    // KKT point.
     bool seeded = false;
     if (options.warm_start != nullptr) {
         if (options.warm_start->size() != n) {
@@ -773,19 +448,19 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
         }
     }
 
-    // Step discipline.  Problems in the exact-LU regime replay the
-    // dense solver's pin-all-negatives / release-worst moves, which
-    // keeps the whole trajectory — and the returned minimizer —
-    // bit-for-bit the dense path's.  Problems in the CG regime use
-    // block principal pivoting (Portugal-Judice-Vicente): every round
-    // flips the complete infeasibility set (negative free coordinates
-    // pinned, negative-multiplier pinned coordinates released) while
-    // the count of infeasibilities keeps shrinking, and falls back to
-    // single worst-coordinate pivots (Murty's finite rule) when it
-    // stops shrinking.  Block flips give the bulk convergence of the
+    // Step discipline, the same in both inner-solve regimes, is block
+    // principal pivoting (Portugal-Judice-Vicente): every round flips
+    // the complete infeasibility set (negative free coordinates pinned,
+    // negative-multiplier pinned coordinates released) while the count
+    // of infeasibilities keeps shrinking, and falls back to single
+    // largest-index pivots (Murty's finite rule) when it stops
+    // shrinking.  Block flips give the bulk convergence of the
     // pin-all discipline; the Murty fallback removes its failure mode
     // (endgame zigzag between nearby active sets, which inexact CG
-    // solves otherwise provoke on degenerate problems).
+    // solves otherwise provoke on degenerate problems).  The exact-LU
+    // regime's final solve runs on the same gathered doubles over the
+    // same free set whichever moves reached it, so its minimizer is
+    // bit-for-bit the dense reference's.
     std::size_t best_infeasible = n + m + 1;
     std::size_t nonimproving = 0;
     constexpr std::size_t kMaxNonimproving = 3;
@@ -793,24 +468,15 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
     const std::size_t max_rounds = options.max_active_set_rounds > 0
                                        ? options.max_active_set_rounds
                                        : 3 * n + 16;
-    constexpr std::size_t kMaxSeedRepairs = 4;
-    std::size_t releases = 0;
-    std::size_t seed_repairs = 0;
     std::size_t support_repairs = 0;
     std::vector<std::size_t> free_index(n, SIZE_MAX);
     Vector pcg_prev;  // previous round's full-space iterate (CG path)
-    // Legacy-discipline anti-cycling: each round's active set is
-    // hashed; a revisit ends the loop (the dense discipline has no
-    // termination proof under inexact solves).  Block pivoting needs no
-    // such guard — the Murty fallback is finite by construction.
-    std::vector<std::uint64_t> visited_sets;
     bool budget_tripped = false;
     for (std::size_t round = 0; round < max_rounds; ++round) {
         if (options.budget != nullptr && options.budget->exhausted()) {
             // Deadline cut between rounds.  result.x already holds the
-            // newest E-feasible subproblem iterate (block pivoting
-            // snapshots it every round; the legacy path stores each
-            // primal-feasible point), clamped honestly below.
+            // newest E-feasible subproblem iterate (snapshotted every
+            // round), clamped honestly below.
             budget_tripped = true;
             result.converged = false;
             break;
@@ -824,28 +490,12 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
         std::fill(free_index.begin(), free_index.end(), SIZE_MAX);
         for (std::size_t a = 0; a < k; ++a) free_index[free_vars[a]] = a;
 
-        if (!block_pivoting) {
-            // FNV-1a over the active-set bitmap.
-            std::uint64_t set_hash = 1469598103934665603ull;
-            for (std::size_t j = 0; j < n; ++j) {
-                set_hash ^= fixed_zero[j];
-                set_hash *= 1099511628211ull;
-            }
-            if (std::find(visited_sets.begin(), visited_sets.end(),
-                          set_hash) != visited_sets.end()) {
-                result.converged = false;
-                break;
-            }
-            visited_sets.push_back(set_hash);
-        }
-
         // An equality row whose entire support is pinned makes the
         // subproblem structurally infeasible (a multiplier row with no
-        // free columns).  A seed that does this falls back to cold, as
-        // in the dense solver; a cold iteration that pinned its way
-        // into the state is repaired by releasing the offending row's
-        // pins — those pins cannot all be right, since the row sum
-        // must still be met.
+        // free columns).  A seed that does this falls back to cold; a
+        // cold iteration that pinned its way into the state is repaired
+        // by releasing the offending row's pins — those pins cannot all
+        // be right, since the row sum must still be met.
         {
             bool repaired = false;
             bool seed_unsupported = false;
@@ -882,7 +532,7 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
         const bool used_cg = k + m > options.dense_kkt_limit;
         if (!used_cg) {
             // Dense gather of the free-set KKT system — exact LU, and
-            // bit-for-bit the dense solver's arithmetic (the gathered
+            // bit-for-bit a dense-H assembly's arithmetic (the gathered
             // values are the same doubles; structural zeros match the
             // dense H's stored zeros).
             Matrix kkt(k + m, k + m, 0.0);
@@ -941,10 +591,11 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
                                      ": singular KKT system");
         }
 
-        // Decision thresholds scale with the iterate, as in the dense
-        // solver.  CG rounds widen the band two orders above the inner
-        // solve's ~1e-9 accuracy so coordinates inside the error band
-        // do not flip classification from round to round.
+        // Decision thresholds scale with the iterate, so round-off on
+        // loads of order 1e9 is not mislabeled negative.  CG rounds
+        // widen the band two orders above the inner solve's ~1e-9
+        // accuracy so coordinates inside the error band do not flip
+        // classification from round to round.
         const double decision_tol = used_cg ? 1e-7 : 1e-9;
         double xmax = 0.0;
         for (std::size_t a = 0; a < k; ++a) {
@@ -959,40 +610,28 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
             if (sol[a] < -neg_tol) negatives.push_back(a);
         }
 
-        // Pinned-coordinate multipliers mu_j = (H x - f + E' nu)_j.
-        // The H row walk restricted to the free columns visits the
-        // same nonzero terms, ascending, as the dense solver's
-        // free-variable sweep (the skipped terms are exact zeros), and
-        // E' nu gathers over E's nonzeros.  Block pivoting consumes
-        // the multipliers every round; the legacy discipline — like
-        // the dense solver it replays — only reads them at primal-
-        // feasible rounds, so the sweep is skipped on its pin rounds.
-        std::size_t worst = n;
-        double worst_mu = -mu_tol;
+        // Pinned-coordinate multipliers mu_j = (H x - f + E' nu)_j.  In
+        // the exact-LU regime the H row walk restricted to the free
+        // columns visits the same nonzero terms, ascending, as a dense
+        // free-variable sweep (the skipped terms are exact zeros); E' nu
+        // gathers over E's nonzeros.
+        Vector etnu;
+        if (m > 0) {
+            const Vector nu(sol.begin() + static_cast<std::ptrdiff_t>(k),
+                            sol.begin() + static_cast<std::ptrdiff_t>(k + m));
+            etnu = e.multiply_transpose(nu);
+        }
+        hp.prepare_mu(sol, free_vars, used_cg);
         std::vector<std::size_t> violators;
-        if (block_pivoting || negatives.empty()) {
-            Vector etnu;
-            if (m > 0) {
-                const Vector nu(
-                    sol.begin() + static_cast<std::ptrdiff_t>(k),
-                    sol.begin() + static_cast<std::ptrdiff_t>(k + m));
-                etnu = e.multiply_transpose(nu);
-            }
-            hp.prepare_mu(sol, free_vars, used_cg);
-            for (std::size_t j = 0; j < n; ++j) {
-                if (!fixed_zero[j]) continue;
-                double mu = -f[j];
-                hp.add_mu_terms(j, free_index, sol, mu);
-                if (m > 0) mu += etnu[j];
-                if (mu < -mu_tol) violators.push_back(j);
-                if (mu < worst_mu) {
-                    worst_mu = mu;
-                    worst = j;
-                }
-            }
+        for (std::size_t j = 0; j < n; ++j) {
+            if (!fixed_zero[j]) continue;
+            double mu = -f[j];
+            hp.add_mu_terms(j, free_index, sol, mu);
+            if (m > 0) mu += etnu[j];
+            if (mu < -mu_tol) violators.push_back(j);
         }
 
-        if (negatives.empty() && worst == n) {
+        if (negatives.empty() && violators.empty()) {
             // Feasible and dual-feasible: the KKT point.
             result.x.assign(n, 0.0);
             for (std::size_t a = 0; a < k; ++a) {
@@ -1003,88 +642,46 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
             break;
         }
 
-        if (block_pivoting) {
-            // Keep the newest subproblem iterate: a round-capped solve
-            // must hand back the last E-feasible point (projected CG
-            // keeps E_F x = d even truncated), not the all-zero
-            // initialization; the final clamp below flags it honestly.
-            result.x.assign(n, 0.0);
-            for (std::size_t a = 0; a < k; ++a) {
-                result.x[free_vars[a]] = sol[a];
-            }
-            const std::size_t infeasible =
-                negatives.size() + violators.size();
-            bool block_step = false;
-            if (infeasible < best_infeasible) {
-                best_infeasible = infeasible;
-                nonimproving = 0;
-                block_step = true;
-            } else if (nonimproving < kMaxNonimproving) {
-                ++nonimproving;
-                block_step = true;
-            }
-            if (block_step) {
-                for (std::size_t a : negatives) {
-                    fixed_zero[free_vars[a]] = 1;
-                }
-                for (std::size_t j : violators) fixed_zero[j] = 0;
-            } else {
-                // Murty's rule: flip only the largest-index
-                // infeasibility — finite by construction.
-                const std::size_t neg_j =
-                    negatives.empty() ? 0 : free_vars[negatives.back()];
-                const std::size_t vio_j =
-                    violators.empty() ? 0 : violators.back();
-                if (!negatives.empty() &&
-                    (violators.empty() || neg_j > vio_j)) {
-                    fixed_zero[neg_j] = 1;
-                } else if (!violators.empty()) {
-                    fixed_zero[vio_j] = 0;
-                }
-            }
-            result.converged = false;
-            continue;
-        }
-
-        // Legacy discipline (the dense solver's moves, needed for
-        // bitwise parity on the exact-LU path).
-        if (!negatives.empty()) {
-            for (std::size_t a : negatives) {
-                fixed_zero[free_vars[a]] = 1;
-            }
-            result.converged = false;
-            continue;
-        }
-        // Primal feasible: provisional solution on the free set.
+        // Keep the newest subproblem iterate: a round-capped solve must
+        // hand back the last E-feasible point (projected CG keeps
+        // E_F x = d even truncated), not the all-zero initialization;
+        // the final clamp below flags it honestly.
         result.x.assign(n, 0.0);
         for (std::size_t a = 0; a < k; ++a) {
-            result.x[free_vars[a]] = std::max(0.0, sol[a]);
+            result.x[free_vars[a]] = sol[a];
         }
-        result.converged = true;
-        if (seeded && seed_repairs >= kMaxSeedRepairs) {
-            std::fill(fixed_zero.begin(), fixed_zero.end(), 0);
-            seeded = false;
-            result.converged = false;
-            continue;
+        const std::size_t infeasible = negatives.size() + violators.size();
+        bool block_step = false;
+        if (infeasible < best_infeasible) {
+            best_infeasible = infeasible;
+            nonimproving = 0;
+            block_step = true;
+        } else if (nonimproving < kMaxNonimproving) {
+            ++nonimproving;
+            block_step = true;
         }
-        if (!seeded && releases >= n) {
-            result.converged = false;
-            break;
-        }
-        if (seeded) {
-            ++seed_repairs;
+        if (block_step) {
+            for (std::size_t a : negatives) fixed_zero[free_vars[a]] = 1;
             for (std::size_t j : violators) fixed_zero[j] = 0;
         } else {
-            ++releases;
-            fixed_zero[worst] = 0;
+            // Murty's rule: flip only the largest-index infeasibility —
+            // finite by construction.
+            const std::size_t neg_j =
+                negatives.empty() ? 0 : free_vars[negatives.back()];
+            const std::size_t vio_j = violators.empty() ? 0 : violators.back();
+            if (!negatives.empty() && (violators.empty() || neg_j > vio_j)) {
+                fixed_zero[neg_j] = 1;
+            } else {
+                fixed_zero[vio_j] = 0;
+            }
         }
         result.converged = false;
     }
 
     if (!result.converged) {
-        // Terminated without a verified KKT point (round cap, release
-        // cap, or legacy-path cycle): clamp the last iterate so the
-        // caller still gets a nonnegative point, honestly flagged.
+        // Terminated without a verified KKT point (round cap or
+        // budget): clamp the last iterate so the caller still gets a
+        // nonnegative point, honestly flagged.
         for (double& v : result.x) v = std::max(0.0, v);
     }
     result.active.assign(fixed_zero.begin(), fixed_zero.end());

@@ -5,21 +5,11 @@
 //     minimize    sum_k || R S[k] a - t[k] ||^2
 //     subject to  sum_m a_nm = 1 for every source n,   a >= 0
 //
-// i.e. an equality-constrained QP with non-negativity.  Three solvers
-// are provided:
-//
-//  * solve_eq_qp                 — KKT system solve, equality
-//                                  constraints only (used when the
-//                                  non-negativity constraint is known
-//                                  to be inactive, and inside tests);
-//  * solve_eq_qp_nonneg          — active-set iteration on the
-//                                  non-negativity constraints over
-//                                  exact KKT solves with a dense H
-//                                  (the operator solver's test oracle);
-//  * solve_eq_qp_nonneg_operator — the same problem with H supplied as
-//                                  a matrix-free operator: the fanout
-//                                  and Bayesian estimators' only solve
-//                                  path, at every scale.
+// i.e. an equality-constrained QP with non-negativity.  One solver is
+// provided, solve_eq_qp_nonneg_operator, with H supplied as a
+// matrix-free operator: the fanout and Bayesian estimators' only solve
+// path, at every scale.  Its dense-H test oracle lives with the tests
+// (tests/linalg/dense_qp_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -34,69 +24,48 @@
 
 namespace tme::linalg {
 
-/// Minimizes (1/2) x'Hx - f'x  subject to  E x = d.
-/// H must be symmetric positive semi-definite on the nullspace of E.
-/// Solved via the KKT system [H E'; E 0][x; nu] = [f; d] with LU.
-/// Throws std::runtime_error if the KKT matrix is singular.
-Vector solve_eq_qp(const Matrix& h, const Vector& f, const Matrix& e,
-                   const Vector& d);
-
 struct EqQpNonnegOptions {
     /// Optional active-set warm start: a prior primal point (typically
     /// the previous window's solution of a slowly drifting problem
     /// sequence).  Coordinates that are <= 0 in this vector seed the
     /// active set — they start pinned at zero, so the first KKT solve
     /// already works on the reduced free set.  The seed is *verified*:
-    /// once the seeded iteration reaches primal feasibility, the
-    /// Lagrange multipliers of every pinned coordinate are checked.  A
-    /// mildly drifted seed (pinned coordinates the optimum needs free)
-    /// is repaired by releasing every violator at once and re-solving;
-    /// a seed that keeps failing verification falls back to the cold
-    /// path wholesale.  Either way a warm solve returns the same
-    /// minimizer as a cold solve.  Size must equal the number of
+    /// every round checks the Lagrange multipliers of the pinned
+    /// coordinates, and the active-set pivoting repairs a drifted seed
+    /// (pinned coordinates the optimum needs free) like any other
+    /// infeasibility.  A seed that pins an equality row's whole support
+    /// falls back to the cold path.  Either way a warm solve returns the
+    /// same minimizer as a cold solve.  Size must equal the number of
     /// variables.  Not owned; must outlive the call.
     const Vector* warm_start = nullptr;
-    /// Optional CSR form of E (must hold exactly the same coefficients
-    /// as the dense `e` argument).  The per-round seed support checks,
-    /// the KKT assembly of the constraint blocks, the pinned-multiplier
-    /// verification and the final equality-violation evaluation then
-    /// iterate E's nonzeros instead of dense m x n sweeps — on the
-    /// fanout QP E has one nonzero per column, so this turns O(m * n)
-    /// passes into O(n) ones.  With one nonzero per column the produced
-    /// iterates are bit-for-bit the dense path's (the skipped terms are
-    /// exact zeros); for general E the multiplier sums regroup and the
-    /// two paths agree to solver precision.  Not owned; must outlive
-    /// the call.
-    const SparseMatrix* equality_operator = nullptr;
-    /// solve_eq_qp_nonneg_operator only: KKT systems whose bordered
-    /// dimension (free variables + equality rows) is at most this are
-    /// gathered into a dense matrix and LU-solved exactly — bit-for-bit
-    /// the dense-H path on matching inputs.  Larger systems switch to
-    /// the matrix-free projected-CG solve, which never allocates
-    /// anything quadratic in the variable count.  Every paper-scale
-    /// problem (<= 600 pairs) sits far below the default.
+    /// KKT systems whose bordered dimension (free variables + equality
+    /// rows) is at most this are gathered into a dense matrix and
+    /// LU-solved exactly — bit-for-bit a dense-H solve on matching
+    /// inputs.  Larger systems switch to the matrix-free projected-CG
+    /// solve, which never allocates anything quadratic in the variable
+    /// count.  Every paper-scale problem (<= 600 pairs) sits far below
+    /// the default.
     std::size_t dense_kkt_limit = 1024;
-    /// solve_eq_qp_nonneg_operator only: relative preconditioned-
-    /// residual tolerance of the projected-CG inner solve.  The
-    /// default sits just above the double-precision floor of the
-    /// recurrence; asking for much less makes every inner solve burn
-    /// its remaining budget at the floor without gaining accuracy.
+    /// Relative preconditioned-residual tolerance of the projected-CG
+    /// inner solve.  The default sits just above the double-precision
+    /// floor of the recurrence; asking for much less makes every inner
+    /// solve burn its remaining budget at the floor without gaining
+    /// accuracy.
     double cg_tolerance = 1e-10;
-    /// solve_eq_qp_nonneg_operator only: hard cap on CG iterations per
-    /// KKT solve; 0 picks min(2 * (free + rows) + 50, 1500).  A capped
-    /// (inexact) solve still yields a feasible iterate — the equality
-    /// constraint is maintained by the projection, not by convergence.
+    /// Hard cap on CG iterations per KKT solve; 0 picks
+    /// min(2 * (free + rows) + 50, 1500).  A capped (inexact) solve
+    /// still yields a feasible iterate — the equality constraint is
+    /// maintained by the projection, not by convergence.
     std::size_t cg_max_iterations = 0;
-    /// solve_eq_qp_nonneg_operator only: hard cap on active-set rounds
-    /// (KKT solves); 0 picks the dense solver's 3n + 16.  Time-boxed
-    /// callers (benches, soft-real-time windows) can bound the whole
-    /// solve; a capped run returns the last iterate clamped to the
-    /// nonnegative orthant with converged = false.
+    /// Hard cap on active-set rounds (KKT solves); 0 picks 3n + 16.
+    /// Time-boxed callers (benches, soft-real-time windows) can bound
+    /// the whole solve; a capped run returns the last iterate clamped to
+    /// the nonnegative orthant with converged = false.
     std::size_t max_active_set_rounds = 0;
     /// Optional iteration telemetry sink: on return the solver adds its
-    /// active-set rounds to qp_active_set_rounds and (operator solver)
-    /// its CG total to qp_cg_iterations.  Written once at the return
-    /// site only — attaching counters never changes the arithmetic.
+    /// active-set rounds to qp_active_set_rounds and its CG total to
+    /// qp_cg_iterations.  Written once at the return site only —
+    /// attaching counters never changes the arithmetic.
     /// Not owned; must outlive the call.
     obs::SolverCounters* counters = nullptr;
     /// Optional cooperative deadline, polled once per active-set round
@@ -130,27 +99,14 @@ struct EqQpNonnegResult {
     /// verification, and shaped the returned solution (no cold
     /// fall-back happened).
     bool warm_accepted = false;
-    /// Total projected-CG iterations across the KKT solves (operator
-    /// solver only; 0 when every solve took the dense-gather path).
+    /// Total projected-CG iterations across the KKT solves (0 when
+    /// every solve took the dense-gather path).
     std::size_t cg_iterations = 0;
-    /// How the solve ended: converged, stopped by a configured cap
-    /// (max_active_set_rounds / the release or cycle guards), or cut
-    /// short by the SolveBudget (see linalg/budget.hpp).
+    /// How the solve ended: converged, stopped by the
+    /// max_active_set_rounds cap, or cut short by the SolveBudget (see
+    /// linalg/budget.hpp).
     SolveOutcome outcome = SolveOutcome::converged;
 };
-
-/// Minimizes (1/2) x'Hx - f'x  subject to  E x = d,  x >= 0, via an
-/// active set on the non-negativity constraints with an exact KKT solve
-/// of the equality-constrained subproblem at each step.  At primal
-/// feasibility the multipliers of the pinned coordinates are verified
-/// and infeasible ones are released, so the returned point is the KKT
-/// point of the (ridge-regularized) problem — warm and cold runs agree
-/// to solver precision.  All tolerances are scale-relative (derived
-/// from diag(H) and the iterate magnitude), so the solver behaves
-/// identically for loads of order 1 and of order 1e9.
-EqQpNonnegResult solve_eq_qp_nonneg(const Matrix& h, const Vector& f,
-                                    const Matrix& e, const Vector& d,
-                                    const EqQpNonnegOptions& options = {});
 
 /// Matrix-free Hessian H = A + diag(extra) for
 /// solve_eq_qp_nonneg_operator: not even the CSR form of the matrix
@@ -167,8 +123,9 @@ EqQpNonnegResult solve_eq_qp_nonneg(const Matrix& h, const Vector& f,
 ///               the dense-gather KKT branch and the pinned-multiplier
 ///               sweep read rows through it.
 /// When `column`/`diag` replay the Gram kernels' accumulation order,
-/// the exact-LU regime is bit-for-bit solve_eq_qp_nonneg on the
-/// equivalent dense Hessian; the CG regime agrees to solver precision.
+/// the exact-LU regime returns bit-for-bit the minimizer of a dense-H
+/// solve on the equivalent Hessian; the CG regime agrees to solver
+/// precision.
 /// All closures must be set; `diagonal` (when non-null) must have
 /// length `dimension` and outlive the call.
 struct HessianOperator {
@@ -184,23 +141,24 @@ struct HessianOperator {
 /// Minimizes (1/2) x'Hx - f'x  subject to  E x = d,  x >= 0, with the
 /// Hessian supplied as a pure operator — no dense or CSR form of H is
 /// ever materialized, so peak memory is O(n + nnz(E)) regardless of
-/// how dense H itself would be.  Warm-start seeding, equality-row
-/// support checks and scale-relative tolerances follow
-/// solve_eq_qp_nonneg.  Problems whose bordered dimension fits
-/// EqQpNonnegOptions::dense_kkt_limit replay the dense solver's
-/// pin-all-negatives / release-worst discipline over exact dense
-/// gathers of the free-set KKT system (LU) — on inputs whose generated
-/// values equal a dense H the produced iterates are bit-for-bit
-/// solve_eq_qp_nonneg's with equality_operator set.  Larger problems
-/// switch to matrix-free projected CG for the inner solves
+/// how dense H itself would be.  The non-negativity constraints are
+/// handled by a block principal pivoting active set (flip every
+/// infeasibility while the count shrinks, Murty single-pivot fallback
+/// when it stops; the multipliers of the pinned coordinates are checked
+/// every round), so the returned point is the KKT point of the
+/// (ridge-regularized) problem and warm and cold runs agree.  Each
+/// round solves the equality-constrained subproblem on the free set:
+/// problems whose bordered dimension fits
+/// EqQpNonnegOptions::dense_kkt_limit gather the free-set KKT system
+/// exactly and LU-solve it — on inputs whose generated values equal a
+/// dense H the returned x and active set are bit-for-bit a dense-H
+/// active-set solve's.  Larger problems use matrix-free projected CG
 /// (constraint-preconditioned with the Jacobi diagonal; one operator
-/// apply per iteration, feasibility maintained by projection) driven
-/// by a block principal pivoting active set (flip every infeasibility
-/// while the count shrinks, Murty single-pivot fallback when it stops)
-/// — the combination that stays robust under inexact inner solves.
-/// `e` doubles as the equality operator (no dense E is taken at all);
-/// m == 0 is allowed and reduces to a bound-constrained solve — the
-/// Bayesian estimator's MAP shape.
+/// apply per iteration, feasibility maintained by projection).  All
+/// tolerances are scale-relative (derived from diag(H) and the iterate
+/// magnitude), so the solver behaves identically for loads of order 1
+/// and of order 1e9.  m == 0 is allowed and reduces to a
+/// bound-constrained solve — the Bayesian estimator's MAP shape.
 EqQpNonnegResult solve_eq_qp_nonneg_operator(
     const HessianOperator& h, const Vector& f, const SparseMatrix& e,
     const Vector& d, const EqQpNonnegOptions& options = {});

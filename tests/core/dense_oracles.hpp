@@ -2,7 +2,8 @@
 // materializes the pairs x pairs matrix the production path never
 // builds — R'R for Bayesian, the transformed Gram G1 + w * (G1 .* G1)
 // for Vardi, the source-weighted Hessian sum_k W_k (R'R) W_k for fanout
-// — and hands it to the dense solver (nnls_gram / solve_eq_qp_nonneg).
+// — and hands it to a dense solver: nnls_gram, or for fanout the
+// test-only dense-H QP in tests/linalg/dense_qp_reference.hpp.
 // The production paths generate the same doubles on demand, so at
 // paper scale they are gated bitwise (or, for fanout without window
 // aggregates, whose Hessian accumulates per sample here, to 1e-9)
@@ -18,6 +19,7 @@
 #include "core/fanout.hpp"
 #include "core/problem.hpp"
 #include "core/vardi.hpp"
+#include "linalg/dense_qp_reference.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/qp.hpp"
 #include "linalg/stats.hpp"
@@ -87,13 +89,12 @@ inline linalg::Vector vardi_dense_oracle(const SeriesProblem& problem,
     return linalg::nnls_gram(g, rhs, 0.0, nnls_options).x;
 }
 
-/// Fanouts through a dense-H solve_eq_qp_nonneg (with the sparse E as
-/// equality operator).  With complete options.aggregates the Hessian
-/// is H(p, q) = outer(src p, src q) * G1(p, q) and f the aggregated
-/// right-hand side — the doubles the production operator generates;
-/// without them H and f accumulate per window sample.  The gravity
-/// tie-break ridge is scaled off H's largest diagonal entry, as in
-/// fanout_estimate.
+/// Fanouts through the dense-H reference QP over a dense E.  With
+/// complete options.aggregates the Hessian is H(p, q) =
+/// outer(src p, src q) * G1(p, q) and f the aggregated right-hand side
+/// — the doubles the production operator generates; without them H and
+/// f accumulate per window sample.  The gravity tie-break ridge is
+/// scaled off H's largest diagonal entry, as in fanout_estimate.
 inline linalg::Vector fanout_dense_oracle(const SeriesProblem& problem,
                                           const FanoutOptions& options) {
     const topology::Topology& topo = *problem.topo;
@@ -167,9 +168,9 @@ inline linalg::Vector fanout_dense_oracle(const SeriesProblem& problem,
     linalg::Matrix e(nodes, pairs, 0.0);
     for (std::size_t p = 0; p < pairs; ++p) e(source_of[p], p) = 1.0;
     linalg::EqQpNonnegOptions qp_options;
-    qp_options.equality_operator = &constraints.equality_sparse;
     qp_options.warm_start = options.warm_start;
-    return linalg::solve_eq_qp_nonneg(h, f, e, constraints.rhs, qp_options)
+    return linalg::testing::solve_eq_qp_nonneg(h, f, e, constraints.rhs,
+                                               qp_options)
         .x;
 }
 

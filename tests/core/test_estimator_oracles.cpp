@@ -9,6 +9,8 @@
 //  * Fanout without aggregates builds its source-totals matrix once
 //    instead of accumulating the Hessian per sample; the rounding
 //    differs, so it is gated to 1e-9 relative.
+//  * The sparse Gram the oracles are built from equals densify + gram
+//    bitwise on both routing matrices.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,8 @@
 #include "core/gravity.hpp"
 #include "core/vardi.hpp"
 #include "engine/window.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/sparse.hpp"
 #include "scenario/scenario.hpp"
 
 namespace tme::core {
@@ -127,6 +131,15 @@ TEST_P(EstimatorOracles, FanoutMatchesDenseQp) {
         EXPECT_LE(relative_diff(est, ref), 1e-9)
             << sc.name << " window " << window;
     }
+}
+
+TEST_P(EstimatorOracles, SparseGramEqualsDenseGramBitwise) {
+    // The oracles' input: the sparse Gram accumulation must equal
+    // densify + dense gram bitwise on the paper routing matrices.
+    const scenario::Scenario& sc = scenario_for(GetParam());
+    EXPECT_EQ(linalg::gram_sparse(sc.routing),
+              linalg::gram(sc.routing.to_dense()))
+        << sc.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,13 +1,15 @@
 // Property tests pinning the blocked / sparse-aware kernels to their
-// naive references: bit-for-bit where the accumulation order is
-// preserved (gemm, gram, sparse Gram, the QP's sparse-E path), and to
-// tight tolerances where it is not (blocked Cholesky).
+// references: bit-for-bit where the accumulation order is preserved
+// (sparse Gram vs the dense Gram, the operator QP's sparse-E path vs
+// the dense-H reference), and to tight tolerances where it is not
+// (blocked Cholesky).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
 #include "linalg/cholesky.hpp"
+#include "linalg/dense_qp_reference.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/nnls.hpp"
 #include "linalg/qp.hpp"
@@ -27,75 +29,6 @@ Matrix random_matrix(std::size_t rows, std::size_t cols,
         }
     }
     return m;
-}
-
-// The seed library's plain triple-loop kernels, kept verbatim as the
-// bitwise references.
-Matrix gemm_naive(const Matrix& a, const Matrix& b) {
-    Matrix c(a.rows(), b.cols(), 0.0);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const double* arow = a.row_data(i);
-        double* crow = c.row_data(i);
-        for (std::size_t k = 0; k < a.cols(); ++k) {
-            const double aik = arow[k];
-            if (aik == 0.0) continue;
-            const double* brow = b.row_data(k);
-            for (std::size_t j = 0; j < b.cols(); ++j) {
-                crow[j] += aik * brow[j];
-            }
-        }
-    }
-    return c;
-}
-
-Matrix gram_naive(const Matrix& a) {
-    const std::size_t n = a.cols();
-    Matrix g(n, n, 0.0);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        const double* row = a.row_data(i);
-        for (std::size_t p = 0; p < n; ++p) {
-            const double rp = row[p];
-            if (rp == 0.0) continue;
-            double* grow = g.row_data(p);
-            for (std::size_t q = p; q < n; ++q) grow[q] += rp * row[q];
-        }
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-        for (std::size_t q = 0; q < p; ++q) g(p, q) = g(q, p);
-    }
-    return g;
-}
-
-TEST(BlockedKernels, GemmBitwiseMatchesNaive) {
-    std::mt19937_64 rng(42);
-    // Odd shapes straddle every tile boundary of the blocked kernel,
-    // including the 512-double column tile (the 1100-column shapes run
-    // the j0 loop more than once, with a ragged final tile).
-    const std::size_t shapes[][3] = {{1, 1, 1},    {2, 3, 4},
-                                     {5, 7, 3},    {16, 16, 16},
-                                     {17, 19, 23}, {33, 64, 65},
-                                     {70, 41, 129}, {9, 30, 512},
-                                     {10, 33, 1100}};
-    for (const auto& s : shapes) {
-        const Matrix a = random_matrix(s[0], s[1], rng, 0.8);
-        const Matrix b = random_matrix(s[1], s[2], rng, 0.8);
-        EXPECT_EQ(gemm(a, b), gemm_naive(a, b))
-            << s[0] << "x" << s[1] << "x" << s[2];
-    }
-}
-
-TEST(BlockedKernels, GramBitwiseMatchesNaive) {
-    std::mt19937_64 rng(43);
-    for (const std::size_t rows : {1ul, 3ul, 8ul, 21ul, 50ul}) {
-        for (const std::size_t cols : {1ul, 2ul, 17ul, 64ul, 130ul}) {
-            const Matrix a = random_matrix(rows, cols, rng, 0.6);
-            EXPECT_EQ(gram(a), gram_naive(a)) << rows << "x" << cols;
-        }
-    }
-    // Past the 512-double column tile: multi-tile rows with a ragged
-    // final tile, exercising the diagonal clamp across tile seams.
-    const Matrix wide = random_matrix(12, 1100, rng, 0.3);
-    EXPECT_EQ(gram(wide), gram_naive(wide));
 }
 
 // gram_sparse(A) == gram(densify(A)) exactly: same per-element term
@@ -256,8 +189,9 @@ TEST(BlockedKernels, NnlsGramRejectsBadOperatorAndShift) {
     EXPECT_THROW(nnls_gram(g, atb, 0.0, neg), std::invalid_argument);
 }
 
-// Fanout-family QP (one nonzero per column of E): the sparse-E path
-// must be bit-for-bit the dense path.
+// Fanout-family QP (one nonzero per column of E): the operator
+// solver's sparse-E exact-LU path must return bit-for-bit the dense-H
+// reference's minimizer, cold and warm.
 TEST(BlockedKernels, QpEqualityOperatorBitwiseMatchesDense) {
     std::mt19937_64 rng(51);
     const std::size_t n = 18;
@@ -275,30 +209,27 @@ TEST(BlockedKernels, QpEqualityOperatorBitwiseMatchesDense) {
     }
     const SparseMatrix e_sparse(m, n, std::move(trips));
     const Vector d(m, 1.0);
+    const HessianOperator hop = testing::dense_hessian(h);
 
-    const EqQpNonnegResult dense_path = solve_eq_qp_nonneg(h, f, e, d);
-    EqQpNonnegOptions opts;
-    opts.equality_operator = &e_sparse;
+    const EqQpNonnegResult dense_path =
+        testing::solve_eq_qp_nonneg(h, f, e, d);
     const EqQpNonnegResult sparse_path =
-        solve_eq_qp_nonneg(h, f, e, d, opts);
+        solve_eq_qp_nonneg_operator(hop, f, e_sparse, d);
     ASSERT_EQ(dense_path.x.size(), sparse_path.x.size());
     for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(dense_path.x[i], sparse_path.x[i]) << i;
     }
     EXPECT_EQ(dense_path.active, sparse_path.active);
-    EXPECT_EQ(dense_path.iterations, sparse_path.iterations);
     EXPECT_EQ(dense_path.equality_violation,
               sparse_path.equality_violation);
 
-    // Warm-started runs must agree as well (the seed-repair sweeps use
-    // the operator too).
-    EqQpNonnegOptions warm_dense;
-    warm_dense.warm_start = &dense_path.x;
-    EqQpNonnegOptions warm_sparse;
-    warm_sparse.warm_start = &dense_path.x;
-    warm_sparse.equality_operator = &e_sparse;
-    const EqQpNonnegResult wd = solve_eq_qp_nonneg(h, f, e, d, warm_dense);
-    const EqQpNonnegResult ws = solve_eq_qp_nonneg(h, f, e, d, warm_sparse);
+    // Warm-started runs must agree as well (the seed's multiplier
+    // checks read E's nonzeros too).
+    EqQpNonnegOptions warm;
+    warm.warm_start = &dense_path.x;
+    const EqQpNonnegResult wd = testing::solve_eq_qp_nonneg(h, f, e, d, warm);
+    const EqQpNonnegResult ws =
+        solve_eq_qp_nonneg_operator(hop, f, e_sparse, d, warm);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(wd.x[i], ws.x[i]) << i;
     EXPECT_EQ(wd.warm_accepted, ws.warm_accepted);
 }
@@ -306,12 +237,10 @@ TEST(BlockedKernels, QpEqualityOperatorBitwiseMatchesDense) {
 TEST(BlockedKernels, QpRejectsMismatchedOperator) {
     const Matrix h = Matrix::identity(4);
     const Vector f(4, 1.0);
-    const Matrix e(1, 4, 1.0);
     const Vector d(1, 1.0);
-    const SparseMatrix wrong = SparseMatrix::from_dense(Matrix(2, 4, 1.0));
-    EqQpNonnegOptions opts;
-    opts.equality_operator = &wrong;
-    EXPECT_THROW(solve_eq_qp_nonneg(h, f, e, d, opts),
+    const SparseMatrix wrong = SparseMatrix::from_dense(Matrix(1, 5, 1.0));
+    EXPECT_THROW(solve_eq_qp_nonneg_operator(testing::dense_hessian(h), f,
+                                             wrong, d),
                  std::invalid_argument);
 }
 

@@ -3,9 +3,40 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 namespace tme::linalg {
 namespace {
+
+// NNLS on an explicit matrix, through its Gram form: the estimators
+// only ever hand the solver a Gram (dense or generated), so these
+// explicit-A entry points live with the tests.  The sparse overload
+// also runs the dual refresh over A's nonzeros.
+NnlsResult nnls(const Matrix& a, const Vector& b,
+                const NnlsOptions& options = {}) {
+    if (a.rows() != b.size()) {
+        throw std::invalid_argument("nnls: dimension mismatch");
+    }
+    NnlsResult r =
+        nnls_gram(gram(a), gemv_transpose(a, b), dot(b, b), options);
+    r.residual_norm = nrm2(sub(gemv(a, r.x), b));
+    return r;
+}
+
+NnlsResult nnls(const SparseMatrix& a, const Vector& b,
+                const NnlsOptions& options = {}) {
+    if (a.rows() != b.size()) {
+        throw std::invalid_argument("nnls: dimension mismatch");
+    }
+    NnlsOptions sparse_options = options;
+    if (sparse_options.gram_operator == nullptr) {
+        sparse_options.gram_operator = &a;
+    }
+    NnlsResult r = nnls_gram(gram_sparse(a), a.multiply_transpose(b),
+                             dot(b, b), sparse_options);
+    r.residual_norm = nrm2(sub(a.multiply(r.x), b));
+    return r;
+}
 
 TEST(Nnls, UnconstrainedInteriorSolution) {
     // Well-conditioned system whose LS solution is positive.

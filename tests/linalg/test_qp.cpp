@@ -2,60 +2,59 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 
+#include "linalg/dense_qp_reference.hpp"
+#include "linalg/lu.hpp"
 #include "routing/routing_matrix.hpp"
 #include "topology/builders.hpp"
 
 namespace tme::linalg {
 namespace {
 
-TEST(EqQp, SimpleProjection) {
-    // min 1/2||x||^2 - 0 s.t. x0 + x1 = 2 -> x = (1, 1).
+using testing::dense_hessian;
+using testing::solve_eq_qp_nonneg;
+
+/// The two solvers the small dense cases below run against: the test
+/// oracle, and the production operator solver through the dense-H
+/// adapter (exact-LU regime at these sizes).
+enum class QpSolver { dense_reference, operator_exact_lu };
+
+class EqQpNonneg : public ::testing::TestWithParam<QpSolver> {
+  protected:
+    static EqQpNonnegResult solve(const Matrix& h, const Vector& f,
+                                  const Matrix& e, const Vector& d,
+                                  const EqQpNonnegOptions& options = {}) {
+        if (GetParam() == QpSolver::dense_reference) {
+            return solve_eq_qp_nonneg(h, f, e, d, options);
+        }
+        return solve_eq_qp_nonneg_operator(
+            dense_hessian(h), f, SparseMatrix::from_dense(e), d, options);
+    }
+};
+
+class EqQpNonnegWarm : public EqQpNonneg {};
+
+std::string solver_name(const ::testing::TestParamInfo<QpSolver>& info) {
+    return info.param == QpSolver::dense_reference ? "DenseReference"
+                                                   : "Operator";
+}
+
+TEST_P(EqQpNonneg, MatchesEqualityOnlyWhenInterior) {
     const Matrix h = Matrix::identity(2);
     const Vector f{0.0, 0.0};
     const Matrix e{{1.0, 1.0}};
     const Vector d{2.0};
-    const Vector x = solve_eq_qp(h, f, e, d);
-    EXPECT_NEAR(x[0], 1.0, 1e-10);
-    EXPECT_NEAR(x[1], 1.0, 1e-10);
-}
-
-TEST(EqQp, UnconstrainedReducesToLinearSolve) {
-    const Matrix h{{2.0, 0.0}, {0.0, 4.0}};
-    const Vector f{2.0, 8.0};
-    const Vector x = solve_eq_qp(h, f, Matrix(0, 2), {});
-    EXPECT_NEAR(x[0], 1.0, 1e-10);
-    EXPECT_NEAR(x[1], 2.0, 1e-10);
-}
-
-TEST(EqQp, DimensionMismatchThrows) {
-    EXPECT_THROW(
-        solve_eq_qp(Matrix::identity(2), {1.0}, Matrix(0, 2), {}),
-        std::invalid_argument);
-}
-
-TEST(EqQp, SingularKktThrows) {
-    // Duplicate equality constraints make the KKT system singular.
-    const Matrix h = Matrix::identity(2);
-    const Matrix e{{1.0, 1.0}, {1.0, 1.0}};
-    EXPECT_THROW(solve_eq_qp(h, {0.0, 0.0}, e, {1.0, 1.0}),
-                 std::runtime_error);
-}
-
-TEST(EqQpNonneg, MatchesEqualityOnlyWhenInterior) {
-    const Matrix h = Matrix::identity(2);
-    const Vector f{0.0, 0.0};
-    const Matrix e{{1.0, 1.0}};
-    const Vector d{2.0};
-    const EqQpNonnegResult r = solve_eq_qp_nonneg(h, f, e, d);
+    const EqQpNonnegResult r = solve(h, f, e, d);
     EXPECT_NEAR(r.x[0], 1.0, 1e-5);
     EXPECT_NEAR(r.x[1], 1.0, 1e-5);
     EXPECT_LT(r.equality_violation, 1e-6);
 }
 
-TEST(EqQpNonneg, ClampsNegativeCoordinates) {
+TEST_P(EqQpNonneg, ClampsNegativeCoordinates) {
     // min 1/2 x'Ix - f'x with f = (3, -1), sum = 2: unconstrained
     // equality solution is (3, -1)+nu*(1,1) -> (2.5, -0.5)... must clamp
     // x1 to 0 and put everything on x0.
@@ -63,35 +62,35 @@ TEST(EqQpNonneg, ClampsNegativeCoordinates) {
     const Vector f{3.0, -1.0};
     const Matrix e{{1.0, 1.0}};
     const Vector d{2.0};
-    const EqQpNonnegResult r = solve_eq_qp_nonneg(h, f, e, d);
+    const EqQpNonnegResult r = solve(h, f, e, d);
     EXPECT_NEAR(r.x[0], 2.0, 1e-5);
     EXPECT_NEAR(r.x[1], 0.0, 1e-8);
 }
 
-TEST(EqQpNonneg, ReportsActiveSet) {
+TEST_P(EqQpNonneg, ReportsActiveSet) {
     const Matrix h = Matrix::identity(2);
     const Vector f{3.0, -1.0};
     const Matrix e{{1.0, 1.0}};
     const Vector d{2.0};
-    const EqQpNonnegResult r = solve_eq_qp_nonneg(h, f, e, d);
+    const EqQpNonnegResult r = solve(h, f, e, d);
     ASSERT_EQ(r.active.size(), 2u);
     EXPECT_EQ(r.active[0], 0);
     EXPECT_NE(r.active[1], 0);
     EXPECT_EQ(r.x[1], 0.0);
 }
 
-TEST(EqQpNonnegWarm, ExactSeedConvergesInOneSolve) {
+TEST_P(EqQpNonnegWarm, ExactSeedConvergesInOneSolve) {
     const Matrix h = Matrix::identity(2);
     const Vector f{3.0, -1.0};
     const Matrix e{{1.0, 1.0}};
     const Vector d{2.0};
-    const EqQpNonnegResult cold = solve_eq_qp_nonneg(h, f, e, d);
+    const EqQpNonnegResult cold = solve(h, f, e, d);
     ASSERT_TRUE(cold.converged);
     EXPECT_GT(cold.iterations, 1u);
 
     EqQpNonnegOptions options;
     options.warm_start = &cold.x;
-    const EqQpNonnegResult warm = solve_eq_qp_nonneg(h, f, e, d, options);
+    const EqQpNonnegResult warm = solve(h, f, e, d, options);
     ASSERT_TRUE(warm.converged);
     EXPECT_TRUE(warm.warm_accepted);
     EXPECT_EQ(warm.iterations, 1u);
@@ -99,7 +98,7 @@ TEST(EqQpNonnegWarm, ExactSeedConvergesInOneSolve) {
     EXPECT_NEAR(warm.x[1], cold.x[1], 1e-10);
 }
 
-TEST(EqQpNonnegWarm, InconsistentSeedStillReturnsColdMinimizer) {
+TEST_P(EqQpNonnegWarm, InconsistentSeedStillReturnsColdMinimizer) {
     // Seed pins the coordinate the optimum needs free (and frees the
     // one that must be pinned): verification must repair or fall back,
     // never return a seed-biased point.
@@ -107,18 +106,18 @@ TEST(EqQpNonnegWarm, InconsistentSeedStillReturnsColdMinimizer) {
     const Vector f{3.0, -1.0};
     const Matrix e{{1.0, 1.0}};
     const Vector d{2.0};
-    const EqQpNonnegResult cold = solve_eq_qp_nonneg(h, f, e, d);
+    const EqQpNonnegResult cold = solve(h, f, e, d);
 
     const Vector wrong{0.0, 2.0};
     EqQpNonnegOptions options;
     options.warm_start = &wrong;
-    const EqQpNonnegResult warm = solve_eq_qp_nonneg(h, f, e, d, options);
+    const EqQpNonnegResult warm = solve(h, f, e, d, options);
     ASSERT_TRUE(warm.converged);
     EXPECT_NEAR(warm.x[0], cold.x[0], 1e-9);
     EXPECT_NEAR(warm.x[1], cold.x[1], 1e-9);
 }
 
-TEST(EqQpNonnegWarm, AllZeroSeedRunsCold) {
+TEST_P(EqQpNonnegWarm, AllZeroSeedRunsCold) {
     // A seed with nothing free cannot satisfy E x = d; the solver must
     // ignore it and solve cold.
     const Matrix h = Matrix::identity(2);
@@ -128,13 +127,13 @@ TEST(EqQpNonnegWarm, AllZeroSeedRunsCold) {
     const Vector zeros(2, 0.0);
     EqQpNonnegOptions options;
     options.warm_start = &zeros;
-    const EqQpNonnegResult r = solve_eq_qp_nonneg(h, f, e, d, options);
+    const EqQpNonnegResult r = solve(h, f, e, d, options);
     EXPECT_FALSE(r.warm_accepted);
     EXPECT_NEAR(r.x[0], 1.0, 1e-8);
     EXPECT_NEAR(r.x[1], 1.0, 1e-8);
 }
 
-TEST(EqQpNonnegWarm, SeedPinningAWholeEqualityRowFallsBackCold) {
+TEST_P(EqQpNonnegWarm, SeedPinningAWholeEqualityRowFallsBackCold) {
     // Pinning every variable of one sum constraint leaves that
     // multiplier row without free support — a structurally singular
     // KKT system.  The solver must fall back to the cold path instead
@@ -145,12 +144,12 @@ TEST(EqQpNonnegWarm, SeedPinningAWholeEqualityRowFallsBackCold) {
     e(0, 0) = e(0, 1) = 1.0;
     e(1, 2) = e(1, 3) = 1.0;
     const Vector d{1.0, 1.0};
-    const EqQpNonnegResult cold = solve_eq_qp_nonneg(h, f, e, d);
+    const EqQpNonnegResult cold = solve(h, f, e, d);
 
     const Vector seed{0.0, 0.0, 0.5, 0.5};  // row 0 fully pinned
     EqQpNonnegOptions options;
     options.warm_start = &seed;
-    const EqQpNonnegResult warm = solve_eq_qp_nonneg(h, f, e, d, options);
+    const EqQpNonnegResult warm = solve(h, f, e, d, options);
     EXPECT_FALSE(warm.warm_accepted);
     ASSERT_TRUE(warm.converged);
     for (std::size_t j = 0; j < 4; ++j) {
@@ -158,15 +157,23 @@ TEST(EqQpNonnegWarm, SeedPinningAWholeEqualityRowFallsBackCold) {
     }
 }
 
-TEST(EqQpNonnegWarm, SizeMismatchThrows) {
+TEST_P(EqQpNonnegWarm, SizeMismatchThrows) {
     const Matrix h = Matrix::identity(2);
     const Vector bad(3, 1.0);
     EqQpNonnegOptions options;
     options.warm_start = &bad;
-    EXPECT_THROW(solve_eq_qp_nonneg(h, {0.0, 0.0}, Matrix{{1.0, 1.0}},
-                                    {2.0}, options),
+    EXPECT_THROW(solve(h, {0.0, 0.0}, Matrix{{1.0, 1.0}}, {2.0}, options),
                  std::invalid_argument);
 }
+
+INSTANTIATE_TEST_SUITE_P(Solvers, EqQpNonneg,
+                         ::testing::Values(QpSolver::dense_reference,
+                                           QpSolver::operator_exact_lu),
+                         solver_name);
+INSTANTIATE_TEST_SUITE_P(Solvers, EqQpNonnegWarm,
+                         ::testing::Values(QpSolver::dense_reference,
+                                           QpSolver::operator_exact_lu),
+                         solver_name);
 
 class EqQpNonnegProperty : public ::testing::TestWithParam<unsigned> {};
 
@@ -336,17 +343,72 @@ OperatorProblem make_operator_problem(unsigned seed, std::size_t n,
     return p;
 }
 
+/// Scaled KKT residual of a returned point, computed from the dense H
+/// alone.  With g = H x - f, the equality multipliers nu are the least-
+/// squares fit of g_F + E_F' nu = 0 over the free set F, and
+/// mu = g + E' nu.  The multiplier fields are divided by max(1,
+/// |f|_inf, max diag(H) * |x|_inf), the solver's own multiplier scale;
+/// the equality field by max(1, |d|_inf).
+struct KktResidual {
+    double stationarity = 0.0;  ///< max |mu_j| over free j
+    double pinned_sign = 0.0;   ///< max (-mu_j)+ over pinned j
+    double equality = 0.0;      ///< |E x - d|_inf
+    std::size_t pinned_nonzero = 0;  ///< pinned coordinates with x_j != 0
+};
+
+KktResidual kkt_residual(const Matrix& h, const Vector& f, const Matrix& e,
+                         const Vector& d, const EqQpNonnegResult& r) {
+    const std::size_t n = h.rows();
+    const std::size_t m = e.rows();
+    const Vector g = sub(gemv(h, r.x), f);
+    Vector nu(m, 0.0);
+    if (m > 0) {
+        // Normal equations (E_F E_F') nu = -E_F g_F.
+        Matrix normal(m, m, 0.0);
+        Vector rhs(m, 0.0);
+        for (std::size_t j = 0; j < n; ++j) {
+            if (r.active[j]) continue;
+            for (std::size_t a = 0; a < m; ++a) {
+                rhs[a] -= e(a, j) * g[j];
+                for (std::size_t b = 0; b < m; ++b) {
+                    normal(a, b) += e(a, j) * e(b, j);
+                }
+            }
+        }
+        nu = Lu(normal).solve(rhs);
+    }
+    const Vector mu = add(g, gemv_transpose(e, nu));
+    double hmax = 0.0;
+    for (std::size_t i = 0; i < n; ++i) hmax = std::max(hmax, h(i, i));
+    const double scale = std::max({1.0, nrm_inf(f), hmax * nrm_inf(r.x)});
+    KktResidual out;
+    for (std::size_t j = 0; j < n; ++j) {
+        if (r.active[j]) {
+            out.pinned_sign = std::max(out.pinned_sign, -mu[j] / scale);
+            out.pinned_nonzero += r.x[j] != 0.0 ? 1 : 0;
+        } else {
+            out.stationarity =
+                std::max(out.stationarity, std::abs(mu[j]) / scale);
+        }
+    }
+    if (m > 0) {
+        out.equality =
+            nrm_inf(sub(gemv(e, r.x), d)) / std::max(1.0, nrm_inf(d));
+    }
+    return out;
+}
+
 class EqQpOperator : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(EqQpOperator, GatherPathBitwiseMatchesDense) {
     // Below dense_kkt_limit the operator solver gathers the same KKT
-    // doubles the dense solver assembles, so the whole active-set
-    // trajectory — and the returned minimizer — must be bit-for-bit.
+    // doubles the dense reference assembles.  The two pivot differently
+    // (block pivoting vs pin-all / release-worst), so their round counts
+    // may differ, but the last solve runs on the same free set: the
+    // returned minimizer and active set must be bit-for-bit.
     const OperatorProblem p = make_operator_problem(GetParam(), 14, 0.05);
-    EqQpNonnegOptions dense_opts;
-    dense_opts.equality_operator = &p.e_sparse;
     const EqQpNonnegResult dense =
-        solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d, dense_opts);
+        solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d);
 
     const EqQpNonnegResult op =
         solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d);
@@ -355,7 +417,6 @@ TEST_P(EqQpOperator, GatherPathBitwiseMatchesDense) {
     for (std::size_t j = 0; j < dense.x.size(); ++j) {
         EXPECT_EQ(op.x[j], dense.x[j]) << "var " << j;
     }
-    EXPECT_EQ(op.iterations, dense.iterations);
     EXPECT_EQ(op.cg_iterations, 0u);
     EXPECT_EQ(op.active, dense.active);
 }
@@ -366,10 +427,8 @@ TEST_P(EqQpOperator, ProjectedCgMatchesDense) {
     // minimizer, so the two paths must agree to solver precision.
     const OperatorProblem p = make_operator_problem(GetParam() + 50, 24,
                                                     0.5);
-    EqQpNonnegOptions dense_opts;
-    dense_opts.equality_operator = &p.e_sparse;
     const EqQpNonnegResult dense =
-        solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d, dense_opts);
+        solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d);
 
     EqQpNonnegOptions opts;
     opts.dense_kkt_limit = 0;
@@ -412,8 +471,70 @@ TEST_P(EqQpOperator, WarmStartOnCgPathReturnsSameMinimizer) {
     }
 }
 
+TEST_P(EqQpOperator, KktCertificateHoldsInBothRegimes) {
+    // Optimality checked from the dense H alone, without a second
+    // solver: both test shapes above, each through the exact-LU
+    // gather (default limit) and through projected CG (limit 0).
+    const OperatorProblem problems[] = {
+        make_operator_problem(GetParam(), 14, 0.05),
+        make_operator_problem(GetParam() + 50, 24, 0.5)};
+    for (const OperatorProblem& p : problems) {
+        for (const std::size_t limit : {EqQpNonnegOptions{}.dense_kkt_limit,
+                                        std::size_t{0}}) {
+            EqQpNonnegOptions opts;
+            opts.dense_kkt_limit = limit;
+            const EqQpNonnegResult r = solve_eq_qp_nonneg_operator(
+                p.hessian(), p.f, p.e_sparse, p.d, opts);
+            ASSERT_TRUE(r.converged) << "limit " << limit;
+            const KktResidual kkt =
+                kkt_residual(p.dense_h, p.f, p.e_dense, p.d, r);
+            // The exact-LU solve is off only by its 1e-10 ridge; the CG
+            // regime's decision band sits at 1e-7.
+            const double tol = limit == 0 ? 1e-6 : 1e-8;
+            EXPECT_LE(kkt.stationarity, tol) << "limit " << limit;
+            EXPECT_LE(kkt.pinned_sign, tol) << "limit " << limit;
+            EXPECT_LE(kkt.equality, tol) << "limit " << limit;
+            EXPECT_EQ(kkt.pinned_nonzero, 0u) << "limit " << limit;
+            for (double v : r.x) EXPECT_GE(v, 0.0);
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EqQpOperator,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+TEST(EqQpOperatorWarm, DriftedSeedOnExactLuPathReturnsColdMinimizerBitwise) {
+    // A seed drifted from the cold solution (a few coordinates flipped
+    // between pinned and free) is repaired by the pivoting itself: the
+    // warm solve is accepted and ends on the cold solve's free set, so
+    // the exact-LU minimizer is the same doubles.
+    for (unsigned seed = 1; seed <= 40; ++seed) {
+        const OperatorProblem p = make_operator_problem(seed + 300, 30, 0.05);
+        const EqQpNonnegResult cold =
+            solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d);
+        ASSERT_TRUE(cold.converged) << "seed " << seed;
+
+        Vector drifted = cold.x;
+        std::mt19937_64 rng(seed);
+        std::vector<std::size_t> order(drifted.size());
+        for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+        std::shuffle(order.begin(), order.end(), rng);
+        for (std::size_t t = 0; t < 6; ++t) {
+            double& v = drifted[order[t]];
+            v = v > 0.0 ? 0.0 : 1.0;
+        }
+        EqQpNonnegOptions opts;
+        opts.warm_start = &drifted;
+        const EqQpNonnegResult warm = solve_eq_qp_nonneg_operator(
+            p.hessian(), p.f, p.e_sparse, p.d, opts);
+        ASSERT_TRUE(warm.converged) << "seed " << seed;
+        EXPECT_TRUE(warm.warm_accepted) << "seed " << seed;
+        EXPECT_EQ(warm.active, cold.active) << "seed " << seed;
+        for (std::size_t j = 0; j < cold.x.size(); ++j) {
+            EXPECT_EQ(warm.x[j], cold.x[j]) << "seed " << seed << " var " << j;
+        }
+    }
+}
 
 TEST(EqQpOperatorEdge, NoEqualityReducesToBoundConstrainedSolve) {
     // m == 0 is the Bayesian MAP shape: normal equations with

@@ -22,6 +22,11 @@ compiler flag checks:
                   kernel layers must stay embeddable without the online
                   engine, and the engine without the serving layer
                   (serve may include engine/obs, not vice versa).
+  test-reference  The dense QP reference stays a test oracle: no call
+                  of solve_eq_qp_nonneg( (the production solver is
+                  solve_eq_qp_nonneg_operator) or solve_eq_qp( under
+                  src/.  Each reference lives in exactly one place,
+                  tests/linalg/dense_qp_reference.hpp.
   self-contained  Every header under src/ compiles standalone
                   (g++ -fsyntax-only, one compile per header, run
                   concurrently): a header that leans on its includer's
@@ -78,6 +83,10 @@ ATOMIC_INCDEC_RE = re.compile(
 )
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# The test-only dense QP entry points (the `_operator` suffix is the
+# production solver and does not match).
+TEST_REFERENCE_RE = re.compile(r"\b(solve_eq_qp_nonneg|solve_eq_qp)\s*\(")
 
 # The one obs/ header the method/kernel layers may use: the plain
 # counter structs estimators fill in (no engine machinery behind it).
@@ -281,6 +290,24 @@ def check_layering(root: str) -> list[Violation]:
     return violations
 
 
+def check_test_reference(root: str) -> list[Violation]:
+    violations = []
+    for path in iter_source_files(root, ("src",), SOURCE_EXTS):
+        rel = relpath(root, path)
+        raw = open(path, encoding="utf-8", errors="replace").read()
+        raw_lines = raw.splitlines()
+        clean = strip_comments_and_strings(raw).splitlines()
+        for lineno, line in enumerate(clean, 1):
+            m = TEST_REFERENCE_RE.search(line)
+            if m and not suppressed(raw_lines, lineno, "test-reference"):
+                violations.append(Violation(
+                    "test-reference", rel, lineno,
+                    f"{m.group(1)}() is the test-only dense QP reference "
+                    "(tests/linalg/dense_qp_reference.hpp) — production "
+                    "code calls solve_eq_qp_nonneg_operator"))
+    return violations
+
+
 def check_self_contained(root: str,
                          compiler: str | None = None) -> list[Violation]:
     compiler = compiler or os.environ.get("CXX") or shutil.which("g++") \
@@ -324,6 +351,7 @@ def run_all(root: str, headers: bool = True) -> list[Violation]:
     violations += check_memory_order(root, ("src", "tests", "bench",
                                             "examples"))
     violations += check_layering(root)
+    violations += check_test_reference(root)
     if headers:
         violations += check_self_contained(root)
     return violations
@@ -388,6 +416,19 @@ SELF_TEST_CASES = [
         "src/engine/bad_serve_layer.cpp",
         '#include "serve/snapshot.hpp"\n',
         '#include "obs/histogram.hpp"\n',
+    ),
+    (
+        "test-reference",
+        "src/core/bad_reference.cpp",
+        "auto r = linalg::solve_eq_qp_nonneg(h, f, e, d);\n",
+        "auto r = linalg::solve_eq_qp_nonneg_operator(h, f, e, d);\n",
+    ),
+    (
+        "test-reference",
+        "src/linalg/bad_eq_qp.cpp",
+        "Vector x = solve_eq_qp (h, f, e, d);\n",
+        "// solve_eq_qp(h, f, e, d) lives with the tests.\n"
+        "Vector x = solve_eq_qp_nonneg_operator(h, f, e, d).x;\n",
     ),
     (
         "self-contained",
