@@ -40,11 +40,25 @@ void for_each_sample_chunk(std::size_t window, F&& f) {
     }
 }
 
+/// Calls f(std::bool_constant<unit>{}): the kernels' Unit argument as a
+/// compile-time constant.
+template <class F>
+void with_unit(bool unit, F&& f) {
+    if (unit) {
+        f(std::true_type{});
+    } else {
+        f(std::false_type{});
+    }
+}
+
 /// v[i * window + k] = sum_t R(i, t) * (w_k[t] * x[t]) for rows
 /// [begin, end) and samples [k0, k0 + K), with w_k[t] =
 /// gw[group_of[t] * window + k]: the ascending dot product
-/// multiply_into forms on u = w_k .* x.
-template <std::size_t K>
+/// multiply_into forms on u = w_k .* x.  Unit (every R(i, t) == 1.0)
+/// skips the values but still rounds w_k[t] * x[t] before the add,
+/// exactly as multiply_into's fma(1.0, u[t], acc) does; letting the
+/// compiler contract the two into fma(w, x, acc) would not.
+template <std::size_t K, bool Unit>
 void weighted_rows(const CsrView& r, const double* __restrict x,
                    const std::size_t* __restrict group_of,
                    const double* __restrict gw, std::size_t window,
@@ -57,7 +71,7 @@ void weighted_rows(const CsrView& r, const double* __restrict x,
         double acc[K] = {};
         for (std::size_t t = off[i]; t < off[i + 1]; ++t) {
             const std::size_t c = cidx[t];
-            const double val = vals[t];
+            const double val = Unit ? 1.0 : vals[t];
             const double xc = x[c];
             const double* __restrict wc = gw + group_of[c] * window + k0;
             for (std::size_t k = 0; k < K; ++k) {
@@ -73,8 +87,9 @@ void weighted_rows(const CsrView& r, const double* __restrict x,
 /// rows ascending, each row's segment of columns inside the blocks
 /// (seg[i * stride + b] = the row's first position in column block b),
 /// zero inputs skipped — per output entry exactly the scatter loop of
-/// multiply_transpose_into.
-template <std::size_t K>
+/// multiply_transpose_into.  Unit adds v_k[i] instead of fusing it with
+/// a value of 1.0.
+template <std::size_t K, bool Unit>
 void weighted_scatter(const CsrView& r, const std::size_t* __restrict seg,
                       std::size_t stride, std::size_t b0, std::size_t b1,
                       const double* __restrict v, std::size_t window,
@@ -92,17 +107,24 @@ void weighted_scatter(const CsrView& r, const std::size_t* __restrict seg,
         if (dense) {
             for (std::size_t t = t0; t < t1; ++t) {
                 const std::size_t c = cidx[t];
-                const double val = vals[t];
                 for (std::size_t k = 0; k < K; ++k) {
-                    zk[k][c] = mul_add(vi[k], val, zk[k][c]);
+                    if constexpr (Unit) {
+                        zk[k][c] += vi[k];
+                    } else {
+                        zk[k][c] = mul_add(vi[k], vals[t], zk[k][c]);
+                    }
                 }
             }
         } else {
             for (std::size_t t = t0; t < t1; ++t) {
                 const std::size_t c = cidx[t];
-                const double val = vals[t];
                 for (std::size_t k = 0; k < K; ++k) {
-                    if (vi[k] != 0.0) zk[k][c] = mul_add(vi[k], val, zk[k][c]);
+                    if (vi[k] == 0.0) continue;
+                    if constexpr (Unit) {
+                        zk[k][c] += vi[k];
+                    } else {
+                        zk[k][c] = mul_add(vi[k], vals[t], zk[k][c]);
+                    }
                 }
             }
         }
@@ -130,9 +152,11 @@ RoutingOperator::RoutingOperator(const SparseMatrix& r) : r_(r.view()) {
     row_blocks_ = nnz_balanced_blocks(r_, kBlocks);
     // Column blocks balanced by column counts: the bounds of the
     // counting CSR of R' (its row offsets), without building R'.
+    // The same scan decides the unit kernels.
     std::vector<std::size_t> col_offsets(r_.cols + 1, 0);
     for (std::size_t t = 0; t < r.nonzeros(); ++t) {
         ++col_offsets[r_.col_index[t] + 1];
+        unit_ = unit_ && r_.values[t] == 1.0;
     }
     for (std::size_t c = 0; c < r_.cols; ++c) {
         col_offsets[c + 1] += col_offsets[c];
@@ -165,7 +189,10 @@ void RoutingOperator::multiply(const Vector& x, Vector& y,
     double* yp = y.data();
     run_blocks(runner, row_blocks_.size() - 1,
                [&](std::size_t b0, std::size_t b1) {
-        detail::csr_rows_times(r_, xp, row_blocks_[b0], row_blocks_[b1], yp);
+        with_unit(unit_, [&](auto unit) {
+            detail::csr_rows_times<decltype(unit)::value>(
+                r_, xp, row_blocks_[b0], row_blocks_[b1], yp);
+        });
     });
 }
 
@@ -182,12 +209,14 @@ void RoutingOperator::multiply_transpose(const Vector& x, Vector& y,
     run_blocks(runner, stride - 1, [&](std::size_t b0, std::size_t b1) {
         const std::size_t* seg = segments_.data();
         std::fill(yp + col_blocks_[b0], yp + col_blocks_[b1], 0.0);
-        for (std::size_t i = 0; i < r_.rows; ++i) {
-            const double xi = xp[i];
-            if (xi == 0.0) continue;
-            detail::csr_scatter(xi, r_, seg[i * stride + b0],
-                                seg[i * stride + b1], yp);
-        }
+        with_unit(unit_, [&](auto unit) {
+            for (std::size_t i = 0; i < r_.rows; ++i) {
+                const double xi = xp[i];
+                if (xi == 0.0) continue;
+                detail::csr_scatter<decltype(unit)::value>(
+                    xi, r_, seg[i * stride + b0], seg[i * stride + b1], yp);
+            }
+        });
     });
 }
 
@@ -223,10 +252,12 @@ void RoutingOperator::weighted_normal(
     double* yp = y.data();
     run_blocks(runner, row_blocks_.size() - 1,
                [&](std::size_t b0, std::size_t b1) {
-        for_each_sample_chunk(window, [&](auto chunk, std::size_t k0) {
-            weighted_rows<decltype(chunk)::value>(
-                r_, xp, gp, wp, window, k0, row_blocks_[b0],
-                row_blocks_[b1], vp);
+        with_unit(unit_, [&](auto unit) {
+            for_each_sample_chunk(window, [&](auto chunk, std::size_t k0) {
+                weighted_rows<decltype(chunk)::value, decltype(unit)::value>(
+                    r_, xp, gp, wp, window, k0, row_blocks_[b0],
+                    row_blocks_[b1], vp);
+            });
         });
     });
     const std::size_t stride = col_blocks_.size();
@@ -236,9 +267,12 @@ void RoutingOperator::weighted_normal(
         for (std::size_t k = 0; k < window; ++k) {
             std::fill(zp[k] + cb, zp[k] + ce, 0.0);
         }
-        for_each_sample_chunk(window, [&](auto chunk, std::size_t k0) {
-            weighted_scatter<decltype(chunk)::value>(
-                r_, segments_.data(), stride, b0, b1, vp, window, k0, zp);
+        with_unit(unit_, [&](auto unit) {
+            for_each_sample_chunk(window, [&](auto chunk, std::size_t k0) {
+                weighted_scatter<decltype(chunk)::value,
+                                 decltype(unit)::value>(
+                    r_, segments_.data(), stride, b0, b1, vp, window, k0, zp);
+            });
         });
         // y[p] = 0 + w_0 z_0 + w_1 z_1 + ...: the serial fold order.
         for (std::size_t p = cb; p < ce; ++p) {

@@ -27,6 +27,13 @@
 // written by exactly one block, so the results are bitwise equal to the
 // serial calls for every thread count and every partition (pinned by
 // tests/linalg/test_blocked_spmv.cpp).
+//
+// A routing matrix whose stored values are all exactly 1.0 (single-path
+// routing: every matrix the routing layer builds) runs value-free
+// kernels that never read R's values and add where the valued loops
+// fuse a multiply by 1.0.  That is bitwise the same: fma(1.0, u, acc)
+// rounds once, exactly as acc + u does.  The operator decides this once
+// from its input; any other value keeps the valued loops.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +66,8 @@ struct WeightedNormalScratch {
 class RoutingOperator {
   public:
     /// `r` must outlive the operator.  O(nnz + rows * blocks) setup for
-    /// a fixed count of 16 row and 16 column blocks.
+    /// a fixed count of 16 row and 16 column blocks; the same scan
+    /// decides whether the value-free kernels apply.
     explicit RoutingOperator(const SparseMatrix& r);
 
     std::size_t rows() const { return r_.rows; }
@@ -89,6 +97,7 @@ class RoutingOperator {
 
   private:
     CsrView r_;
+    bool unit_ = true;  ///< every stored value of R is exactly 1.0
     std::vector<std::size_t> row_blocks_;  ///< over R's rows
     std::vector<std::size_t> col_blocks_;  ///< over R's columns (pairs)
     /// segments_[i * col_blocks_.size() + b]: first position of row i

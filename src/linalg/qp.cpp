@@ -2,49 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/contract.hpp"
 #include "check/validators.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/blocked_spmv.hpp"
 #include "linalg/lu.hpp"
 
 namespace tme::linalg {
 
 namespace {
 
-/// Column adjacency of a CSR matrix: per column, the (row, value)
-/// pairs with rows ascending.  The projected-CG solve needs E's
-/// columns to assemble the constraint normal matrix E_F M^-1 E_F'.
-struct ColumnLists {
-    std::vector<std::size_t> offsets;  // cols + 1
-    std::vector<std::size_t> rows;
-    std::vector<double> values;
-};
-
-ColumnLists column_lists(const CsrView& a) {
-    ColumnLists c;
-    c.offsets.assign(a.cols + 1, 0);
-    const std::size_t nnz = a.rows > 0 ? a.offsets[a.rows] : 0;
-    for (std::size_t k = 0; k < nnz; ++k) ++c.offsets[a.col_index[k] + 1];
-    for (std::size_t j = 0; j < a.cols; ++j) {
-        c.offsets[j + 1] += c.offsets[j];
-    }
-    c.rows.resize(nnz);
-    c.values.resize(nnz);
-    std::vector<std::size_t> cursor(c.offsets.begin(), c.offsets.end() - 1);
-    for (std::size_t i = 0; i < a.rows; ++i) {
-        for (std::size_t k = a.offsets[i]; k < a.offsets[i + 1]; ++k) {
-            const std::size_t slot = cursor[a.col_index[k]]++;
-            c.rows[slot] = i;
-            c.values[slot] = a.values[k];
-        }
-    }
-    return c;
-}
+/// Row blocks of E for the pooled projection: nnz-balanced, as many as
+/// the routing operator's.
+constexpr std::size_t kProjectionBlocks = 16;
 
 // --- Hessian access ------------------------------------------------------
 //
@@ -110,21 +83,17 @@ struct HessianAccess {
         for (std::size_t a = 0; a < k; ++a) xfull[free_vars[a]] = 0.0;
     }
 
-    // CG-regime multiplier sweep: one full operator product serves every
-    // pinned coordinate (per-row generation would cost a column per
-    // pinned variable — quadratic over the run at scale).  The exact-LU
-    // regime keeps the per-row walk, whose multipliers are bitwise a
-    // dense-H sweep's.
-    void prepare_mu(const Vector& sol,
-                    const std::vector<std::size_t>& free_vars,
-                    bool used_cg) {
-        mu_ready = used_cg;
-        if (!used_cg) return;
-        const std::size_t k = free_vars.size();
-        for (std::size_t a = 0; a < k; ++a) xfull[free_vars[a]] = sol[a];
-        op->apply(xfull, mu_full);
-        for (std::size_t a = 0; a < k; ++a) xfull[free_vars[a]] = 0.0;
-    }
+    // Keeps the operator product of the last apply_free as mu_full.
+    // The projected CG ends with an apply at the solution it returns, so
+    // one full product serves every pinned coordinate of the CG-regime
+    // multiplier sweep (per-row generation would cost a column per
+    // pinned variable — quadratic over the run at scale).
+    void keep_last_product() { std::swap(ybuf, mu_full); }
+
+    // A CG round's sweep reads the kept product; the exact-LU regime
+    // keeps the per-row walk, whose multipliers are bitwise a dense-H
+    // sweep's.
+    void prepare_mu(bool used_cg) { mu_ready = used_cg; }
 
     void add_mu_terms(std::size_t j,
                       const std::vector<std::size_t>& free_index,
@@ -147,15 +116,19 @@ struct HessianAccess {
 /// where H is the operator's Hessian restricted to the free variables.
 /// Projected CG with the constraint preconditioner [M E'; E 0]
 /// (M = Jacobi diagonal of H + ridge): each application costs one
-/// O(nnz(E_F)) projection plus an m x m triangular solve, and each
-/// iteration one operator product.  Feasibility is maintained by the
+/// O(nnz(E_F)) projection, and each iteration one operator product.
+/// Under the partition contract (every variable in at most one equality
+/// row) S = E_F M^-1 E_F' is diagonal, so the projection is row-local:
+/// row r's multiplier is (e_r/sqrt(S_rr))/sqrt(S_rr) — bitwise the
+/// Cholesky solve of the diagonal S — and the rows run as nnz-balanced
+/// blocks on options.parallel.  Feasibility is maintained by the
 /// projection — even a truncated solve returns an E_F x = d point.
-/// Returns (x_F, nu) of length k + m, or an empty vector when
-/// E_F M^-1 E_F' is structurally singular (an equality row with no
-/// free support).
+/// Returns (x_F, nu) of length k + m, or an empty vector when some
+/// S_rr is not positive (an equality row with no free support).
 Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
                      const Vector& f, const CsrView& ev,
-                     const ColumnLists& ecols, const Vector& d,
+                     const std::vector<std::size_t>& row_blocks,
+                     const Vector& d,
                      const std::vector<std::size_t>& free_vars,
                      const std::vector<std::size_t>& free_index,
                      double ridge, const Vector* initial_full,
@@ -163,6 +136,7 @@ Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
                      std::size_t& cg_iterations) {
     const std::size_t k = free_vars.size();
     const std::size_t m = ev.rows;
+    const double* __restrict evals = ev.values;
 
     // Jacobi metric; strictly positive thanks to the ridge.
     Vector mdiag(k);
@@ -170,77 +144,66 @@ Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
         mdiag[a] = hdiag_total[free_vars[a]] + ridge;
     }
 
-    // Constraint normal matrix S = E_F M^-1 E_F' via E's columns
-    // (cost sum_j colnnz(j)^2 — one flop per column on the fanout E).
-    std::optional<Cholesky> schol;
+    // sroot[r] = sqrt(S_rr), S_rr summed over row r's free entries in
+    // ascending column order (the order a dense assembly of S adds
+    // them).  Free variables in no equality row are left out of the
+    // projection; the preconditioner only scales them.
+    Vector sroot(m, 0.0);
+    std::vector<std::size_t> unconstrained;
     if (m > 0) {
-        Matrix smat(m, m, 0.0);
+        std::vector<std::uint8_t> in_row(k, 0);
+        for (std::size_t r = 0; r < m; ++r) {
+            double s = 0.0;
+            for (std::size_t t = ev.offsets[r]; t < ev.offsets[r + 1]; ++t) {
+                const std::size_t a = free_index[ev.col_index[t]];
+                if (a == SIZE_MAX) continue;
+                const double mi = 1.0 / mdiag[a];
+                s += evals[t] * evals[t] * mi;
+                in_row[a] = 1;
+            }
+            if (!(s > 0.0) || !std::isfinite(s)) return {};
+            sroot[r] = std::sqrt(s);
+        }
         for (std::size_t a = 0; a < k; ++a) {
-            const std::size_t j = free_vars[a];
-            const double mi = 1.0 / mdiag[a];
-            for (std::size_t c1 = ecols.offsets[j];
-                 c1 < ecols.offsets[j + 1]; ++c1) {
-                for (std::size_t c2 = c1; c2 < ecols.offsets[j + 1];
-                     ++c2) {
-                    smat(ecols.rows[c1], ecols.rows[c2]) +=
-                        ecols.values[c1] * ecols.values[c2] * mi;
+            if (!in_row[a]) unconstrained.push_back(a);
+        }
+    }
+    // Runs rows(r0, r1) over E's row blocks on the caller's runner; each
+    // row writes only its own variables (and multiplier).
+    auto for_row_blocks = [&](const auto& rows) {
+        run_blocks(options.parallel, row_blocks.size() - 1,
+                   [&](std::size_t b0, std::size_t b1) {
+            rows(row_blocks[b0], row_blocks[b1]);
+        });
+    };
+
+    // v = P M^-1 r: the constraint-preconditioner application, v =
+    // M^-1 r - M^-1 E_F' S^-1 E_F M^-1 r, one fused pass per row.
+    auto precondition = [&](const Vector& r_, Vector& v) {
+        if (m == 0) {
+            for (std::size_t a = 0; a < k; ++a) v[a] = r_[a] / mdiag[a];
+            return;
+        }
+        for (const std::size_t a : unconstrained) v[a] = r_[a] / mdiag[a];
+        for_row_blocks([&](std::size_t r0, std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
+                const std::size_t t0 = ev.offsets[r];
+                const std::size_t t1 = ev.offsets[r + 1];
+                double acc = 0.0;
+                for (std::size_t t = t0; t < t1; ++t) {
+                    const std::size_t a = free_index[ev.col_index[t]];
+                    if (a == SIZE_MAX) continue;
+                    v[a] = r_[a] / mdiag[a];
+                    acc += evals[t] * v[a];
+                }
+                const double lr = acc / sroot[r] / sroot[r];
+                if (lr == 0.0) continue;
+                for (std::size_t t = t0; t < t1; ++t) {
+                    const std::size_t a = free_index[ev.col_index[t]];
+                    if (a != SIZE_MAX) v[a] -= evals[t] * lr / mdiag[a];
                 }
             }
-        }
-        symmetrize_from_upper(smat);
-        // The caller guarantees every row has free support, so the
-        // diagonal is positive; only a tiny conditioning jitter is ever
-        // appropriate here.  A factorization that still fails (truly
-        // dependent equality rows) is reported as singular — hiding it
-        // behind a large jitter would silently solve a different
-        // problem.
-        double smax = 0.0;
-        for (std::size_t r = 0; r < m; ++r) {
-            smax = std::max(smax, smat(r, r));
-        }
-        double jitter = 0.0;
-        for (int attempt = 0; attempt < 3 && !schol.has_value();
-             ++attempt) {
-            schol = try_cholesky(smat, jitter);
-            jitter = std::max(jitter * 100.0, 1e-14 * std::max(1.0, smax));
-        }
-        if (!schol.has_value()) return {};
-    }
-
-    // out = E_F w (w in free space).
-    Vector escratch(m, 0.0);
-    auto e_apply = [&](const Vector& w, Vector& out) {
-        for (std::size_t r = 0; r < m; ++r) {
-            double acc = 0.0;
-            for (std::size_t t = ev.offsets[r]; t < ev.offsets[r + 1];
-                 ++t) {
-                const std::size_t a = free_index[ev.col_index[t]];
-                if (a != SIZE_MAX) acc += ev.values[t] * w[a];
-            }
-            out[r] = acc;
-        }
-    };
-    // v -= M^-1 E_F' lambda.
-    auto et_apply_scaled_sub = [&](const Vector& lambda, Vector& v) {
-        for (std::size_t r = 0; r < m; ++r) {
-            const double lr = lambda[r];
-            if (lr == 0.0) continue;
-            for (std::size_t t = ev.offsets[r]; t < ev.offsets[r + 1];
-                 ++t) {
-                const std::size_t a = free_index[ev.col_index[t]];
-                if (a != SIZE_MAX) v[a] -= ev.values[t] * lr / mdiag[a];
-            }
-        }
-    };
-    // v = P M^-1 r: the constraint-preconditioner application.
-    Vector lambda(m, 0.0);
-    auto precondition = [&](const Vector& r_, Vector& v) {
-        for (std::size_t a = 0; a < k; ++a) v[a] = r_[a] / mdiag[a];
-        if (m > 0) {
-            e_apply(v, escratch);
-            lambda = schol->solve(escratch);
-            et_apply_scaled_sub(lambda, v);
-        }
+        });
     };
     // out = (H_FF + ridge I) w, through the operator.
     auto h_apply = [&](const Vector& w, Vector& out) {
@@ -254,7 +217,7 @@ Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
     // free set and correct the constraint residual in the M metric,
     // x0 = x_prev + M^-1 E_F' S^-1 (d - E_F x_prev).  Later rounds then
     // converge in a handful of CG iterations instead of restarting the
-    // whole Krylov build-up.
+    // whole Krylov build-up.  Row-local like the projection.
     Vector x(k, 0.0);
     if (initial_full != nullptr) {
         for (std::size_t a = 0; a < k; ++a) {
@@ -262,25 +225,27 @@ Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
         }
     }
     if (m > 0) {
-        Vector cresid(m, 0.0);
-        if (initial_full != nullptr) {
-            e_apply(x, cresid);
-            for (std::size_t r = 0; r < m; ++r) {
-                cresid[r] = d[r] - cresid[r];
+        for_row_blocks([&](std::size_t r0, std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
+                const std::size_t t0 = ev.offsets[r];
+                const std::size_t t1 = ev.offsets[r + 1];
+                double cresid = d[r];
+                if (initial_full != nullptr) {
+                    double acc = 0.0;
+                    for (std::size_t t = t0; t < t1; ++t) {
+                        const std::size_t a = free_index[ev.col_index[t]];
+                        if (a != SIZE_MAX) acc += evals[t] * x[a];
+                    }
+                    cresid = d[r] - acc;
+                }
+                const double lr = cresid / sroot[r] / sroot[r];
+                if (lr == 0.0) continue;
+                for (std::size_t t = t0; t < t1; ++t) {
+                    const std::size_t a = free_index[ev.col_index[t]];
+                    if (a != SIZE_MAX) x[a] += evals[t] * lr / mdiag[a];
+                }
             }
-        } else {
-            cresid = d;
-        }
-        const Vector lambda0 = schol->solve(cresid);
-        for (std::size_t r = 0; r < m; ++r) {
-            const double lr = lambda0[r];
-            if (lr == 0.0) continue;
-            for (std::size_t t = ev.offsets[r]; t < ev.offsets[r + 1];
-                 ++t) {
-                const std::size_t a = free_index[ev.col_index[t]];
-                if (a != SIZE_MAX) x[a] += ev.values[t] * lr / mdiag[a];
-            }
-        }
+        });
     }
 
     Vector hx(k, 0.0);
@@ -377,19 +342,26 @@ Vector pcg_kkt_solve(HessianAccess& hp, const Vector& hdiag_total,
 
     // Multiplier estimate nu = S^-1 E_F M^-1 (f_F - H x): the weighted
     // least-squares solution of the free-variable stationarity system
-    // (exact at a KKT point; E_F' has full row support by the S
-    // factorization above).
+    // (exact at a KKT point; every row has free support by the S check
+    // above).  The product H x is the multiplier sweep's too.
     Vector sol(k + m, 0.0);
     std::copy(x.begin(), x.end(), sol.begin());
+    h_apply(x, hx);
+    hp.keep_last_product();
     if (m > 0) {
-        h_apply(x, hx);
-        for (std::size_t a = 0; a < k; ++a) {
-            v[a] = (f[free_vars[a]] - hx[a]) / mdiag[a];
-        }
-        e_apply(v, escratch);
-        const Vector nu = schol->solve(escratch);
-        std::copy(nu.begin(), nu.end(),
-                  sol.begin() + static_cast<std::ptrdiff_t>(k));
+        for_row_blocks([&](std::size_t r0, std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
+                double acc = 0.0;
+                for (std::size_t t = ev.offsets[r]; t < ev.offsets[r + 1];
+                     ++t) {
+                    const std::size_t a = free_index[ev.col_index[t]];
+                    if (a == SIZE_MAX) continue;
+                    const double va = (f[free_vars[a]] - hx[a]) / mdiag[a];
+                    acc += evals[t] * va;
+                }
+                sol[k + r] = acc / sroot[r] / sroot[r];
+            }
+        });
     }
     return sol;
 }
@@ -410,6 +382,10 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
     // serial stretches between regions.
     const bool cg_regime = n + m > options.dense_kkt_limit;
     const SolveScope solve_scope(cg_regime ? options.parallel : nullptr);
+    // Row blocks of E for the CG regime's pooled projection.
+    const std::vector<std::size_t> row_blocks =
+        cg_regime && m > 0 ? nnz_balanced_blocks(ev, kProjectionBlocks)
+                           : std::vector<std::size_t>{0};
 
     // Total Hessian diagonal (matrix diagonal + added diagonal) — the
     // only dense-H quantity the active-set driver ever reads.
@@ -419,8 +395,6 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
     for (std::size_t i = 0; i < n; ++i) hmax = std::max(hmax, hdiag[i]);
     double fmax = 1.0;
     for (std::size_t i = 0; i < n; ++i) fmax = std::max(fmax, std::abs(f[i]));
-
-    const ColumnLists ecols = column_lists(ev);
 
     std::vector<std::uint8_t> fixed_zero(n, 0);
     EqQpNonnegResult result;
@@ -570,7 +544,7 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
             // Matrix-free projected CG on the free set, warm-started
             // from the previous round's iterate when there is one.
             const double ridge = 1e-10 * hmax;
-            sol = pcg_kkt_solve(hp, hdiag, f, ev, ecols, d, free_vars,
+            sol = pcg_kkt_solve(hp, hdiag, f, ev, row_blocks, d, free_vars,
                                 free_index, ridge,
                                 pcg_prev.empty() ? nullptr : &pcg_prev,
                                 options, result.cg_iterations);
@@ -621,7 +595,7 @@ EqQpNonnegResult eq_qp_nonneg_active_set(HessianAccess& hp, const Vector& f,
                             sol.begin() + static_cast<std::ptrdiff_t>(k + m));
             etnu = e.multiply_transpose(nu);
         }
-        hp.prepare_mu(sol, free_vars, used_cg);
+        hp.prepare_mu(used_cg);
         std::vector<std::size_t> violators;
         for (std::size_t j = 0; j < n; ++j) {
             if (!fixed_zero[j]) continue;
@@ -732,6 +706,18 @@ EqQpNonnegResult solve_eq_qp_nonneg_operator(
     if (m > 0) {
         TME_CONTRACT_DBG_CHECK(check::csr_structure(
             e, "solve_eq_qp_nonneg_operator equality operator"));
+        // Partition constraints: every variable in at most one row.
+        std::vector<std::uint8_t> in_row(n, 0);
+        const CsrView ev = e.view();
+        for (std::size_t t = 0; t < ev.offsets[m]; ++t) {
+            if (in_row[ev.col_index[t]]) {
+                throw std::invalid_argument(
+                    "solve_eq_qp_nonneg_operator: a column of E has more "
+                    "than one nonzero (equality rows must partition the "
+                    "variables)");
+            }
+            in_row[ev.col_index[t]] = 1;
+        }
     }
     TME_CONTRACT_DBG_CHECK(
         check::finite(f, "solve_eq_qp_nonneg_operator f"));

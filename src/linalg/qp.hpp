@@ -74,12 +74,14 @@ struct EqQpNonnegOptions {
     /// feasibility as maintained by the projection) with
     /// outcome = budget_exhausted.  Not owned; must outlive the call.
     SolveBudget* budget = nullptr;
-    /// Optional block runner for the Hessian operator applies: the
-    /// fanout and Bayesian operators run their R x / R' y products as
-    /// row-blocked kernels on it (linalg/blocked_spmv.hpp), bitwise
-    /// equal to the serial products for any runner.  The solver's own
-    /// vector updates and dot products stay serial.  In the CG regime
-    /// (variables + equality rows > dense_kkt_limit) the solve
+    /// Optional block runner.  The fanout and Bayesian operators run
+    /// their R x / R' y products as row-blocked kernels on it
+    /// (linalg/blocked_spmv.hpp), and the CG regime runs its equality
+    /// projection (the preconditioner, the feasible start and the
+    /// multiplier estimate) as nnz-balanced blocks of E's rows on it;
+    /// both are bitwise equal to the serial loops for any runner.  The
+    /// CG vector updates and dot products stay serial.  In the CG
+    /// regime (variables + equality rows > dense_kkt_limit) the solve
     /// holds a SolveScope on the runner for its whole run, so helpers
     /// stay between regions.  nullptr runs every block inline.  Not
     /// owned; must outlive the call.
@@ -141,7 +143,10 @@ struct HessianOperator {
 /// Minimizes (1/2) x'Hx - f'x  subject to  E x = d,  x >= 0, with the
 /// Hessian supplied as a pure operator — no dense or CSR form of H is
 /// ever materialized, so peak memory is O(n + nnz(E)) regardless of
-/// how dense H itself would be.  The non-negativity constraints are
+/// how dense H itself would be.  The equality rows must partition the
+/// variables: every column of E holds at most one nonzero (fanout's
+/// per-source sums; a variable may sit in no row).  Any other E throws
+/// std::invalid_argument.  The non-negativity constraints are
 /// handled by a block principal pivoting active set (flip every
 /// infeasibility while the count shrinks, Murty single-pivot fallback
 /// when it stops; the multipliers of the pinned coordinates are checked
@@ -153,8 +158,10 @@ struct HessianOperator {
 /// exactly and LU-solve it — on inputs whose generated values equal a
 /// dense H the returned x and active set are bit-for-bit a dense-H
 /// active-set solve's.  Larger problems use matrix-free projected CG
-/// (constraint-preconditioned with the Jacobi diagonal; one operator
-/// apply per iteration, feasibility maintained by projection).  All
+/// (constraint-preconditioned with the Jacobi diagonal M; one operator
+/// apply per iteration, feasibility maintained by projection).  Under
+/// the partition contract E_F M^-1 E_F' is diagonal, so the projection
+/// is row-local and needs no factorization.  All
 /// tolerances are scale-relative (derived from diag(H) and the iterate
 /// magnitude), so the solver behaves identically for loads of order 1
 /// and of order 1e9.  m == 0 is allowed and reduces to a

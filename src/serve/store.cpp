@@ -18,7 +18,10 @@ double seconds_since(SteadyClock::time_point start) {
         .count();
 }
 
-std::vector<std::size_t> estimate_lengths(const EstimateSnapshot& snap) {
+// Read only by the publish contract check, which contracts-off builds
+// compile out.
+[[maybe_unused]] std::vector<std::size_t> estimate_lengths(
+    const EstimateSnapshot& snap) {
     std::vector<std::size_t> lengths;
     lengths.reserve(snap.methods().size());
     for (const MethodEstimate& me : snap.methods()) {

@@ -53,6 +53,17 @@ SparseMatrix backbone_routing(std::size_t pops) {
     return routing::igp_routing_matrix(topo);
 }
 
+/// A backbone routing matrix with one entry set to 2.0: routing
+/// structure on the valued kernels (every routing matrix the builders
+/// make is 0/1 and takes the value-free ones).
+SparseMatrix mixed_routing(std::size_t pops) {
+    const SparseMatrix r = backbone_routing(pops);
+    std::vector<double> values = r.values();
+    values[values.size() / 2] = 2.0;
+    return SparseMatrix::from_csr(r.rows(), r.cols(), r.row_offsets(),
+                                  r.column_indices(), std::move(values));
+}
+
 /// Random CSR with empty rows and columns and signed values.
 SparseMatrix random_sparse(std::size_t rows, std::size_t cols,
                            std::mt19937_64& rng) {
@@ -173,10 +184,12 @@ TEST(BlockedSpmv, NnzBalancedBlocksCoverEveryRowOnce) {
 TEST(BlockedSpmv, ProductsMatchSerialBitwiseForEveryPartition) {
     std::mt19937_64 rng(7);
     // The small matrices have fewer rows / columns than blocks.
+    // Routing matrices run the value-free kernels, the others the
+    // valued ones.
     const std::vector<SparseMatrix> matrices = {
         backbone_routing(40), random_sparse(60, 90, rng),
         random_sparse(9, 40, rng), random_sparse(40, 12, rng),
-        backbone_routing(3)};
+        backbone_routing(3), mixed_routing(40)};
     ReverseRunner reverse;
     ShuffledRangeRunner shuffled(3);
     const std::vector<BlockRunner*> runners = {nullptr, &reverse, &shuffled};
@@ -200,8 +213,12 @@ TEST(BlockedSpmv, ProductsMatchSerialBitwiseForEveryPartition) {
 
 TEST(BlockedSpmv, WeightedNormalMatchesPerSampleLoopBitwise) {
     std::mt19937_64 rng(11);
-    // The 3-PoP backbone has fewer links and pairs than blocks.
-    for (const SparseMatrix& r : {backbone_routing(40), backbone_routing(3)}) {
+    // The 3-PoP backbone has fewer links and pairs than blocks.  The
+    // backbones run the value-free kernels, the random and mixed
+    // matrices the valued ones.
+    const SparseMatrix random = random_sparse(60, 90, rng);
+    for (const SparseMatrix& r : {backbone_routing(40), backbone_routing(3),
+                                  random, mixed_routing(40)}) {
         weighted_normal_matches_per_sample_loop(r, rng);
     }
 }

@@ -312,6 +312,20 @@ struct OperatorProblem {
     HessianOperator hessian() const { return gram_operator(a, at, &shift); }
 };
 
+/// Sets E to two disjoint sum rows over the first `covered` variables
+/// (halves); the rest sit in no equality row.
+void constrain_first(OperatorProblem& p, std::size_t covered) {
+    const std::size_t n = p.f.size();
+    p.e_dense = Matrix(2, n, 0.0);
+    std::vector<Triplet> trips;
+    for (std::size_t j = 0; j < covered; ++j) {
+        const std::size_t r = j < covered / 2 ? 0 : 1;
+        p.e_dense(r, j) = 1.0;
+        trips.push_back({r, j, 1.0});
+    }
+    p.e_sparse = SparseMatrix(2, n, std::move(trips));
+}
+
 OperatorProblem make_operator_problem(unsigned seed, std::size_t n,
                                       double shift_value) {
     std::mt19937_64 rng(seed);
@@ -331,14 +345,7 @@ OperatorProblem make_operator_problem(unsigned seed, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) p.dense_h(i, i) += shift_value;
     p.f.resize(n);
     for (double& v : p.f) v = dist(rng) - 0.3;
-    p.e_dense = Matrix(2, n, 0.0);
-    std::vector<Triplet> trips;
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t r = j < n / 2 ? 0 : 1;
-        p.e_dense(r, j) = 1.0;
-        trips.push_back({r, j, 1.0});
-    }
-    p.e_sparse = SparseMatrix(2, n, std::move(trips));
+    constrain_first(p, n);
     p.d = {1.0, 2.0};
     return p;
 }
@@ -424,28 +431,34 @@ TEST_P(EqQpOperator, GatherPathBitwiseMatchesDense) {
 TEST_P(EqQpOperator, ProjectedCgMatchesDense) {
     // dense_kkt_limit = 0 forces every KKT solve through the
     // matrix-free projected CG; the strictly convex problem has one
-    // minimizer, so the two paths must agree to solver precision.
-    const OperatorProblem p = make_operator_problem(GetParam() + 50, 24,
-                                                    0.5);
-    const EqQpNonnegResult dense =
-        solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d);
+    // minimizer, so the two paths must agree to solver precision.  The
+    // second pass leaves the last third of the variables in no
+    // equality row, which the row-local projection only scales.
+    OperatorProblem p = make_operator_problem(GetParam() + 50, 24, 0.5);
+    for (const std::size_t covered : {std::size_t{24}, std::size_t{16}}) {
+        constrain_first(p, covered);
+        const EqQpNonnegResult dense =
+            solve_eq_qp_nonneg(p.dense_h, p.f, p.e_dense, p.d);
 
-    EqQpNonnegOptions opts;
-    opts.dense_kkt_limit = 0;
-    opts.cg_tolerance = 1e-13;
-    const EqQpNonnegResult op =
-        solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d,
-                                    opts);
-    ASSERT_TRUE(op.converged);
-    EXPECT_GT(op.cg_iterations, 0u);
-    // The CG path trades the last two digits of active-set resolution
-    // for scale-independence (decision band 1e-7 vs the gather path's
-    // 1e-9), so agreement is to ~1e-6 relative, not bitwise.
-    const double scale = std::max(1.0, nrm_inf(dense.x));
-    for (std::size_t j = 0; j < dense.x.size(); ++j) {
-        EXPECT_NEAR(op.x[j], dense.x[j], 1e-6 * scale) << "var " << j;
+        EqQpNonnegOptions opts;
+        opts.dense_kkt_limit = 0;
+        opts.cg_tolerance = 1e-13;
+        const EqQpNonnegResult op =
+            solve_eq_qp_nonneg_operator(p.hessian(), p.f, p.e_sparse, p.d,
+                                        opts);
+        ASSERT_TRUE(op.converged) << "covered " << covered;
+        EXPECT_GT(op.cg_iterations, 0u);
+        // The CG path trades the last two digits of active-set
+        // resolution for scale-independence (decision band 1e-7 vs the
+        // gather path's 1e-9), so agreement is to ~1e-6 relative, not
+        // bitwise.
+        const double scale = std::max(1.0, nrm_inf(dense.x));
+        for (std::size_t j = 0; j < dense.x.size(); ++j) {
+            EXPECT_NEAR(op.x[j], dense.x[j], 1e-6 * scale)
+                << "covered " << covered << " var " << j;
+        }
+        EXPECT_LT(op.equality_violation, 1e-9 * scale);
     }
-    EXPECT_LT(op.equality_violation, 1e-9 * scale);
 }
 
 TEST_P(EqQpOperator, WarmStartOnCgPathReturnsSameMinimizer) {
@@ -578,6 +591,24 @@ TEST(EqQpOperatorEdge, Validation) {
     EXPECT_THROW(
         solve_eq_qp_nonneg_operator(h, p.f, p.e_sparse, p.d, opts),
         std::invalid_argument);
+    // A variable in two equality rows (column 2 of E holds two
+    // nonzeros): the rows must partition the variables, in both
+    // inner-solve regimes.
+    std::vector<Triplet> trips;
+    for (std::size_t j = 0; j < 10; ++j) {
+        trips.push_back({j < 5 ? 0u : 1u, j, 1.0});
+    }
+    trips.push_back({1, 2, 0.5});
+    const SparseMatrix overlapping(2, 10, std::move(trips));
+    for (const std::size_t limit : {EqQpNonnegOptions{}.dense_kkt_limit,
+                                    std::size_t{0}}) {
+        EqQpNonnegOptions limit_opts;
+        limit_opts.dense_kkt_limit = limit;
+        EXPECT_THROW(solve_eq_qp_nonneg_operator(h, p.f, overlapping, p.d,
+                                                 limit_opts),
+                     std::invalid_argument)
+            << "limit " << limit;
+    }
     // Every closure must be set.
     for (int which = 0; which < 3; ++which) {
         HessianOperator unset = h;
@@ -588,6 +619,29 @@ TEST(EqQpOperatorEdge, Validation) {
             solve_eq_qp_nonneg_operator(unset, p.f, p.e_sparse, p.d),
             std::invalid_argument)
             << "closure " << which;
+    }
+}
+
+TEST(EqQpOperatorEdge, RowWithoutFreeSupportIsSingularInBothRegimes) {
+    // An equality row with no columns stays unsupported whatever the
+    // driver releases: once its support repairs run out, the KKT solve
+    // must report the system singular in the CG regime (S_rr = 0) as
+    // in the exact-LU regime (a zero KKT row).
+    const OperatorProblem p = make_operator_problem(5, 10, 0.1);
+    std::vector<Triplet> trips;
+    for (std::size_t j = 0; j < 10; ++j) {
+        trips.push_back({j < 5 ? 0u : 1u, j, 1.0});
+    }
+    const SparseMatrix e(3, 10, std::move(trips));
+    const Vector d = {1.0, 2.0, 0.0};
+    for (const std::size_t limit : {EqQpNonnegOptions{}.dense_kkt_limit,
+                                    std::size_t{0}}) {
+        EqQpNonnegOptions opts;
+        opts.dense_kkt_limit = limit;
+        EXPECT_THROW(
+            solve_eq_qp_nonneg_operator(p.hessian(), p.f, e, d, opts),
+            std::runtime_error)
+            << "limit " << limit;
     }
 }
 
