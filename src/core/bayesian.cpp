@@ -59,11 +59,11 @@ linalg::Vector bayesian_estimate(const SnapshotProblem& problem,
             linalg::gram_column(rv, rtv, j, scratch.data(), support);
         };
         linalg::NnlsOptions nnls_options;
-        nnls_options.warm_start = options.warm_start;
+        nnls_options.warm_start = options.qp.warm_start;
         nnls_options.gram_diagonal_shift = w;
         nnls_options.gram_operator = &r;
-        nnls_options.counters = options.counters;
-        nnls_options.budget = options.budget;
+        nnls_options.counters = options.qp.counters;
+        nnls_options.budget = options.qp.budget;
         linalg::Vector x =
             linalg::nnls_operator(oracle, rhs, 0.0, nnls_options).x;
         TME_CONTRACT_DBG_CHECK(check::solver_boundary(
@@ -84,17 +84,8 @@ linalg::Vector bayesian_estimate(const SnapshotProblem& problem,
         routing_op.multiply(x, tmp, parallel);
         routing_op.multiply_transpose(tmp, y, parallel);
     };
-    // G(p, p) = sum of squares over column p's carriers, source
-    // rows ascending — the Gram kernels' diagonal accumulation.
     hessian.diag = [rtv](linalg::Vector& out) {
-        for (std::size_t j = 0; j < rtv.rows; ++j) {
-            double dj = 0.0;
-            for (std::size_t t = rtv.offsets[j]; t < rtv.offsets[j + 1];
-                 ++t) {
-                dj += rtv.values[t] * rtv.values[t];
-            }
-            out[j] = dj;
-        }
+        linalg::gram_diagonal(rtv, out.data());
     };
     hessian.column = [rv, rtv](std::size_t j,
                                std::vector<double>& scratch,
@@ -102,13 +93,9 @@ linalg::Vector bayesian_estimate(const SnapshotProblem& problem,
         linalg::gram_column(rv, rtv, j, scratch.data(), support);
     };
     hessian.diagonal = &shift;
-    linalg::EqQpNonnegOptions qp_options = options.qp;
-    qp_options.warm_start = options.warm_start;
-    qp_options.counters = options.counters;
-    if (options.budget != nullptr) qp_options.budget = options.budget;
     linalg::Vector x = linalg::solve_eq_qp_nonneg_operator(
                            hessian, rhs, linalg::SparseMatrix(), {},
-                           qp_options)
+                           options.qp)
                            .x;
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(
         "bayesian_estimate", x, /*require_nonnegative=*/true));

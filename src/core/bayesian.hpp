@@ -31,26 +31,17 @@ struct BayesianOptions {
     /// equal linalg::transpose(*problem.routing) (the engine caches it
     /// per routing epoch); derived on the fly when absent.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
-    /// Optional warm start for the active-set solve (NNLS or QP).
-    /// G + (1/lambda) I is positive definite, so the minimizer is unique
-    /// and unchanged by warm starting.  Not owned.
-    const linalg::Vector* warm_start = nullptr;
-    /// Solve tuning.  dense_kkt_limit picks the solver (see the file
-    /// comment); the operator QP above it also reads the projected-CG
-    /// tolerance and caps and the block runner `parallel`.  The
-    /// warm_start and counters members are ignored — the estimator sets
-    /// those itself.
+    /// Solve tuning, read by whichever solver runs.  dense_kkt_limit
+    /// picks the solver (see the file comment).  Both solvers read
+    /// warm_start (G + (1/lambda) I is positive definite, so the
+    /// minimizer is unique and unchanged by warm starting), counters
+    /// (the NNLS adds pivots; the operator QP adds active-set rounds /
+    /// CG iterations) and budget (a tripped budget yields the solver's
+    /// best feasible iterate; the caller reads budget->expired()
+    /// afterwards to learn the solve was cut).  The operator QP above
+    /// the limit also reads the projected-CG tolerance and caps and the
+    /// block runner `parallel`.
     linalg::EqQpNonnegOptions qp;
-    /// Optional iteration telemetry sink, forwarded to whichever solver
-    /// runs: the operator QP adds active-set rounds / CG iterations,
-    /// the NNLS adds pivots.  Not owned; must outlive the call.
-    obs::SolverCounters* counters = nullptr;
-    /// Optional cooperative deadline, forwarded to whichever solver
-    /// runs (overrides qp.budget).  A tripped budget yields the
-    /// solver's best feasible iterate; the caller reads
-    /// budget->expired() afterwards to learn the solve was cut.  Not
-    /// owned; must outlive the call.
-    linalg::SolveBudget* budget = nullptr;
 };
 
 /// MAP estimate with non-negativity.  `prior` is pair-indexed.

@@ -105,7 +105,7 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     // source-totals matrix sum_k te_k te_k' (nodes x nodes, from the
     // aggregates or built here), so the Hessian operator below needs
     // only the routing transpose (epoch-cached or derived), the G1
-    // diagonal replayed from R's column supports, outer, and the
+    // diagonal (linalg::gram_diagonal), outer, and the
     // per-sample window factors its applies run through.
     const linalg::SparseMatrix* rtp = nullptr;
     linalg::SparseMatrix rt_local;
@@ -123,16 +123,8 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     }
     const linalg::CsrView rv = r.view();
     const linalg::CsrView rtv = rtp->view();
-    // G1(p, p) = sum of squares over column p's carriers, source rows
-    // ascending — the Gram kernels' diagonal accumulation.
     linalg::Vector d1(pairs, 0.0);
-    for (std::size_t p = 0; p < pairs; ++p) {
-        double dp = 0.0;
-        for (std::size_t t = rtv.offsets[p]; t < rtv.offsets[p + 1]; ++t) {
-            dp += rtv.values[t] * rtv.values[t];
-        }
-        d1[p] = dp;
-    }
+    linalg::gram_diagonal(rtv, d1.data());
     linalg::Matrix local_outer;
     if (!agg.complete()) {
         // nodes x nodes, not pairs x pairs: 2 MB at 500 PoPs.
@@ -196,14 +188,10 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
         }
     }
 
-    linalg::EqQpNonnegOptions qp_options = options.qp;
-    qp_options.warm_start = nullptr;
-    if (options.warm_start != nullptr) {
-        if (options.warm_start->size() != pairs) {
-            throw std::invalid_argument(
-                "fanout_estimate: warm start size mismatch");
-        }
-        qp_options.warm_start = options.warm_start;
+    if (options.qp.warm_start != nullptr &&
+        options.qp.warm_start->size() != pairs) {
+        throw std::invalid_argument(
+            "fanout_estimate: warm start size mismatch");
     }
     // Built on the first apply: exact-LU-regime solves (every
     // paper-scale problem) never apply H and skip the setup.
@@ -238,7 +226,7 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     hessian_op.diagonal = tiebreak_diag.empty() ? nullptr : &tiebreak_diag;
     const linalg::EqQpNonnegResult qp = linalg::solve_eq_qp_nonneg_operator(
         hessian_op, f, constraints.equality_sparse, constraints.rhs,
-        qp_options);
+        options.qp);
 
     FanoutResult result;
     result.fanouts = qp.x;

@@ -85,18 +85,15 @@ struct FanoutOptions {
     /// equal linalg::transpose(*problem.routing) (the engine caches it
     /// per routing epoch); derived on the fly when absent.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
-    /// Optional QP active-set warm start: the previous window's fanout
-    /// vector (pair-indexed).  The QP verifies the seed's KKT
-    /// feasibility and falls back to a cold solve when it is
-    /// inconsistent, so the estimate never depends on the seed.  Not
-    /// owned.
-    const linalg::Vector* warm_start = nullptr;
     /// Optional incremental window aggregates (see above).
     FanoutWindowAggregates aggregates;
-    /// Tuning knobs forwarded to the operator QP solve
-    /// (solve_eq_qp_nonneg_operator: dense-gather limit, projected-CG
-    /// tolerance/caps, block runner, counters, budget).  The warm_start
-    /// member is ignored — the estimator manages it itself.
+    /// Options of the operator QP solve (solve_eq_qp_nonneg_operator:
+    /// dense-gather limit, projected-CG tolerance/caps, block runner,
+    /// counters, budget), passed through unchanged.  qp.warm_start is
+    /// the previous window's fanout vector (pair-indexed, or null): the
+    /// QP verifies the seed's KKT feasibility and falls back to a cold
+    /// solve when it is inconsistent, so the estimate never depends on
+    /// the seed.
     linalg::EqQpNonnegOptions qp;
 };
 

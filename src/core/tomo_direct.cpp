@@ -19,19 +19,13 @@ ReducedEstimator default_estimator() {
     };
 }
 
-// Shared setup of the reduced problem: remaining unknowns, the output
-// vector pre-filled with the measured truths, and the loads with the
-// measured demands' contribution subtracted.
-struct ReducedSetup {
-    std::vector<std::size_t> unknown;
-    linalg::Vector estimate;
-    linalg::Vector reduced_loads;
-};
+}  // namespace
 
-ReducedSetup prepare_reduced(const SnapshotProblem& problem,
-                             const linalg::Vector& prior,
-                             const linalg::Vector& true_demands,
-                             const std::vector<std::size_t>& measured) {
+linalg::Vector estimate_with_measured(const SnapshotProblem& problem,
+                                      const linalg::Vector& prior,
+                                      const linalg::Vector& true_demands,
+                                      const std::vector<std::size_t>& measured,
+                                      const ReducedEstimator& estimator) {
     problem.validate();
     const linalg::SparseMatrix& r = *problem.routing;
     const std::size_t n = r.cols();
@@ -47,127 +41,22 @@ ReducedSetup prepare_reduced(const SnapshotProblem& problem,
         is_measured[p] = true;
     }
 
-    ReducedSetup setup;
-    setup.unknown.reserve(n - measured.size());
+    std::vector<std::size_t> unknown;
+    unknown.reserve(n - measured.size());
     for (std::size_t p = 0; p < n; ++p) {
-        if (!is_measured[p]) setup.unknown.push_back(p);
+        if (!is_measured[p]) unknown.push_back(p);
     }
 
-    setup.estimate.assign(n, 0.0);
-    for (std::size_t p : measured) setup.estimate[p] = true_demands[p];
-    if (setup.unknown.empty()) return setup;
+    linalg::Vector estimate(n, 0.0);
+    for (std::size_t p : measured) estimate[p] = true_demands[p];
+    if (unknown.empty()) return estimate;
 
     // Subtract measured contributions from the loads.
-    linalg::Vector known(n, 0.0);
-    for (std::size_t p : measured) known[p] = true_demands[p];
-    const linalg::Vector known_loads = r.multiply(known);
-    setup.reduced_loads = problem.loads;
-    for (std::size_t l = 0; l < setup.reduced_loads.size(); ++l) {
-        setup.reduced_loads[l] =
-            std::max(0.0, setup.reduced_loads[l] - known_loads[l]);
+    const linalg::Vector known_loads = r.multiply(estimate);
+    linalg::Vector reduced_loads = problem.loads;
+    for (std::size_t l = 0; l < reduced_loads.size(); ++l) {
+        reduced_loads[l] = std::max(0.0, reduced_loads[l] - known_loads[l]);
     }
-    return setup;
-}
-
-}  // namespace
-
-ReducedFactor::ReducedFactor(std::vector<std::size_t> unknown_pairs,
-                             linalg::Matrix reduced_gram, double tau)
-    : unknown(std::move(unknown_pairs)),
-      gram(std::move(reduced_gram)),
-      regularization(tau),
-      chol(gram, tau) {
-    if (gram.rows() != unknown.size() || gram.cols() != unknown.size()) {
-        throw std::invalid_argument("ReducedFactor: dimension mismatch");
-    }
-}
-
-ReducedFactor ReducedFactor::slice(const linalg::Matrix& full_gram,
-                                   std::vector<std::size_t> unknown_pairs,
-                                   double tau) {
-    const std::size_t k = unknown_pairs.size();
-    for (std::size_t p : unknown_pairs) {
-        if (p >= full_gram.rows()) {
-            throw std::invalid_argument("ReducedFactor::slice: bad index");
-        }
-    }
-    // k x k over the *unmeasured* pair set only — small by design
-    // (direct measurement covers the heavy hitters).
-    // lint: allow(dense-alloc)
-    linalg::Matrix g(k, k, 0.0);
-    for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t j = 0; j < k; ++j) {
-            g(i, j) = full_gram(unknown_pairs[i], unknown_pairs[j]);
-        }
-    }
-    return ReducedFactor(std::move(unknown_pairs), std::move(g), tau);
-}
-
-ReducedFactor ReducedFactor::from_routing(
-    const linalg::SparseMatrix& routing,
-    std::vector<std::size_t> unknown_pairs, double tau) {
-    linalg::Matrix g =
-        linalg::gram_sparse(routing.select_columns(unknown_pairs));
-    return ReducedFactor(std::move(unknown_pairs), std::move(g), tau);
-}
-
-linalg::Vector estimate_with_measured_factored(
-    const SnapshotProblem& problem, const linalg::Vector& prior,
-    const linalg::Vector& true_demands,
-    const std::vector<std::size_t>& measured, double regularization,
-    const ReducedFactorProvider& provider) {
-    if (regularization <= 0.0) {
-        throw std::invalid_argument(
-            "estimate_with_measured_factored: regularization must be "
-            "positive");
-    }
-    ReducedSetup setup = prepare_reduced(problem, prior, true_demands,
-                                         measured);
-    if (setup.unknown.empty()) return setup.estimate;
-    const linalg::SparseMatrix& r = *problem.routing;
-    const std::size_t k = setup.unknown.size();
-
-    std::shared_ptr<const ReducedFactor> factor;
-    if (provider) {
-        factor = provider(setup.unknown);
-        if (factor == nullptr || factor->unknown != setup.unknown ||
-            factor->regularization != regularization) {
-            throw std::invalid_argument(
-                "estimate_with_measured_factored: provider returned a "
-                "factor for a different reduced problem");
-        }
-    } else {
-        // G_u equals the Gram of the column-selected routing matrix.
-        factor = std::make_shared<const ReducedFactor>(
-            ReducedFactor::from_routing(r, setup.unknown, regularization));
-    }
-
-    // R_u columns are columns of R, so R_u' t is a gather of R' t.
-    const linalg::Vector rt = r.multiply_transpose(setup.reduced_loads);
-    linalg::Vector rhs(k);
-    for (std::size_t i = 0; i < k; ++i) {
-        rhs[i] = rt[setup.unknown[i]] +
-                 regularization * prior[setup.unknown[i]];
-    }
-    const linalg::Vector x = factor->chol.solve(rhs);
-    for (std::size_t i = 0; i < k; ++i) {
-        setup.estimate[setup.unknown[i]] = std::max(0.0, x[i]);
-    }
-    return setup.estimate;
-}
-
-linalg::Vector estimate_with_measured(const SnapshotProblem& problem,
-                                      const linalg::Vector& prior,
-                                      const linalg::Vector& true_demands,
-                                      const std::vector<std::size_t>& measured,
-                                      const ReducedEstimator& estimator) {
-    ReducedSetup setup = prepare_reduced(problem, prior, true_demands,
-                                         measured);
-    const linalg::SparseMatrix& r = *problem.routing;
-    const std::vector<std::size_t>& unknown = setup.unknown;
-    linalg::Vector& estimate = setup.estimate;
-    if (unknown.empty()) return estimate;
-    linalg::Vector reduced_loads = std::move(setup.reduced_loads);
 
     const linalg::SparseMatrix reduced_r = r.select_columns(unknown);
     linalg::Vector reduced_prior(unknown.size());

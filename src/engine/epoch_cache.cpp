@@ -77,32 +77,6 @@ const core::FanoutConstraints& RoutingEpoch::fanout_constraints(
     return derived_->fanout;
 }
 
-std::shared_ptr<const core::ReducedFactor> RoutingEpoch::reduced_factor(
-    const std::vector<std::size_t>& unknown, double tau) const {
-    {
-        std::shared_lock<std::shared_mutex> read(derived_->mutex);
-        if (derived_->reduced != nullptr &&
-            derived_->reduced->unknown == unknown &&
-            derived_->reduced->regularization == tau) {
-            return derived_->reduced;
-        }
-    }
-    std::unique_lock<std::shared_mutex> write(derived_->mutex);
-    if (derived_->reduced == nullptr ||
-        derived_->reduced->unknown != unknown ||
-        derived_->reduced->regularization != tau) {
-        obs::Span span("epoch/build_reduced_factor");
-        const SteadyClock::time_point start = SteadyClock::now();
-        // Built from the sparse routing copy: bitwise what slicing the
-        // dense Gram would give, without the dense Gram ever existing.
-        derived_->reduced = std::make_shared<const core::ReducedFactor>(
-            core::ReducedFactor::from_routing(routing_, unknown, tau));
-        ++derived_->builds;
-        record_build(seconds_since(start));
-    }
-    return derived_->reduced;
-}
-
 std::size_t RoutingEpoch::derived_builds() const {
     std::shared_lock<std::shared_mutex> read(derived_->mutex);
     return derived_->builds;

@@ -5,13 +5,12 @@
 // only when the IGP reconverges or an operator reroutes LSPs — while
 // load samples arrive every five minutes.  Everything derived purely
 // from R is therefore cached per epoch and invalidated *exactly* when a
-// route change produces a matrix with a different fingerprint.  All
+// route change produces a matrix with a different fingerprint.  The
 // derived data — the routing transpose R' (the input of every Gram-free
-// estimator: Bayesian, Vardi, fanout), the fanout equality-constraint
-// structure, and reduced-problem factorizations for the
-// direct-measurement workflow — is built lazily on first use and dies
-// with the epoch.  None of it is quadratic in the pair count: no
-// pairs x pairs Gram, dense or CSR, is ever cached.  A small LRU keeps
+// estimator: Bayesian, Vardi, fanout) and the fanout equality-constraint
+// structure — is built lazily on first use and dies with the epoch.
+// Neither is quadratic in the pair count: no pairs x pairs Gram, dense
+// or CSR, is ever cached.  A small LRU keeps
 // the last few epochs alive so routing flaps that revert to a previous
 // configuration hit the cache again.
 //
@@ -41,7 +40,6 @@
 #include <shared_mutex>
 
 #include "core/fanout.hpp"
-#include "core/tomo_direct.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/histogram.hpp"
 
@@ -98,18 +96,8 @@ class RoutingEpoch {
     const core::FanoutConstraints& fanout_constraints(
         const topology::Topology& topo) const;
 
-    /// Reduced-problem factorization for the direct-measurement
-    /// workflow: G_u + tau*I Cholesky for the unmeasured pair set
-    /// `unknown`, built straight from the sparse routing copy (the
-    /// dense P x P Gram is never required).  Memoizes the most
-    /// recent selection — the streaming pattern is a fixed measured set
-    /// re-estimated window after window — and returns shared ownership
-    /// so a factor stays usable across an eviction.
-    std::shared_ptr<const core::ReducedFactor> reduced_factor(
-        const std::vector<std::size_t>& unknown, double tau) const;
-
-    /// Number of lazy derived-data builds performed so far (telemetry /
-    /// tests; cache hits do not increment it).
+    /// Number of lazy fanout-constraint builds performed so far
+    /// (telemetry / tests; cache hits do not increment it).
     std::size_t derived_builds() const;
 
   private:
@@ -121,7 +109,6 @@ class RoutingEpoch {
         linalg::SparseMatrix transpose;
         bool fanout_built = false;
         core::FanoutConstraints fanout;
-        std::shared_ptr<const core::ReducedFactor> reduced;
         std::size_t builds = 0;
     };
 

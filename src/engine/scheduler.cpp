@@ -214,15 +214,15 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
         }
         case Method::bayesian: {
             core::BayesianOptions opts = options.bayesian;
-            opts.counters = &run.solver;
-            opts.budget = &budget;
+            opts.qp.counters = &run.solver;
+            opts.qp.budget = &budget;
             opts.qp.parallel = pool;
             // Gram-free: the MAP system is solved through on-demand
             // Gram columns / implicit A'A products off the epoch's
             // cached R'.
             opts.shared_routing_transpose = &ctx.epoch->routing_transpose();
             if (warm_seed != nullptr) {
-                opts.warm_start = warm_seed;
+                opts.qp.warm_start = warm_seed;
                 run.warm_started = true;
                 run.warm_accepted = true;
             }
@@ -273,7 +273,7 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
             aggregates.mean_loads = &ctx.mean_loads;
             opts.aggregates = aggregates;
             if (warm_seed != nullptr) {
-                opts.warm_start = warm_seed;
+                opts.qp.warm_start = warm_seed;
                 run.warm_started = true;
             }
             core::FanoutResult fanout =

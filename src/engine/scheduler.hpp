@@ -3,9 +3,11 @@
 // degradation, and the result types it hands to sinks.
 //
 // Warm starts are only applied where the optimization problem has a
-// unique minimizer independent of the starting point (Bayesian/Vardi
-// NNLS active-set seeding, entropy initial iterate, fanout QP
-// active-set seeding with KKT verification of the seed), so a warm run
+// unique minimizer independent of the starting point (Vardi NNLS
+// active-set seeding; Bayesian active-set seeding of the NNLS at or
+// below qp.dense_kkt_limit pairs and of the operator QP above it;
+// entropy initial iterate; fanout QP active-set seeding with KKT
+// verification of the seed), so a warm run
 // converges to the same estimate as a cold run — it just gets there in
 // far fewer iterations when consecutive windows are similar.  The
 // gravity prior is computed once per window and shared by Kruithof,

@@ -167,40 +167,6 @@ Vector Cholesky::solve(const Vector& b) const {
     return x;
 }
 
-Matrix Cholesky::solve(const Matrix& b) const {
-    if (b.rows() != l_.rows()) {
-        throw std::invalid_argument("Cholesky::solve: size mismatch");
-    }
-    const std::size_t n = l_.rows();
-    const std::size_t nrhs = b.cols();
-    // All right-hand sides advance through the substitution together:
-    // each elimination step updates a contiguous row of X across every
-    // column, instead of extracting one strided column at a time.  The
-    // per-column arithmetic (and order) is identical to solve(Vector).
-    Matrix x = b;
-    for (std::size_t i = 0; i < n; ++i) {
-        double* __restrict xi = x.row_data(i);
-        for (std::size_t k = 0; k < i; ++k) {
-            const double lik = l_(i, k);
-            const double* __restrict xk = x.row_data(k);
-            for (std::size_t j = 0; j < nrhs; ++j) xi[j] -= lik * xk[j];
-        }
-        const double ljj = l_(i, i);
-        for (std::size_t j = 0; j < nrhs; ++j) xi[j] /= ljj;
-    }
-    for (std::size_t ii = n; ii-- > 0;) {
-        double* __restrict xi = x.row_data(ii);
-        for (std::size_t k = ii + 1; k < n; ++k) {
-            const double lki = l_(k, ii);
-            const double* __restrict xk = x.row_data(k);
-            for (std::size_t j = 0; j < nrhs; ++j) xi[j] -= lki * xk[j];
-        }
-        const double ljj = l_(ii, ii);
-        for (std::size_t j = 0; j < nrhs; ++j) xi[j] /= ljj;
-    }
-    return x;
-}
-
 std::optional<Cholesky> try_cholesky(const Matrix& a, double jitter) {
     if (a.rows() != a.cols()) return std::nullopt;
     Matrix l = factorize(a, jitter);

@@ -25,9 +25,6 @@ class Cholesky {
     /// Solves A x = b via forward/back substitution.
     Vector solve(const Vector& b) const;
 
-    /// Solves A X = B column-by-column.
-    Matrix solve(const Matrix& b) const;
-
     const Matrix& factor() const { return l_; }
 
     std::size_t dim() const { return l_.rows(); }

@@ -14,56 +14,17 @@ namespace tme::linalg {
 
 namespace {
 
-// --- Gram access policies -------------------------------------------------
+// --- Gram access ---------------------------------------------------------
 //
-// The active-set driver below is shared between nnls_gram (explicit
-// dense Gram) and nnls_operator (columns generated on demand).  A
-// policy answers entry/diagonal reads for the factor, runs the dense
-// dual sweep when no O(nnz) operator is available, and manages the
-// staged-column lifecycle the oracle path needs.  Both policies feed
-// the factor the same doubles in the same order, which is what keeps
-// the two entry points bitwise identical.
+// The active-set driver below reads the Gram only through a
+// GramColumnOracle: nnls_operator's generator, or nnls_gram's dense
+// matrix read column by column.  Columns are staged on demand, cached
+// while their variable is passive, and answer the factor's entry and
+// diagonal reads, the dual sweep and the residual's quadratic form.
 
-struct DenseGramAccess {
-    const Matrix* gram;
-
-    double entry(std::size_t i, std::size_t j) const { return (*gram)(i, j); }
-    double diag(std::size_t j) const { return (*gram)(j, j); }
-
-    // Staged-column lifecycle: nothing to do, the Gram already exists.
-    void stage(std::size_t) {}
-    void commit(std::size_t) {}
-    void discard(std::size_t) {}
-    void drop(std::size_t) {}
-
-    void dual_sweep(Vector& w, const Vector& atb, const Vector& x,
-                    const std::vector<std::size_t>& passive,
-                    double shift) const {
-        const std::size_t n = atb.size();
-        for (std::size_t j = 0; j < n; ++j) {
-            double acc = atb[j];
-            for (std::size_t p : passive) {
-                acc -= ((*gram)(j, p) + (j == p ? shift : 0.0)) * x[p];
-            }
-            w[j] = acc;
-        }
-    }
-
-    double quad_row(std::size_t p, const Vector& x, double shift) const {
-        double gx = 0.0;
-        const std::size_t n = x.size();
-        for (std::size_t q = 0; q < n; ++q) {
-            if (x[q] != 0.0) {
-                gx += ((*gram)(p, q) + (p == q ? shift : 0.0)) * x[q];
-            }
-        }
-        return gx;
-    }
-};
-
-class OracleGramAccess {
+class GramAccess {
   public:
-    explicit OracleGramAccess(const GramColumnOracle& oracle)
+    explicit GramAccess(const GramColumnOracle& oracle)
         : oracle_(&oracle), scratch_(oracle.dimension, 0.0) {}
 
     // Entry reads resolve against the staged column when j is staged
@@ -99,12 +60,11 @@ class OracleGramAccess {
     void discard(std::size_t) { clear_stage(); }
     void drop(std::size_t j) { cache_.erase(j); }
 
-    // Scatter form of the dense dual sweep, over the cached passive
-    // columns only.  For every coordinate j the same nonzero terms are
-    // subtracted in the same passive order with the same expression as
-    // the dense sweep; the terms the scatter skips are exact-0.0
-    // products there, which never change the accumulator.  Bitwise
-    // equal to DenseGramAccess::dual_sweep, at O(sum passive col nnz).
+    // Dual sweep w = atb - (G + shift I) x as a scatter over the cached
+    // passive columns only.  Every coordinate j subtracts its nonzero
+    // terms in passive order; the terms a dense row sweep would add on
+    // top are exact-0.0 products, which never change the accumulator.
+    // O(sum passive col nnz).
     void dual_sweep(Vector& w, const Vector& atb, const Vector& x,
                     const std::vector<std::size_t>& passive,
                     double shift) const {
@@ -168,7 +128,6 @@ class OracleGramAccess {
 // column folds back in additively, so positive definiteness is never
 // at risk) in O((k - pos)^2).  Rank-deficient appends fall back to a
 // full rebuild with escalating jitter.
-template <typename GramAccess>
 class PassiveFactor {
   public:
     /// `shift` is the virtual diagonal shift of NnlsOptions: every read
@@ -344,13 +303,11 @@ class PassiveFactor {
     std::vector<std::size_t> passive_;
 };
 
-// Shared Lawson-Hanson driver.  The policy supplies Gram access; the
-// loop structure, pivot rule, feasibility restoration, and tolerances
-// are identical for both entry points, so identical problems follow
-// identical active-set trajectories.
-template <typename GramAccess>
-NnlsResult nnls_active_set(GramAccess& gram, const Vector& atb, double btb,
-                           const NnlsOptions& options) {
+// The Lawson-Hanson driver behind both entry points: identical
+// problems follow identical active-set trajectories whichever oracle
+// supplies the columns.
+NnlsResult nnls_active_set(const GramColumnOracle& oracle, const Vector& atb,
+                           double btb, const NnlsOptions& options) {
     const std::size_t n = atb.size();
     const double shift = options.gram_diagonal_shift;
     const SparseMatrix* op = options.gram_operator;
@@ -360,7 +317,8 @@ NnlsResult nnls_active_set(GramAccess& gram, const Vector& atb, double btb,
     NnlsResult result;
     result.x.assign(n, 0.0);
     std::vector<bool> in_passive(n, false);
-    PassiveFactor<GramAccess> factor(gram, 0.0, shift);
+    GramAccess gram(oracle);
+    PassiveFactor factor(gram, 0.0, shift);
 
     double scale = nrm_inf(atb);
     if (scale == 0.0) scale = 1.0;
@@ -434,9 +392,8 @@ NnlsResult nnls_active_set(GramAccess& gram, const Vector& atb, double btb,
 
     // Refresh dual: w = g - (G + shift I) x restricted to passive
     // support.  With a sparse operator behind the Gram this is two
-    // sparse mat-vecs (O(nnz)); otherwise the policy's sweep — a dense
-    // row sweep per coordinate, or the bitwise-equal scatter over the
-    // cached passive columns on the oracle path.
+    // sparse mat-vecs (O(nnz)); otherwise the scatter over the cached
+    // passive columns.
     const auto refresh_dual = [&]() {
         if (op != nullptr) {
             const Vector atax =
@@ -545,22 +502,21 @@ NnlsResult nnls_gram(const Matrix& gram_matrix, const Vector& atb, double btb,
     }
     TME_CONTRACT_DBG_CHECK(
         check::solver_boundary("nnls_gram", gram_matrix, atb));
-    if (options.gram_operator != nullptr) {
-        TME_CONTRACT_DBG_CHECK(check::csr_structure(
-            *options.gram_operator, "nnls_gram gram_operator"));
-    }
-    if (options.gram_operator != nullptr &&
-        options.gram_operator->cols() != n) {
-        throw std::invalid_argument(
-            "nnls_gram: gram_operator column count does not match the "
-            "Gram system");
-    }
-    if (options.gram_diagonal_shift < 0.0) {
-        throw std::invalid_argument(
-            "nnls_gram: negative gram_diagonal_shift");
-    }
-    DenseGramAccess access{&gram_matrix};
-    return nnls_active_set(access, atb, btb, options);
+    GramColumnOracle oracle;
+    oracle.dimension = n;
+    oracle.column = [&gram_matrix](std::size_t j,
+                                   std::vector<double>& scratch,
+                                   std::vector<std::size_t>& support) {
+        support.clear();
+        for (std::size_t i = 0; i < scratch.size(); ++i) {
+            const double v = gram_matrix(i, j);
+            if (v != 0.0) {
+                scratch[i] = v;
+                support.push_back(i);
+            }
+        }
+    };
+    return nnls_operator(oracle, atb, btb, options);
 }
 
 NnlsResult nnls_operator(const GramColumnOracle& gram, const Vector& atb,
@@ -588,8 +544,7 @@ NnlsResult nnls_operator(const GramColumnOracle& gram, const Vector& atb,
         throw std::invalid_argument(
             "nnls_operator: negative gram_diagonal_shift");
     }
-    OracleGramAccess access(gram);
-    return nnls_active_set(access, atb, btb, options);
+    return nnls_active_set(gram, atb, btb, options);
 }
 
 }  // namespace tme::linalg

@@ -1,18 +1,21 @@
 // Non-negative least squares:  minimize ||A x - b||_2  subject to x >= 0.
 //
 // Implemented as Lawson-Hanson active-set iteration working on the normal
-// equations.  Two entry points are provided, sharing one active-set loop:
+// equations.  There is one solver core, nnls_operator, which never
+// materializes the Gram: it reads G = A'A column by column through a
+// GramColumnOracle.
 //
-//  * nnls_gram(AtA, Atb)     — caller supplies the dense Gram matrix A'A
-//                              and the right-hand side A'b (the cao,
-//                              route-change and dense-oracle solves);
-//  * nnls_operator(G, Atb)   — the Gram is never materialized: columns
-//                              are generated on demand.  Vardi runs here
-//                              at every scale (its stacked second-moment
-//                              system has L(L+1)/2 rows, but its Gram
-//                              has a cheap closed form), and so does the
-//                              Bayesian MAP estimate at or below the QP's
-//                              dense_kkt_limit.
+//  * nnls_operator(G, Atb)   — the core.  Vardi runs here at every
+//                              scale (its stacked second-moment system
+//                              has L(L+1)/2 rows, but its Gram has a
+//                              cheap closed form), and so does the
+//                              Bayesian MAP estimate at or below the
+//                              QP's dense_kkt_limit;
+//  * nnls_gram(AtA, Atb)     — a thin adapter for callers that already
+//                              hold the dense Gram A'A (cao, route
+//                              change, the dense test oracles): it hands
+//                              the matrix to the core as an oracle
+//                              answering column j with its nonzeros.
 //
 // The fanout QP and the Bayesian MAP above that limit run through the
 // operator QP instead (linalg/qp.hpp).
@@ -78,9 +81,11 @@ struct NnlsResult {
     SolveOutcome outcome = SolveOutcome::converged;
 };
 
-/// Lawson-Hanson NNLS given the Gram matrix G = A'A and g = A'b.
-/// residual_norm in the result is sqrt(max(0, x'Gx - 2 g'x + btb)) when
-/// btb (= b'b) is supplied, otherwise 0.
+/// Lawson-Hanson NNLS given the Gram matrix G = A'A and g = A'b: the
+/// nnls_operator core over an oracle that answers column j with
+/// G(:, j)'s nonzeros, support ascending.  residual_norm in the result
+/// is sqrt(max(0, x'Gx - 2 g'x + btb)) when btb (= b'b) is supplied,
+/// otherwise 0.
 NnlsResult nnls_gram(const Matrix& gram_matrix, const Vector& atb,
                      double btb = 0.0, const NnlsOptions& options = {});
 
@@ -92,9 +97,9 @@ NnlsResult nnls_gram(const Matrix& gram_matrix, const Vector& atb,
 /// entries outside `support` must be left zero, and the caller zeroes
 /// the support entries back after reading.  When the generator replays
 /// the Gram kernels' accumulation order (see linalg::gram_column), the
-/// produced values are bitwise the rows of the dense Gram, which is
-/// what pins nnls_operator to nnls_gram bit-for-bit at scales where
-/// both can run.
+/// produced values are bitwise the rows of the dense Gram, so
+/// nnls_operator over generated columns is bit-for-bit nnls_gram over
+/// gram_sparse at scales where both can run.
 struct GramColumnOracle {
     std::size_t dimension = 0;
     std::function<void(std::size_t j, std::vector<double>& scratch,
@@ -110,8 +115,6 @@ struct GramColumnOracle {
 /// O(nnz) through `options.gram_operator` when one is supplied.
 /// Nothing of size dimension^2 is ever allocated, dense or CSR; memory
 /// is bounded by the passive columns' nonzeros plus the packed factor.
-/// Identical pivot decisions and arithmetic to nnls_gram on the same
-/// problem: the two are bitwise equal wherever the dense Gram fits.
 NnlsResult nnls_operator(const GramColumnOracle& gram, const Vector& atb,
                          double btb = 0.0, const NnlsOptions& options = {});
 

@@ -192,7 +192,7 @@ Matrix gram_sparse(const SparseMatrix& a) {
             const std::size_t row_end = cs.entry_row_end[slot];
             for (std::size_t l = cs.entry_row_start[slot]; l < row_end;
                  ++l) {
-                grow[qi[l]] += vp * qv[l];
+                grow[qi[l]] = detail::mul_add(vp, qv[l], grow[qi[l]]);
             }
         }
     }
@@ -316,11 +316,24 @@ void gram_column(const CsrView& a, const CsrView& at, std::size_t j,
             hi = std::max(hi, qi[row_end - 1] + 1);
         }
         for (std::size_t k = row_start; k < row_end; ++k) {
-            sc[qi[k]] += vp * qv[k];
+            sc[qi[k]] = detail::mul_add(vp, qv[k], sc[qi[k]]);
         }
     }
     for (std::size_t q = lo; q < hi; ++q) {
         if (sc[q] != 0.0) support.push_back(q);
+    }
+}
+
+void gram_diagonal(const CsrView& at, double* out) {
+    // Column j's carriers, source rows ascending: the terms gram_sparse
+    // and gram_column fold into G(j, j), in their order and through the
+    // same mul_add.
+    for (std::size_t j = 0; j < at.rows; ++j) {
+        double d = 0.0;
+        for (std::size_t t = at.offsets[j]; t < at.offsets[j + 1]; ++t) {
+            d = detail::mul_add(at.values[t], at.values[t], d);
+        }
+        out[j] = d;
     }
 }
 

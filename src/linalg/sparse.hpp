@@ -137,6 +137,13 @@ SparseMatrix transpose(const SparseMatrix& a);
 void gram_column(const CsrView& a, const CsrView& at, std::size_t j,
                  double* scratch, std::vector<std::size_t>& support);
 
+/// Writes the diagonal of G = A'A into `out` (length A.cols()); `at`
+/// must be transpose(A)'s view.  out[j] is bitwise gram_column's
+/// scratch[j] and gram_sparse's G(j, j): the one copy of the Gram
+/// diagonal loop, for the Jacobi preconditioners and scale estimates
+/// of the operator QPs.
+void gram_diagonal(const CsrView& at, double* out);
+
 /// Dense Gram matrix G = A'A accumulated from row outer products over
 /// the nonzeros only — A is never densified, so the arithmetic cost is
 /// sum_i nnz(row_i)^2 instead of the nnz * cols of the densifying

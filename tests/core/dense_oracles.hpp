@@ -39,7 +39,7 @@ inline linalg::Vector bayesian_dense_oracle(const SnapshotProblem& problem,
     for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += w * prior[i];
 
     linalg::NnlsOptions nnls_options;
-    nnls_options.warm_start = options.warm_start;
+    nnls_options.warm_start = options.qp.warm_start;
     nnls_options.gram_diagonal_shift = w;
     nnls_options.gram_operator = &r;
     return linalg::nnls_gram(g, rhs, 0.0, nnls_options).x;
@@ -168,7 +168,7 @@ inline linalg::Vector fanout_dense_oracle(const SeriesProblem& problem,
     linalg::Matrix e(nodes, pairs, 0.0);
     for (std::size_t p = 0; p < pairs; ++p) e(source_of[p], p) = 1.0;
     linalg::EqQpNonnegOptions qp_options;
-    qp_options.warm_start = options.warm_start;
+    qp_options.warm_start = options.qp.warm_start;
     return linalg::testing::solve_eq_qp_nonneg(h, f, e, constraints.rhs,
                                                qp_options)
         .x;

@@ -132,7 +132,7 @@ TEST(Bayesian, ForcedCgPathMatchesDenseOracle) {
     }
 
     BayesianOptions warm = options;
-    warm.warm_start = &cg_path;
+    warm.qp.warm_start = &cg_path;
     const linalg::Vector warm_path = bayesian_estimate(snap, prior, warm);
     for (std::size_t p = 0; p < oracle.size(); ++p) {
         EXPECT_NEAR(warm_path[p], oracle[p], 1e-6 * scale) << "pair " << p;
@@ -150,7 +150,7 @@ TEST(Bayesian, WarmStartMatchesDenseOracleBitwise) {
     linalg::Vector seed = cold;
     for (std::size_t p = 0; p < seed.size(); p += 3) seed[p] = 0.0;
     BayesianOptions warm;
-    warm.warm_start = &seed;
+    warm.qp.warm_start = &seed;
     const linalg::Vector warm_path = bayesian_estimate(snap, prior, warm);
     const linalg::Vector oracle =
         testing::bayesian_dense_oracle(snap, prior, warm);

@@ -188,7 +188,7 @@ TEST(Fanout, WarmStartSameEstimate) {
     // Warm start from the cold solution's active set: the QP verifies
     // the seed and must land on the same minimizer in fewer KKT solves.
     FanoutOptions options;
-    options.warm_start = &cold.fanouts;
+    options.qp.warm_start = &cold.fanouts;
     const FanoutResult warm = fanout_estimate(series, options);
     EXPECT_TRUE(warm.warm_accepted);
     EXPECT_LE(warm.qp_iterations, cold.qp_iterations);
@@ -199,7 +199,7 @@ TEST(Fanout, WarmStartSameEstimate) {
 
     const linalg::Vector wrong_size(3, 0.5);
     FanoutOptions bad;
-    bad.warm_start = &wrong_size;
+    bad.qp.warm_start = &wrong_size;
     EXPECT_THROW(fanout_estimate(series, bad), std::invalid_argument);
 }
 
@@ -212,7 +212,7 @@ TEST(Fanout, WarmStartFromDifferentWindowStillMatchesCold) {
     const FanoutResult seed = fanout_estimate(a);
     const FanoutResult cold = fanout_estimate(b);
     FanoutOptions options;
-    options.warm_start = &seed.fanouts;
+    options.qp.warm_start = &seed.fanouts;
     const FanoutResult warm = fanout_estimate(b, options);
     for (std::size_t p = 0; p < cold.fanouts.size(); ++p) {
         EXPECT_NEAR(warm.fanouts[p], cold.fanouts[p], 1e-9);

@@ -117,86 +117,5 @@ TEST(TomoDirect, NoMeasurementsMatchesPlainEstimator) {
     }
 }
 
-TEST(TomoDirect, FactoredPathMatchesLocalBuildAndHonoursProvider) {
-    const SmallNetwork net = tiny_network(6);
-    linalg::Vector prior(net.truth.size(), 1.0);
-    const std::vector<std::size_t> measured{1, 3, 5};
-    const double tau = 1e3;
-
-    // Local build (no provider).
-    const linalg::Vector local = estimate_with_measured_factored(
-        net.snapshot(), prior, net.truth, measured, tau);
-    for (std::size_t p : measured) {
-        EXPECT_DOUBLE_EQ(local[p], net.truth[p]);
-    }
-
-    // Provider handing in a factor sliced from the full Gram — the
-    // engine's per-epoch reuse path — must give identical estimates.
-    const linalg::Matrix full_gram = net.routing.gram();
-    std::size_t provider_calls = 0;
-    ReducedFactorProvider provider =
-        [&](const std::vector<std::size_t>& unknown) {
-            ++provider_calls;
-            return std::make_shared<const ReducedFactor>(
-                ReducedFactor::slice(full_gram, unknown, tau));
-        };
-    const linalg::Vector shared = estimate_with_measured_factored(
-        net.snapshot(), prior, net.truth, measured, tau, provider);
-    EXPECT_EQ(provider_calls, 1u);
-    ASSERT_EQ(shared.size(), local.size());
-    for (std::size_t p = 0; p < local.size(); ++p) {
-        EXPECT_EQ(shared[p], local[p]);
-    }
-
-    // A provider answering for the wrong reduced problem is rejected.
-    ReducedFactorProvider stale =
-        [&](const std::vector<std::size_t>&) {
-            return std::make_shared<const ReducedFactor>(
-                ReducedFactor::slice(full_gram, {0, 2}, tau));
-        };
-    EXPECT_THROW(estimate_with_measured_factored(net.snapshot(), prior,
-                                                 net.truth, measured, tau,
-                                                 stale),
-                 std::invalid_argument);
-    EXPECT_THROW(estimate_with_measured_factored(net.snapshot(), prior,
-                                                 net.truth, measured, 0.0),
-                 std::invalid_argument);
-}
-
-TEST(TomoDirect, FactoredEstimateTracksTruthAsMeasurementsGrow) {
-    // The reduced ridge solve anchors unmeasured demands to the prior;
-    // with most pairs measured the remaining system is well determined
-    // and the estimate must approach the truth.
-    const SmallNetwork net = tiny_network(8);
-    const linalg::Vector prior = net.truth;  // well-informed prior
-    std::vector<std::size_t> measured;
-    for (std::size_t p = 0; p + 2 < net.truth.size(); ++p) {
-        measured.push_back(p);
-    }
-    const linalg::Vector est = estimate_with_measured_factored(
-        net.snapshot(), prior, net.truth, measured, 1.0);
-    for (std::size_t p = 0; p < net.truth.size(); ++p) {
-        EXPECT_NEAR(est[p], net.truth[p], 0.05 * (1.0 + net.truth[p]));
-    }
-}
-
-// The sparse-routing builder exists so the engine's epoch cache never
-// needs the dense P x P Gram; it must reproduce the dense-Gram slice
-// bit for bit (even with an unsorted unknown set).
-TEST(TomoDirect, FromRoutingMatchesSliceBitwise) {
-    const SmallNetwork net = tiny_network(4);
-    const std::vector<std::size_t> unknown{7, 1, 4, 10, 2};
-    const double tau = 1e-3;
-    const ReducedFactor sliced =
-        ReducedFactor::slice(net.routing.gram(), unknown, tau);
-    const ReducedFactor direct =
-        ReducedFactor::from_routing(net.routing, unknown, tau);
-    ASSERT_EQ(sliced.unknown, direct.unknown);
-    EXPECT_EQ(linalg::max_abs_diff(sliced.gram, direct.gram), 0.0);
-    EXPECT_EQ(linalg::max_abs_diff(sliced.chol.factor(),
-                                   direct.chol.factor()),
-              0.0);
-}
-
 }  // namespace
 }  // namespace tme::core

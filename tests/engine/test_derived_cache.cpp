@@ -68,45 +68,6 @@ TEST(RoutingEpochDerived, FanoutConstraintsLazyBuild) {
                  std::invalid_argument);
 }
 
-TEST(RoutingEpochDerived, ReducedFactorMemoAndEvictionSafety) {
-    const SmallNetwork net = tiny_network();
-    RoutingEpochCache cache(1);
-    const RoutingEpoch& epoch = cache.acquire(net.routing);
-
-    const std::vector<std::size_t> unknown{0, 2, 5};
-    const double tau = 10.0;
-    auto factor = epoch.reduced_factor(unknown, tau);
-    EXPECT_EQ(epoch.derived_builds(), 1u);
-    // Same selection: memo hit, same object.
-    EXPECT_EQ(epoch.reduced_factor(unknown, tau).get(), factor.get());
-    EXPECT_EQ(epoch.derived_builds(), 1u);
-    // Different selection (the greedy sweep's pattern): rebuild.
-    epoch.reduced_factor({0, 2}, tau);
-    EXPECT_EQ(epoch.derived_builds(), 2u);
-
-    // The factor's Gram equals the Gram of the column-selected routing.
-    const linalg::Matrix expected =
-        net.routing.select_columns(unknown).gram();
-    ASSERT_EQ(factor->gram.rows(), unknown.size());
-    for (std::size_t i = 0; i < unknown.size(); ++i) {
-        for (std::size_t j = 0; j < unknown.size(); ++j) {
-            EXPECT_NEAR(factor->gram(i, j), expected(i, j), 1e-12);
-        }
-    }
-
-    // Evict the epoch (capacity 1) — the shared factor must stay
-    // usable: derived data dies with the epoch, not with its users.
-    const linalg::SparseMatrix rerouted =
-        core::perturbed_routing(net.topo, 0.9, 42);
-    ASSERT_NE(core::routing_fingerprint(rerouted),
-              core::routing_fingerprint(net.routing));
-    const RoutingEpoch& fresh = cache.acquire(rerouted);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(fresh.derived_builds(), 0u);  // lazily rebuilt per epoch
-    const linalg::Vector rhs(unknown.size(), 1.0);
-    EXPECT_EQ(factor->chol.solve(rhs).size(), unknown.size());
-}
-
 TEST(RoutingEpochCache, FingerprintCollisionIsNotServed) {
     // Force every matrix onto one fingerprint: the structural identity
     // check must keep two distinct routings in separate epochs instead
@@ -149,9 +110,8 @@ TEST(RoutingEpochCache, EvictionRebuildsLazyDerivedData) {
 
     const RoutingEpoch& first = cache.acquire(net.routing);
     first.routing_transpose();
-    first.reduced_factor({0, 2}, 10.0);
     first.fanout_constraints(net.topo);
-    EXPECT_EQ(first.derived_builds(), 2u);
+    EXPECT_EQ(first.derived_builds(), 1u);
 
     // Fill the cache past capacity: the first epoch (LRU) is evicted
     // together with its derived data.

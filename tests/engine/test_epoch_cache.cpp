@@ -57,24 +57,6 @@ TEST(RoutingEpochCache, HitMissAndDerivedCorrectness) {
               0.0);
 }
 
-// The reduced factor of the direct-measurement workflow builds from the
-// epoch's sparse routing copy, never from a P x P Gram.
-TEST(RoutingEpochCache, ReducedFactorMatchesDenseGramSlice) {
-    const SmallNetwork net = tiny_network();
-    RoutingEpochCache cache(2);
-    const RoutingEpoch& epoch = cache.acquire(net.routing);
-    // The epoch's private routing copy is content-identical.
-    EXPECT_EQ(epoch.routing().nonzeros(), net.routing.nonzeros());
-
-    const std::vector<std::size_t> unknown = {0, 2, 5};
-    const auto factor = epoch.reduced_factor(unknown, 1e-3);
-    ASSERT_NE(factor, nullptr);
-    // ... and matches the dense-Gram slice bitwise.
-    const core::ReducedFactor sliced =
-        core::ReducedFactor::slice(net.routing.gram(), unknown, 1e-3);
-    EXPECT_EQ(linalg::max_abs_diff(factor->gram, sliced.gram), 0.0);
-}
-
 TEST(RoutingEpochCache, FlapRecoveryAndEviction) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);

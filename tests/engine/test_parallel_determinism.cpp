@@ -135,7 +135,7 @@ TEST(ParallelDeterminism, OperatorEstimatorsOnPoolsMatchSerial) {
 
     const core::FanoutResult fanout_ref = core::fanout_estimate(series, fopt);
     obs::SolverCounters bayes_ref_counters;
-    bopt.counters = &bayes_ref_counters;
+    bopt.qp.counters = &bayes_ref_counters;
     const linalg::Vector bayes_ref = core::bayesian_estimate(snap, prior, bopt);
     ASSERT_GT(fanout_ref.qp_cg_iterations, 0u);
     ASSERT_GT(bayes_ref_counters.qp_cg_iterations, 0u);
@@ -153,7 +153,7 @@ TEST(ParallelDeterminism, OperatorEstimatorsOnPoolsMatchSerial) {
         EXPECT_EQ(fanout.qp_iterations, fanout_ref.qp_iterations);
 
         obs::SolverCounters counters;
-        bopt.counters = &counters;
+        bopt.qp.counters = &counters;
         bopt.qp.parallel = &pool;
         warm(pool);
         const linalg::Vector bayes = core::bayesian_estimate(snap, prior, bopt);

@@ -82,14 +82,14 @@ TEST(WarmStart, BayesianSameEstimate) {
 
     // Warm start from a deliberately different point (the prior).
     core::BayesianOptions warm_options;
-    warm_options.warm_start = &prior;
+    warm_options.qp.warm_start = &prior;
     const linalg::Vector warm =
         core::bayesian_estimate(snap, prior, warm_options);
     EXPECT_LT(max_abs_diff(warm, cold), 1e-9);
 
     // Warm start from the cold solution.
     core::BayesianOptions exact_options;
-    exact_options.warm_start = &cold;
+    exact_options.qp.warm_start = &cold;
     const linalg::Vector warm2 =
         core::bayesian_estimate(snap, prior, exact_options);
     EXPECT_LT(max_abs_diff(warm2, cold), 1e-9);

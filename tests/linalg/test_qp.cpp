@@ -266,10 +266,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EqQpNonnegScale,
 // ---- Operator-Hessian solver -------------------------------------------
 
 /// Matrix-free H = A'A over a sparse A, the shape of the estimators'
-/// data terms: `apply` runs A'(A x), `diag` sums squares over A's
-/// columns (source rows ascending) and `column` replays the Gram
-/// kernels through gram_column on A' — so every generated value is
-/// bitwise the dense Gram's.  `a` and `at` must outlive the operator.
+/// data terms: `apply` runs A'(A x), while `diag` and `column` replay
+/// the Gram kernels through gram_diagonal and gram_column on A' — so
+/// every generated value is bitwise the dense Gram's.  `a` and `at`
+/// must outlive the operator.
 HessianOperator gram_operator(const SparseMatrix& a, const SparseMatrix& at,
                               const Vector* diagonal) {
     HessianOperator h;
@@ -279,16 +279,7 @@ HessianOperator gram_operator(const SparseMatrix& a, const SparseMatrix& at,
     };
     const CsrView av = a.view();
     const CsrView atv = at.view();
-    h.diag = [atv](Vector& out) {
-        for (std::size_t j = 0; j < atv.rows; ++j) {
-            double dj = 0.0;
-            for (std::size_t t = atv.offsets[j]; t < atv.offsets[j + 1];
-                 ++t) {
-                dj += atv.values[t] * atv.values[t];
-            }
-            out[j] = dj;
-        }
-    };
+    h.diag = [atv](Vector& out) { gram_diagonal(atv, out.data()); };
     h.column = [av, atv](std::size_t j, std::vector<double>& scratch,
                          std::vector<std::size_t>& support) {
         gram_column(av, atv, j, scratch.data(), support);

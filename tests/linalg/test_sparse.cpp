@@ -4,6 +4,9 @@
 
 #include <random>
 
+#include "routing/routing_matrix.hpp"
+#include "topology/builders.hpp"
+
 namespace tme::linalg {
 namespace {
 
@@ -120,6 +123,62 @@ TEST_P(SparseProperty, AgreesWithDenseOperations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+/// gram_diagonal is bitwise gram_column's diagonal entry and
+/// gram_sparse's, column by column.
+void expect_gram_diagonal_bitwise(const SparseMatrix& a) {
+    const SparseMatrix at = transpose(a);
+    const Matrix g = gram_sparse(a);
+    Vector diag(a.cols(), -1.0);
+    gram_diagonal(at.view(), diag.data());
+    std::vector<double> scratch(a.cols(), 0.0);
+    std::vector<std::size_t> support;
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+        gram_column(a.view(), at.view(), j, scratch.data(), support);
+        EXPECT_EQ(diag[j], scratch[j]) << "column " << j;
+        EXPECT_EQ(diag[j], g(j, j)) << "column " << j;
+        for (std::size_t q : support) scratch[q] = 0.0;
+    }
+}
+
+// Values other than 0 and 1 throughout: with 0/1 entries every product
+// is exact and any accumulation order (fused or not) agrees.
+TEST(GramDiagonal, RandomValuesMatchGramColumnAndGramSparseBitwise) {
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> value(-3.0, 3.0);
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    for (const double density : {0.05, 0.3, 0.9}) {
+        for (const std::size_t rows : {1ul, 9ul, 60ul}) {
+            const std::size_t cols = rows + 11;
+            std::vector<Triplet> trips;
+            for (std::size_t i = 0; i < rows; ++i) {
+                for (std::size_t j = 0; j < cols; ++j) {
+                    if (coin(rng) < density) {
+                        trips.push_back({i, j, value(rng)});
+                    }
+                }
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << rows << "x" << cols << " density " << density);
+            expect_gram_diagonal_bitwise(
+                SparseMatrix(rows, cols, std::move(trips)));
+        }
+    }
+}
+
+TEST(GramDiagonal, WeightedRoutingMatrixMatchesBitwise) {
+    // A generated backbone's routing pattern with fractional weights on
+    // every carrier, as load-balanced path splits would give.
+    const topology::Topology topo = topology::generated_backbone(20, 4.0, 3);
+    const SparseMatrix r = routing::igp_routing_matrix(topo);
+    std::mt19937_64 rng(8);
+    std::uniform_real_distribution<double> split(0.05, 1.0);
+    std::vector<double> values = r.values();
+    for (double& v : values) v *= split(rng);
+    expect_gram_diagonal_bitwise(
+        SparseMatrix::from_csr(r.rows(), r.cols(), r.row_offsets(),
+                               r.column_indices(), std::move(values)));
+}
 
 }  // namespace
 }  // namespace tme::linalg
