@@ -17,9 +17,9 @@
 //
 // A second phase benchmarks the multi-scenario fleet driver: four
 // scenarios on one topology run back to back on a serial engine and
-// then concurrently under FleetDriver (async ingestion, one shared
-// epoch cache).  The fleet's estimates must match the serial engine's
-// to 1e-9 and be bit-for-bit stable across two fleet runs; on a
+// then concurrently under FleetDriver (one shared epoch cache).  The
+// fleet's estimates must match the serial engine's to 1e-9 and be
+// bit-for-bit stable across two fleet runs; on a
 // multi-core host the fleet must reach at least 1.5x the serial
 // aggregate window throughput.  The gate is skipped only on a single
 // hardware thread, where no speedup is physically possible, and the
@@ -206,8 +206,8 @@ double compare_windows(const std::vector<tme::engine::WindowResult>& a,
     return worst;
 }
 
-/// One fleet pass over the prepared jobs (async ingestion, shared
-/// epoch cache, one worker per job), keeping full window results for
+/// One fleet pass over the prepared jobs (shared epoch cache, one
+/// worker per job), keeping full window results for
 /// the equivalence checks.
 tme::engine::FleetReport run_fleet(
     const std::vector<tme::engine::FleetJob>& jobs,
@@ -216,7 +216,6 @@ tme::engine::FleetReport run_fleet(
     engine::FleetConfig fleet_config;
     fleet_config.engine = config;
     fleet_config.concurrency = jobs.size();
-    fleet_config.async_ingest = true;
     fleet_config.cache_capacity = jobs.size();
     fleet_config.keep_windows = true;
     engine::FleetDriver driver(jobs.front().scenario->topo, fleet_config);

@@ -781,15 +781,14 @@ int main(int argc, char** argv) {
     }
 
     // ---- Phase 6: contract layer cost -------------------------------
-    // Two gates on src/check/ (docs/STATIC_ANALYSIS.md):
-    //   * bitwise: estimates are identical with contracts armed and
-    //     suspended — the validators are read-only observers, and the
-    //     compiled-out configuration therefore changes no numbers;
-    //   * overhead: in the contracts-off build this lane runs
-    //     (TME_CONTRACTS=0 in the release-native preset), the macro
-    //     sites must cost nothing measurable (<1%) on a solver hot
-    //     path.  In contracts-on builds the ratio is reported but not
-    //     gated — there the armed checks legitimately cost time.
+    // One gate on src/check/ (docs/STATIC_ANALYSIS.md): estimates are
+    // identical with contracts armed and suspended — the validators
+    // are read-only observers, and the compiled-out configuration
+    // therefore changes no numbers.  The armed/suspended time ratio is
+    // reported, not gated: with contracts compiled out both arms run
+    // the same machine code, so the ratio is host noise there; that
+    // compiled-out sites never evaluate their argument is pinned by
+    // tests/check/test_contracts.cpp instead.
     std::printf("\n[6] contract layer (compiled %s, dbg %s)\n",
                 check::contracts_compiled() ? "in" : "out",
                 check::contracts_dbg_compiled() ? "in" : "out");
@@ -858,11 +857,6 @@ int main(int argc, char** argv) {
         if (!contracts_bitwise) {
             fail("estimates differ between contracts armed and "
                  "suspended — a validator perturbed the numerics");
-        }
-        if (!check::contracts_compiled() && overhead > 0.01) {
-            fail("compiled-out contracts cost %.2f%% > 1%% on the "
-                 "solver hot path — the macros are not free",
-                 overhead * 100.0);
         }
     }
 

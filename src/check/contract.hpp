@@ -30,9 +30,10 @@
 //   * with neither defined, both tiers follow !defined(NDEBUG) — debug
 //     builds check, release builds compile every site to nothing.
 // The build system passes TME_CONTRACTS[_DBG]=1 in the default (test)
-// configuration and 0 in the bench lane; bench_perf_solvers gates that
-// the compiled-out macro really is free (<1% on a hot kernel) and that
-// estimates are bitwise identical with contracts on and off.
+// configuration and 0 in the bench lane; tests/check/test_contracts.cpp
+// pins that a compiled-out or suspended site never evaluates its
+// argument, and bench_perf_solvers gates that estimates are bitwise
+// identical with contracts armed and suspended.
 //
 // Runtime switch: when compiled in, contracts are armed by default and
 // can be suspended process-wide (ScopedContractSuspend) so one binary
@@ -114,7 +115,7 @@ inline bool contracts_armed() {
 }
 
 /// Process-wide suspension, for measuring checked-vs-unchecked runs in
-/// one binary (bench bitwise/overhead gates).  Not a security boundary;
+/// one binary (the bench's bitwise gate).  Not a security boundary;
 /// nesting is not reference-counted — use one scope at a time.
 class ScopedContractSuspend {
   public:

@@ -174,17 +174,6 @@ class OnlineEngine {
     void set_window_sink(WindowSink sink) { sink_ = std::move(sink); }
     const WindowSink& window_sink() const { return sink_; }
 
-    /// Histogram sinks for IngestQueue::set_wait_sinks: producer stalls
-    /// land in backpressure_wait, consumer waits in ingest_wait.  The
-    /// histograms are internally atomic, so the queue's threads may
-    /// record into them concurrently with ingestion and metric readers.
-    obs::LatencyHistogram& ingest_wait_sink() {
-        return metrics_.ingest_wait;
-    }
-    obs::LatencyHistogram& backpressure_wait_sink() {
-        return metrics_.backpressure_wait;
-    }
-
     /// Live metrics.  Counters are atomics and the per-method map is
     /// pre-populated at construction, so reading (or copying) the
     /// metrics concurrently with ingestion is safe and torn-free.

@@ -1,10 +1,7 @@
 #include "engine/fleet.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -72,11 +69,7 @@ void FleetDriver::run_job(const FleetJob& job, FleetJobReport& report,
     const Clock::time_point start = Clock::now();
     OnlineEngine engine(sc.topo, sc.routing, cfg, cache_);
     if (job.window_sink) engine.set_window_sink(job.window_sink);
-    ReplayResult replay =
-        config_.async_ingest
-            ? replay_scenario_async(engine, sc, job.replay,
-                                    config_.ingest_queue_capacity)
-            : replay_scenario(engine, sc, job.replay);
+    ReplayResult replay = replay_scenario(engine, sc, job.replay);
     report.metrics = engine.metrics();
     report.seconds = seconds_since(start);
     report.windows = replay.windows.size();
@@ -123,19 +116,13 @@ FleetReport FleetDriver::run(const std::vector<FleetJob>& jobs) {
 
     const Clock::time_point start = Clock::now();
     std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    const std::size_t max_attempts =
-        config_.quarantine
-            ? (config_.max_job_attempts < 1 ? 1 : config_.max_job_attempts)
-            : 1;
     auto worker = [&] {
         while (true) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= jobs.size()) return;
             FleetJobReport& rep = report.jobs[i];
-            for (std::size_t attempt = 1; attempt <= max_attempts;
+            for (std::size_t attempt = 1; attempt <= kFleetJobAttempts;
                  ++attempt) {
                 // Each attempt starts from a blank report: a failed
                 // attempt's partial metrics/windows must not leak into
@@ -143,44 +130,18 @@ FleetReport FleetDriver::run(const std::vector<FleetJob>& jobs) {
                 FleetJobReport fresh;
                 fresh.name = rep.name;
                 fresh.attempts = attempt;
-                std::exception_ptr failure;
                 try {
                     run_job(jobs[i], fresh, i);
                     fresh.completed = true;
-                } catch (...) {
-                    failure = std::current_exception();
-                }
-                if (!failure) {
-                    rep = std::move(fresh);
-                    break;
-                }
-                try {
-                    std::rethrow_exception(failure);
                 } catch (const std::exception& e) {
                     fresh.error = e.what();
                 } catch (...) {
                     fresh.error = "unknown exception";
                 }
+                fresh.quarantined =
+                    !fresh.completed && attempt == kFleetJobAttempts;
                 rep = std::move(fresh);
-                if (!config_.quarantine) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error) first_error = failure;
-                    break;
-                }
-                if (attempt == max_attempts) {
-                    rep.quarantined = true;
-                    break;
-                }
-                // Deterministic exponential backoff (no jitter): a
-                // seeded fault schedule replays the same retry timeline
-                // every run.
-                if (config_.retry_backoff_seconds > 0.0) {
-                    const double backoff =
-                        config_.retry_backoff_seconds *
-                        static_cast<double>(1ull << (attempt - 1));
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(backoff));
-                }
+                if (rep.completed) break;
             }
         }
     };
@@ -191,7 +152,6 @@ FleetReport FleetDriver::run(const std::vector<FleetJob>& jobs) {
     }
     for (std::thread& t : threads) t.join();
     report.wall_seconds = seconds_since(start);
-    if (first_error) std::rethrow_exception(first_error);
 
     for (const FleetJobReport& job : report.jobs) {
         report.total_windows += job.windows;

@@ -8,11 +8,14 @@
 // replays back to back.  The fleet driver instead runs the jobs on a
 // small worker pool: every engine keeps its own sliding window, warm
 // lineage and metrics (nothing estimation-relevant is shared between
-// scenarios), while R-derived data — the Gram, Vardi's transformed
-// Gram, fanout constraints — is built once per distinct routing epoch
-// in the shared cache and read by all engines.  Per-job results and
-// metrics are aggregated into a FleetReport; bench_perf_engine gates
-// the fleet's aggregate window throughput against the serial baseline.
+// scenarios), while R-derived data — the routing transpose R' and the
+// fanout constraints — is built once per distinct routing epoch in the
+// shared cache and read by all engines.  Each job runs replay_scenario
+// on its worker thread, so everything it executes (every solve too,
+// with the engine's default threads = 0) sits inside the job's ambient
+// fault scope.  Per-job results and metrics are aggregated into a
+// FleetReport; bench_perf_engine gates the fleet's aggregate window
+// throughput against the serial baseline.
 #pragma once
 
 #include <cstddef>
@@ -53,10 +56,6 @@ struct FleetConfig {
     /// Concurrent scenario workers; 0 picks
     /// min(jobs, hardware_concurrency).
     std::size_t concurrency = 0;
-    /// Decouple sample production from estimation with a bounded
-    /// producer/consumer queue (replay_scenario_async).
-    bool async_ingest = true;
-    std::size_t ingest_queue_capacity = 16;
     /// Capacity of the shared routing-epoch cache.  Size it to the
     /// number of distinct routing configurations the fleet touches at
     /// once (base routings + injected reroutes), or flapping jobs will
@@ -66,22 +65,16 @@ struct FleetConfig {
     /// in the report — needed for equivalence checks, sizeable for big
     /// fleets.
     bool keep_windows = false;
-    /// Crash isolation.  When true (the default), a job whose replay
-    /// throws is retried from scratch up to max_job_attempts times and
-    /// then *quarantined* — marked failed in its FleetJobReport while
-    /// every sibling job runs to completion — instead of failing the
-    /// whole fleet.  When false, run() rethrows the first job exception
-    /// after all workers stop (the pre-isolation behaviour).
-    /// Configuration errors (null scenario, topology mismatch, bad
-    /// method list) are validated up front and always throw.
-    bool quarantine = true;
-    /// Total attempts per job (first run + retries); >= 1.
-    std::size_t max_job_attempts = 3;
-    /// Backoff before retry k (1-based) is retry_backoff_seconds *
-    /// 2^(k-1) — exponential, deliberately jitter-free so a seeded
-    /// fault schedule replays identically.  0 retries immediately.
-    double retry_backoff_seconds = 0.0;
 };
+
+/// Crash isolation: a job whose replay throws is retried from scratch
+/// until it has made this many attempts (first run + retries), then
+/// *quarantined* — marked failed in its FleetJobReport while every
+/// sibling job runs to completion — instead of failing the whole fleet.
+/// Retries start at once.  Configuration errors (null scenario,
+/// topology mismatch, bad method list) are validated up front and
+/// always throw.
+inline constexpr std::size_t kFleetJobAttempts = 3;
 
 struct FleetJobReport {
     std::string name;
@@ -92,10 +85,9 @@ struct FleetJobReport {
     /// Full per-window results when FleetConfig::keep_windows.
     std::vector<WindowResult> window_results;
     /// Crash-isolation outcome: attempts actually made, whether the job
-    /// finally completed, and — when it did not and quarantine is on —
-    /// whether it was quarantined.  `error` is the what() of the last
-    /// failure (empty on success).  metrics/windows reflect the last
-    /// attempt only; earlier attempts are discarded wholesale.
+    /// finally completed or was quarantined.  `error` is the what() of
+    /// the last failure (empty on success).  metrics/windows reflect
+    /// the last attempt only; earlier attempts are discarded wholesale.
     std::size_t attempts = 0;
     bool completed = false;
     bool quarantined = false;
@@ -143,11 +135,9 @@ class FleetDriver {
 
     /// Runs all jobs to completion and aggregates their reports.
     /// Blocks; jobs execute on min(concurrency, jobs) worker threads.
-    /// With FleetConfig::quarantine (the default) a crashing job is
-    /// retried with exponential backoff and finally quarantined —
-    /// sibling jobs are never disturbed and run() returns normally
-    /// (check FleetJobReport::quarantined).  With quarantine off, the
-    /// first job exception is rethrown after every worker has stopped.
+    /// A crashing job is retried and finally quarantined — sibling jobs
+    /// are never disturbed and run() returns normally (check
+    /// FleetJobReport::quarantined).
     FleetReport run(const std::vector<FleetJob>& jobs);
 
   private:

@@ -202,15 +202,12 @@ struct EngineMetrics {
     /// End-to-end window latency distribution (same samples that feed
     /// total_seconds / last_window_seconds).
     obs::LatencyHistogram window_latency;
-    /// Consumer-side waits popping the bounded ingest queue during
-    /// async replay (time the engine sat starved for samples).
-    obs::LatencyHistogram ingest_wait;
-    /// Producer-side stalls: submit() blocked at pipeline depth, and
-    /// ingest-queue push() blocked on a full queue.
+    /// Backpressure stalls: submit() blocked with pipeline_depth
+    /// windows in flight.
     obs::LatencyHistogram backpressure_wait;
-    /// Routing-epoch derived-data build times (gram, vardi gram,
-    /// fanout constraints, reduced factor) observed via this engine's
-    /// cache — shared-cache caveat above applies.
+    /// Routing-epoch derived-data build times (routing transpose,
+    /// fanout constraints) observed via this engine's cache —
+    /// shared-cache caveat above applies.
     obs::LatencyHistogram epoch_build_latency;
     /// Pre-populated by the engine for every scheduled method; the map
     /// structure is immutable afterwards (only the atomic fields move).

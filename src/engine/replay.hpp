@@ -3,18 +3,12 @@
 // injected route changes and scoring every window against the
 // scenario's ground-truth demands.
 //
-// Two drive modes share one result shape, and both submit every sample
-// and collect the windows with finish(), so successive windows overlap
-// whenever the engine's pipeline_depth allows it:
-//   * replay_scenario — the calling thread produces and submits;
-//   * replay_scenario_async — a producer thread generates the samples
-//     and pushes them through a bounded IngestQueue while the calling
-//     thread submits; identical results, but sample generation no
-//     longer blocks on the solvers (and backpressure bounds the
-//     decoupling buffer).
+// replay_scenario produces and submits every sample on the calling
+// thread, then collects the windows with finish(), so successive windows
+// overlap whenever the engine's pipeline_depth allows it; a submit()
+// that finds pipeline_depth windows in flight blocks (backpressure).
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -43,15 +37,5 @@ struct ReplayResult {
 ReplayResult replay_scenario(OnlineEngine& engine,
                              const scenario::Scenario& sc,
                              const ReplayOptions& options = {});
-
-/// As replay_scenario, but sample production runs on a dedicated
-/// producer thread decoupled from estimation by a bounded IngestQueue
-/// of `queue_capacity` samples.  Route changes travel in-band with the
-/// samples, so the consumer applies them at exactly the same stream
-/// positions as the synchronous replay; results are identical.
-ReplayResult replay_scenario_async(OnlineEngine& engine,
-                                   const scenario::Scenario& sc,
-                                   const ReplayOptions& options = {},
-                                   std::size_t queue_capacity = 16);
 
 }  // namespace tme::engine

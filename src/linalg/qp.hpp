@@ -161,11 +161,14 @@ struct HessianOperator {
 /// (constraint-preconditioned with the Jacobi diagonal M; one operator
 /// apply per iteration, feasibility maintained by projection).  Under
 /// the partition contract E_F M^-1 E_F' is diagonal, so the projection
-/// is row-local and needs no factorization.  All
-/// tolerances are scale-relative (derived from diag(H) and the iterate
-/// magnitude), so the solver behaves identically for loads of order 1
-/// and of order 1e9.  m == 0 is allowed and reduces to a
-/// bound-constrained solve — the Bayesian estimator's MAP shape.
+/// is row-local and needs no factorization.  The active-set decision
+/// tolerances grow with max diag(H), max |f| and the iterate magnitude
+/// but carry absolute floors of 1, so the solver is NOT scale
+/// invariant: for inputs well below 1 (every link load in this repo is
+/// at most ~0.21) the floors bind and the same problem scaled by a
+/// constant can stop at a different point.  m == 0 is allowed and
+/// reduces to a bound-constrained solve — the Bayesian estimator's MAP
+/// shape.
 EqQpNonnegResult solve_eq_qp_nonneg_operator(
     const HessianOperator& h, const Vector& f, const SparseMatrix& e,
     const Vector& d, const EqQpNonnegOptions& options = {});

@@ -2,9 +2,10 @@
 // check::ContractViolation on corrupted input, the macros respect the
 // compile-time gate and the runtime arm switch, and the wiring into the
 // estimation path catches injected NaNs at the boundary where they
-// enter — not three solvers downstream.  (The zero-overhead /
-// bitwise-identity property of the compiled-out configuration is gated
-// in bench_perf_solvers, which builds with TME_CONTRACTS=0.)
+// enter — not three solvers downstream.  A compiled-out or suspended
+// site never evaluates its argument (the release-native preset runs
+// this file with TME_CONTRACTS=0); bench_perf_solvers gates that
+// estimates are bitwise identical with contracts armed and suspended.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -59,6 +60,39 @@ TEST(ContractMacro, SuspensionDisarmsEverySite) {
             check::finite(linalg::Vector{kNaN}, "suspended vector")));
     }
     EXPECT_TRUE(check::contracts_armed());
+}
+
+TEST(ContractMacro, InactiveSitesNeverEvaluateTheirArgument) {
+    // Each argument bumps `evaluated`; a site may evaluate only when its
+    // tier is compiled in and contracts are armed.
+    int evaluated = 0;
+    [[maybe_unused]] const auto holds = [&evaluated] {
+        return ++evaluated > 0;
+    };
+    const auto run_all_sites = [&] {
+        TME_CONTRACT(holds(), "cheap predicate");
+        TME_CONTRACT_CHECK(static_cast<void>(holds()));
+        TME_CONTRACT_DBG(holds(), "expensive predicate");
+        TME_CONTRACT_DBG_CHECK(static_cast<void>(holds()));
+    };
+    const int armed_sites = (check::contracts_compiled() ? 2 : 0) +
+                            (check::contracts_dbg_compiled() ? 2 : 0);
+
+    run_all_sites();
+    EXPECT_EQ(evaluated, armed_sites);
+
+    evaluated = 0;
+    {
+        check::ScopedContractSuspend off;
+        run_all_sites();
+    }
+    EXPECT_EQ(evaluated, 0);
+
+    if (!check::contracts_compiled()) {
+        // Compiled out: no site evaluates, armed or not.
+        EXPECT_FALSE(check::contracts_dbg_compiled());
+        EXPECT_EQ(armed_sites, 0);
+    }
 }
 
 TEST(Validators, CsrStructureCatchesEachCorruption) {

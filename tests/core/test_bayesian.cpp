@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <tuple>
+
 #include "core/dense_oracles.hpp"
+#include "core/gravity.hpp"
 #include "core/metrics.hpp"
+#include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
 
 namespace tme::core {
@@ -187,6 +192,49 @@ TEST(Bayesian, SharedRoutingTransposeIdenticalAndChecked) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BayesianMonotonicity,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// Prior bound: with consistent loads t = R s and a truth s >= 0, the
+// exact MAP estimate is the proximal point of the prior under a convex
+// function the truth minimizes, so it is no further from the truth than
+// the prior, ||s_hat - s||_2 <= ||p - s||_2, for every lambda.  Checked
+// on the uncapped solve (default caps) of generated backbones: 25 PoPs
+// (600 pairs) runs the NNLS path, 50 PoPs (2450 pairs) the operator-QP
+// projected-CG path.  Parameters: PoPs, seed, lambda.
+class BayesianPriorBound
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, unsigned, double>> {};
+
+TEST_P(BayesianPriorBound, EstimateIsNoFurtherFromTruthThanPrior) {
+    const auto [pops, seed, lambda] = GetParam();
+    scenario::GeneratedScenarioConfig config;
+    config.pops = pops;
+    config.seed = seed;
+    config.samples = 8;
+    const scenario::Scenario sc = scenario::make_generated_scenario(config);
+    constexpr std::size_t kSample = 7;
+    SnapshotProblem snap;
+    snap.topo = &sc.topo;
+    snap.routing = &sc.routing;
+    snap.loads = sc.loads.at(kSample);
+    const linalg::Vector& truth = sc.demands.at(kSample);
+    const linalg::Vector prior = gravity_estimate(snap);
+
+    BayesianOptions options;
+    options.regularization = lambda;
+    const linalg::Vector est = bayesian_estimate(snap, prior, options);
+
+    const double estimate_error = linalg::nrm2(linalg::sub(est, truth));
+    const double prior_error = linalg::nrm2(linalg::sub(prior, truth));
+    ASSERT_GT(prior_error, 0.0);
+    EXPECT_LE(estimate_error, prior_error)
+        << "ratio " << estimate_error / prior_error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeneratedBackbones, BayesianPriorBound,
+    ::testing::Combine(::testing::Values(std::size_t{25}, std::size_t{50}),
+                       ::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(1.0, 1000.0)));
 
 }  // namespace
 }  // namespace tme::core

@@ -175,55 +175,6 @@ TEST(EngineReplay, TelemetryIngestionFlagsGaps) {
     }
 }
 
-TEST(EngineReplay, AsyncIngestionMatchesSynchronousReplay) {
-    scenario::Scenario sc =
-        scenario::make_scenario(scenario::Network::europe);
-    sc.demands.resize(80);
-    sc.loads.resize(80);
-    const linalg::SparseMatrix rerouted =
-        core::perturbed_routing(sc.topo, 0.8, 5);
-
-    EngineConfig config;
-    config.window_size = 8;
-    config.methods = {Method::gravity, Method::bayesian, Method::vardi,
-                      Method::fanout};
-    ReplayOptions options;
-    options.events = {{40, &rerouted}};
-
-    OnlineEngine sync_engine(sc.topo, sc.routing, config);
-    const ReplayResult sync_result =
-        replay_scenario(sync_engine, sc, options);
-
-    // Tiny queue: the producer must block on backpressure many times,
-    // yet order (and therefore every estimate) is preserved exactly —
-    // at depth 1, and at depth 2 with windows overlapping on a pool.
-    for (const std::size_t depth : {1u, 2u}) {
-        SCOPED_TRACE("depth " + std::to_string(depth));
-        EngineConfig async_config = config;
-        async_config.pipeline_depth = depth;
-        async_config.threads = depth == 1 ? 0 : 2;
-        OnlineEngine async_engine(sc.topo, sc.routing, async_config);
-        const ReplayResult async_result = replay_scenario_async(
-            async_engine, sc, options, /*queue_capacity=*/2);
-
-        ASSERT_EQ(async_result.windows.size(), sync_result.windows.size());
-        for (std::size_t k = 0; k < sync_result.windows.size(); ++k) {
-            const WindowResult& a = sync_result.windows[k];
-            const WindowResult& b = async_result.windows[k];
-            EXPECT_EQ(a.epoch_fingerprint, b.epoch_fingerprint);
-            ASSERT_EQ(a.runs.size(), b.runs.size());
-            for (std::size_t m = 0; m < a.runs.size(); ++m) {
-                EXPECT_EQ(a.runs[m].estimate, b.runs[m].estimate)
-                    << "window " << k;
-            }
-        }
-        // The route change travelled in-band and was applied
-        // identically.
-        EXPECT_EQ(async_engine.metrics().epoch_changes.load(), 1u);
-        EXPECT_EQ(async_engine.metrics().window_flushes.load(), 1u);
-    }
-}
-
 TEST(EngineReplay, MetricsSummaryMentionsEveryMethod) {
     const scenario::Scenario sc =
         scenario::make_scenario(scenario::Network::europe);

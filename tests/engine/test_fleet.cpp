@@ -1,10 +1,15 @@
 // FleetDriver: concurrent multi-scenario replays over one topology
 // sharing a single epoch cache.  Estimates must match solo serial runs
 // bit for bit, the shared cache must build each distinct epoch exactly
-// once, and per-job metrics must aggregate into the fleet report.
+// once, per-job metrics must aggregate into the fleet report, and a
+// crashing job must be retried and quarantined without disturbing its
+// siblings.
 #include "engine/fleet.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "core/route_change.hpp"
 
@@ -147,16 +152,14 @@ TEST(FleetDriver, PipelinedJobsMatchDepthOneJobs) {
     FleetConfig serial_config;
     serial_config.engine = small_config(6);
     serial_config.keep_windows = true;
-    serial_config.async_ingest = false;
     FleetDriver serial_driver(sc.topo, serial_config);
     const FleetReport serial = serial_driver.run(jobs);
 
     // Depth 3 on a pool, through the fleet template and the per-job
-    // override alike, and through the async feed.
+    // override alike.
     FleetConfig piped_config = serial_config;
     piped_config.engine.pipeline_depth = 3;
     piped_config.engine.threads = 2;
-    piped_config.async_ingest = true;
     std::vector<FleetJob> piped_jobs = jobs;
     piped_jobs[1].engine->pipeline_depth = 3;
     piped_jobs[1].engine->threads = 2;
@@ -174,6 +177,54 @@ TEST(FleetDriver, PipelinedJobsMatchDepthOneJobs) {
                 EXPECT_EQ(a.runs[m].estimate, b.runs[m].estimate)
                     << "job " << j << " window " << k;
             }
+        }
+    }
+}
+
+TEST(FleetDriver, CrashingJobIsQuarantinedWhileSiblingMatchesSoloRun) {
+    constexpr std::size_t kSamples = 12;
+    const scenario::Scenario sc = short_scenario(kSamples);
+    std::vector<FleetJob> jobs(2);
+    jobs[0].name = "crashing";
+    jobs[0].scenario = &sc;
+    jobs[0].window_sink = [](const WindowResult&) {
+        throw std::runtime_error("sink down");
+    };
+    jobs[1].name = "healthy";
+    jobs[1].scenario = &sc;
+
+    FleetConfig config;
+    config.engine = small_config(6);
+    config.concurrency = 2;
+    config.keep_windows = true;
+    FleetDriver driver(sc.topo, config);
+    const FleetReport report = driver.run(jobs);
+
+    const FleetJobReport& crashing = report.jobs[0];
+    EXPECT_EQ(crashing.attempts, 3u);
+    EXPECT_FALSE(crashing.completed);
+    EXPECT_TRUE(crashing.quarantined);
+    EXPECT_EQ(crashing.error, "sink down");
+    EXPECT_NE(report.summary().find("QUARANTINED after 3 attempts"),
+              std::string::npos);
+
+    const FleetJobReport& healthy = report.jobs[1];
+    EXPECT_EQ(healthy.attempts, 1u);
+    EXPECT_TRUE(healthy.completed);
+    EXPECT_FALSE(healthy.quarantined);
+    EXPECT_TRUE(healthy.error.empty());
+    EXPECT_EQ(report.quarantined_jobs, 1u);
+
+    OnlineEngine solo(sc.topo, sc.routing, config.engine);
+    const ReplayResult reference = replay_scenario(solo, sc);
+    ASSERT_EQ(healthy.window_results.size(), reference.windows.size());
+    for (std::size_t k = 0; k < kSamples; ++k) {
+        const WindowResult& a = reference.windows[k];
+        const WindowResult& b = healthy.window_results[k];
+        ASSERT_EQ(a.runs.size(), b.runs.size());
+        for (std::size_t m = 0; m < a.runs.size(); ++m) {
+            EXPECT_EQ(a.runs[m].estimate, b.runs[m].estimate)
+                << "window " << k;
         }
     }
 }

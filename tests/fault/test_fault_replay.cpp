@@ -77,12 +77,6 @@ TEST(FaultReplay, SeededScheduleIsolatesFaultsToTargetedJobs) {
     config.engine = small_config(4);
     config.concurrency = 2;
     config.keep_windows = true;
-    // Crashes must surface on the worker thread that owns the job's
-    // ambient fault scope: drive ingestion synchronously, one window at
-    // a time (the engine default, pipeline_depth 1, threads 0).
-    config.async_ingest = false;
-    config.max_job_attempts = 3;
-    config.retry_backoff_seconds = 0.0;  // retry at once in tests
 
     // Fault-free reference fleet.
     fault::disarm();

@@ -116,7 +116,6 @@ TEST(ServePublishIntegration, FleetJobsPublishIntoPerJobStores) {
     engine::FleetConfig config;
     config.engine = cheap_config();
     config.keep_windows = true;
-    config.async_ingest = true;
     engine::FleetDriver fleet(sc.topo, config);
 
     StoreOptions options;

@@ -27,6 +27,15 @@ compiler flag checks:
                   solve_eq_qp_nonneg_operator) or solve_eq_qp( under
                   src/.  Each reference lives in exactly one place,
                   tests/linalg/dense_qp_reference.hpp.
+  thread-owners   Only the thread owners src/engine/THREADING.md lists
+                  (src/engine/thread_pool.hpp: each engine's workers;
+                  src/engine/fleet.cpp: one worker per concurrent job)
+                  name std::thread / std::jthread or call std::async /
+                  pthread_create anywhere under src/.  Every other
+                  component feeds the engine on its caller's thread,
+                  so thread counts stay where the docs say they are.
+                  std::thread::hardware_concurrency() and
+                  std::this_thread are allowed everywhere.
   self-contained  Every header under src/ compiles standalone
                   (g++ -fsyntax-only, one compile per header, run
                   concurrently): a header that leans on its includer's
@@ -87,6 +96,15 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 # The test-only dense QP entry points (the `_operator` suffix is the
 # production solver and does not match).
 TEST_REFERENCE_RE = re.compile(r"\b(solve_eq_qp_nonneg|solve_eq_qp)\s*\(")
+
+# Anything that starts an OS thread (or holds one): the thread types
+# themselves — but not their static members (std::thread::
+# hardware_concurrency, std::thread::id) — and the two spawning calls.
+THREAD_SPAWN_RE = re.compile(
+    r"\bstd::j?thread\b(?!\s*::)|\bstd::async\s*\(|"
+    r"\bpthread_create\s*\(")
+# The files src/engine/THREADING.md names as thread owners.
+THREAD_OWNERS = {"src/engine/thread_pool.hpp", "src/engine/fleet.cpp"}
 
 # The one obs/ header the method/kernel layers may use: the plain
 # counter structs estimators fill in (no engine machinery behind it).
@@ -308,6 +326,27 @@ def check_test_reference(root: str) -> list[Violation]:
     return violations
 
 
+def check_thread_owners(root: str) -> list[Violation]:
+    violations = []
+    for path in iter_source_files(root, ("src",), SOURCE_EXTS):
+        rel = relpath(root, path)
+        if rel in THREAD_OWNERS:
+            continue
+        raw = open(path, encoding="utf-8", errors="replace").read()
+        raw_lines = raw.splitlines()
+        clean = strip_comments_and_strings(raw).splitlines()
+        for lineno, line in enumerate(clean, 1):
+            m = THREAD_SPAWN_RE.search(line)
+            if m and not suppressed(raw_lines, lineno, "thread-owners"):
+                violations.append(Violation(
+                    "thread-owners", rel, lineno,
+                    f"{m.group(0).rstrip('(').strip()} outside the "
+                    f"thread owners {sorted(THREAD_OWNERS)} — run on "
+                    "the caller's thread or on the engine's ThreadPool "
+                    "(src/engine/THREADING.md)"))
+    return violations
+
+
 def check_self_contained(root: str,
                          compiler: str | None = None) -> list[Violation]:
     compiler = compiler or os.environ.get("CXX") or shutil.which("g++") \
@@ -352,6 +391,7 @@ def run_all(root: str, headers: bool = True) -> list[Violation]:
                                             "examples"))
     violations += check_layering(root)
     violations += check_test_reference(root)
+    violations += check_thread_owners(root)
     if headers:
         violations += check_self_contained(root)
     return violations
@@ -429,6 +469,28 @@ SELF_TEST_CASES = [
         "Vector x = solve_eq_qp (h, f, e, d);\n",
         "// solve_eq_qp(h, f, e, d) lives with the tests.\n"
         "Vector x = solve_eq_qp_nonneg_operator(h, f, e, d).x;\n",
+    ),
+    (
+        "thread-owners",
+        "src/engine/bad_thread.cpp",
+        "#include <thread>\n"
+        "void f() {\n"
+        "    std::thread producer([] {});\n"
+        "    producer.join();\n"
+        "}\n",
+        "#include <thread>\n"
+        "unsigned f() {\n"
+        "    std::this_thread::yield();\n"
+        "    return std::thread::hardware_concurrency();\n"
+        "}\n",
+    ),
+    (
+        "thread-owners",
+        "src/scenario/bad_async.cpp",
+        "#include <future>\n"
+        "auto f() { return std::async([] { return 1; }); }\n",
+        "// std::async([] { return 1; }) would start a thread.\n"
+        "int f() { return 1; }\n",
     ),
     (
         "self-contained",
