@@ -520,6 +520,7 @@ int main(int argc, char** argv) {
     report.set("fleet_gate_applied", fleet_gate_applicable);
     report.set("fleet_gate_skip_reason", fleet_gate_skip_reason);
     report.set("host_hardware_concurrency", host_cores);
+    report.set("compiler", __VERSION__);
     {
         obs::Json obs_section = obs::Json::object();
         obs_section.set("tracing_compiled", obs::tracing_compiled());

@@ -34,7 +34,9 @@ struct BayesianOptions {
     /// Solve tuning, read by whichever solver runs.  dense_kkt_limit
     /// picks the solver (see the file comment).  Both solvers read
     /// warm_start (G + (1/lambda) I is positive definite, so the
-    /// minimizer is unique and unchanged by warm starting), counters
+    /// minimizer is unique: the NNLS reaches it warm or cold, while the
+    /// operator QP's CG regime stops at a start-dependent point a few
+    /// percent away at large lambda, see qp.hpp), counters
     /// (the NNLS adds pivots; the operator QP adds active-set rounds /
     /// CG iterations) and budget (a tripped budget yields the solver's
     /// best feasible iterate; the caller reads budget->expired()

@@ -92,8 +92,10 @@ struct FanoutOptions {
     /// counters, budget), passed through unchanged.  qp.warm_start is
     /// the previous window's fanout vector (pair-indexed, or null): the
     /// QP verifies the seed's KKT feasibility and falls back to a cold
-    /// solve when it is inconsistent, so the estimate never depends on
-    /// the seed.
+    /// solve when it is inconsistent, so on the exact-LU path (every
+    /// paper-scale window) the estimate does not depend on the seed.
+    /// In the projected-CG regime warm and cold solves stop at slightly
+    /// different points (see qp.hpp).
     linalg::EqQpNonnegOptions qp;
 };
 

@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -69,44 +68,16 @@ bool interval_gap(const telemetry::TimeSeriesStore& store,
 }  // namespace
 
 /// One window's trip through the engine.  Everything a stage reads is
-/// immutable after submit(); stages write only their own runs slot and
-/// the atomic remaining counter, whose final decrement hands the job
-/// to finalize().
+/// immutable once submit() has captured it; stage i writes only
+/// runs[i] and errors[i].
 struct OnlineEngine::WindowJob {
     WindowContext ctx;
-    std::uint64_t generation = 0;  ///< warm-lineage generation at submit
     Clock::time_point start;
     bool scored = false;               ///< truth refs captured
     linalg::Vector truth_latest;       ///< reference for snapshot methods
     linalg::Vector truth_mean;         ///< reference for series methods
     std::vector<std::optional<MethodRun>> runs;  // per methods index
-    std::atomic<std::size_t> remaining{0};
-    bool failed = false;  ///< a stage threw (guarded by state_mutex_)
-    /// Every stage ran; at depth 1 this wakes submit() to finalize
-    /// (guarded by state_mutex_).
-    bool solved = false;
-    WindowResult result;  ///< assembled by finalize()
-    bool done = false;    ///< finalized (guarded by state_mutex_)
-};
-
-/// Per-method execution lane.  Stages for one method run strictly in
-/// window order: enqueue_stage() appends under the lane mutex and at
-/// most one drainer loops over the FIFO at a time, so the warm-start
-/// fields are only ever touched by the active drainer (successive
-/// drainers are ordered by the same mutex).
-struct OnlineEngine::Lineage {
-    std::mutex mutex;
-    std::deque<std::pair<std::shared_ptr<WindowJob>, std::size_t>> queue;
-    bool running = false;
-    // Warm-start state, in the method's own variable space.
-    linalg::Vector warm;
-    bool warm_valid = false;
-    std::uint64_t warm_generation = 0;
-    // Last-good estimate for graceful degradation (scheduler.hpp).
-    // Touched only by the lane's active drainer, like the warm fields;
-    // unlike them it survives routing rebinds (demand estimates do not
-    // depend on the routing).
-    FallbackState last_good;
+    std::vector<std::exception_ptr> errors;      // per methods index
 };
 
 OnlineEngine::OnlineEngine(const topology::Topology& topo,
@@ -122,7 +93,6 @@ OnlineEngine::OnlineEngine(const topology::Topology& topo,
                        config_.epoch_cache_capacity)),
       window_(&topo, &routing, config_.window_size,
               schedules(config_.methods, Method::vardi)),
-      lineages_(std::make_unique<Lineage[]>(method_count)),
       pool_(config_.threads) {
     const SchedulerConfigCheck check = validate_methods(config_.methods);
     if (!check) throw SchedulerConfigException(check);
@@ -132,26 +102,10 @@ OnlineEngine::OnlineEngine(const topology::Topology& topo,
             "OnlineEngine: routing does not match topology");
     }
     if (config_.min_series_window < 1) config_.min_series_window = 1;
-    if (config_.pipeline_depth < 1) config_.pipeline_depth = 1;
     // Pre-populate the per-method stats so the map structure never
     // changes after construction — concurrent metric readers may then
     // iterate it while ingestion updates the atomic fields inside.
     for (Method m : config_.methods) metrics_.methods[m];
-}
-
-OnlineEngine::Lineage& OnlineEngine::lineage(Method m) {
-    return lineages_[static_cast<std::size_t>(m)];
-}
-
-OnlineEngine::~OnlineEngine() {
-    // Drain without rethrowing: a stage failure during unwind must not
-    // terminate().
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    wait_drained(lock);
-}
-
-void OnlineEngine::wait_drained(std::unique_lock<std::mutex>& lock) {
-    state_cv_.wait(lock, [this] { return completed_ == submitted_; });
 }
 
 void OnlineEngine::set_routing(const linalg::SparseMatrix& routing) {
@@ -160,22 +114,7 @@ void OnlineEngine::set_routing(const linalg::SparseMatrix& routing) {
         throw std::invalid_argument(
             "OnlineEngine::set_routing: routing does not match topology");
     }
-    if (&routing == routing_) return;
-    // In-flight windows alias the current matrix through their captured
-    // SeriesProblem, and the caller is free to destroy it the moment
-    // this returns (e.g. replacing a content-identical object).  Drain
-    // first so no stage can dangle; routing changes are rare (a handful
-    // per day), so the barrier costs next to nothing.
-    {
-        std::unique_lock<std::mutex> lock(state_mutex_);
-        wait_drained(lock);
-    }
     routing_ = &routing;
-}
-
-std::size_t OnlineEngine::max_in_flight() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return max_in_flight_;
 }
 
 void OnlineEngine::bind_epoch() {
@@ -203,10 +142,8 @@ void OnlineEngine::bind_epoch() {
             if (!window_.empty()) ++metrics_.window_flushes;
         }
         // Samples measured under the previous routing cannot be mixed
-        // with the new epoch; flush the window and retire every warm
-        // start, including those of in-flight windows of the old epoch.
-        window_.reset(routing_);
-        ++generation_;
+        // with the new epoch.
+        flush_window();
         window_epoch_ = epoch.fingerprint();
         window_epoch_serial_ = epoch.serial();
         window_epoch_rows_ = epoch.rows();
@@ -244,8 +181,7 @@ void OnlineEngine::submit(std::size_t sample, linalg::Vector loads,
     if (fault::should_inject(fault::FaultSite::routing_inconsistency)) {
         ++metrics_.routing_faults;
         if (!window_.empty()) ++metrics_.window_flushes;
-        window_.reset(routing_);
-        ++generation_;
+        flush_window();
     }
     if (sanitize_loads(loads, gap)) ++metrics_.corrupt_samples;
 
@@ -260,166 +196,75 @@ void OnlineEngine::submit(std::size_t sample, linalg::Vector loads,
     // every engine triggered, not just this one's.
     metrics_.epoch_build_latency = cache_->build_latency();
 
-    // Everything that can throw (snapshotting, the user-supplied truth
-    // provider) runs BEFORE admission: an exception here must propagate
-    // without leaking an in-flight slot, or finish() and the destructor
-    // would wait forever.
-    auto job = std::make_shared<WindowJob>();
-    job->start = Clock::now();
-    job->ctx = WindowContext::capture(window_, epoch_, config_.methods,
-                                      config_.min_series_window,
-                                      next_ordinal_++);
-    job->generation = generation_;
+    WindowJob job;
+    job.start = Clock::now();
+    job.ctx = WindowContext::capture(window_, epoch_, config_.methods,
+                                     config_.min_series_window,
+                                     next_ordinal_++);
+    job.runs.resize(config_.methods.size());
+    job.errors.resize(config_.methods.size());
 
     // One stage per method; series methods wait for min_series_window.
-    // Read once: at depth > 1 the last stage may finalize the job (and
-    // release its snapshot) before the dispatch loop below is done.
-    const bool run_series = job->ctx.run_series;
-    std::size_t stages = 0;
+    std::vector<std::function<void()>> stages;
     bool series_stage = false;
-    for (Method m : config_.methods) {
-        if (is_series_method(m) && !run_series) continue;
-        ++stages;
+    for (std::size_t i = 0; i < config_.methods.size(); ++i) {
+        const Method m = config_.methods[i];
+        if (is_series_method(m) && !job.ctx.run_series) continue;
         series_stage = series_stage || is_series_method(m);
+        stages.push_back([this, &job, i] { run_stage(job, i); });
     }
-    // Truth references are captured now, while the window still spans
-    // exactly this job's samples.  Snapshot methods estimate the newest
+    // Truth references are captured while the window spans exactly
+    // this job's samples.  Snapshot methods estimate the newest
     // sample's demands; series methods (Vardi, fanout) estimate the
     // window mean, so they are scored against the truth averaged over
     // the window's samples.
     if (truth_) {
-        job->scored = true;
-        job->truth_latest = truth_(sample);
+        job.scored = true;
+        job.truth_latest = truth_(sample);
         if (series_stage) {
-            job->truth_mean.assign(job->truth_latest.size(), 0.0);
+            job.truth_mean.assign(job.truth_latest.size(), 0.0);
             for (std::size_t s : window_.sample_indices()) {
                 const linalg::Vector t = truth_(s);
-                for (std::size_t p = 0; p < job->truth_mean.size(); ++p) {
-                    job->truth_mean[p] += t[p];
+                for (std::size_t p = 0; p < job.truth_mean.size(); ++p) {
+                    job.truth_mean[p] += t[p];
                 }
             }
             const double inv_k =
                 1.0 / static_cast<double>(window_.size());
-            for (double& v : job->truth_mean) v *= inv_k;
+            for (double& v : job.truth_mean) v *= inv_k;
         }
     }
-    job->runs.resize(config_.methods.size());
-    job->remaining.store(stages, std::memory_order_relaxed);
-
-    // Backpressure: admit the window only when a slot frees up.
-    // Nothing below this point throws.
-    {
-        std::unique_lock<std::mutex> lock(state_mutex_);
-        if (in_flight_ >= config_.pipeline_depth) {
-            obs::Span wait_span("engine/backpressure_wait");
-            const Clock::time_point wait_start = Clock::now();
-            state_cv_.wait(lock, [this] {
-                return in_flight_ < config_.pipeline_depth;
-            });
-            metrics_.backpressure_wait.record(seconds_since(wait_start));
-        }
-        ++in_flight_;
-        ++submitted_;
-        if (in_flight_ > max_in_flight_) max_in_flight_ = in_flight_;
-        jobs_.push_back(job);
-    }
-
-    for (std::size_t i = 0; i < config_.methods.size(); ++i) {
-        const Method m = config_.methods[i];
-        if (is_series_method(m) && !run_series) continue;
-        enqueue_stage(lineage(m), job, i);
-    }
-    // At depth 1 this thread finalizes and publishes the window (the
-    // last stage only wakes it); so does a window with no stage (every
-    // scheduled method is a series method still below
-    // min_series_window), which would otherwise hold its slot forever.
-    if (stages == 0 || config_.pipeline_depth == 1) {
-        if (stages > 0) {
-            std::unique_lock<std::mutex> lock(state_mutex_);
-            state_cv_.wait(lock, [&job] { return job->solved; });
-        }
-        finalize(*job);
-    }
+    pool_.run_batch(std::move(stages));
+    finalize(job);
 }
 
-void OnlineEngine::enqueue_stage(Lineage& lin,
-                                 std::shared_ptr<WindowJob> job,
-                                 std::size_t method_index) {
-    bool need_drainer = false;
-    {
-        std::lock_guard<std::mutex> lock(lin.mutex);
-        lin.queue.emplace_back(std::move(job), method_index);
-        if (!lin.running) {
-            lin.running = true;
-            need_drainer = true;
-        }
-    }
-    // Submitted outside the lane lock: with a zero-thread pool the
-    // drainer runs inline right here, and must be able to re-lock.
-    if (need_drainer) {
-        pool_.submit([this, &lin] { drain_lineage(lin); });
-    }
+void OnlineEngine::flush_window() {
+    window_.reset(routing_);
+    for (MethodState& st : method_states_) st.warm_valid = false;
 }
 
-void OnlineEngine::drain_lineage(Lineage& lin) {
-    while (true) {
-        std::shared_ptr<WindowJob> job;
-        std::size_t method_index = 0;
-        {
-            std::lock_guard<std::mutex> lock(lin.mutex);
-            if (lin.queue.empty()) {
-                lin.running = false;
-                return;
-            }
-            job = std::move(lin.queue.front().first);
-            method_index = lin.queue.front().second;
-            lin.queue.pop_front();
-        }
-        run_stage(lin, *job, method_index);
-    }
-}
-
-void OnlineEngine::run_stage(Lineage& lin, WindowJob& job,
-                             std::size_t method_index) {
+void OnlineEngine::run_stage(WindowJob& job, std::size_t method_index) {
     const Method m = config_.methods[method_index];
+    MethodState& st = state(m);
     try {
-        // Warm seeds cross windows only within one generation: a
-        // window flush retires all older state.
-        const linalg::Vector* seed = nullptr;
-        if (config_.warm_start && lin.warm_valid &&
-            lin.warm_generation == job.generation) {
-            seed = &lin.warm;
-        }
+        const linalg::Vector* seed =
+            config_.warm_start && st.warm_valid ? &st.warm : nullptr;
         MethodExecution exec =
             execute_method_guarded(m, job.ctx, config_.method_options,
-                                   seed, lin.last_good,
-                                   config_.warm_start, &pool_);
+                                   seed, st.last_good, config_.warm_start,
+                                   &pool_);
         if (config_.warm_start && exec.warm_next_valid) {
-            lin.warm = std::move(exec.warm_next);
-            lin.warm_valid = true;
-            lin.warm_generation = job.generation;
+            st.warm = std::move(exec.warm_next);
+            st.warm_valid = true;
         }
         job.runs[method_index] = std::move(exec.run);
     } catch (...) {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        job.failed = true;
-        if (!first_error_) first_error_ = std::current_exception();
+        job.errors[method_index] = std::current_exception();
     }
-    if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    if (config_.pipeline_depth > 1) {
-        finalize(job);
-        return;
-    }
-    // Depth 1: submit() is waiting to finalize on its own thread.
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        job.solved = true;
-    }
-    state_cv_.notify_all();
 }
 
 void OnlineEngine::finalize(WindowJob& job) {
-    WindowResult& result = job.result;
+    WindowResult result;
     result.window_start_sample = job.ctx.window_start_sample;
     result.window_end_sample = job.ctx.window_end_sample;
     result.window_size = job.ctx.window_size;
@@ -428,8 +273,14 @@ void OnlineEngine::finalize(WindowJob& job) {
     record_kernel_stats(metrics_, pool_.kernel_stats());
     // A window with a failed stage is neither scored, counted nor
     // published; finish() / ingest() rethrow the failure.
+    bool failed = false;
+    for (const std::exception_ptr& error : job.errors) {
+        if (!error) continue;
+        failed = true;
+        if (!first_error_) first_error_ = error;
+    }
     for (std::optional<MethodRun>& maybe : job.runs) {
-        if (job.failed || !maybe.has_value()) continue;
+        if (failed || !maybe.has_value()) continue;
         MethodRun& run = *maybe;
         if (job.scored) {
             const linalg::Vector& reference = is_series_method(run.method)
@@ -462,98 +313,39 @@ void OnlineEngine::finalize(WindowJob& job) {
         }
         result.runs.push_back(std::move(run));
     }
-    if (!job.failed) {
+    if (!failed) {
         ++metrics_.windows_run;
         metrics_.total_seconds += result.seconds;
         metrics_.last_window_seconds = result.seconds;
         metrics_.window_latency.record(result.seconds);
-    }
-    // Only the result stays buffered for finish(): release the
-    // snapshot (and its epoch pin) now.
-    job.ctx = WindowContext{};
-    job.truth_latest = linalg::Vector{};
-    job.truth_mean = linalg::Vector{};
-    job.runs = {};
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        job.done = true;
-    }
-    flush_completed();
-}
-
-void OnlineEngine::flush_completed() {
-    // At depth > 1 methods finish when they finish, so finalize() runs
-    // out of submission order — but the window-sink contract is
-    // strictly ordered.  The publish mutex admits one flusher at a
-    // time; it walks the submission-order cursor over every
-    // consecutively-done window (its own and any predecessors-completed-
-    // later it unblocked), invokes the sink outside state_mutex_, and
-    // only then counts the window completed, so finish() and the
-    // destructor cannot return while a sink call is still running.
-    std::lock_guard<std::mutex> publish_lock(publish_mutex_);
-    while (true) {
-        std::shared_ptr<WindowJob> job;
-        {
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            if (next_publish_ >= jobs_.size() ||
-                !jobs_[next_publish_]->done) {
-                break;
-            }
-            job = jobs_[next_publish_];
-            ++next_publish_;
-        }
-        if (sink_ && !job->failed) {
+        if (sink_) {
             try {
-                sink_(job->result);
+                sink_(result);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(state_mutex_);
-                if (!first_error_) {
-                    first_error_ = std::current_exception();
-                }
+                if (!first_error_) first_error_ = std::current_exception();
             }
         }
-        {
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            ++completed_;
-            --in_flight_;
-        }
-        state_cv_.notify_all();
     }
+    results_.push_back(std::move(result));
 }
 
 std::vector<WindowResult> OnlineEngine::finish() {
-    std::vector<WindowResult> out;
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(state_mutex_);
-        wait_drained(lock);
-        out.reserve(jobs_.size());
-        for (const std::shared_ptr<WindowJob>& job : jobs_) {
-            out.push_back(std::move(job->result));
-        }
-        jobs_.clear();
-        next_publish_ = 0;
-        error = std::exchange(first_error_, nullptr);
+    std::vector<WindowResult> out = std::exchange(results_, {});
+    if (first_error_) {
+        std::rethrow_exception(std::exchange(first_error_, nullptr));
     }
-    if (error) std::rethrow_exception(error);
     return out;
 }
 
 WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
                                   bool gap) {
     submit(sample, std::move(loads), gap);
-    std::shared_ptr<WindowJob> job;
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(state_mutex_);
-        wait_drained(lock);
-        job = std::move(jobs_.back());
-        jobs_.pop_back();
-        --next_publish_;
-        error = std::exchange(first_error_, nullptr);
+    WindowResult result = std::move(results_.back());
+    results_.pop_back();
+    if (first_error_) {
+        std::rethrow_exception(std::exchange(first_error_, nullptr));
     }
-    if (error) std::rethrow_exception(error);
-    return std::move(job->result);
+    return result;
 }
 
 WindowResult OnlineEngine::ingest_interval(

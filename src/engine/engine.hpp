@@ -15,42 +15,31 @@
 //                                                      ├─> WindowContext
 //   route_change ──> set_routing ──> RoutingEpochCache ┘         │
 //                                                                v
-//   sink <── WindowResult <──── per-method lineages on the pool ──┘
+//   sink <── WindowResult <──── per-method stages on the pool ────┘
 //                 └──> EngineMetrics
 //
-// Every window is snapshotted into an immutable WindowContext and each
-// scheduled method runs it as one stage.  Three rules keep the result
-// independent of how many windows overlap (EngineConfig::pipeline_depth)
-// and of the pool size — bitwise, the tests pin it:
+// One window at a time: submit() snapshots the window into an
+// immutable WindowContext, runs each scheduled method on it as one
+// stage (the stages of a window fan out over the pool; a zero-thread
+// pool runs them inline, in method order), then scores, counts and
+// publishes the window on the calling thread before it returns.  The
+// estimates do not depend on the pool size — bitwise, the tests pin
+// it — because each method's warm-start seed is its own solution of
+// the previous window, and a window flush (routing-epoch rebind or
+// routing fault) clears every method's warm slot, so the first window
+// after a reroute always cold-starts.
 //
-//   * per-method lineages — each method's windows execute strictly in
-//     window order on a private FIFO, so warm-start state flows
-//     window -> next window, and an out-of-order completion of one
-//     method can never seed another window's solve with a stale
-//     estimate;
-//   * warm generation tags — every routing-epoch rebind bumps a
-//     generation counter and lineage warm state is tagged with it, so
-//     a window after a reroute always cold-starts, even while in-flight
-//     windows of the old epoch are still completing;
-//   * bounded depth — at most pipeline_depth windows are in flight;
-//     submit() blocks (backpressure) instead of queueing without limit.
-//     Depth 1 (the default) finishes and publishes each window on the
-//     submitting thread before submit() returns; a zero-thread pool
-//     runs every stage inline.
-//
-// The routing epoch is pinned (shared_ptr) by every in-flight window,
+// The routing epoch is pinned (shared_ptr) by the window being solved,
 // so epoch-cache evictions — including those triggered by *other*
 // engines sharing the cache in a fleet — can never destroy derived
 // data a stage is still reading.
 #pragma once
 
-#include <condition_variable>
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "engine/epoch_cache.hpp"
@@ -76,11 +65,6 @@ struct EngineConfig {
     /// operator applies of the others (kernel regions, bitwise the same
     /// estimates; see THREADING.md).
     std::size_t threads = 0;
-    /// Maximum windows in flight (>= 1).  1 runs each window to
-    /// completion inside submit(); small depths (2-4) hide the
-    /// expensive series methods behind the next windows' cheap ones.
-    /// Overlap needs threads > 0.
-    std::size_t pipeline_depth = 1;
     /// Routing epochs kept alive for flap recovery.
     std::size_t epoch_cache_capacity = 4;
     /// Seed each method's solver from the previous window's solution.
@@ -104,9 +88,6 @@ class OnlineEngine {
                  EngineConfig config = {},
                  std::shared_ptr<RoutingEpochCache> shared_cache = nullptr);
 
-    /// Drains all in-flight windows before destruction.
-    ~OnlineEngine();
-
     OnlineEngine(const OnlineEngine&) = delete;
     OnlineEngine& operator=(const OnlineEngine&) = delete;
 
@@ -115,31 +96,29 @@ class OnlineEngine {
     /// happen on the next submit, driven by the content fingerprint —
     /// re-announcing a content-identical matrix keeps the epoch (and
     /// window) alive, merely rebinding internal pointers to the new
-    /// object.  Swapping to a different matrix object drains the
-    /// in-flight windows first (they alias the current object, which
-    /// the caller may free once this returns).
+    /// object.  No window is being solved between calls, so the caller
+    /// may free the previous object once this returns.
     void set_routing(const linalg::SparseMatrix& routing);
 
     const linalg::SparseMatrix& routing() const { return *routing_; }
 
-    /// Ingests one load sample and dispatches the updated window's
-    /// estimation pass.  `gap` flags a sample reconstructed by
-    /// interpolation (lost polls).  Sample indices must be strictly
-    /// increasing within a routing epoch.  Blocks while pipeline_depth
-    /// windows are already in flight; at depth 1 the window is
-    /// finished, scored, counted and published before this returns.
-    /// The result is buffered for finish().
+    /// Ingests one load sample and runs the updated window's estimation
+    /// pass.  `gap` flags a sample reconstructed by interpolation (lost
+    /// polls).  Sample indices must be strictly increasing within a
+    /// routing epoch.  The window is solved, scored, counted and
+    /// published before this returns; the result is buffered for
+    /// finish().
     void submit(std::size_t sample, linalg::Vector loads, bool gap = false);
 
-    /// Blocks until every submitted window has completed; returns their
-    /// results in submission order and clears the buffer (the engine
-    /// keeps streaming afterwards).  Rethrows the first stage or sink
-    /// exception, if any.
+    /// Returns the buffered results of every window submitted since the
+    /// last finish(), in submission order, and clears the buffer (the
+    /// engine keeps streaming afterwards).  Rethrows the first stage or
+    /// sink exception since then, if any.
     std::vector<WindowResult> finish();
 
-    /// submit() one sample, wait for its window and return it (the
-    /// window leaves the finish() buffer).  Rethrows a stage or sink
-    /// exception of any window it waited for.
+    /// submit() one sample and return its window (the window leaves
+    /// the finish() buffer).  Rethrows the first stage or sink
+    /// exception not yet rethrown.
     WindowResult ingest(std::size_t sample, linalg::Vector loads,
                         bool gap = false);
 
@@ -164,21 +143,16 @@ class OnlineEngine {
     const TruthProvider& truth() const { return truth_; }
 
     /// Attaches a window-completion sink, invoked once per window after
-    /// metrics accumulation, strictly in submission order, one call at
-    /// a time.  At depth 1 it runs on the thread that called submit()
-    /// or ingest(), before that call returns; at greater depths on the
-    /// pool worker that completes the window.  A window whose stage
-    /// failed is not published.  A sink exception is rethrown by
-    /// ingest() / finish().  Pass an empty function to detach; must not
-    /// be called while windows are in flight.
+    /// metrics accumulation, on the thread that called submit() or
+    /// ingest(), before that call returns.  A window whose stage failed
+    /// is not published.  A sink exception is rethrown by ingest() /
+    /// finish().  Pass an empty function to detach.
     void set_window_sink(WindowSink sink) { sink_ = std::move(sink); }
     const WindowSink& window_sink() const { return sink_; }
 
     /// Live metrics.  Counters are atomics and the per-method map is
     /// pre-populated at construction, so reading (or copying) the
     /// metrics concurrently with ingestion is safe and torn-free.
-    /// windows_run lags samples_ingested by the windows in flight;
-    /// total_seconds sums overlapping window walls at depth > 1.
     const EngineMetrics& metrics() const { return metrics_; }
     const SlidingWindow& window() const { return window_; }
     const std::shared_ptr<RoutingEpochCache>& cache() const {
@@ -186,23 +160,28 @@ class OnlineEngine {
     }
     std::uint64_t current_epoch() const { return window_epoch_; }
 
-    /// High-water mark of windows simultaneously in flight (<= depth).
-    std::size_t max_in_flight() const;
-
   private:
     struct WindowJob;
-    struct Lineage;
+    /// What one method carries from window to window.
+    struct MethodState {
+        /// Warm-start seed, in the method's own variable space: its
+        /// state after the previous window of the current routing
+        /// epoch.
+        linalg::Vector warm;
+        bool warm_valid = false;
+        /// Last-good estimate for graceful degradation (scheduler.hpp);
+        /// unlike the seed it survives window flushes (demand estimates
+        /// do not depend on the routing).
+        FallbackState last_good;
+    };
 
     void bind_epoch();
-    void enqueue_stage(Lineage& lineage, std::shared_ptr<WindowJob> job,
-                       std::size_t method_index);
-    void drain_lineage(Lineage& lineage);
-    void run_stage(Lineage& lineage, WindowJob& job,
-                   std::size_t method_index);
+    void flush_window();
+    void run_stage(WindowJob& job, std::size_t method_index);
     void finalize(WindowJob& job);
-    void flush_completed();
-    void wait_drained(std::unique_lock<std::mutex>& lock);
-    Lineage& lineage(Method m);
+    MethodState& state(Method m) {
+        return method_states_[static_cast<std::size_t>(m)];
+    }
 
     const topology::Topology* topo_;
     const linalg::SparseMatrix* routing_;
@@ -225,31 +204,11 @@ class OnlineEngine {
     std::size_t window_epoch_cols_ = 0;
     std::size_t window_epoch_nnz_ = 0;
     bool epoch_bound_ = false;  ///< window_epoch_* hold a real epoch
-    /// Bumped on every window flush; lineage warm state carrying an
-    /// older generation is never used as a seed.
-    std::uint64_t generation_ = 0;
     std::size_t next_ordinal_ = 0;
 
-    std::unique_ptr<Lineage[]> lineages_;  // indexed by Method
-
-    mutable std::mutex state_mutex_;
-    std::condition_variable state_cv_;
-    std::size_t in_flight_ = 0;
-    std::size_t submitted_ = 0;
-    std::size_t completed_ = 0;
-    std::size_t max_in_flight_ = 0;
-    std::deque<std::shared_ptr<WindowJob>> jobs_;  // submission order
-    std::exception_ptr first_error_;
-    /// Completion-flush cursor into jobs_: windows below it have been
-    /// handed to the sink (or skipped past, when none is attached).
-    /// Guarded by state_mutex_; the flush itself serializes on
-    /// publish_mutex_ (ordered: publish_mutex_ -> state_mutex_).
-    std::size_t next_publish_ = 0;
-    std::mutex publish_mutex_;
-
-    /// Declared last on purpose: the pool is destroyed FIRST, joining
-    /// every worker (a drainer's final empty-check included) while the
-    /// lineages and state mutex above are still alive.
+    std::array<MethodState, method_count> method_states_;
+    std::vector<WindowResult> results_;  ///< buffered for finish()
+    std::exception_ptr first_error_;     ///< not yet rethrown
     ThreadPool pool_;
 };
 

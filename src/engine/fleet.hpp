@@ -7,7 +7,7 @@
 // scenarios to build training sets.  Serially that is N full-day
 // replays back to back.  The fleet driver instead runs the jobs on a
 // small worker pool: every engine keeps its own sliding window, warm
-// lineage and metrics (nothing estimation-relevant is shared between
+// starts and metrics (nothing estimation-relevant is shared between
 // scenarios), while R-derived data — the routing transpose R' and the
 // fanout constraints — is built once per distinct routing epoch in the
 // shared cache and read by all engines.  Each job runs replay_scenario
@@ -38,9 +38,8 @@ struct FleetJob {
     /// Per-job engine configuration; nullopt uses FleetConfig::engine.
     std::optional<EngineConfig> engine;
     /// Window-completion sink installed on this job's engine.  Called
-    /// one window at a time, in submission order (from the job's worker
-    /// thread at pipeline_depth 1, from the engine's pool above it) — a
-    /// serving-layer publisher (serve::make_publisher) slots in
+    /// one window at a time, in submission order, on the job's worker
+    /// thread — a serving-layer publisher (serve::make_publisher) slots in
     /// directly.  Jobs never share an engine, so per-job sinks need no
     /// cross-job synchronization, but one sink attached to several jobs
     /// must be thread-safe.
@@ -49,9 +48,9 @@ struct FleetJob {
 
 struct FleetConfig {
     /// Engine template for jobs without a per-job override.  Engines
-    /// default to threads = 0 and pipeline_depth = 1: the fleet
-    /// parallelizes across scenarios, not within one; raise both to
-    /// overlap window passes within a scenario too.
+    /// default to threads = 0: the fleet parallelizes across scenarios,
+    /// not within one; raise it to fan each window's methods out over
+    /// a per-job pool too.
     EngineConfig engine;
     /// Concurrent scenario workers; 0 picks
     /// min(jobs, hardware_concurrency).

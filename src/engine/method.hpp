@@ -22,7 +22,7 @@ enum class Method {
 
 /// Every method, in enum order.  Keep in sync when extending Method —
 /// method_count sizes per-method state tables (e.g. the engine's
-/// method lineages).
+/// warm-start slots).
 inline constexpr Method all_methods[] = {
     Method::gravity, Method::kruithof, Method::entropy,
     Method::bayesian, Method::vardi,   Method::fanout,

@@ -150,8 +150,6 @@ obs::Json EngineMetrics::to_json() const {
     j.set("last_window_seconds", last_window_seconds.load());
     j.set("window_latency",
           obs::histogram_to_json(window_latency.snapshot()));
-    j.set("backpressure_wait",
-          obs::histogram_to_json(backpressure_wait.snapshot()));
     j.set("epoch_build_latency",
           obs::histogram_to_json(epoch_build_latency.snapshot()));
     j.set("mre_skipped_runs",

@@ -202,9 +202,6 @@ struct EngineMetrics {
     /// End-to-end window latency distribution (same samples that feed
     /// total_seconds / last_window_seconds).
     obs::LatencyHistogram window_latency;
-    /// Backpressure stalls: submit() blocked with pipeline_depth
-    /// windows in flight.
-    obs::LatencyHistogram backpressure_wait;
     /// Routing-epoch derived-data build times (routing transpose,
     /// fanout constraints) observed via this engine's cache —
     /// shared-cache caveat above applies.

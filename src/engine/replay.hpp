@@ -4,9 +4,8 @@
 // scenario's ground-truth demands.
 //
 // replay_scenario produces and submits every sample on the calling
-// thread, then collects the windows with finish(), so successive windows
-// overlap whenever the engine's pipeline_depth allows it; a submit()
-// that finds pipeline_depth windows in flight blocks (backpressure).
+// thread, one window at a time, then collects the windows with
+// finish().
 #pragma once
 
 #include <map>

@@ -62,7 +62,7 @@ SchedulerConfigCheck validate_methods(const std::vector<Method>& methods) {
         return check;
     }
     // Uniqueness is load-bearing, not just hygiene: each method owns
-    // one warm-start lineage, so two runs of the same method per window
+    // one warm-start slot, so two runs of the same method per window
     // would race.
     std::vector<bool> seen(method_count, false);
     for (Method m : methods) {

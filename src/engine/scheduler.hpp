@@ -7,9 +7,13 @@
 // active-set seeding; Bayesian active-set seeding of the NNLS at or
 // below qp.dense_kkt_limit pairs and of the operator QP above it;
 // entropy initial iterate; fanout QP active-set seeding with KKT
-// verification of the seed), so a warm run
-// converges to the same estimate as a cold run — it just gets there in
-// far fewer iterations when consecutive windows are similar.  The
+// verification of the seed).  On the exact paths — NNLS and the QP's
+// exact-LU KKT solves, which cover every paper-scale problem — a warm
+// run converges to the same estimate as a cold run; it just gets there
+// in far fewer iterations when consecutive windows are similar.  The
+// operator QP's projected-CG regime (beyond paper scale) stops at a
+// tolerance-dependent point, so there warm and cold runs can differ
+// by a few percent (see linalg/qp.hpp).  The
 // gravity prior is computed once per window and shared by Kruithof,
 // entropy and Bayesian, exactly as in the paper's evaluation.
 //
@@ -166,18 +170,17 @@ class SchedulerConfigException : public std::invalid_argument {
 
 /// Non-throwing method-list check: empty lists and duplicate methods
 /// are rejected.  Duplicates matter because each method owns one
-/// warm-start lineage — two runs of the same method per window would
+/// warm-start slot — two runs of the same method per window would
 /// race on it.
 SchedulerConfigCheck validate_methods(const std::vector<Method>& methods);
 
 /// Immutable snapshot of everything one window's estimation pass
 /// consumes.  The snapshot owns copies of the window loads and the
 /// materialized incremental aggregates, and pins the routing epoch, so
-/// the live window may keep sliding (and the epoch cache evicting)
-/// while the pass is still in flight.
+/// the epoch cache may evict (another fleet engine's traffic) while the
+/// pass runs.
 struct WindowContext {
-    /// Monotone window index within the engine (lineage position;
-    /// informational).
+    /// Monotone window index within the engine (informational).
     std::size_t ordinal = 0;
     std::size_t window_start_sample = 0;
     std::size_t window_end_sample = 0;
@@ -197,7 +200,7 @@ struct WindowContext {
     /// Materializes the snapshot for `methods`: only the aggregates a
     /// scheduled method actually consumes are copied/computed, and the
     /// gravity prior is evaluated here (shared by Kruithof / entropy /
-    /// Bayesian).  `ordinal` tags the window's lineage position.
+    /// Bayesian).  `ordinal` tags the window's position in the stream.
     static WindowContext capture(const SlidingWindow& window,
                                  std::shared_ptr<const RoutingEpoch> epoch,
                                  const std::vector<Method>& methods,
@@ -206,7 +209,7 @@ struct WindowContext {
 };
 
 /// One method's execution result plus the warm-start state that seeds
-/// the SAME method's next window (lineage order): the demand estimate
+/// the SAME method's next window: the demand estimate
 /// for entropy/Bayesian/Vardi, the fanout vector (QP primal) for the
 /// fanout method, nothing for gravity/Kruithof.
 struct MethodExecution {

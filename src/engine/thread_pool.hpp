@@ -1,21 +1,17 @@
 // Minimal fixed-size thread pool for the engine's per-method stages.
 //
-// Three usage patterns share one set of workers:
-//   * submit(): the engine enqueues free-running tasks (one drainer per
-//     method lineage) and tracks completion itself, never waiting on
-//     the pool;
+// Two usage patterns share one set of workers:
 //   * run_batch(): fans a batch of tasks out and waits for all of them
-//     (tests and benches use it to spread the workers over CPUs);
+//     (the engine runs a window's method stages this way; tests and
+//     benches use it to spread the workers over CPUs);
 //   * run() (linalg::BlockRunner): a kernel region.  A running task
 //     splits an operator apply into blocks and claims blocks itself;
 //     workers that are idle and spinning join in, one block at a
 //     time.  With no such worker the caller runs the whole range as one
 //     call, so a busy pool costs the caller nothing.  Regions from
 //     several tasks may be open at once; queued tasks take precedence.
-// run_batch() waits for the pool to go globally idle, so it must not be
-// mixed with concurrent submit() traffic on the same pool — the engine
-// therefore owns its pool exclusively.  Regions do not count
-// as pending work and mix freely with both.
+// run_batch() returns once the pool has no queued or running task;
+// regions do not count as pending work and mix freely with it.
 //
 // Who helps: a worker with no queued task spins while a solve scope is
 // open (begin_solve() / end_solve(), linalg::SolveScope; the CG-regime
@@ -76,8 +72,8 @@ class ThreadPool final : public linalg::BlockRunner {
 
     std::size_t thread_count() const { return workers_.size(); }
 
-    /// Runs all tasks and blocks until every one has finished.  Tasks
-    /// must not throw.
+    /// Runs all tasks and blocks until every one has finished (inline,
+    /// in order, with zero workers).  Tasks must not throw.
     void run_batch(std::vector<std::function<void()>> tasks) {
         if (workers_.empty()) {
             for (auto& task : tasks) task();
@@ -90,31 +86,6 @@ class ThreadPool final : public linalg::BlockRunner {
             work_epoch_.fetch_add(1, std::memory_order_relaxed);
         }
         work_cv_.notify_all();
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [this] { return pending_ == 0; });
-    }
-
-    /// Enqueues one task and returns immediately (inline execution with
-    /// zero workers).  The caller tracks completion itself; tasks must
-    /// not throw.
-    void submit(std::function<void()> task) {
-        if (workers_.empty()) {
-            task();
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            queue_.push(std::move(task));
-            ++pending_;
-            work_epoch_.fetch_add(1, std::memory_order_relaxed);
-        }
-        work_cv_.notify_one();
-    }
-
-    /// Blocks until every enqueued task has finished (pool globally
-    /// idle).  Only meaningful when no other thread keeps submitting.
-    void wait_idle() {
-        if (workers_.empty()) return;
         std::unique_lock<std::mutex> lock(mutex_);
         done_cv_.wait(lock, [this] { return pending_ == 0; });
     }

@@ -11,9 +11,8 @@
 //   serve::Reader reader(store);      // any thread, lock-free
 //   auto head = reader.latest();
 //
-// The sink runs on the engine's completion path (the submitting thread
-// at pipeline depth 1, a pool worker above it) and is strictly ordered
-// per engine, so per-engine stores see monotone window order.  The store tolerates
+// The sink runs on the engine's submitting thread, once per window in
+// submission order, so per-engine stores see monotone window order.  The store tolerates
 // several engines publishing into it concurrently (publishes
 // serialize), at the cost of interleaved version order.
 #pragma once

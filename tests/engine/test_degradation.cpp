@@ -317,50 +317,5 @@ TEST(Degradation, MissingDataWindowsRunAllMethodsFlaggedAsGaps) {
     EXPECT_EQ(metrics.failed_runs.load(), 0u);
 }
 
-// Overlapping windows share the guarded executor: at depth 2 on a pool
-// a zero deadline degrades the budgeted methods exactly as at depth 1
-// (per-lineage last-good slots, same flags, same bits).
-TEST(Degradation, DepthTwoFlagsBudgetExhaustionLikeDepthOne) {
-    const scenario::Scenario sc = short_scenario(6);
-    EngineConfig config = all_methods_config(3);
-    config.method_options.solve_deadline_seconds = 1e-12;
-    OnlineEngine serial(sc.topo, sc.routing, config);
-    config.pipeline_depth = 2;
-    config.threads = 2;
-    OnlineEngine engine(sc.topo, sc.routing, config);
-    for (std::size_t k = 0; k < sc.loads.size(); ++k) {
-        serial.submit(k, sc.loads[k]);
-        engine.submit(k, sc.loads[k]);
-    }
-    const std::vector<WindowResult> want = serial.finish();
-    const std::vector<WindowResult> results = engine.finish();
-    ASSERT_FALSE(results.empty());
-    ASSERT_EQ(results.size(), want.size());
-    for (std::size_t w = 0; w < results.size(); ++w) {
-        ASSERT_EQ(results[w].runs.size(), want[w].runs.size());
-        for (std::size_t m = 0; m < results[w].runs.size(); ++m) {
-            const MethodRun& got = results[w].runs[m];
-            const MethodRun& ref = want[w].runs[m];
-            EXPECT_EQ(got.quality, ref.quality) << "window " << w;
-            EXPECT_EQ(got.used_fallback, ref.used_fallback);
-            EXPECT_EQ(got.estimate, ref.estimate)
-                << method_name(got.method) << " window " << w;
-        }
-    }
-    for (const MethodRun& run : results.back().runs) {
-        if (run.method == Method::gravity) {
-            EXPECT_EQ(run.quality, EstimateQuality::exact);
-        } else {
-            EXPECT_EQ(run.quality, EstimateQuality::degraded)
-                << method_name(run.method);
-        }
-    }
-    EXPECT_GT(engine.metrics().degraded_runs.load(), 0u);
-    EXPECT_EQ(engine.metrics().degraded_runs.load(),
-              engine.metrics().budget_exhausted_runs.load());
-    EXPECT_EQ(engine.metrics().degraded_runs.load(),
-              serial.metrics().degraded_runs.load());
-}
-
 }  // namespace
 }  // namespace tme::engine

@@ -92,6 +92,16 @@ TEST(EngineReplay, MidDayRouteChangeNeverServesStaleEpoch) {
     EXPECT_EQ(first_after.window_size, 1u);
     EXPECT_EQ(first_after.window_start_sample, change_at);
 
+    // The reroute retires the warm start: Bayesian runs warm right up
+    // to the change and cold on the first window after it.
+    const MethodRun* bayes_before =
+        result.windows[change_at - 1].find(Method::bayesian);
+    const MethodRun* bayes_after = first_after.find(Method::bayesian);
+    ASSERT_NE(bayes_before, nullptr);
+    ASSERT_NE(bayes_after, nullptr);
+    EXPECT_TRUE(bayes_before->warm_started);
+    EXPECT_FALSE(bayes_after->warm_started);
+
     // Post-change estimates are computed against the NEW routing: the
     // engine's gravity estimate must equal a direct computation from
     // the rerouted loads, bit for bit.
@@ -110,9 +120,15 @@ TEST(EngineReplay, MidDayRouteChangeNeverServesStaleEpoch) {
     // Flapping back to the original routing hits the epoch cache.
     const std::size_t hits_before = engine.metrics().cache_hits;
     engine.set_routing(sc.routing);
-    engine.ingest(sc.demands.size(), sc.loads[0]);
+    const WindowResult flapped =
+        engine.ingest(sc.demands.size(), sc.loads[0]);
     EXPECT_EQ(engine.metrics().cache_misses, 2u);  // still only two builds
     EXPECT_EQ(engine.metrics().cache_hits, hits_before + 1);
+    // A->B->A: the second A epoch cold-starts too, although its
+    // derived data came from the cache.
+    const MethodRun* bayes_flapped = flapped.find(Method::bayesian);
+    ASSERT_NE(bayes_flapped, nullptr);
+    EXPECT_FALSE(bayes_flapped->warm_started);
 }
 
 TEST(EngineReplay, TelemetryIngestionFlagsGaps) {
@@ -135,15 +151,14 @@ TEST(EngineReplay, TelemetryIngestionFlagsGaps) {
     ASSERT_EQ(outcome.store.objects(), links);
     ASSERT_GT(outcome.polls_lost, 0u);
 
-    // Depth 1, and depth 2 on a pool: the outcome replays the same.
-    std::vector<WindowResult> depth_one;
-    for (const std::size_t depth : {1u, 2u}) {
-        SCOPED_TRACE("depth " + std::to_string(depth));
+    // Inline, and on a pool: the outcome replays the same.
+    std::vector<WindowResult> inline_windows;
+    for (const std::size_t threads : {0u, 2u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
         EngineConfig config;
         config.window_size = 6;
         config.methods = {Method::gravity, Method::bayesian};
-        config.pipeline_depth = depth;
-        config.threads = depth == 1 ? 0 : 2;
+        config.threads = threads;
         OnlineEngine engine(sc.topo, sc.routing, config);
         const std::vector<WindowResult> windows =
             engine.ingest_outcome(outcome);
@@ -158,14 +173,14 @@ TEST(EngineReplay, TelemetryIngestionFlagsGaps) {
             for (std::size_t m = 0; m < windows[k].runs.size(); ++m) {
                 const MethodRun& run = windows[k].runs[m];
                 EXPECT_TRUE(linalg::all_finite(run.estimate));
-                if (!depth_one.empty()) {
+                if (!inline_windows.empty()) {
                     EXPECT_EQ(run.estimate,
-                              depth_one[k].runs.at(m).estimate)
+                              inline_windows[k].runs.at(m).estimate)
                         << "window " << k;
                 }
             }
         }
-        if (depth_one.empty()) depth_one = windows;
+        if (inline_windows.empty()) inline_windows = windows;
 
         // Object-count mismatch is rejected.
         telemetry::TimeSeriesStore tiny(3, 2);

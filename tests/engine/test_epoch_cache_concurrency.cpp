@@ -96,7 +96,7 @@ TEST(RoutingEpochCacheConcurrency, PinnedEpochSurvivesEviction) {
     EXPECT_EQ(cache.evictions(), 2u);
     EXPECT_EQ(cache.size(), 1u);
 
-    // ...but the pinned epoch (an in-flight pipeline window, say) is
+    // ...but the pinned epoch (a window being solved, say) is
     // still fully usable, derived data included.
     EXPECT_EQ(pinned->serial(), serial);
     EXPECT_EQ(pinned->routing_transpose().to_dense(),

@@ -139,48 +139,6 @@ TEST(FleetDriver, PerJobRouteChangesKeepEpochsApart) {
     EXPECT_EQ(again.cache_misses, 3u);
 }
 
-TEST(FleetDriver, PipelinedJobsMatchDepthOneJobs) {
-    constexpr std::size_t kSamples = 30;
-    const scenario::Scenario sc = short_scenario(kSamples);
-    std::vector<FleetJob> jobs(2);
-    jobs[0].name = "a";
-    jobs[0].scenario = &sc;
-    jobs[1].name = "b";
-    jobs[1].scenario = &sc;
-    jobs[1].engine = small_config(9);
-
-    FleetConfig serial_config;
-    serial_config.engine = small_config(6);
-    serial_config.keep_windows = true;
-    FleetDriver serial_driver(sc.topo, serial_config);
-    const FleetReport serial = serial_driver.run(jobs);
-
-    // Depth 3 on a pool, through the fleet template and the per-job
-    // override alike.
-    FleetConfig piped_config = serial_config;
-    piped_config.engine.pipeline_depth = 3;
-    piped_config.engine.threads = 2;
-    std::vector<FleetJob> piped_jobs = jobs;
-    piped_jobs[1].engine->pipeline_depth = 3;
-    piped_jobs[1].engine->threads = 2;
-    FleetDriver piped_driver(sc.topo, piped_config);
-    const FleetReport piped = piped_driver.run(piped_jobs);
-
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        ASSERT_EQ(serial.jobs[j].window_results.size(),
-                  piped.jobs[j].window_results.size());
-        for (std::size_t k = 0; k < kSamples; ++k) {
-            const WindowResult& a = serial.jobs[j].window_results[k];
-            const WindowResult& b = piped.jobs[j].window_results[k];
-            ASSERT_EQ(a.runs.size(), b.runs.size());
-            for (std::size_t m = 0; m < a.runs.size(); ++m) {
-                EXPECT_EQ(a.runs[m].estimate, b.runs[m].estimate)
-                    << "job " << j << " window " << k;
-            }
-        }
-    }
-}
-
 TEST(FleetDriver, CrashingJobIsQuarantinedWhileSiblingMatchesSoloRun) {
     constexpr std::size_t kSamples = 12;
     const scenario::Scenario sc = short_scenario(kSamples);

@@ -1,10 +1,10 @@
 // Bitwise determinism gates for the pooled operator kernels: the
 // row-blocked R x / R' y products, fanout_estimate and
-// bayesian_estimate in the projected-CG regime, and the engine at
-// pipeline depths 1 and 2 (a four-method schedule and fanout-only /
-// Bayesian-only ones, whose solves get helpers only through the solve
-// scope), all give the same bits on a ThreadPool of 0, 1, 2, 3 or 7
-// workers as with no pool at all, estimates and warm seeds alike.  The 40-PoP backbone (1560
+// bayesian_estimate in the projected-CG regime, and the engine (a
+// four-method schedule and fanout-only / Bayesian-only ones, whose
+// solves get helpers only through the solve scope), all give the same
+// bits on a ThreadPool of 0, 1, 2, 3 or 7 workers as with no pool at
+// all, estimates and warm seeds alike.  The 40-PoP backbone (1560
 // pairs) sits above dense_kkt_limit, so the Hessian applies really run
 // through the blocked kernels.  Also checks that pooled windows report
 // helper blocks in EngineMetrics.  Labelled `engine`, so the TSan lane
@@ -164,14 +164,13 @@ TEST(ParallelDeterminism, OperatorEstimatorsOnPoolsMatchSerial) {
     }
 }
 
-EngineConfig backbone_config(std::size_t threads, std::size_t depth = 1) {
+EngineConfig backbone_config(std::size_t threads) {
     EngineConfig config;
     config.window_size = 3;
     config.min_series_window = 2;
     config.methods = {Method::gravity, Method::kruithof, Method::bayesian,
                       Method::fanout};
     config.threads = threads;
-    config.pipeline_depth = depth;
     config.method_options.kruithof.max_iterations = 20;
     config.method_options.bayesian.qp.cg_max_iterations = 60;
     config.method_options.bayesian.qp.max_active_set_rounds = 4;
@@ -205,7 +204,7 @@ void expect_same_windows(const std::vector<WindowResult>& a,
     }
 }
 
-TEST(ParallelDeterminism, EngineDepthsOnPoolsMatchInlineEngine) {
+TEST(ParallelDeterminism, EngineOnPoolMatchesInlineEngine) {
     const scenario::Scenario& sc = backbone();
     OnlineEngine serial(sc.topo, sc.routing, backbone_config(0));
     const ReplayResult want = replay_scenario(serial, sc);
@@ -213,14 +212,10 @@ TEST(ParallelDeterminism, EngineDepthsOnPoolsMatchInlineEngine) {
 
     OnlineEngine pooled(sc.topo, sc.routing, backbone_config(4));
     expect_same_windows(replay_scenario(pooled, sc).windows, want.windows);
-
-    OnlineEngine piped(sc.topo, sc.routing, backbone_config(4, 2));
-    expect_same_windows(replay_scenario(piped, sc).windows, want.windows);
 }
 
-EngineConfig single_method_config(Method m, std::size_t threads,
-                                  std::size_t depth = 1) {
-    EngineConfig config = backbone_config(threads, depth);
+EngineConfig single_method_config(Method m, std::size_t threads) {
+    EngineConfig config = backbone_config(threads);
     config.methods = {m};
     // Bayesian's first round is the CG one; later rounds pin enough
     // coordinates to drop into the exact-LU regime, which runs no
@@ -252,10 +247,6 @@ TEST(ParallelDeterminism, SingleOperatorMethodEnginesOnPoolsMatchSerial) {
             OnlineEngine pooled(sc.topo, sc.routing,
                                 single_method_config(m, n));
             expect_same_windows(replay_scenario(pooled, sc).windows,
-                                want.windows);
-            OnlineEngine piped(sc.topo, sc.routing,
-                               single_method_config(m, n, 2));
-            expect_same_windows(replay_scenario(piped, sc).windows,
                                 want.windows);
         }
     }
@@ -320,10 +311,8 @@ TEST(ParallelDeterminism, PooledWindowsReportHelperBlocks) {
     EXPECT_EQ(serial.metrics().kernel_regions_shared.load(), 0u);
     EXPECT_EQ(serial.metrics().kernel_helper_blocks.load(), 0u);
 
-    bool online_helped = false;
-    bool piped_helped = false;
-    for (int attempt = 0; attempt < 5 && !(online_helped && piped_helped);
-         ++attempt) {
+    bool helped = false;
+    for (int attempt = 0; attempt < 5 && !helped; ++attempt) {
         OnlineEngine pooled(sc.topo, sc.routing,
                             single_method_config(Method::fanout, 3));
         replay_scenario(pooled, sc);
@@ -332,21 +321,13 @@ TEST(ParallelDeterminism, PooledWindowsReportHelperBlocks) {
                   serial.metrics().kernel_regions.load());
         EXPECT_LE(metrics.kernel_regions_shared.load(),
                   metrics.kernel_regions.load());
-        online_helped = online_helped || metrics.kernel_helper_blocks > 0;
-
-        OnlineEngine piped(sc.topo, sc.routing,
-                           single_method_config(Method::fanout, 3, 2));
-        replay_scenario(piped, sc);
-        piped_helped = piped_helped ||
-                       piped.metrics().kernel_helper_blocks > 0;
-        const obs::Json j = piped.metrics().to_json();
+        helped = helped || metrics.kernel_helper_blocks > 0;
+        const obs::Json j = metrics.to_json();
         ASSERT_NE(j.find("kernel_helper_blocks"), nullptr);
         EXPECT_EQ(j.find("kernel_helper_blocks")->as_int(),
-                  static_cast<long long>(
-                      piped.metrics().kernel_helper_blocks.load()));
+                  static_cast<long long>(metrics.kernel_helper_blocks.load()));
     }
-    EXPECT_TRUE(online_helped) << "no helper block at depth 1";
-    EXPECT_TRUE(piped_helped) << "no helper block at depth 2";
+    EXPECT_TRUE(helped) << "no helper block";
 }
 
 }  // namespace

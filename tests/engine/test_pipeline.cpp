@@ -1,12 +1,10 @@
-// Overlapping window passes (EngineConfig::pipeline_depth > 1):
-// deterministic equivalence against the depth-1 engine.  Every
-// concurrency claim is pinned here: depths 1/2/4 on a pool reproduce
-// the inline depth-1 estimates bit for bit for every method on Europe
-// and USA days with a mid-day reroute; the zero-thread fallback is
-// bitwise identical; warm-start lineage produces exactly the depth-1
-// warm-run pattern (no stale-window seeding); the depth bound
-// (backpressure) is never exceeded; and a window with a failed stage
-// is neither counted nor published at any depth.
+// Pooled window passes: deterministic equivalence against the inline
+// engine.  Every concurrency claim is pinned here: pools of 0/1/2/4
+// workers reproduce the inline estimates bit for bit for every method
+// on Europe and USA days with a mid-day reroute, with exactly the
+// inline warm-run pattern (no stale seeding across the reroute);
+// windows come back in submission order; and a window with a failed
+// stage is neither counted nor published, inline and pooled.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +23,7 @@ namespace {
 /// instrumented runs (ThreadSanitizer CI) can shorten the day without
 /// losing any of the concurrency coverage.
 std::size_t sweep_samples() {
-    if (const char* env = std::getenv("TME_PIPELINE_SAMPLES")) {
+    if (const char* env = std::getenv("TME_REPLAY_SAMPLES")) {
         const long v = std::atol(env);
         if (v >= 8) return static_cast<std::size_t>(v);
     }
@@ -42,15 +40,13 @@ scenario::Scenario day_scenario(scenario::Network network,
     return sc;
 }
 
-EngineConfig all_method_config(std::size_t threads,
-                               std::size_t depth = 1) {
+EngineConfig all_method_config(std::size_t threads) {
     EngineConfig config;
     config.window_size = 8;
     config.min_series_window = 3;
     config.methods = {Method::gravity, Method::kruithof, Method::entropy,
                       Method::bayesian, Method::vardi,   Method::fanout};
     config.threads = threads;
-    config.pipeline_depth = depth;
     config.warm_start = true;
     // The equivalence claim is about scheduling, not solver depth: cap
     // the iterative solvers so whole-day sweeps stay fast.  Both sides
@@ -99,7 +95,7 @@ double worst_estimate_diff(const std::vector<WindowResult>& a,
     return worst;
 }
 
-TEST(EnginePipeline, DepthsOneTwoFourMatchInlineDepthOneWithMidDayReroute) {
+TEST(EnginePipeline, PooledEnginesMatchInlineEngineWithMidDayReroute) {
     for (const scenario::Network network :
          {scenario::Network::europe, scenario::Network::usa}) {
         const scenario::Scenario sc = day_scenario(network, sweep_samples());
@@ -115,74 +111,53 @@ TEST(EnginePipeline, DepthsOneTwoFourMatchInlineDepthOneWithMidDayReroute) {
         ASSERT_EQ(reference.windows.size(), sc.demands.size());
         ASSERT_EQ(serial.metrics().epoch_changes.load(), 1u);
 
-        for (const std::size_t depth : {1u, 2u, 4u}) {
+        for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
             OnlineEngine engine(sc.topo, sc.routing,
-                                all_method_config(2, depth));
+                                all_method_config(threads));
             const ReplayResult result =
                 replay_scenario(engine, sc, options);
             EXPECT_EQ(worst_estimate_diff(reference.windows, result.windows),
                       0.0)
-                << sc.name << " depth " << depth;
-            EXPECT_LE(engine.max_in_flight(), depth);
+                << sc.name << " " << threads << " threads";
 
-            // Warm-start lineage replicates the depth-1 warm pattern
-            // exactly: same number of runs and warm(-accepted) runs per
-            // method, including the cold restart after the reroute — an
-            // out-of-order completion seeding from a stale window would
-            // break these counts.
+            // Warm starts replicate the inline warm pattern exactly:
+            // same number of runs and warm(-accepted) runs per method,
+            // including the cold restart after the reroute — a seed
+            // from the wrong window would break these counts.
             for (const auto& [method, stats] : serial.metrics().methods) {
                 const auto it = engine.metrics().methods.find(method);
                 ASSERT_NE(it, engine.metrics().methods.end());
                 EXPECT_EQ(it->second.runs.load(), stats.runs.load())
-                    << method_name(method) << " depth " << depth;
+                    << method_name(method) << " " << threads << " threads";
                 EXPECT_EQ(it->second.warm_runs.load(),
                           stats.warm_runs.load())
-                    << method_name(method) << " depth " << depth;
+                    << method_name(method) << " " << threads << " threads";
                 EXPECT_EQ(it->second.warm_accepted_runs.load(),
                           stats.warm_accepted_runs.load())
-                    << method_name(method) << " depth " << depth;
+                    << method_name(method) << " " << threads << " threads";
             }
         }
     }
 }
 
-TEST(EnginePipeline, ZeroThreadDepthFourIsBitwiseDepthOne) {
-    const scenario::Scenario sc =
-        day_scenario(scenario::Network::europe, 60);
-    OnlineEngine serial(sc.topo, sc.routing, all_method_config(0));
-    const ReplayResult reference = replay_scenario(serial, sc);
-
-    OnlineEngine engine(sc.topo, sc.routing, all_method_config(0, 4));
-    const ReplayResult result = replay_scenario(engine, sc);
-    // Inline execution: not just within tolerance — identical bits.
-    EXPECT_EQ(worst_estimate_diff(reference.windows, result.windows), 0.0);
-    // With zero worker threads every stage completes inside submit().
-    EXPECT_EQ(engine.max_in_flight(), 1u);
-}
-
-TEST(EnginePipeline, DepthOneIsStrictlySerialEvenWithWorkers) {
+TEST(EnginePipeline, PooledWindowsArriveInSubmissionOrder) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 40);
     OnlineEngine engine(sc.topo, sc.routing, all_method_config(2));
     const ReplayResult result = replay_scenario(engine, sc);
     EXPECT_EQ(result.windows.size(), sc.demands.size());
-    // Backpressure at depth 1 admits one window at a time,
-    // deterministically, no matter how many workers exist.
-    EXPECT_EQ(engine.max_in_flight(), 1u);
-    // Results arrive in submission order.
     for (std::size_t k = 0; k < result.windows.size(); ++k) {
         EXPECT_EQ(result.windows[k].window_end_sample, k);
     }
 }
 
-TEST(EnginePipeline, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
-    // Regression: in-flight windows alias the current routing matrix;
-    // swapping to a new (even content-identical) object must drain
-    // them first, because the caller may free the old object the
-    // moment set_routing returns.
+TEST(EnginePipeline, SetRoutingToContentIdenticalCopyKeepsTheWindow) {
+    // Swapping to a new, content-identical routing object keeps the
+    // epoch and the window, and rebinds the window off the old object:
+    // the caller may free it once the next submit has returned.
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 16);
-    EngineConfig config = all_method_config(2, 4);
+    EngineConfig config = all_method_config(2);
     config.methods = {Method::gravity, Method::bayesian, Method::fanout};
     OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < 8; ++k) {
@@ -193,7 +168,6 @@ TEST(EnginePipeline, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
         // replacing its matrix would produce.
         const linalg::SparseMatrix copy = sc.routing;
         engine.set_routing(copy);
-        // Every submitted window completed before the swap took hold.
         EXPECT_EQ(engine.metrics().windows_run.load(), 8u);
         for (std::size_t k = 8; k < 12; ++k) {
             engine.submit(k, sc.loads[k]);
@@ -203,9 +177,8 @@ TEST(EnginePipeline, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
         // Same fingerprint: no epoch change, window kept growing.
         EXPECT_EQ(engine.metrics().epoch_changes.load(), 0u);
         EXPECT_EQ(engine.metrics().window_flushes.load(), 0u);
-        // Swap back (drains again) and rebind the window off `copy`
-        // with one more submit while it is still alive; after that the
-        // copy can die.
+        // Swap back and rebind the window off `copy` with one more
+        // submit while it is still alive; after that the copy can die.
         engine.set_routing(sc.routing);
         engine.submit(12, sc.loads[12]);
         const std::vector<WindowResult> tail = engine.finish();
@@ -218,8 +191,7 @@ TEST(EnginePipeline, SetRoutingDrainsInFlightWindowsBeforeSwapping) {
 TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
     // Regression: a window where EVERY scheduled method is a series
     // method still below min_series_window has zero stages — it must
-    // complete (with an empty run list) instead of holding its slot
-    // forever.
+    // still complete, with an empty run list.
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 8);
     EngineConfig config;
@@ -227,7 +199,6 @@ TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
     config.min_series_window = 3;
     config.methods = {Method::vardi, Method::fanout};
     config.threads = 2;
-    config.pipeline_depth = 2;
     OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < sc.loads.size(); ++k) {
         engine.submit(k, sc.loads[k]);
@@ -247,7 +218,7 @@ TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
 TEST(EnginePipeline, ReusableAfterFinishAndValidatesConfig) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 12);
-    EngineConfig config = all_method_config(1, 2);
+    EngineConfig config = all_method_config(1);
     config.methods = {Method::gravity, Method::bayesian};
     OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < 6; ++k) {
@@ -274,68 +245,65 @@ TEST(EnginePipeline, ReusableAfterFinishAndValidatesConfig) {
 // A stage that throws a non-degradable error (std::invalid_argument
 // from an invalid solver option) fails its window: the window is
 // neither counted nor published, ingest() / finish() rethrow, and the
-// engine keeps streaming — at every depth, inline and on a pool.
+// engine keeps streaming — inline and on a pool.
 TEST(EnginePipeline, FailedStageWindowIsNeitherCountedNorPublished) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 8);
     const linalg::SparseMatrix rerouted =
         core::perturbed_routing(sc.topo, 0.8, 5);
-    for (const std::size_t depth : {1u, 2u}) {
-        for (const std::size_t threads : {0u, 2u}) {
-            SCOPED_TRACE("depth " + std::to_string(depth) + ", " +
-                         std::to_string(threads) + " threads");
-            std::size_t published = 0;
-            const WindowSink count = [&](const WindowResult&) {
-                ++published;
-            };
+    for (const std::size_t threads : {0u, 2u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        std::size_t published = 0;
+        const WindowSink count = [&](const WindowResult&) {
+            ++published;
+        };
 
-            // Every window fails: Bayesian rejects a zero regularization.
-            EngineConfig bad_bayes = all_method_config(threads, depth);
-            bad_bayes.methods = {Method::gravity, Method::bayesian};
-            bad_bayes.method_options.bayesian.regularization = 0.0;
-            OnlineEngine failing(sc.topo, sc.routing, bad_bayes);
-            failing.set_window_sink(count);
-            EXPECT_THROW(failing.ingest(0, sc.loads[0]),
-                         std::invalid_argument);
-            failing.submit(1, sc.loads[1]);
-            failing.submit(2, sc.loads[2]);
-            EXPECT_THROW(failing.finish(), std::invalid_argument);
-            EXPECT_EQ(published, 0u);
-            EXPECT_EQ(failing.metrics().windows_run.load(), 0u);
-            EXPECT_EQ(failing.metrics().samples_ingested.load(), 3u);
+        // Every window fails: Bayesian rejects a zero regularization.
+        EngineConfig bad_bayes = all_method_config(threads);
+        bad_bayes.methods = {Method::gravity, Method::bayesian};
+        bad_bayes.method_options.bayesian.regularization = 0.0;
+        OnlineEngine failing(sc.topo, sc.routing, bad_bayes);
+        failing.set_window_sink(count);
+        EXPECT_THROW(failing.ingest(0, sc.loads[0]),
+                     std::invalid_argument);
+        failing.submit(1, sc.loads[1]);
+        failing.submit(2, sc.loads[2]);
+        EXPECT_THROW(failing.finish(), std::invalid_argument);
+        EXPECT_EQ(published, 0u);
+        EXPECT_EQ(failing.metrics().windows_run.load(), 0u);
+        EXPECT_EQ(failing.metrics().samples_ingested.load(), 3u);
 
-            // Only windows that reach Vardi fail (min_series_window 2);
-            // a reroute flushes the window back below it.
-            EngineConfig bad_vardi = all_method_config(threads, depth);
-            bad_vardi.methods = {Method::gravity, Method::vardi};
-            bad_vardi.min_series_window = 2;
-            bad_vardi.method_options.vardi.second_moment_weight = -1.0;
-            OnlineEngine engine(sc.topo, sc.routing, bad_vardi);
-            engine.set_window_sink(count);
-            EXPECT_EQ(engine.ingest(0, sc.loads[0]).runs.size(), 1u);
-            EXPECT_THROW(engine.ingest(1, sc.loads[1]),
-                         std::invalid_argument);
-            EXPECT_EQ(published, 1u);
-            EXPECT_EQ(engine.metrics().windows_run.load(), 1u);
-            engine.set_routing(rerouted);
-            EXPECT_EQ(engine.ingest(2, sc.loads[2]).runs.size(), 1u);
-            EXPECT_EQ(published, 2u);
+        // Only windows that reach Vardi fail (min_series_window 2);
+        // a reroute flushes the window back below it.
+        EngineConfig bad_vardi = all_method_config(threads);
+        bad_vardi.methods = {Method::gravity, Method::vardi};
+        bad_vardi.min_series_window = 2;
+        bad_vardi.method_options.vardi.second_moment_weight = -1.0;
+        OnlineEngine engine(sc.topo, sc.routing, bad_vardi);
+        engine.set_window_sink(count);
+        EXPECT_EQ(engine.ingest(0, sc.loads[0]).runs.size(), 1u);
+        EXPECT_THROW(engine.ingest(1, sc.loads[1]),
+                     std::invalid_argument);
+        EXPECT_EQ(published, 1u);
+        EXPECT_EQ(engine.metrics().windows_run.load(), 1u);
+        engine.set_routing(rerouted);
+        EXPECT_EQ(engine.ingest(2, sc.loads[2]).runs.size(), 1u);
+        EXPECT_EQ(published, 2u);
 
-            engine.submit(3, sc.loads[3]);
-            EXPECT_THROW(engine.finish(), std::invalid_argument);
-            EXPECT_EQ(published, 2u);
-            EXPECT_EQ(engine.metrics().windows_run.load(), 2u);
-            engine.set_routing(sc.routing);
-            engine.submit(4, sc.loads[4]);
-            const std::vector<WindowResult> tail = engine.finish();
-            ASSERT_EQ(tail.size(), 1u);
-            EXPECT_EQ(tail[0].window_end_sample, 4u);
-            EXPECT_EQ(published, 3u);
-            EXPECT_EQ(engine.metrics().windows_run.load(), 3u);
-            const MethodStats& vardi =
-                engine.metrics().methods.at(Method::vardi);
-            EXPECT_EQ(vardi.runs.load(), 0u);
-        }
+        engine.submit(3, sc.loads[3]);
+        EXPECT_THROW(engine.finish(), std::invalid_argument);
+        EXPECT_EQ(published, 2u);
+        EXPECT_EQ(engine.metrics().windows_run.load(), 2u);
+        engine.set_routing(sc.routing);
+        engine.submit(4, sc.loads[4]);
+        const std::vector<WindowResult> tail = engine.finish();
+        ASSERT_EQ(tail.size(), 1u);
+        EXPECT_EQ(tail[0].window_end_sample, 4u);
+        EXPECT_EQ(published, 3u);
+        EXPECT_EQ(engine.metrics().windows_run.load(), 3u);
+        const MethodStats& vardi =
+            engine.metrics().methods.at(Method::vardi);
+        EXPECT_EQ(vardi.runs.load(), 0u);
     }
 }
 

@@ -56,9 +56,8 @@ TEST(SchedulerConfig, EngineConstructorThrowsTheSameTypedDiagnosis) {
     config.methods = {};
     EXPECT_THROW(OnlineEngine(net.topo, net.routing, config),
                  std::invalid_argument);
-    // Pipelined engines validate identically.
+    // Pooled engines validate identically.
     config.methods = {Method::bayesian, Method::bayesian};
-    config.pipeline_depth = 3;
     config.threads = 2;
     try {
         OnlineEngine engine(net.topo, net.routing, config);

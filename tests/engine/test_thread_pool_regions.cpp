@@ -2,7 +2,7 @@
 // the operator QPs use) and solve scopes (begin_solve / end_solve,
 // linalg::SolveScope): every block runs exactly once, the caller alone
 // finishes a region when no worker is free, concurrent scopes, regions
-// and submit() traffic coexist, idle workers stay with an open scope
+// and run_batch() traffic coexist, idle workers stay with an open scope
 // across gaps between its regions, the first scope wakes sleeping
 // workers, and workers outside any scope sleep.
 // Labelled `engine`, so the ThreadSanitizer lane runs it.
@@ -272,14 +272,15 @@ TEST(ThreadPoolRegions, ConcurrentScopesFromTwoTasks) {
     EXPECT_EQ(pool.kernel_stats().regions, 450u);
 }
 
-// Pipeline-shaped traffic: free-running submit() tasks that each open
-// tiny scopes around tiny regions, interleaved with scopes and regions
-// opened by the submitting thread itself; every third region runs
-// outside any scope.
-TEST(ThreadPoolRegions, StressTinyScopesAndRegionsMixedWithSubmit) {
+// Engine-shaped traffic: a test thread runs batches of tasks that each
+// open tiny scopes around tiny regions, while the main thread opens
+// scopes and regions of its own; every third region runs outside any
+// scope.
+TEST(ThreadPoolRegions, StressTinyScopesAndRegionsMixedWithBatches) {
     ThreadPool pool(3);
     constexpr int kRegions = 10000;
     constexpr int kTasks = 40;
+    constexpr int kBatch = 4;
     std::atomic<long> blocks_run{0};
     std::atomic<int> tasks_done{0};
     std::atomic<int> ticket{0};
@@ -292,18 +293,26 @@ TEST(ThreadPoolRegions, StressTinyScopesAndRegionsMixedWithSubmit) {
                           std::memory_order_relaxed);
         });
     };
-    int opened = 0;
-    for (int t = 0; t < kTasks; ++t) {
-        pool.submit([&] {
-            for (int i = 0; i < kRegions / (2 * kTasks); ++i) region(4);
-            tasks_done.fetch_add(1, std::memory_order_release);
-        });
-        for (int i = 0; i < kRegions / (2 * kTasks); ++i) {
-            region(1 + static_cast<std::size_t>(i % 5));
-            opened += 1 + i % 5;
+    std::thread batches([&] {
+        for (int b = 0; b < kTasks / kBatch; ++b) {
+            std::vector<std::function<void()>> tasks;
+            for (int t = 0; t < kBatch; ++t) {
+                tasks.push_back([&] {
+                    for (int i = 0; i < kRegions / (2 * kTasks); ++i) {
+                        region(4);
+                    }
+                    tasks_done.fetch_add(1, std::memory_order_release);
+                });
+            }
+            pool.run_batch(std::move(tasks));
         }
+    });
+    int opened = 0;
+    for (int i = 0; i < kRegions / 2; ++i) {
+        region(1 + static_cast<std::size_t>(i % 5));
+        opened += 1 + i % 5;
     }
-    pool.wait_idle();
+    batches.join();
     EXPECT_EQ(tasks_done.load(std::memory_order_acquire), kTasks);
     EXPECT_EQ(blocks_run.load(std::memory_order_relaxed),
               static_cast<long>(opened) + 4L * (kRegions / 2));

@@ -1,8 +1,8 @@
-// Publication wiring: the engine (at pipeline depth 1 and 4, and under
-// FleetDriver jobs) publishes one EstimateSnapshot per completed window
-// into an EstimateStore, with strictly monotone versions in submission
-// order and snapshot contents bitwise equal to the engine's own
-// WindowResults; at depth 1 ingest() publishes on its calling thread.
+// Publication wiring: the engine (alone and under FleetDriver jobs)
+// publishes one EstimateSnapshot per completed window into an
+// EstimateStore, with strictly monotone versions in submission order
+// and snapshot contents bitwise equal to the engine's own
+// WindowResults; ingest() publishes on its calling thread.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -84,33 +84,6 @@ TEST(ServePublishIntegration, OnlineEnginePublishesEveryWindow) {
     }
 }
 
-TEST(ServePublishIntegration, PipelinedWindowsPublishInSubmissionOrder) {
-    const scenario::Scenario sc = trimmed_scenario(24);
-    StoreOptions options;
-    options.retention = 32;
-    EstimateStore store(options);
-    engine::EngineConfig config = cheap_config();
-    config.threads = 2;  // real overlap: finalize order is arbitrary
-    config.pipeline_depth = 4;
-    engine::OnlineEngine eng(sc.topo, sc.routing, config);
-    eng.set_window_sink(make_publisher(store));
-
-    const engine::ReplayResult replay = engine::replay_scenario(eng, sc);
-    ASSERT_EQ(replay.windows.size(), 24u);
-    EXPECT_EQ(store.head_version(), 24u);
-
-    // Versions must follow submission order even though windows
-    // complete out of order: version v is window v of the stream.
-    Reader reader(store);
-    for (std::uint64_t v = 1; v <= store.head_version(); ++v) {
-        const QueryResult<SnapshotRef> ref = reader.at(v);
-        ASSERT_TRUE(ref.ok()) << query_status_name(ref.status);
-        EXPECT_TRUE(ref.value->consistent());
-        expect_snapshot_matches_window(*ref.value,
-                                       replay.windows[v - 1]);
-    }
-}
-
 TEST(ServePublishIntegration, FleetJobsPublishIntoPerJobStores) {
     const scenario::Scenario sc = trimmed_scenario(18);
     engine::FleetConfig config;
@@ -153,8 +126,8 @@ TEST(ServePublishIntegration, FleetJobsPublishIntoPerJobStores) {
 TEST(ServePublishIntegration, SinkDetachesAndEngineKeepsRunning) {
     const scenario::Scenario sc = trimmed_scenario(8);
     EstimateStore store;
-    // Workers exist, yet at depth 1 ingest() publishes on the thread
-    // that called it, before it returns.
+    // Workers exist, yet ingest() publishes on the thread that called
+    // it, before it returns.
     engine::EngineConfig config = cheap_config();
     config.threads = 2;
     engine::OnlineEngine eng(sc.topo, sc.routing, config);

@@ -6,7 +6,7 @@
 //     checksum and per-method vector lengths agree (consistent());
 //   * reader results are bitwise equal to a post-hoc serial query of
 //     the same version.
-// Runs under the `tsan` preset (label serve); TME_PIPELINE_SAMPLES
+// Runs under the `tsan` preset (label serve); TME_REPLAY_SAMPLES
 // shortens the replay for instrumented runs.
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ namespace tme::serve {
 namespace {
 
 std::size_t stress_samples() {
-    if (const char* env = std::getenv("TME_PIPELINE_SAMPLES")) {
+    if (const char* env = std::getenv("TME_REPLAY_SAMPLES")) {
         const long v = std::atol(env);
         if (v >= 8) return static_cast<std::size_t>(v);
     }

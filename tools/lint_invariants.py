@@ -14,7 +14,11 @@ compiler flag checks:
                   intended ordering contract and silently costs fences;
                   the THREADING.md audit table documents each choice.
                   (obs::MetricCell encapsulates its own relaxed ordering
-                  and is exempt by construction.)
+                  and is exempt by construction.)  The table itself is
+                  cross-checked against the tree: every row's Site file
+                  must exist (paths relative to src/, or to the repo
+                  root), and every backticked name in its Atomic column
+                  must appear in the code of each of those files.
   layering        src/core/ and src/linalg/ never include src/engine/,
                   src/serve/ or (beyond the public counter interface
                   obs/counters.hpp) src/obs/ headers, and src/engine/ /
@@ -92,6 +96,13 @@ ATOMIC_INCDEC_RE = re.compile(
 )
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# The memory-order audit table: its header row, and the backticked
+# names / paths inside a cell.
+THREADING_DOC = "src/engine/THREADING.md"
+AUDIT_HEADER_RE = re.compile(r"^\|\s*Atomic\s*\|\s*Site\s*\|")
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
+IDENTIFIER_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 # The test-only dense QP entry points (the `_operator` suffix is the
 # production solver and does not match).
@@ -281,6 +292,51 @@ def check_memory_order(root: str,
     return violations
 
 
+def check_audit_table(root: str) -> list[Violation]:
+    """Cross-checks THREADING.md's memory-order table against the code."""
+    doc = os.path.join(root, THREADING_DOC)
+    if not os.path.isfile(doc):
+        return []
+    lines = open(doc, encoding="utf-8").read().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if AUDIT_HEADER_RE.match(line)), None)
+    if start is None:
+        return [Violation("memory-order", THREADING_DOC, 1,
+                          "memory-order audit table not found")]
+    violations = []
+    code_cache: dict[str, str] = {}
+    for lineno in range(start + 3, len(lines) + 1):  # skip the rule row
+        row = lines[lineno - 1].strip()
+        if not row.startswith("|"):
+            break
+        cells = row.strip("|").split("|")
+        if len(cells) < 2:
+            continue
+        names = [n for n in BACKTICKED_RE.findall(cells[0])
+                 if IDENTIFIER_RE.match(n)]
+        for site in BACKTICKED_RE.findall(cells[1]):
+            path = next((c for c in (os.path.join(root, "src", site),
+                                     os.path.join(root, site))
+                         if os.path.isfile(c)), None)
+            if path is None:
+                violations.append(Violation(
+                    "memory-order", THREADING_DOC, lineno,
+                    f"audit table row names Site `{site}`, which does "
+                    "not exist"))
+                continue
+            if path not in code_cache:
+                code_cache[path] = strip_comments_and_strings(
+                    open(path, encoding="utf-8", errors="replace").read())
+            for name in names:
+                if not re.search(rf"\b{re.escape(name)}\b",
+                                 code_cache[path]):
+                    violations.append(Violation(
+                        "memory-order", THREADING_DOC, lineno,
+                        f"audit table row `{name}` is stale: "
+                        f"{site} does not use it"))
+    return violations
+
+
 def check_layering(root: str) -> list[Violation]:
     violations = []
     for sub, forbidden in LAYERING_RULES.items():
@@ -389,6 +445,7 @@ def run_all(root: str, headers: bool = True) -> list[Violation]:
     violations += check_dense_alloc(root)
     violations += check_memory_order(root, ("src", "tests", "bench",
                                             "examples"))
+    violations += check_audit_table(root)
     violations += check_layering(root)
     violations += check_test_reference(root)
     violations += check_thread_owners(root)
@@ -401,7 +458,20 @@ def run_all(root: str, headers: bool = True) -> list[Violation]:
 # Self-test: seed one violation per rule in a scratch tree and assert
 # the lint flags exactly it; then assert the suppression comment and
 # the clean form are accepted.  Guards the lint itself against silent
-# regex rot.
+# regex rot.  A case's optional fifth element holds further files
+# written beside it in both trees.
+
+AUDIT_TABLE = (
+    "| Atomic | Site | Orders used | Why this is enough |\n"
+    "| ------ | ---- | ----------- | ------------------ |\n"
+    "| `ticket` | `engine/pool.cpp` | relaxed | pure ticket counter |\n"
+)
+AUDIT_SOURCE = {
+    "src/engine/pool.cpp":
+        "#include <atomic>\n"
+        "std::atomic<int> ticket{0};\n"
+        "int f() { return ticket.fetch_add(1, std::memory_order_relaxed); }\n",
+}
 
 SELF_TEST_CASES = [
     (
@@ -435,6 +505,24 @@ SELF_TEST_CASES = [
         "#include <atomic>\n"
         "std::atomic<int> misses{0};\n"
         "void f() { misses.fetch_add(1, std::memory_order_relaxed); }\n",
+    ),
+    (
+        # A row whose atomic left its Site file.
+        "memory-order",
+        THREADING_DOC,
+        AUDIT_TABLE +
+        "| `remaining` | `engine/pool.cpp` | `acq_rel` fetch_sub | gone |\n",
+        AUDIT_TABLE,
+        AUDIT_SOURCE,
+    ),
+    (
+        # A row whose Site file is gone.
+        "memory-order",
+        THREADING_DOC,
+        AUDIT_TABLE +
+        "| `next` | `engine/fleet.cpp` | relaxed fetch_add | ticket |\n",
+        AUDIT_TABLE,
+        AUDIT_SOURCE,
     ),
     (
         "layering",
@@ -506,14 +594,16 @@ SELF_TEST_CASES = [
 
 def self_test() -> int:
     failures = 0
-    for rule, rel, bad, good in SELF_TEST_CASES:
+    for rule, rel, bad, good, *extra in SELF_TEST_CASES:
         for label, content, expect_hit in (("seeded", bad, True),
                                            ("clean", good, False)):
             with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, rel)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                with open(path, "w", encoding="utf-8") as f:
-                    f.write(content)
+                files = {rel: content, **(extra[0] if extra else {})}
+                for file_rel, text in files.items():
+                    path = os.path.join(tmp, file_rel)
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    with open(path, "w", encoding="utf-8") as f:
+                        f.write(text)
                 found = [v for v in run_all(tmp) if v.rule == rule]
                 ok = bool(found) == expect_hit
                 status = "ok" if ok else "FAIL"
