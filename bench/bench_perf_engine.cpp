@@ -1,18 +1,19 @@
-// Engine perf bench: incremental sliding windows vs. naive per-window
+// Engine perf bench: the online engine vs. naive per-window
 // recomputation.
 //
 // Streams a scenario day through (a) the online engine — ring-buffered
-// window, routing-epoch-cached Gram matrix and derived data,
-// incrementally maintained window aggregates — and (b) a naive baseline
-// that rebuilds every window's SeriesProblem from scratch and
-// recomputes every R-derived/window-derived quantity per window,
-// exactly as the offline benches do.  Two engines — one cold-started,
-// one warm-started — are fed the same samples interleaved, so load
-// spikes hit both alike; all paths run the same methods (gravity,
-// Bayesian, Vardi, fanout) single-threaded and must agree to within
-// 1e-9.  The bench FAILS (non-zero exit) if estimates diverge, if the
-// incremental warm path is not faster than naive recomputation, or if
-// the fanout QP's active-set warm start does not make the fanout
+// window, routing-epoch-cached derived data, warm starts — and (b) a
+// naive baseline that rebuilds every window's SeriesProblem from
+// scratch and recomputes every R-derived quantity per window, exactly
+// as the offline benches do.  Two engines — one cold-started, one
+// warm-started — are fed the same samples interleaved, so load spikes
+// hit both alike; all paths run the same methods (gravity, Bayesian,
+// Vardi, fanout) single-threaded.  The cold engine computes each
+// window's aggregates with the estimators' own functions, so its
+// estimates must equal the naive ones bitwise; the warm engine's must
+// agree to within 1e-9.  The bench FAILS (non-zero exit) if estimates
+// diverge, if the warm engine is not faster than naive recomputation,
+// or if the fanout QP's active-set warm start does not make the fanout
 // method at least 1.5x faster per window than its cold runs.
 //
 // A second phase benchmarks the multi-scenario fleet driver: four
@@ -273,7 +274,7 @@ int main(int argc, char** argv) {
     }
 
     bench::header(
-        "Engine perf: incremental sliding windows vs naive recomputation",
+        "Engine perf: online engine vs naive recomputation",
         "new subsystem (streaming engine); paper Sec. 5.1 operational "
         "setting",
         "engine processes the day faster with identical estimates");
@@ -572,9 +573,9 @@ int main(int argc, char** argv) {
     }
 
     bool ok = true;
-    if (cold_diff > 1e-9) {
-        std::printf("FAIL: cold-engine estimates diverge from naive "
-                    "(%.3g > 1e-9)\n",
+    if (cold_diff != 0.0) {
+        std::printf("FAIL: cold-engine estimates not bitwise the naive "
+                    "ones (max |diff| %.3g)\n",
                     cold_diff);
         ok = false;
     }
@@ -585,7 +586,7 @@ int main(int argc, char** argv) {
         ok = false;
     }
     if (warm_seconds >= naive_seconds) {
-        std::printf("FAIL: incremental warm path not faster than naive "
+        std::printf("FAIL: warm engine not faster than naive "
                     "(%.3fs >= %.3fs)\n",
                     warm_seconds, naive_seconds);
         ok = false;
@@ -646,8 +647,8 @@ int main(int argc, char** argv) {
         }
     }
     if (ok) {
-        std::printf("\nPASS: identical estimates (<= 1e-9); incremental "
-                    "path %.2fx faster cold, %.2fx warm; fanout warm "
+        std::printf("\nPASS: cold estimates bitwise, warm <= 1e-9; engine "
+                    "%.2fx faster cold, %.2fx warm; fanout warm "
                     "start %.2fx; fleet %.2fx vs serial (bit-stable)\n",
                     naive_seconds / cold_seconds,
                     naive_seconds / warm_seconds, fanout_warm_speedup,

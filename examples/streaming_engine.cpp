@@ -4,9 +4,8 @@
 // scheduled method.
 //
 // What to look for in the output:
-//  * the engine re-estimates after every sample using its incremental
-//    sliding window, warm-starting each solver from the previous
-//    window;
+//  * the engine re-estimates after every sample over its sliding
+//    window, warm-starting each solver from the previous window;
 //  * at the route change the routing-epoch fingerprint flips, the
 //    window is flushed (size drops back to 1) and the epoch cache
 //    records exactly one extra miss — stale per-epoch data is never

@@ -8,6 +8,7 @@
 #include "check/validators.hpp"
 #include "linalg/blocked_spmv.hpp"
 #include "linalg/qp.hpp"
+#include "linalg/stats.hpp"
 
 namespace tme::core {
 
@@ -42,6 +43,43 @@ FanoutConstraints FanoutConstraints::build(const topology::Topology& topo) {
     c.equality_sparse = linalg::SparseMatrix(nodes, pairs, std::move(trips));
     c.rhs.assign(nodes, 1.0);
     return c;
+}
+
+FanoutWindowSums fanout_window_sums(const SeriesProblem& problem) {
+    problem.validate_with_topology();
+    const topology::Topology& topo = *problem.topo;
+    const linalg::SparseMatrix& r = *problem.routing;
+    const std::size_t pairs = r.cols();
+    const std::size_t nodes = topo.pop_count();
+    FanoutWindowSums sums;
+    // nodes x nodes, not pairs x pairs: 2 MB at 500 PoPs.
+    // lint: allow(dense-alloc)
+    sums.source_outer = linalg::Matrix(nodes, nodes, 0.0);
+    sums.weighted_rhs.assign(pairs, 0.0);
+    std::vector<std::size_t> source_of(pairs);
+    for (std::size_t p = 0; p < pairs; ++p) {
+        source_of[p] = topo.pair_nodes(p).first;
+    }
+    linalg::Vector te(nodes, 0.0);
+    linalg::Vector rt;
+    for (const linalg::Vector& t : problem.loads) {
+        for (std::size_t n = 0; n < nodes; ++n) {
+            te[n] = t[topo.ingress_link(n)];
+        }
+        for (std::size_t n1 = 0; n1 < nodes; ++n1) {
+            const double te1 = te[n1];
+            if (te1 == 0.0) continue;
+            double* __restrict orow = sums.source_outer.row_data(n1);
+            for (std::size_t n2 = 0; n2 < nodes; ++n2) {
+                orow[n2] += te1 * te[n2];
+            }
+        }
+        r.multiply_transpose_into(t, rt);
+        for (std::size_t p = 0; p < pairs; ++p) {
+            sums.weighted_rhs[p] += te[source_of[p]] * rt[p];
+        }
+    }
+    return sums;
 }
 
 FanoutResult fanout_estimate(const SeriesProblem& problem,
@@ -84,21 +122,22 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
         options.shared_constraints != nullptr ? *options.shared_constraints
                                               : local_constraints;
 
-    // Linear term f = sum_k W_k R' t[k], from the aggregates or per
-    // sample.
-    linalg::Vector f(pairs, 0.0);
-    const std::vector<std::size_t>& source_of = constraints.source_of;
-    if (agg.complete()) {
-        f = *agg.weighted_rhs;
-    } else {
-        linalg::Vector rt;
-        for (std::size_t k = 0; k < window; ++k) {
-            const linalg::Vector w =
-                pair_source_totals(topo, problem.loads[k]);
-            r.multiply_transpose_into(problem.loads[k], rt);
-            for (std::size_t p = 0; p < pairs; ++p) f[p] += w[p] * rt[p];
-        }
+    // Window sums: supplied by the caller (the engine computes them
+    // once per window with the same functions) or computed here.
+    FanoutWindowAggregates sums = agg;
+    FanoutWindowSums local_sums;
+    linalg::Vector local_mean;
+    if (agg.empty()) {
+        local_sums = fanout_window_sums(problem);
+        local_mean = linalg::sample_mean(problem.loads);
+        sums = {&local_sums.source_outer, &local_sums.weighted_rhs,
+                &local_mean};
     }
+    const linalg::Matrix& outer = *sums.source_outer;
+    const linalg::Vector& mean_loads = *sums.mean_loads;
+    const std::vector<std::size_t>& source_of = constraints.source_of;
+    // Linear term f = sum_k W_k R' t[k].
+    linalg::Vector f = *sums.weighted_rhs;
 
     // The data term H = sum_k W_k G1 W_k (G1 = R'R) is never built:
     // H(p, q) = outer(src(p), src(q)) * G1(p, q) with outer the
@@ -125,25 +164,6 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     const linalg::CsrView rtv = rtp->view();
     linalg::Vector d1(pairs, 0.0);
     linalg::gram_diagonal(rtv, d1.data());
-    linalg::Matrix local_outer;
-    if (!agg.complete()) {
-        // nodes x nodes, not pairs x pairs: 2 MB at 500 PoPs.
-        // lint: allow(dense-alloc)
-        local_outer = linalg::Matrix(nodes, nodes, 0.0);
-        for (std::size_t k = 0; k < window; ++k) {
-            for (std::size_t n1 = 0; n1 < nodes; ++n1) {
-                const double te1 = problem.loads[k][topo.ingress_link(n1)];
-                if (te1 == 0.0) continue;
-                double* __restrict orow = local_outer.row_data(n1);
-                for (std::size_t n2 = 0; n2 < nodes; ++n2) {
-                    orow[n2] +=
-                        te1 * problem.loads[k][topo.ingress_link(n2)];
-                }
-            }
-        }
-    }
-    const linalg::Matrix& outer =
-        agg.complete() ? *agg.source_outer : local_outer;
     // w_k[p] = te_k(src(p)): per-source totals at n * window + k.
     std::vector<double> source_w(nodes * window, 0.0);
     for (std::size_t n = 0; n < nodes; ++n) {
@@ -157,15 +177,6 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     // The ridge lives in the Hessian operator's added diagonal.
     linalg::Vector tiebreak_diag;
     if (options.gravity_tiebreak_weight > 0.0) {
-        linalg::Vector mean_loads(r.rows(), 0.0);
-        if (agg.complete()) {
-            mean_loads = *agg.mean_loads;
-        } else {
-            for (const linalg::Vector& t : problem.loads) {
-                linalg::axpy(1.0, t, mean_loads);
-            }
-            linalg::scale(1.0 / static_cast<double>(window), mean_loads);
-        }
         double total_exit = 0.0;
         for (std::size_t m = 0; m < nodes; ++m) {
             total_exit += mean_loads[topo.egress_link(m)];
@@ -237,25 +248,8 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
 
     // Window-averaged demand estimate.  w_k is linear in the loads, so
     // the mean over samples equals the value at the mean loads.
-    result.mean_demands.assign(pairs, 0.0);
-    if (agg.complete()) {
-        const linalg::Vector mean_w =
-            pair_source_totals(topo, *agg.mean_loads);
-        for (std::size_t p = 0; p < pairs; ++p) {
-            result.mean_demands[p] = result.fanouts[p] * mean_w[p];
-        }
-    } else {
-        for (std::size_t k = 0; k < window; ++k) {
-            const linalg::Vector w =
-                pair_source_totals(topo, problem.loads[k]);
-            for (std::size_t p = 0; p < pairs; ++p) {
-                result.mean_demands[p] += result.fanouts[p] * w[p];
-            }
-        }
-        for (double& v : result.mean_demands) {
-            v /= static_cast<double>(window);
-        }
-    }
+    const linalg::Vector mean_w = pair_source_totals(topo, mean_loads);
+    result.mean_demands = linalg::hadamard(result.fanouts, mean_w);
     TME_CONTRACT_DBG_CHECK(check::solver_boundary(
         "fanout_estimate", result.mean_demands,
         /*require_nonnegative=*/true));

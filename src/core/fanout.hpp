@@ -43,17 +43,27 @@ struct FanoutConstraints {
     static FanoutConstraints build(const topology::Topology& topo);
 };
 
-/// Precomputed sliding-window aggregates for fanout_estimate.  The online
-/// engine maintains these incrementally (rank-one add/downdate per
-/// sample), which turns the per-window O(K nnz) linear-term and
-/// O(K N^2) source-totals accumulations into reads.  All three must be
-/// supplied together; none are owned.
-struct FanoutWindowAggregates {
-    /// sum_k te_k te_k' (nodes x nodes), te_k[n] = ingress edge-link
-    /// load of source n at sample k.  The pair-space weighting matrix
-    /// sum_k w_k w_k' is its lift w_k[p] = te_k[src(p)].
-    const linalg::Matrix* source_outer = nullptr;
+/// The sums over a window's K samples that the fanout QP reads, with
+/// te_k[n] the ingress edge-link load of source n at sample k and
+/// w_k[p] = te_k[src(p)].  fanout_window_sums is their one
+/// implementation: fanout_estimate calls it when no aggregates are
+/// supplied, and the online engine's window capture calls it to fill
+/// them, so both paths see the same doubles.
+struct FanoutWindowSums {
+    /// sum_k te_k te_k' (nodes x nodes).  The pair-space weighting
+    /// matrix sum_k w_k w_k' is its lift.
+    linalg::Matrix source_outer;
     /// sum_k w_k .* (R' t[k]) (pair-indexed).
+    linalg::Vector weighted_rhs;
+};
+
+FanoutWindowSums fanout_window_sums(const SeriesProblem& problem);
+
+/// Precomputed window aggregates for fanout_estimate: the two
+/// fanout_window_sums and linalg::sample_mean of the window loads.  All
+/// three must be supplied together; none are owned.
+struct FanoutWindowAggregates {
+    const linalg::Matrix* source_outer = nullptr;
     const linalg::Vector* weighted_rhs = nullptr;
     /// Mean load vector over the window (length = link count).
     const linalg::Vector* mean_loads = nullptr;
@@ -85,7 +95,7 @@ struct FanoutOptions {
     /// equal linalg::transpose(*problem.routing) (the engine caches it
     /// per routing epoch); derived on the fly when absent.  Not owned.
     const linalg::SparseMatrix* shared_routing_transpose = nullptr;
-    /// Optional incremental window aggregates (see above).
+    /// Optional precomputed window aggregates (see above).
     FanoutWindowAggregates aggregates;
     /// Options of the operator QP solve (solve_eq_qp_nonneg_operator:
     /// dense-gather limit, projected-CG tolerance/caps, block runner,
@@ -102,7 +112,7 @@ struct FanoutOptions {
 struct FanoutResult {
     linalg::Vector fanouts;          ///< alpha, pair-indexed
     /// Estimated demands averaged over the window:
-    /// mean_k alpha_p * te(src(p))[k].
+    /// alpha_p * mean_k te(src(p))[k], from the mean loads.
     linalg::Vector mean_demands;
     double equality_violation = 0.0; ///< worst |sum_m a_nm - 1|
     std::size_t qp_iterations = 0;   ///< KKT solves the QP performed

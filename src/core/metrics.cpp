@@ -75,17 +75,4 @@ double mre_at_coverage(const linalg::Vector& true_demands,
                                                       coverage));
 }
 
-double rmse(const linalg::Vector& true_demands,
-            const linalg::Vector& estimate) {
-    if (true_demands.size() != estimate.size()) {
-        throw std::invalid_argument("rmse: size mismatch");
-    }
-    double acc = 0.0;
-    for (std::size_t i = 0; i < true_demands.size(); ++i) {
-        const double d = estimate[i] - true_demands[i];
-        acc += d * d;
-    }
-    return std::sqrt(acc / static_cast<double>(true_demands.size()));
-}
-
 }  // namespace tme::core

@@ -35,8 +35,4 @@ double mean_relative_error(const linalg::Vector& true_demands,
 double mre_at_coverage(const linalg::Vector& true_demands,
                        const linalg::Vector& estimate, double coverage = 0.9);
 
-/// Root-mean-square error over all demands.
-double rmse(const linalg::Vector& true_demands,
-            const linalg::Vector& estimate);
-
 }  // namespace tme::core

@@ -32,12 +32,12 @@ struct VardiOptions {
     /// Weight w = sigma^{-2} on the second-moment equations (paper uses
     /// 0.01 and 1 in Table 1).
     double second_moment_weight = 1.0;
-    /// Optional precomputed window moments: mean_loads = mean_k t[k] and
-    /// load_covariance = the K-normalized sample covariance of the
-    /// window (linalg::sample_mean / sample_covariance conventions).  The
-    /// online engine maintains these incrementally as the window slides
-    /// instead of recomputing the O(K L^2) covariance per window.
-    /// Either both or neither must be set.  Not owned.
+    /// Optional precomputed window moments: mean_loads =
+    /// linalg::sample_mean and load_covariance =
+    /// linalg::sample_covariance of the window loads, the functions
+    /// called here when they are absent.  The online engine computes
+    /// them once per window at capture.  Either both or neither must be
+    /// set.  Not owned.
     const linalg::Vector* mean_loads = nullptr;
     const linalg::Matrix* load_covariance = nullptr;
     /// Optional precomputed CSR transpose of the routing matrix; MUST

@@ -91,8 +91,7 @@ OnlineEngine::OnlineEngine(const topology::Topology& topo,
                  ? std::move(shared_cache)
                  : std::make_shared<RoutingEpochCache>(
                        config_.epoch_cache_capacity)),
-      window_(&topo, &routing, config_.window_size,
-              schedules(config_.methods, Method::vardi)),
+      window_(&topo, &routing, config_.window_size),
       pool_(config_.threads) {
     const SchedulerConfigCheck check = validate_methods(config_.methods);
     if (!check) throw SchedulerConfigException(check);

@@ -11,6 +11,7 @@
 #include "core/gravity.hpp"
 #include "engine/clock.hpp"
 #include "fault/injection.hpp"
+#include "linalg/stats.hpp"
 #include "obs/trace.hpp"
 
 namespace tme::engine {
@@ -129,18 +130,23 @@ WindowContext WindowContext::capture(
         ctx.prior_seconds = seconds_since(prior_start);
     }
 
-    // Window aggregates, materialized once per window from the ring
-    // buffer's incrementally-maintained sums.
-    if (need_vardi || need_fanout) ctx.mean_loads = window.mean_loads();
-    if (need_vardi) ctx.covariance = window.covariance();
-    if (need_fanout) {
-        ctx.source_outer = window.source_outer();
-        ctx.weighted_rhs = window.weighted_rhs();
+    // Window aggregates, computed from the samples by the functions the
+    // estimators call when none are supplied: the engine's estimate of
+    // a window is bitwise the batch estimator's.
+    if (need_vardi || need_fanout) {
+        ctx.mean_loads = linalg::sample_mean(ctx.series.loads);
     }
-    // Exit boundary: the materialized aggregates are consumed by every
-    // method of this window — a NaN from a downdate gone wrong (or an
-    // interpolated gap sample) must be caught here, not three solvers
-    // later.
+    if (need_vardi) {
+        ctx.covariance = linalg::sample_covariance(ctx.series.loads);
+    }
+    if (need_fanout) {
+        core::FanoutWindowSums sums = core::fanout_window_sums(ctx.series);
+        ctx.source_outer = std::move(sums.source_outer);
+        ctx.weighted_rhs = std::move(sums.weighted_rhs);
+    }
+    // Exit boundary: the aggregates are consumed by every method of
+    // this window — a NaN from an interpolated gap sample must be
+    // caught here, not three solvers later.
     TME_CONTRACT_DBG_CHECK(
         check::finite(ctx.mean_loads, "window capture mean_loads"));
     TME_CONTRACT_DBG_CHECK(

@@ -20,8 +20,9 @@
 // The pass is split into two reusable pieces, so a window's estimates
 // do not depend on which thread runs which method, or when:
 //   * WindowContext::capture() snapshots everything a pass consumes —
-//     an owning copy of the window loads, the materialized incremental
-//     aggregates, the pinned routing epoch, and the gravity prior;
+//     an owning copy of the window loads, the window aggregates the
+//     series methods read, the pinned routing epoch, and the gravity
+//     prior;
 //   * execute_method() runs one method over a captured context with an
 //     optional warm-start seed and returns the run plus the state that
 //     seeds the method's next window.
@@ -176,9 +177,8 @@ SchedulerConfigCheck validate_methods(const std::vector<Method>& methods);
 
 /// Immutable snapshot of everything one window's estimation pass
 /// consumes.  The snapshot owns copies of the window loads and the
-/// materialized incremental aggregates, and pins the routing epoch, so
-/// the epoch cache may evict (another fleet engine's traffic) while the
-/// pass runs.
+/// window aggregates, and pins the routing epoch, so the epoch cache
+/// may evict (another fleet engine's traffic) while the pass runs.
 struct WindowContext {
     /// Monotone window index within the engine (informational).
     std::size_t ordinal = 0;
@@ -192,13 +192,18 @@ struct WindowContext {
     core::SnapshotProblem latest;     ///< newest sample
     linalg::Vector prior;             ///< gravity prior (empty if unused)
     double prior_seconds = 0.0;
+    /// Window aggregates, computed from `series` by the functions the
+    /// estimators call when none are supplied (linalg::sample_mean,
+    /// linalg::sample_covariance, core::fanout_window_sums), so a
+    /// window's Vardi and fanout estimates are bitwise the batch
+    /// estimators' on the same samples.
     linalg::Vector mean_loads;
     linalg::Matrix covariance;        ///< Vardi only
     linalg::Matrix source_outer;      ///< fanout only
     linalg::Vector weighted_rhs;      ///< fanout only
 
     /// Materializes the snapshot for `methods`: only the aggregates a
-    /// scheduled method actually consumes are copied/computed, and the
+    /// scheduled method actually consumes are computed, and the
     /// gravity prior is evaluated here (shared by Kruithof / entropy /
     /// Bayesian).  `ordinal` tags the window's position in the stream.
     static WindowContext capture(const SlidingWindow& window,

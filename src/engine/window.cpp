@@ -6,9 +6,9 @@ namespace tme::engine {
 
 SlidingWindow::SlidingWindow(const topology::Topology* topo,
                              const linalg::SparseMatrix* routing,
-                             std::size_t capacity, bool track_load_moments)
-    : topo_(topo), capacity_(capacity), track_moments_(track_load_moments) {
-    if (topo_ == nullptr) {
+                             std::size_t capacity, bool)
+    : capacity_(capacity) {
+    if (topo == nullptr) {
         throw std::invalid_argument("SlidingWindow: null topology");
     }
     if (routing == nullptr) {
@@ -17,25 +17,13 @@ SlidingWindow::SlidingWindow(const topology::Topology* topo,
     if (capacity_ == 0) {
         throw std::invalid_argument("SlidingWindow: zero capacity");
     }
-    if (routing->rows() != topo_->link_count() ||
-        routing->cols() != topo_->pair_count()) {
+    if (routing->rows() != topo->link_count() ||
+        routing->cols() != topo->pair_count()) {
         throw std::invalid_argument(
             "SlidingWindow: routing does not match topology");
     }
-    problem_.topo = topo_;
+    problem_.topo = topo;
     problem_.routing = routing;
-    const std::size_t links = routing->rows();
-    const std::size_t nodes = topo_->pop_count();
-    const std::size_t pairs = routing->cols();
-    sum_loads_.assign(links, 0.0);
-    if (track_moments_) {
-        // links x links load covariance: L ~ O(hundreds), not O(P^2).
-        // lint: allow(dense-alloc)
-        sum_outer_ = linalg::Matrix(links, links, 0.0);
-    }
-    // nodes x nodes source moments: N PoPs, tiny.  lint: allow(dense-alloc)
-    source_outer_ = linalg::Matrix(nodes, nodes, 0.0);
-    weighted_rhs_.assign(pairs, 0.0);
 }
 
 std::size_t SlidingWindow::first_sample() const {
@@ -59,51 +47,6 @@ const linalg::Vector& SlidingWindow::latest() const {
     return problem_.loads.back();
 }
 
-linalg::Vector SlidingWindow::source_totals(
-    const linalg::Vector& loads) const {
-    const std::size_t nodes = topo_->pop_count();
-    linalg::Vector te(nodes, 0.0);
-    for (std::size_t n = 0; n < nodes; ++n) {
-        te[n] = loads[topo_->ingress_link(n)];
-    }
-    return te;
-}
-
-void SlidingWindow::accumulate(const linalg::Vector& loads, double sign) {
-    const std::size_t links = loads.size();
-    for (std::size_t l = 0; l < links; ++l) {
-        sum_loads_[l] += sign * loads[l];
-    }
-    if (track_moments_) {
-        // Outer products are accumulated for deviations from the epoch
-        // anchor so large absolute load levels (e.g. Mbps-scale rates)
-        // do not cancel catastrophically in the covariance.
-        linalg::Vector d = loads;
-        for (std::size_t l = 0; l < links; ++l) d[l] -= anchor_[l];
-        for (std::size_t l = 0; l < links; ++l) {
-            const double dl = d[l];
-            if (dl == 0.0) continue;
-            for (std::size_t m = 0; m < links; ++m) {
-                sum_outer_(l, m) += sign * dl * d[m];
-            }
-        }
-    }
-    const linalg::Vector te = source_totals(loads);
-    const std::size_t nodes = te.size();
-    for (std::size_t n = 0; n < nodes; ++n) {
-        if (te[n] == 0.0) continue;
-        for (std::size_t m = 0; m < nodes; ++m) {
-            source_outer_(n, m) += sign * te[n] * te[m];
-        }
-    }
-    const linalg::Vector rt = problem_.routing->multiply_transpose(loads);
-    const std::size_t pairs = rt.size();
-    for (std::size_t p = 0; p < pairs; ++p) {
-        const std::size_t src = topo_->pair_nodes(p).first;
-        weighted_rhs_[p] += sign * te[src] * rt[p];
-    }
-}
-
 void SlidingWindow::push(std::size_t sample, linalg::Vector loads,
                          bool gap) {
     if (loads.size() != problem_.routing->rows()) {
@@ -113,16 +56,10 @@ void SlidingWindow::push(std::size_t sample, linalg::Vector loads,
         throw std::invalid_argument(
             "SlidingWindow::push: samples must be strictly increasing");
     }
-    if (!anchor_set_) {
-        anchor_ = loads;
-        anchor_set_ = true;
-    }
     if (full()) {
-        accumulate(problem_.loads.front(), -1.0);
         problem_.pop_front_load();
         samples_.pop_front();
     }
-    accumulate(loads, +1.0);
     problem_.push_load(std::move(loads));
     samples_.push_back(sample);
     ++total_pushed_;
@@ -136,14 +73,6 @@ void SlidingWindow::reset(const linalg::SparseMatrix* routing) {
     problem_.routing = routing;
     problem_.loads.clear();
     samples_.clear();
-    sum_loads_.assign(routing->rows(), 0.0);
-    anchor_set_ = false;
-    if (track_moments_) {
-        sum_outer_ = linalg::Matrix(routing->rows(), routing->rows(), 0.0);
-    }
-    source_outer_ =
-        linalg::Matrix(topo_->pop_count(), topo_->pop_count(), 0.0);
-    weighted_rhs_.assign(routing->cols(), 0.0);
 }
 
 void SlidingWindow::rebind_routing(const linalg::SparseMatrix* routing) {
@@ -157,42 +86,6 @@ void SlidingWindow::rebind_routing(const linalg::SparseMatrix* routing) {
             "SlidingWindow::rebind_routing: dimension mismatch");
     }
     problem_.routing = routing;
-}
-
-linalg::Vector SlidingWindow::mean_loads() const {
-    if (empty()) {
-        throw std::logic_error("SlidingWindow::mean_loads: empty");
-    }
-    linalg::Vector mean = sum_loads_;
-    const double inv_k = 1.0 / static_cast<double>(size());
-    for (double& v : mean) v *= inv_k;
-    return mean;
-}
-
-linalg::Matrix SlidingWindow::covariance() const {
-    if (!track_moments_) {
-        throw std::logic_error(
-            "SlidingWindow::covariance: load moments not tracked");
-    }
-    if (empty()) {
-        throw std::logic_error("SlidingWindow::covariance: empty");
-    }
-    // Shift invariance: cov(t) == cov(t - anchor), and the deviation
-    // mean is mean(t) - anchor.
-    const std::size_t links = sum_loads_.size();
-    const double inv_k = 1.0 / static_cast<double>(size());
-    linalg::Vector dbar(links);
-    for (std::size_t l = 0; l < links; ++l) {
-        dbar[l] = sum_loads_[l] * inv_k - anchor_[l];
-    }
-    // links x links covariance: link count, not pair count.  lint: allow(dense-alloc)
-    linalg::Matrix cov(links, links, 0.0);
-    for (std::size_t l = 0; l < links; ++l) {
-        for (std::size_t m = 0; m < links; ++m) {
-            cov(l, m) = sum_outer_(l, m) * inv_k - dbar[l] * dbar[m];
-        }
-    }
-    return cov;
 }
 
 }  // namespace tme::engine

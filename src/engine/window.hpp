@@ -1,16 +1,12 @@
 // Ring-buffered sliding window over streaming link-load samples.
 //
-// The window owns a chronological core::SeriesProblem view that is
-// maintained *incrementally*: each push appends the newest sample,
-// evicts the oldest once the capacity is reached, and rank-one
-// updates/downdates the window aggregates the estimators consume —
-//
-//   * sum of loads and sum of load outer products  -> Vardi's window
-//     moments (mean and K-normalized covariance) in O(L^2) per sample
-//     instead of O(K L^2) per window;
-//   * sum of per-source ingress-total outer products (nodes x nodes)
-//     and the fanout data-term right-hand side  -> the fanout LS system
-//     in O(P^2) per window instead of O(K P^2).
+// The window owns a chronological core::SeriesProblem view: each push
+// appends the newest sample and evicts the oldest once the capacity is
+// reached.  It holds only the samples, their indices and the gap
+// counters; the sums the series estimators read (mean loads, load
+// covariance, fanout source moments) are computed from the samples by
+// WindowContext::capture with the estimators' own functions, so an
+// engine window's estimate is bitwise the batch estimator's.
 //
 // A routing change invalidates the window wholesale (samples measured
 // under different routing matrices cannot share one SeriesProblem);
@@ -20,7 +16,6 @@
 #include <cstddef>
 #include <deque>
 
-#include "core/fanout.hpp"
 #include "core/problem.hpp"
 #include "linalg/matrix.hpp"
 
@@ -29,13 +24,11 @@ namespace tme::engine {
 class SlidingWindow {
   public:
     /// `topo` and `routing` must outlive the window.  Capacity must be
-    /// at least 1.  `track_load_moments` enables the O(L^2)-per-sample
-    /// load outer-product maintenance behind mean/covariance (only
-    /// Vardi consumes it; the engine disables it when Vardi is not
-    /// scheduled).
+    /// at least 1.  The fourth parameter is unused; it is kept only
+    /// because perfbench/src/traced.cpp passes it.
     SlidingWindow(const topology::Topology* topo,
                   const linalg::SparseMatrix* routing, std::size_t capacity,
-                  bool track_load_moments = true);
+                  bool = true);
 
     std::size_t capacity() const { return capacity_; }
     std::size_t size() const { return problem_.loads.size(); }
@@ -61,8 +54,7 @@ class SlidingWindow {
     void push(std::size_t sample, linalg::Vector loads, bool gap = false);
 
     /// Flushes all samples and rebinds the routing matrix (routing-epoch
-    /// change).  Aggregates restart from zero, so no downdating error
-    /// survives an epoch switch.
+    /// change).
     void reset(const linalg::SparseMatrix* routing);
 
     /// Swaps the routing pointer WITHOUT flushing, for a new matrix
@@ -71,44 +63,16 @@ class SlidingWindow {
     /// and frees the old object.  Dimensions must match.
     void rebind_routing(const linalg::SparseMatrix* routing);
 
-    /// The incrementally-maintained window problem (chronological).
+    /// The window problem (chronological).
     const core::SeriesProblem& series() const { return problem_; }
 
     /// Newest load vector (throws std::logic_error when empty).
     const linalg::Vector& latest() const;
 
-    /// Mean load vector over the window.
-    linalg::Vector mean_loads() const;
-
-    /// K-normalized sample covariance of the window loads, matching
-    /// linalg::sample_covariance.  Internally the outer-product sums
-    /// are kept for deviations from an epoch anchor (the first sample
-    /// after a reset), so large absolute load levels do not cancel
-    /// catastrophically.  Throws std::logic_error when the window was
-    /// built with track_load_moments = false.
-    linalg::Matrix covariance() const;
-
-    /// Incremental fanout aggregates (sums over the window).
-    const linalg::Matrix& source_outer() const { return source_outer_; }
-    const linalg::Vector& weighted_rhs() const { return weighted_rhs_; }
-
   private:
-    /// Per-source ingress totals te[n] for one load vector.
-    linalg::Vector source_totals(const linalg::Vector& loads) const;
-    void accumulate(const linalg::Vector& loads, double sign);
-
-    const topology::Topology* topo_;
     std::size_t capacity_;
-    bool track_moments_;
     core::SeriesProblem problem_;
     std::deque<std::size_t> samples_;
-
-    linalg::Vector sum_loads_;    // L, sum of t
-    linalg::Vector anchor_;       // L, covariance shift (first epoch sample)
-    bool anchor_set_ = false;
-    linalg::Matrix sum_outer_;    // L x L, sum of (t-anchor)(t-anchor)'
-    linalg::Matrix source_outer_; // N x N, sum of te te'
-    linalg::Vector weighted_rhs_; // P, sum of w .* (R' t)
 
     std::size_t total_pushed_ = 0;
     std::size_t gap_count_ = 0;

@@ -29,6 +29,12 @@ double generalized_kl(const Vector& s, const Vector& p) {
 
 namespace {
 
+/// Prior entries are clamped below at kPriorFloor * mean(prior) to keep
+/// log(s/p) finite for structurally-zero priors.
+constexpr double kPriorFloor = 1e-12;
+/// Step size the backtracking starts from (re-used across iterations).
+constexpr double kInitialStep = 1.0;
+
 /// ||A s - b||^2 + w D(s||p) evaluated from a precomputed product
 /// as = A s.  The residual squares accumulate in row order, exactly as
 /// the historical sub-then-dot evaluation did, so objective values (and
@@ -66,7 +72,7 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     double pmean = 0.0;
     for (double v : p) pmean += std::max(v, 0.0);
     pmean = (pmean > 0.0 ? pmean / static_cast<double>(n) : 1.0);
-    const double floor = options.prior_floor * pmean;
+    const double floor = kPriorFloor * pmean;
     for (double& v : p) v = std::max(v, floor);
 
     EntropySolverResult result;
@@ -104,7 +110,7 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     Vector atrial;  // A * trial
 
     double f = objective_at(as, b, p, w, result.s);
-    double eta = options.initial_step;
+    double eta = kInitialStep;
     std::size_t armijo_probes = 0;
 
     bool budget_tripped = false;

@@ -36,16 +36,13 @@ struct EntropySolverOptions {
     std::size_t max_iterations = 4000;
     /// Relative first-order stationarity tolerance.
     double tolerance = 1e-9;
-    /// Initial step size for backtracking (re-used across iterations).
-    double initial_step = 1.0;
-    /// Prior entries are clamped below at prior_floor * mean(prior) to
-    /// keep log(s/p) finite for structurally-zero priors.
-    double prior_floor = 1e-12;
     /// Optional initial iterate (warm start).  Entries are clamped to the
-    /// same strictly-positive floor as the prior.  The objective is
-    /// strictly convex for w > 0, so the minimizer is unchanged; a good
-    /// initial point (e.g. the previous window's solution in a streaming
-    /// setting) only shortens the iteration.  Not owned.
+    /// same strictly-positive floor as the prior (1e-12 * mean(prior),
+    /// which keeps log(s/p) finite for structurally-zero priors).  The
+    /// objective is strictly convex for w > 0, so the minimizer is
+    /// unchanged; a good initial point (e.g. the previous window's
+    /// solution in a streaming setting) only shortens the iteration.
+    /// Not owned.
     const Vector* initial = nullptr;
     /// Optional iteration telemetry sink: on return the solver adds its
     /// accepted iterations to entropy_iterations and its backtracking

@@ -74,6 +74,4 @@ Vector Lu::solve(const Vector& b) const {
     return x;
 }
 
-Vector lu_solve(const Matrix& a, const Vector& b) { return Lu(a).solve(b); }
-
 }  // namespace tme::linalg

@@ -32,7 +32,4 @@ class Lu {
     double min_pivot_ = 0.0;
 };
 
-/// Convenience wrapper: factorize and solve in one call.
-Vector lu_solve(const Matrix& a, const Vector& b);
-
 }  // namespace tme::linalg

@@ -156,12 +156,6 @@ Matrix Matrix::transposed() const {
     return t;
 }
 
-double Matrix::frobenius_norm() const {
-    double acc = 0.0;
-    for (double v : data_) acc += v * v;
-    return std::sqrt(acc);
-}
-
 double Matrix::max_abs() const {
     double acc = 0.0;
     for (double v : data_) acc = std::max(acc, std::abs(v));
@@ -282,16 +276,6 @@ Matrix add(double alpha, const Matrix& a, double beta, const Matrix& b) {
             c(i, j) = alpha * a(i, j) + beta * b(i, j);
         }
     }
-    return c;
-}
-
-Matrix vstack(const Matrix& a, const Matrix& b) {
-    if (a.cols() != b.cols()) {
-        throw std::invalid_argument("vstack: column count mismatch");
-    }
-    Matrix c(a.rows() + b.rows(), a.cols());
-    for (std::size_t i = 0; i < a.rows(); ++i) c.set_row(i, a.row(i));
-    for (std::size_t i = 0; i < b.rows(); ++i) c.set_row(a.rows() + i, b.row(i));
     return c;
 }
 

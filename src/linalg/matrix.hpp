@@ -129,9 +129,6 @@ class Matrix {
 
     Matrix transposed() const;
 
-    /// Frobenius norm.
-    double frobenius_norm() const;
-
     /// Max |a_ij|.
     double max_abs() const;
 
@@ -165,9 +162,6 @@ void symmetrize_from_upper(Matrix& g);
 
 /// C = alpha*A + beta*B.
 Matrix add(double alpha, const Matrix& a, double beta, const Matrix& b);
-
-/// Stacks A on top of B (same column count).
-Matrix vstack(const Matrix& a, const Matrix& b);
 
 /// Maximum absolute difference between two equally-sized matrices.
 double max_abs_diff(const Matrix& a, const Matrix& b);

@@ -103,6 +103,4 @@ std::size_t Qr::rank(double tol) const {
     return r;
 }
 
-Vector lstsq(const Matrix& a, const Vector& b) { return Qr(a).solve(b); }
-
 }  // namespace tme::linalg

@@ -35,7 +35,4 @@ class Qr {
     Vector beta_;  // Householder scalars
 };
 
-/// Convenience: least-squares solve min ||A x - b||_2 via QR.
-Vector lstsq(const Matrix& a, const Vector& b);
-
 }  // namespace tme::linalg

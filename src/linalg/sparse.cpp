@@ -219,17 +219,6 @@ double SparseMatrix::at(std::size_t i, std::size_t j) const {
     return 0.0;
 }
 
-Vector SparseMatrix::row_dense(std::size_t i) const {
-    if (i >= rows_) {
-        throw std::out_of_range("SparseMatrix::row_dense: index out of range");
-    }
-    Vector r(cols_, 0.0);
-    for (std::size_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
-        r[cols_idx_[k]] = values_[k];
-    }
-    return r;
-}
-
 SparseMatrix SparseMatrix::select_columns(
     const std::vector<std::size_t>& cols) const {
     std::vector<std::size_t> new_index(cols_, SIZE_MAX);
@@ -247,21 +236,6 @@ SparseMatrix SparseMatrix::select_columns(
         }
     }
     return SparseMatrix(rows_, cols.size(), std::move(trips));
-}
-
-SparseMatrix SparseMatrix::select_rows(
-    const std::vector<std::size_t>& rows) const {
-    std::vector<Triplet> trips;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::size_t r = rows[i];
-        if (r >= rows_) {
-            throw std::out_of_range("select_rows: index out of range");
-        }
-        for (std::size_t k = offsets_[r]; k < offsets_[r + 1]; ++k) {
-            trips.push_back({i, cols_idx_[k], values_[k]});
-        }
-    }
-    return SparseMatrix(rows.size(), cols_, std::move(trips));
 }
 
 std::size_t SparseMatrix::column_nonzeros(std::size_t j) const {
@@ -335,28 +309,6 @@ void gram_diagonal(const CsrView& at, double* out) {
         }
         out[j] = d;
     }
-}
-
-SparseMatrix sparse_vstack(const SparseMatrix& a, const SparseMatrix& b) {
-    if (a.cols() != b.cols()) {
-        throw std::invalid_argument("sparse_vstack: column count mismatch");
-    }
-    std::vector<Triplet> trips;
-    trips.reserve(a.nonzeros() + b.nonzeros());
-    const auto& ao = a.row_offsets();
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t k = ao[i]; k < ao[i + 1]; ++k) {
-            trips.push_back({i, a.column_indices()[k], a.values()[k]});
-        }
-    }
-    const auto& bo = b.row_offsets();
-    for (std::size_t i = 0; i < b.rows(); ++i) {
-        for (std::size_t k = bo[i]; k < bo[i + 1]; ++k) {
-            trips.push_back(
-                {a.rows() + i, b.column_indices()[k], b.values()[k]});
-        }
-    }
-    return SparseMatrix(a.rows() + b.rows(), a.cols(), std::move(trips));
 }
 
 }  // namespace tme::linalg

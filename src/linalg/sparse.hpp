@@ -83,14 +83,8 @@ class SparseMatrix {
     /// Entry lookup (O(row nnz)); returns 0 for structural zeros.
     double at(std::size_t i, std::size_t j) const;
 
-    /// Copies row i into a dense vector of length cols().
-    Vector row_dense(std::size_t i) const;
-
     /// New matrix keeping only the given columns (in the given order).
     SparseMatrix select_columns(const std::vector<std::size_t>& cols) const;
-
-    /// New matrix keeping only the given rows (in the given order).
-    SparseMatrix select_rows(const std::vector<std::size_t>& rows) const;
 
     /// Number of nonzeros in column j (O(nnz) scan).
     std::size_t column_nonzeros(std::size_t j) const;
@@ -113,9 +107,6 @@ class SparseMatrix {
     std::vector<std::size_t> cols_idx_;  // column index per nonzero
     std::vector<double> values_;
 };
-
-/// Stacks A over B (A.cols() == B.cols()).
-SparseMatrix sparse_vstack(const SparseMatrix& a, const SparseMatrix& b);
 
 /// CSR transpose (counting pass, values copied verbatim).  Row j of the
 /// result lists column j of A with source rows ascending — exactly the

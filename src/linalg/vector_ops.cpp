@@ -32,12 +32,6 @@ double sum(const Vector& x) {
     return acc;
 }
 
-double nrm1(const Vector& x) {
-    double acc = 0.0;
-    for (double v : x) acc += std::abs(v);
-    return acc;
-}
-
 double nrm_inf(const Vector& x) {
     double acc = 0.0;
     for (double v : x) acc = std::max(acc, std::abs(v));
@@ -82,10 +76,6 @@ double max_element(const Vector& x) {
 double min_element(const Vector& x) {
     if (x.empty()) throw std::invalid_argument("min_element: empty vector");
     return *std::min_element(x.begin(), x.end());
-}
-
-void clamp_below(Vector& x, double floor) {
-    for (double& v : x) v = std::max(v, floor);
 }
 
 bool all_finite(const Vector& x) {

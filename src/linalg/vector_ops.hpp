@@ -21,9 +21,6 @@ double nrm2(const Vector& x);
 /// Sum of all entries.
 double sum(const Vector& x);
 
-/// One-norm ||x||_1 (sum of absolute values).
-double nrm1(const Vector& x);
-
 /// Infinity norm max_i |x_i|.
 double nrm_inf(const Vector& x);
 
@@ -47,9 +44,6 @@ double max_element(const Vector& x);
 
 /// Smallest entry; throws on empty input.
 double min_element(const Vector& x);
-
-/// Clamps every entry to be >= floor (in place).
-void clamp_below(Vector& x, double floor);
 
 /// True when every entry is finite (no NaN / infinity).
 bool all_finite(const Vector& x);

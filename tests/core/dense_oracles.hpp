@@ -5,9 +5,7 @@
 // — and hands it to a dense solver: nnls_gram, or for fanout the
 // test-only dense-H QP in tests/linalg/dense_qp_reference.hpp.
 // The production paths generate the same doubles on demand, so at
-// paper scale they are gated bitwise (or, for fanout without window
-// aggregates, whose Hessian accumulates per sample here, to 1e-9)
-// against these.  Paper scale only: the dense matrices are quadratic
+// paper scale they are gated bitwise against these.  Paper scale only: the dense matrices are quadratic
 // in the pair count.
 #pragma once
 
@@ -89,11 +87,12 @@ inline linalg::Vector vardi_dense_oracle(const SeriesProblem& problem,
     return linalg::nnls_gram(g, rhs, 0.0, nnls_options).x;
 }
 
-/// Fanouts through the dense-H reference QP over a dense E.  With
-/// complete options.aggregates the Hessian is H(p, q) =
-/// outer(src p, src q) * G1(p, q) and f the aggregated right-hand side
-/// — the doubles the production operator generates; without them H and
-/// f accumulate per window sample.  The gravity tie-break ridge is
+/// Fanouts through the dense-H reference QP over a dense E.  The
+/// window sums are accumulated here per sample, from their definitions:
+/// outer = sum_k te_k te_k' (te_k[n] the ingress load of source n) and
+/// f = sum_k w_k .* (R' t[k]) with w_k[p] = te_k[src(p)].  The Hessian
+/// is H(p, q) = outer(src p, src q) * G1(p, q) — the doubles the
+/// production operator generates.  The gravity tie-break ridge is
 /// scaled off H's largest diagonal entry, as in fanout_estimate.
 inline linalg::Vector fanout_dense_oracle(const SeriesProblem& problem,
                                           const FanoutOptions& options) {
@@ -101,51 +100,39 @@ inline linalg::Vector fanout_dense_oracle(const SeriesProblem& problem,
     const linalg::SparseMatrix& r = *problem.routing;
     const std::size_t pairs = r.cols();
     const std::size_t nodes = topo.pop_count();
-    const std::size_t window = problem.loads.size();
     const FanoutConstraints constraints = FanoutConstraints::build(topo);
     const std::vector<std::size_t>& source_of = constraints.source_of;
-    const FanoutWindowAggregates& agg = options.aggregates;
+
+    linalg::Matrix outer(nodes, nodes, 0.0);
+    linalg::Vector f(pairs, 0.0);
+    for (const linalg::Vector& t : problem.loads) {
+        linalg::Vector te(nodes, 0.0);
+        for (std::size_t n = 0; n < nodes; ++n) {
+            te[n] = t[topo.ingress_link(n)];
+        }
+        for (std::size_t n1 = 0; n1 < nodes; ++n1) {
+            for (std::size_t n2 = 0; n2 < nodes; ++n2) {
+                outer(n1, n2) += te[n1] * te[n2];
+            }
+        }
+        const linalg::Vector rt = r.multiply_transpose(t);
+        for (std::size_t p = 0; p < pairs; ++p) {
+            f[p] += te[source_of[p]] * rt[p];
+        }
+    }
 
     const linalg::Matrix g1 = r.gram();
     linalg::Matrix h(pairs, pairs, 0.0);
-    linalg::Vector f(pairs, 0.0);
-    if (agg.complete()) {
-        const linalg::Matrix& outer = *agg.source_outer;
-        for (std::size_t p = 0; p < pairs; ++p) {
-            for (std::size_t q = 0; q < pairs; ++q) {
-                if (g1(p, q) != 0.0) {
-                    h(p, q) = outer(source_of[p], source_of[q]) * g1(p, q);
-                }
-            }
-        }
-        f = *agg.weighted_rhs;
-    } else {
-        for (std::size_t k = 0; k < window; ++k) {
-            linalg::Vector w(pairs, 0.0);
-            for (std::size_t p = 0; p < pairs; ++p) {
-                w[p] = problem.loads[k][topo.ingress_link(source_of[p])];
-            }
-            const linalg::Vector rt = r.multiply_transpose(problem.loads[k]);
-            for (std::size_t p = 0; p < pairs; ++p) {
-                f[p] += w[p] * rt[p];
-                if (w[p] == 0.0) continue;
-                for (std::size_t q = 0; q < pairs; ++q) {
-                    if (g1(p, q) != 0.0) h(p, q) += w[p] * w[q] * g1(p, q);
-                }
+    for (std::size_t p = 0; p < pairs; ++p) {
+        for (std::size_t q = 0; q < pairs; ++q) {
+            if (g1(p, q) != 0.0) {
+                h(p, q) = outer(source_of[p], source_of[q]) * g1(p, q);
             }
         }
     }
 
     if (options.gravity_tiebreak_weight > 0.0) {
-        linalg::Vector mean_loads(r.rows(), 0.0);
-        if (agg.complete()) {
-            mean_loads = *agg.mean_loads;
-        } else {
-            for (const linalg::Vector& t : problem.loads) {
-                linalg::axpy(1.0, t, mean_loads);
-            }
-            linalg::scale(1.0 / static_cast<double>(window), mean_loads);
-        }
+        const linalg::Vector mean_loads = linalg::sample_mean(problem.loads);
         double total_exit = 0.0;
         for (std::size_t m = 0; m < nodes; ++m) {
             total_exit += mean_loads[topo.egress_link(m)];

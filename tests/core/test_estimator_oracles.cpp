@@ -23,7 +23,6 @@
 #include "core/fanout.hpp"
 #include "core/gravity.hpp"
 #include "core/vardi.hpp"
-#include "engine/window.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "scenario/scenario.hpp"
@@ -102,34 +101,13 @@ TEST_P(EstimatorOracles, FanoutMatchesDenseQp) {
     const scenario::Scenario& sc = scenario_for(GetParam());
     for (const std::size_t window : {1u, 3u, 8u, 12u, 40u}) {
         const SeriesProblem series = sc.busy_series_window(window);
-
-        // The engine's configuration: incremental window aggregates.
-        engine::SlidingWindow agg_window(&sc.topo, &sc.routing, window,
-                                         /*track_load_moments=*/false);
-        for (std::size_t k = 0; k < window; ++k) {
-            agg_window.push(k, series.loads[k]);
-        }
-        const linalg::Vector agg_mean = agg_window.mean_loads();
-        FanoutOptions with_aggregates;
-        with_aggregates.aggregates.source_outer = &agg_window.source_outer();
-        with_aggregates.aggregates.weighted_rhs = &agg_window.weighted_rhs();
-        with_aggregates.aggregates.mean_loads = &agg_mean;
-        const linalg::Vector agg_est =
-            fanout_estimate(series, with_aggregates).fanouts;
-        const linalg::Vector agg_ref =
-            fanout_dense_oracle(series, with_aggregates);
-        ASSERT_EQ(agg_est.size(), agg_ref.size());
-        EXPECT_EQ(bitwise_mismatches(agg_est, agg_ref), 0u)
-            << sc.name << " window " << window << " (aggregates), max rel "
-            << "diff " << relative_diff(agg_est, agg_ref);
-
-        // Per-sample accumulation (what the paper-figure benches call).
-        const FanoutOptions plain;
-        const linalg::Vector est = fanout_estimate(series, plain).fanouts;
-        const linalg::Vector ref = fanout_dense_oracle(series, plain);
+        const FanoutOptions options;
+        const linalg::Vector est = fanout_estimate(series, options).fanouts;
+        const linalg::Vector ref = fanout_dense_oracle(series, options);
         ASSERT_EQ(est.size(), ref.size());
-        EXPECT_LE(relative_diff(est, ref), 1e-9)
-            << sc.name << " window " << window;
+        EXPECT_EQ(bitwise_mismatches(est, ref), 0u)
+            << sc.name << " window " << window << ", max rel diff "
+            << relative_diff(est, ref);
     }
 }
 

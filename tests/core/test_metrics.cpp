@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace tme::core {
 namespace {
 
@@ -62,13 +60,6 @@ TEST(Metrics, MreAtCoverageMatchesManual) {
     est[0] = 12.0;  // 20% error on the largest
     const double mre = mre_at_coverage(truth, est, 0.9);
     EXPECT_NEAR(mre, 0.2 / 3.0, 1e-12);
-}
-
-TEST(Metrics, Rmse) {
-    EXPECT_DOUBLE_EQ(rmse({1.0, 2.0}, {1.0, 2.0}), 0.0);
-    EXPECT_DOUBLE_EQ(rmse({0.0, 0.0}, {3.0, 4.0}),
-                     std::sqrt(12.5));
-    EXPECT_THROW(rmse({1.0}, {1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(Metrics, DemandsAboveSortedDescending) {

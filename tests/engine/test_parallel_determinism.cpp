@@ -261,8 +261,7 @@ std::vector<MethodExecution> warm_chain(Method m, ThreadPool* pool) {
     RoutingEpochCache cache;
     const std::shared_ptr<const RoutingEpoch> epoch =
         cache.acquire_shared(sc.routing);
-    SlidingWindow window(&sc.topo, &sc.routing, config.window_size,
-                         /*track_load_moments=*/false);
+    SlidingWindow window(&sc.topo, &sc.routing, config.window_size);
     std::vector<MethodExecution> chain;
     for (std::size_t k = 0; k < sc.loads.size(); ++k) {
         window.push(k, sc.loads[k]);

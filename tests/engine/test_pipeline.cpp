@@ -3,17 +3,21 @@
 // workers reproduce the inline estimates bit for bit for every method
 // on Europe and USA days with a mid-day reroute, with exactly the
 // inline warm-run pattern (no stale seeding across the reroute);
+// cold Vardi and fanout estimates are bitwise the batch estimators';
 // windows come back in submission order; and a window with a failed
 // stage is neither counted nor published, inline and pooled.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/fanout.hpp"
 #include "core/route_change.hpp"
+#include "core/vardi.hpp"
 #include "engine/replay.hpp"
 
 namespace tme::engine {
@@ -137,6 +141,89 @@ TEST(EnginePipeline, PooledEnginesMatchInlineEngineWithMidDayReroute) {
                     << method_name(method) << " " << threads << " threads";
             }
         }
+    }
+}
+
+TEST(EnginePipeline, ColdSeriesEstimatesAreBitwiseTheBatchEstimators) {
+    // The engine computes a window's aggregates from its samples with
+    // the functions the batch estimators call, so with warm starts off
+    // every Vardi and fanout estimate is bitwise vardi_estimate /
+    // fanout_estimate on that window's samples — across the reroute's
+    // window flush and on a pool.
+    for (const scenario::Network network :
+         {scenario::Network::europe, scenario::Network::usa}) {
+        const scenario::Scenario sc =
+            day_scenario(network, std::min<std::size_t>(sweep_samples(), 40));
+        const std::size_t change_at = sc.demands.size() / 2;
+        const linalg::SparseMatrix rerouted =
+            core::perturbed_routing(sc.topo, 0.8, 5);
+        ReplayOptions options;
+        options.events = {{change_at, &rerouted}};
+        std::vector<const linalg::SparseMatrix*> routing_of;
+        std::vector<linalg::Vector> loads_of;
+        scenario::replay(sc, options.events,
+                         [&](std::size_t, const linalg::SparseMatrix& r,
+                             const linalg::Vector& loads,
+                             const linalg::Vector&) {
+                             routing_of.push_back(&r);
+                             loads_of.push_back(loads);
+                         });
+
+        EngineConfig config;
+        config.window_size = 8;
+        config.min_series_window = 3;
+        config.methods = {Method::vardi, Method::fanout};
+        config.warm_start = false;
+        config.threads = 0;
+        OnlineEngine inline_engine(sc.topo, sc.routing, config);
+        const ReplayResult inline_result =
+            replay_scenario(inline_engine, sc, options);
+        config.threads = 2;
+        OnlineEngine pooled_engine(sc.topo, sc.routing, config);
+        const ReplayResult pooled_result =
+            replay_scenario(pooled_engine, sc, options);
+        ASSERT_EQ(inline_result.windows.size(), sc.demands.size());
+        ASSERT_EQ(pooled_result.windows.size(), sc.demands.size());
+
+        std::size_t compared = 0;
+        for (std::size_t k = 0; k < sc.demands.size(); ++k) {
+            const WindowResult& window = inline_result.windows[k];
+            if (window.runs.empty()) continue;
+            core::SeriesProblem series;
+            series.topo = &sc.topo;
+            series.routing = routing_of[window.window_end_sample];
+            for (std::size_t s = window.window_start_sample;
+                 s <= window.window_end_sample; ++s) {
+                series.loads.push_back(loads_of[s]);
+            }
+            ASSERT_EQ(series.loads.size(), window.window_size);
+            const linalg::Vector vardi = core::vardi_estimate(series).lambda;
+            const linalg::Vector fanout =
+                core::fanout_estimate(series).mean_demands;
+            for (const WindowResult* engine_window :
+                 {&window, &pooled_result.windows[k]}) {
+                const MethodRun* vardi_run =
+                    engine_window->find(Method::vardi);
+                const MethodRun* fanout_run =
+                    engine_window->find(Method::fanout);
+                ASSERT_NE(vardi_run, nullptr);
+                ASSERT_NE(fanout_run, nullptr);
+                const char* side =
+                    engine_window == &window ? "inline" : "pooled";
+                EXPECT_EQ(vardi_run->estimate, vardi)
+                    << sc.name << " " << side << ", window "
+                    << window.window_start_sample << "-"
+                    << window.window_end_sample;
+                EXPECT_EQ(fanout_run->estimate, fanout)
+                    << sc.name << " " << side << ", window "
+                    << window.window_start_sample << "-"
+                    << window.window_end_sample;
+            }
+            ++compared;
+        }
+        // Every window from the third sample on, less the two
+        // post-reroute warm-up windows.
+        EXPECT_EQ(compared, sc.demands.size() - 4) << sc.name;
     }
 }
 

@@ -5,6 +5,7 @@
 #include <random>
 
 #include "core/test_helpers.hpp"
+#include "engine/scheduler.hpp"
 #include "linalg/stats.hpp"
 
 namespace tme::engine {
@@ -72,54 +73,6 @@ TEST(SlidingWindow, GapBookkeeping) {
     EXPECT_EQ(window.total_pushed(), 3u);
 }
 
-TEST(SlidingWindow, IncrementalAggregatesMatchRecomputation) {
-    const SmallNetwork net = tiny_network();
-    const std::size_t capacity = 4;
-    SlidingWindow window(&net.topo, &net.routing, capacity);
-    const std::vector<linalg::Vector> loads = random_loads(net, 12, 3);
-
-    for (std::size_t k = 0; k < loads.size(); ++k) {
-        window.push(k, loads[k]);
-        // Recompute every aggregate from the current window content and
-        // compare with the incrementally maintained versions.
-        const std::vector<linalg::Vector>& in_window =
-            window.series().loads;
-        const linalg::Vector mean = linalg::sample_mean(in_window);
-        const linalg::Vector inc_mean = window.mean_loads();
-        for (std::size_t l = 0; l < mean.size(); ++l) {
-            EXPECT_NEAR(inc_mean[l], mean[l], 1e-12);
-        }
-        const linalg::Matrix cov = linalg::sample_covariance(in_window);
-        const linalg::Matrix inc_cov = window.covariance();
-        EXPECT_LT(linalg::max_abs_diff(cov, inc_cov), 1e-12);
-
-        const std::size_t nodes = net.topo.pop_count();
-        linalg::Matrix source_outer(nodes, nodes, 0.0);
-        linalg::Vector weighted_rhs(net.topo.pair_count(), 0.0);
-        for (const linalg::Vector& t : in_window) {
-            linalg::Vector te(nodes);
-            for (std::size_t n = 0; n < nodes; ++n) {
-                te[n] = t[net.topo.ingress_link(n)];
-            }
-            for (std::size_t n = 0; n < nodes; ++n) {
-                for (std::size_t m = 0; m < nodes; ++m) {
-                    source_outer(n, m) += te[n] * te[m];
-                }
-            }
-            const linalg::Vector rt = net.routing.multiply_transpose(t);
-            for (std::size_t p = 0; p < weighted_rhs.size(); ++p) {
-                weighted_rhs[p] +=
-                    te[net.topo.pair_nodes(p).first] * rt[p];
-            }
-        }
-        EXPECT_LT(linalg::max_abs_diff(source_outer, window.source_outer()),
-                  1e-12);
-        for (std::size_t p = 0; p < weighted_rhs.size(); ++p) {
-            EXPECT_NEAR(window.weighted_rhs()[p], weighted_rhs[p], 1e-12);
-        }
-    }
-}
-
 TEST(SlidingWindow, ResetFlushesAndRebinds) {
     const SmallNetwork net = tiny_network();
     SlidingWindow window(&net.topo, &net.routing, 3);
@@ -131,27 +84,12 @@ TEST(SlidingWindow, ResetFlushesAndRebinds) {
     window.reset(&other);
     EXPECT_TRUE(window.empty());
     EXPECT_EQ(window.series().routing, &other);
-    // Aggregates restart from zero.
-    EXPECT_EQ(window.source_outer().max_abs(), 0.0);
     // Lifetime counters survive.
     EXPECT_EQ(window.total_pushed(), 3u);
 
     // Sample numbering may restart after a reset on a fresh window.
     window.push(0, loads[0]);
     EXPECT_EQ(window.size(), 1u);
-}
-
-TEST(SlidingWindow, MomentTrackingOptional) {
-    const SmallNetwork net = tiny_network();
-    SlidingWindow window(&net.topo, &net.routing, 3,
-                         /*track_load_moments=*/false);
-    const std::vector<linalg::Vector> loads = random_loads(net, 2, 17);
-    window.push(0, loads[0]);
-    window.push(1, loads[1]);
-    // Covariance is unavailable, everything else still works.
-    EXPECT_THROW(window.covariance(), std::logic_error);
-    EXPECT_EQ(window.mean_loads().size(), net.routing.rows());
-    EXPECT_GT(window.source_outer().max_abs(), 0.0);
 }
 
 TEST(SlidingWindow, RebindRoutingKeepsContent) {
@@ -171,23 +109,25 @@ TEST(SlidingWindow, RebindRoutingKeepsContent) {
     EXPECT_THROW(window.rebind_routing(nullptr), std::invalid_argument);
 }
 
-TEST(SlidingWindow, CovarianceStableUnderLargeLoadLevels) {
+TEST(WindowCapture, CovarianceStableUnderLargeLoadLevels) {
     // Mbps-scale absolute levels with small fluctuations: the naive
-    // E[tt'] - mm' formula loses ~10 digits to cancellation; the
-    // anchored sums must stay accurate.
+    // E[tt'] - mm' formula loses ~10 digits to cancellation; capture's
+    // covariance must stay close to that of the unshifted loads.
     const SmallNetwork net = tiny_network();
     SlidingWindow window(&net.topo, &net.routing, 6);
-    std::vector<linalg::Vector> shifted = random_loads(net, 6, 23);
-    for (linalg::Vector& t : shifted) {
-        for (double& v : t) v += 1e8;
+    const std::vector<linalg::Vector> loads = random_loads(net, 6, 23);
+    for (std::size_t k = 0; k < loads.size(); ++k) {
+        linalg::Vector shifted = loads[k];
+        for (double& v : shifted) v += 1e8;
+        window.push(k, std::move(shifted));
     }
-    for (std::size_t k = 0; k < shifted.size(); ++k) {
-        window.push(k, shifted[k]);
-    }
-    const linalg::Matrix direct = linalg::sample_covariance(shifted);
-    const linalg::Matrix incremental = window.covariance();
+    RoutingEpochCache cache(1);
+    const WindowContext ctx = WindowContext::capture(
+        window, cache.acquire_shared(net.routing), {Method::vardi},
+        /*min_series_window=*/1, /*ordinal=*/0);
+    const linalg::Matrix unshifted = linalg::sample_covariance(loads);
     // Covariance entries are O(1); demand agreement far below them.
-    EXPECT_LT(linalg::max_abs_diff(direct, incremental), 1e-6);
+    EXPECT_LT(linalg::max_abs_diff(unshifted, ctx.covariance), 1e-6);
 }
 
 TEST(SlidingWindow, ConstructorValidation) {

@@ -98,6 +98,10 @@ TEST(EntropySolver, ZeroPriorEntriesAreFloored) {
 
 namespace reference {
 
+/// The production solver's prior floor and initial Armijo step.
+constexpr double kPriorFloor = 1e-12;
+constexpr double kInitialStep = 1.0;
+
 /// The pre-operator-rewrite solver, verbatim: per-iteration forward
 /// re-multiply, allocating objective evaluation.  Kept as the oracle
 /// for the rewrite's bitwise-equivalence pin.
@@ -115,7 +119,7 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     double pmean = 0.0;
     for (double v : p) pmean += std::max(v, 0.0);
     pmean = (pmean > 0.0 ? pmean / static_cast<double>(n) : 1.0);
-    const double floor = options.prior_floor * pmean;
+    const double floor = kPriorFloor * pmean;
     for (double& v : p) v = std::max(v, floor);
 
     EntropySolverResult result;
@@ -124,7 +128,7 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     if (bscale == 0.0) bscale = 1.0;
     const double grad_scale = std::max(1.0, bscale * bscale);
     double f = objective(a, b, p, w, result.s);
-    double eta = options.initial_step;
+    double eta = kInitialStep;
     for (result.iterations = 0; result.iterations < options.max_iterations;
          ++result.iterations) {
         const Vector resid = sub(a.multiply(result.s), b);

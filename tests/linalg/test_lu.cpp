@@ -9,7 +9,7 @@ namespace {
 
 TEST(Lu, SolvesSmallSystem) {
     Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-    const Vector x = lu_solve(a, {5.0, 10.0});
+    const Vector x = Lu(a).solve({5.0, 10.0});
     EXPECT_NEAR(x[0], 1.0, 1e-12);
     EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -17,7 +17,7 @@ TEST(Lu, SolvesSmallSystem) {
 TEST(Lu, HandlesPermutation) {
     // Leading zero forces a pivot swap.
     Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-    const Vector x = lu_solve(a, {2.0, 3.0});
+    const Vector x = Lu(a).solve({2.0, 3.0});
     EXPECT_NEAR(x[0], 3.0, 1e-12);
     EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -42,7 +42,7 @@ TEST(Lu, IndefiniteSymmetricSystem) {
     // KKT-style indefinite matrix that Cholesky cannot factor.
     Matrix a{{2.0, 0.0, 1.0}, {0.0, 2.0, 1.0}, {1.0, 1.0, 0.0}};
     const Vector b{1.0, 2.0, 3.0};
-    const Vector x = lu_solve(a, b);
+    const Vector x = Lu(a).solve(b);
     const Vector resid = sub(gemv(a, x), b);
     EXPECT_LT(nrm2(resid), 1e-10);
 }

@@ -86,20 +86,15 @@ TEST(Matrix, GramMatchesExplicitProduct) {
     EXPECT_LT(max_abs_diff(g, expected), 1e-12);
 }
 
-TEST(Matrix, AddAndVstack) {
+TEST(Matrix, Add) {
     Matrix a{{1.0, 2.0}};
     Matrix b{{3.0, 4.0}};
     Matrix c = add(2.0, a, -1.0, b);
     EXPECT_DOUBLE_EQ(c(0, 0), -1.0);
-    Matrix v = vstack(a, b);
-    EXPECT_EQ(v.rows(), 2u);
-    EXPECT_DOUBLE_EQ(v(1, 1), 4.0);
-    EXPECT_THROW(vstack(a, Matrix(1, 3)), std::invalid_argument);
 }
 
-TEST(Matrix, Norms) {
+TEST(Matrix, MaxAbs) {
     Matrix m{{3.0, 0.0}, {0.0, -4.0}};
-    EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
     EXPECT_DOUBLE_EQ(m.max_abs(), 4.0);
 }
 

@@ -58,11 +58,6 @@ TEST(Sparse, ToDenseRoundTrip) {
     EXPECT_DOUBLE_EQ(back.at(0, 2), 2.0);
 }
 
-TEST(Sparse, RowDense) {
-    const SparseMatrix m = small();
-    EXPECT_EQ(m.row_dense(0), (Vector{1.0, 0.0, 2.0}));
-}
-
 TEST(Sparse, SelectColumns) {
     const SparseMatrix m = small();
     const SparseMatrix sel = m.select_columns({2, 0});
@@ -72,25 +67,10 @@ TEST(Sparse, SelectColumns) {
     EXPECT_THROW(m.select_columns({5}), std::out_of_range);
 }
 
-TEST(Sparse, SelectRows) {
-    const SparseMatrix m = small();
-    const SparseMatrix sel = m.select_rows({1});
-    EXPECT_EQ(sel.rows(), 1u);
-    EXPECT_DOUBLE_EQ(sel.at(0, 1), 3.0);
-}
-
 TEST(Sparse, ColumnNonzeros) {
     const SparseMatrix m = small();
     EXPECT_EQ(m.column_nonzeros(0), 1u);
     EXPECT_EQ(m.column_nonzeros(1), 1u);
-}
-
-TEST(Sparse, Vstack) {
-    const SparseMatrix m = small();
-    const SparseMatrix v = sparse_vstack(m, m);
-    EXPECT_EQ(v.rows(), 4u);
-    EXPECT_DOUBLE_EQ(v.at(2, 0), 1.0);
-    EXPECT_DOUBLE_EQ(v.at(3, 1), 3.0);
 }
 
 class SparseProperty : public ::testing::TestWithParam<unsigned> {};
