@@ -543,7 +543,7 @@ int main(int argc, char** argv) {
             if (it == engine_warm.metrics.methods.end()) continue;
             const tme::engine::MethodStats& warm_stats = it->second;
             obs::Json entry = obs::Json::object();
-            entry.set("runs", cold_stats.runs.load());
+            entry.set("runs", cold_stats.runs());
             entry.set("cold_mean_window_seconds",
                       cold_stats.mean_seconds());
             entry.set("warm_mean_window_seconds",
@@ -553,10 +553,9 @@ int main(int argc, char** argv) {
                       warm_stats.warm_accepted_runs.load());
             entry.set("warm_latency", obs::histogram_to_json(
                                           warm_stats.latency.snapshot()));
-            const obs::SolverCounters counters =
-                warm_stats.solver.snapshot();
-            if (counters.any()) {
-                entry.set("solver", obs::counters_to_json(counters));
+            if (warm_stats.solver.any()) {
+                entry.set("solver",
+                          obs::counters_to_json(warm_stats.solver));
             }
             methods.set(tme::engine::method_name(method),
                         std::move(entry));

@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -68,7 +69,7 @@ bool interval_gap(const telemetry::TimeSeriesStore& store,
 }  // namespace
 
 /// One window's trip through the engine.  Everything a stage reads is
-/// immutable once submit() has captured it; stage i writes only
+/// immutable once ingest() has captured it; stage i writes only
 /// runs[i] and errors[i].
 struct OnlineEngine::WindowJob {
     WindowContext ctx;
@@ -160,8 +161,8 @@ void OnlineEngine::bind_epoch() {
     }
 }
 
-void OnlineEngine::submit(std::size_t sample, linalg::Vector loads,
-                          bool gap) {
+WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
+                                  bool gap) {
     obs::Span span("engine/ingest", "sample",
                    static_cast<long long>(sample));
     // Injected allocation failure at the ingest boundary: unlike the
@@ -234,7 +235,7 @@ void OnlineEngine::submit(std::size_t sample, linalg::Vector loads,
         }
     }
     pool_.run_batch(std::move(stages));
-    finalize(job);
+    return finalize(job);
 }
 
 void OnlineEngine::flush_window() {
@@ -262,7 +263,7 @@ void OnlineEngine::run_stage(WindowJob& job, std::size_t method_index) {
     }
 }
 
-void OnlineEngine::finalize(WindowJob& job) {
+WindowResult OnlineEngine::finalize(WindowJob& job) {
     WindowResult result;
     result.window_start_sample = job.ctx.window_start_sample;
     result.window_end_sample = job.ctx.window_end_sample;
@@ -271,15 +272,12 @@ void OnlineEngine::finalize(WindowJob& job) {
     result.seconds = seconds_since(job.start);
     record_kernel_stats(metrics_, pool_.kernel_stats());
     // A window with a failed stage is neither scored, counted nor
-    // published; finish() / ingest() rethrow the failure.
-    bool failed = false;
+    // published; its first failure is rethrown to the caller.
     for (const std::exception_ptr& error : job.errors) {
-        if (!error) continue;
-        failed = true;
-        if (!first_error_) first_error_ = error;
+        if (error) std::rethrow_exception(error);
     }
     for (std::optional<MethodRun>& maybe : job.runs) {
-        if (failed || !maybe.has_value()) continue;
+        if (!maybe.has_value()) continue;
         MethodRun& run = *maybe;
         if (job.scored) {
             const linalg::Vector& reference = is_series_method(run.method)
@@ -295,12 +293,9 @@ void OnlineEngine::finalize(WindowJob& job) {
             }
         }
         MethodStats& stats = metrics_.methods.find(run.method)->second;
-        ++stats.runs;
         if (run.warm_started) ++stats.warm_runs;
         if (run.warm_accepted) ++stats.warm_accepted_runs;
-        stats.total_seconds += run.seconds;
         stats.last_seconds = run.seconds;
-        stats.max_seconds.fetch_max(run.seconds);
         stats.latency.record(run.seconds);
         stats.solver.add(run.solver);
         record_run_quality(metrics_, run, result.window_end_sample);
@@ -312,38 +307,9 @@ void OnlineEngine::finalize(WindowJob& job) {
         }
         result.runs.push_back(std::move(run));
     }
-    if (!failed) {
-        ++metrics_.windows_run;
-        metrics_.total_seconds += result.seconds;
-        metrics_.last_window_seconds = result.seconds;
-        metrics_.window_latency.record(result.seconds);
-        if (sink_) {
-            try {
-                sink_(result);
-            } catch (...) {
-                if (!first_error_) first_error_ = std::current_exception();
-            }
-        }
-    }
-    results_.push_back(std::move(result));
-}
-
-std::vector<WindowResult> OnlineEngine::finish() {
-    std::vector<WindowResult> out = std::exchange(results_, {});
-    if (first_error_) {
-        std::rethrow_exception(std::exchange(first_error_, nullptr));
-    }
-    return out;
-}
-
-WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
-                                  bool gap) {
-    submit(sample, std::move(loads), gap);
-    WindowResult result = std::move(results_.back());
-    results_.pop_back();
-    if (first_error_) {
-        std::rethrow_exception(std::exchange(first_error_, nullptr));
-    }
+    metrics_.last_window_seconds = result.seconds;
+    metrics_.window_latency.record(result.seconds);
+    if (sink_) sink_(result);
     return result;
 }
 
@@ -355,12 +321,11 @@ WindowResult OnlineEngine::ingest_interval(
 
 std::vector<WindowResult> OnlineEngine::ingest_outcome(
     const telemetry::PollingOutcome& outcome) {
-    const telemetry::TimeSeriesStore& store = outcome.store;
-    for (std::size_t k = 0; k < store.intervals(); ++k) {
-        const bool gap = interval_gap(store, routing_->rows(), k);
-        submit(k, store.snapshot(k), gap);
+    std::vector<WindowResult> results;
+    for (std::size_t k = 0; k < outcome.store.intervals(); ++k) {
+        results.push_back(ingest_interval(outcome.store, k));
     }
-    return finish();
+    return results;
 }
 
 }  // namespace tme::engine

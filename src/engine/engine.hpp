@@ -11,18 +11,18 @@
 // R; the sliding window is flushed at the same moment, because samples
 // measured under different routing cannot share one estimation problem.
 //
-//   telemetry ──> submit / ingest ──> SlidingWindow ───┐
+//   telemetry ──────> ingest ───────> SlidingWindow ───┐
 //                                                      ├─> WindowContext
 //   route_change ──> set_routing ──> RoutingEpochCache ┘         │
 //                                                                v
 //   sink <── WindowResult <──── per-method stages on the pool ────┘
 //                 └──> EngineMetrics
 //
-// One window at a time: submit() snapshots the window into an
+// One window at a time: ingest() snapshots the window into an
 // immutable WindowContext, runs each scheduled method on it as one
 // stage (the stages of a window fan out over the pool; a zero-thread
 // pool runs them inline, in method order), then scores, counts and
-// publishes the window on the calling thread before it returns.  The
+// publishes the window on the calling thread, and returns it.  The
 // estimates do not depend on the pool size — bitwise, the tests pin
 // it — because each method's warm-start seed is its own solution of
 // the previous window, and a window flush (routing-epoch rebind or
@@ -37,7 +37,6 @@
 
 #include <array>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -93,7 +92,7 @@ class OnlineEngine {
 
     /// Signals a routing change: subsequent samples are interpreted
     /// under `routing`.  The window flush and cache (in)validation
-    /// happen on the next submit, driven by the content fingerprint —
+    /// happen on the next ingest, driven by the content fingerprint —
     /// re-announcing a content-identical matrix keeps the epoch (and
     /// window) alive, merely rebinding internal pointers to the new
     /// object.  No window is being solved between calls, so the caller
@@ -102,23 +101,15 @@ class OnlineEngine {
 
     const linalg::SparseMatrix& routing() const { return *routing_; }
 
-    /// Ingests one load sample and runs the updated window's estimation
-    /// pass.  `gap` flags a sample reconstructed by interpolation (lost
-    /// polls).  Sample indices must be strictly increasing within a
-    /// routing epoch.  The window is solved, scored, counted and
-    /// published before this returns; the result is buffered for
-    /// finish().
-    void submit(std::size_t sample, linalg::Vector loads, bool gap = false);
-
-    /// Returns the buffered results of every window submitted since the
-    /// last finish(), in submission order, and clears the buffer (the
-    /// engine keeps streaming afterwards).  Rethrows the first stage or
-    /// sink exception since then, if any.
-    std::vector<WindowResult> finish();
-
-    /// submit() one sample and return its window (the window leaves
-    /// the finish() buffer).  Rethrows the first stage or sink
-    /// exception not yet rethrown.
+    /// Ingests one load sample, runs the updated window's estimation
+    /// pass and returns the window.  `gap` flags a sample reconstructed
+    /// by interpolation (lost polls).  Sample indices must be strictly
+    /// increasing within a routing epoch.  The window is solved,
+    /// scored, counted and published before this returns.  A failed
+    /// stage's exception (the first in method order) is rethrown here,
+    /// and that window is neither scored, counted nor published; a
+    /// sink exception is rethrown after the window was counted.  The
+    /// engine keeps streaming after either.
     WindowResult ingest(std::size_t sample, linalg::Vector loads,
                         bool gap = false);
 
@@ -128,14 +119,15 @@ class OnlineEngine {
     WindowResult ingest_interval(const telemetry::TimeSeriesStore& store,
                                  std::size_t interval);
 
-    /// Submits every interval of a polling-simulation outcome and
-    /// returns finish().
+    /// Ingests every interval of a polling-simulation outcome and
+    /// returns the windows in order; stops at the first failing window
+    /// and rethrows its exception.
     std::vector<WindowResult> ingest_outcome(
         const telemetry::PollingOutcome& outcome);
 
     /// Attaches/detaches the ground-truth provider used to fill
     /// MethodRun::mre (pass an empty function to detach).  Read only by
-    /// submit(), which captures the references a window is scored
+    /// ingest(), which captures the references a window is scored
     /// against.
     void set_truth(TruthProvider truth) { truth_ = std::move(truth); }
 
@@ -143,10 +135,10 @@ class OnlineEngine {
     const TruthProvider& truth() const { return truth_; }
 
     /// Attaches a window-completion sink, invoked once per window after
-    /// metrics accumulation, on the thread that called submit() or
-    /// ingest(), before that call returns.  A window whose stage failed
-    /// is not published.  A sink exception is rethrown by ingest() /
-    /// finish().  Pass an empty function to detach.
+    /// metrics accumulation, on the thread that called ingest(), before
+    /// that call returns.  A window whose stage failed is not
+    /// published.  A sink exception is rethrown by ingest().  Pass an
+    /// empty function to detach.
     void set_window_sink(WindowSink sink) { sink_ = std::move(sink); }
     const WindowSink& window_sink() const { return sink_; }
 
@@ -178,7 +170,7 @@ class OnlineEngine {
     void bind_epoch();
     void flush_window();
     void run_stage(WindowJob& job, std::size_t method_index);
-    void finalize(WindowJob& job);
+    WindowResult finalize(WindowJob& job);
     MethodState& state(Method m) {
         return method_states_[static_cast<std::size_t>(m)];
     }
@@ -207,8 +199,6 @@ class OnlineEngine {
     std::size_t next_ordinal_ = 0;
 
     std::array<MethodState, method_count> method_states_;
-    std::vector<WindowResult> results_;  ///< buffered for finish()
-    std::exception_ptr first_error_;     ///< not yet rethrown
     ThreadPool pool_;
 };
 

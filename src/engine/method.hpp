@@ -49,8 +49,10 @@ constexpr bool is_series_method(Method m) {
 /// Quality of one method's estimate for one window, as served
 /// downstream.  Degradation is graceful and explicit: a window is never
 /// silently dropped, it is flagged.
-///  * exact    — the configured method ran to completion (including a
-///               deliberate iteration cap; see linalg::SolveOutcome).
+///  * exact    — the configured method's solve returned by its own
+///               stopping test or by a configured iteration cap.  No
+///               convergence check backs the label: a capped run is
+///               exact too (see linalg::SolveOutcome).
 ///  * degraded — the method's own solve was cut by its SolveBudget
 ///               (best feasible iterate returned), or a fallback method
 ///               produced the estimate after the configured one failed.

@@ -14,10 +14,8 @@ void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
     MethodStats& stats = metrics.methods[run.method];
     if (run.solve_outcome == SolveOutcome::budget_exhausted) {
         ++stats.budget_exhausted_runs;
-        ++metrics.budget_exhausted_runs;
     } else if (run.solve_outcome == SolveOutcome::iteration_capped) {
         ++stats.capped_runs;
-        ++metrics.capped_runs;
     }
     if (run.used_fallback) ++stats.fallback_runs;
     switch (run.quality) {
@@ -25,15 +23,12 @@ void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
             return;
         case EstimateQuality::degraded:
             ++stats.degraded_runs;
-            ++metrics.degraded_runs;
             break;
         case EstimateQuality::stale:
             ++stats.stale_runs;
-            ++metrics.stale_runs;
             break;
         case EstimateQuality::failed:
             ++stats.failed_runs;
-            ++metrics.failed_runs;
             break;
     }
     DegradationRecord record;
@@ -49,9 +44,9 @@ void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
 
 void record_kernel_stats(EngineMetrics& metrics,
                          const ThreadPool::KernelStats& stats) {
-    metrics.kernel_regions.fetch_max(stats.regions);
-    metrics.kernel_regions_shared.fetch_max(stats.regions_shared);
-    metrics.kernel_helper_blocks.fetch_max(stats.helper_blocks);
+    metrics.kernel_regions = stats.regions;
+    metrics.kernel_regions_shared = stats.regions_shared;
+    metrics.kernel_helper_blocks = stats.helper_blocks;
 }
 
 std::string EngineMetrics::summary() const {
@@ -61,7 +56,7 @@ std::string EngineMetrics::summary() const {
                   "samples=%zu gaps=%zu windows=%zu flushes=%zu "
                   "epoch_changes=%zu\n",
                   samples_ingested.load(), gap_samples.load(),
-                  windows_run.load(), window_flushes.load(),
+                  windows_run(), window_flushes.load(),
                   epoch_changes.load());
     out += line;
     std::snprintf(line, sizeof(line),
@@ -74,20 +69,20 @@ std::string EngineMetrics::summary() const {
     std::snprintf(line, sizeof(line),
                   "latency: total %.3fs, last window %.2fms, "
                   "p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
-                  total_seconds.load(), last_window_seconds.load() * 1e3,
+                  total_seconds(), last_window_seconds.load() * 1e3,
                   window.p50() * 1e3, window.p95() * 1e3,
                   window.p99() * 1e3, window.max_seconds() * 1e3);
     out += line;
-    const std::size_t total_degraded = degraded_runs.load() +
-                                       stale_runs.load() + failed_runs.load();
-    if (total_degraded > 0 || corrupt_samples.load() > 0 ||
+    const std::size_t degraded = degraded_runs();
+    const std::size_t stale = stale_runs();
+    const std::size_t failed = failed_runs();
+    if (degraded + stale + failed > 0 || corrupt_samples.load() > 0 ||
         routing_faults.load() > 0) {
         std::snprintf(line, sizeof(line),
                       "degradation: degraded=%zu stale=%zu failed=%zu "
                       "budget_exhausted=%zu corrupt_samples=%zu "
                       "routing_faults=%zu\n",
-                      degraded_runs.load(), stale_runs.load(),
-                      failed_runs.load(), budget_exhausted_runs.load(),
+                      degraded, stale, failed, budget_exhausted_runs(),
                       corrupt_samples.load(), routing_faults.load());
         out += line;
     }
@@ -97,22 +92,21 @@ std::string EngineMetrics::summary() const {
                       "  %-9s runs=%zu warm=%zu/%zu mean=%.2fms "
                       "last=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms "
                       "max=%.2fms",
-                      method_name(method), stats.runs.load(),
+                      method_name(method), stats.runs(),
                       stats.warm_accepted_runs.load(),
                       stats.warm_runs.load(), stats.mean_seconds() * 1e3,
                       stats.last_seconds.load() * 1e3, hist.p50() * 1e3,
                       hist.p95() * 1e3, hist.p99() * 1e3,
-                      stats.max_seconds.load() * 1e3);
+                      stats.max_seconds() * 1e3);
         out += line;
         if (stats.mre_count.load() > 0) {
             std::snprintf(line, sizeof(line), " mean_mre=%.4f last_mre=%.4f",
                           stats.mean_mre(), stats.last_mre.load());
             out += line;
         }
-        const obs::SolverCounters solver = stats.solver.snapshot();
-        if (solver.any()) {
+        if (stats.solver.any()) {
             out += " iters=";
-            out += obs::counters_to_json(solver).dump();
+            out += obs::counters_to_json(stats.solver).dump();
         }
         if (stats.degraded_runs.load() > 0 || stats.stale_runs.load() > 0 ||
             stats.failed_runs.load() > 0) {
@@ -133,7 +127,7 @@ obs::Json EngineMetrics::to_json() const {
     j.set("samples_ingested",
           static_cast<long long>(samples_ingested.load()));
     j.set("gap_samples", static_cast<long long>(gap_samples.load()));
-    j.set("windows_run", static_cast<long long>(windows_run.load()));
+    j.set("windows_run", static_cast<long long>(windows_run()));
     j.set("window_flushes", static_cast<long long>(window_flushes.load()));
     j.set("epoch_changes", static_cast<long long>(epoch_changes.load()));
 
@@ -146,7 +140,7 @@ obs::Json EngineMetrics::to_json() const {
     cache.set("hit_rate", cache_hit_rate());
     j.set("epoch_cache", std::move(cache));
 
-    j.set("total_seconds", total_seconds.load());
+    j.set("total_seconds", total_seconds());
     j.set("last_window_seconds", last_window_seconds.load());
     j.set("window_latency",
           obs::histogram_to_json(window_latency.snapshot()));
@@ -154,7 +148,7 @@ obs::Json EngineMetrics::to_json() const {
           obs::histogram_to_json(epoch_build_latency.snapshot()));
     j.set("mre_skipped_runs",
           static_cast<long long>(mre_skipped_runs.load()));
-    j.set("capped_runs", static_cast<long long>(capped_runs.load()));
+    j.set("capped_runs", static_cast<long long>(capped_runs()));
     j.set("kernel_regions", static_cast<long long>(kernel_regions.load()));
     j.set("kernel_regions_shared",
           static_cast<long long>(kernel_regions_shared.load()));
@@ -162,11 +156,11 @@ obs::Json EngineMetrics::to_json() const {
           static_cast<long long>(kernel_helper_blocks.load()));
 
     obs::Json degr = obs::Json::object();
-    degr.set("degraded_runs", static_cast<long long>(degraded_runs.load()));
-    degr.set("stale_runs", static_cast<long long>(stale_runs.load()));
-    degr.set("failed_runs", static_cast<long long>(failed_runs.load()));
+    degr.set("degraded_runs", static_cast<long long>(degraded_runs()));
+    degr.set("stale_runs", static_cast<long long>(stale_runs()));
+    degr.set("failed_runs", static_cast<long long>(failed_runs()));
     degr.set("budget_exhausted_runs",
-             static_cast<long long>(budget_exhausted_runs.load()));
+             static_cast<long long>(budget_exhausted_runs()));
     degr.set("corrupt_samples",
              static_cast<long long>(corrupt_samples.load()));
     degr.set("routing_faults", static_cast<long long>(routing_faults.load()));
@@ -196,17 +190,16 @@ obs::Json EngineMetrics::to_json() const {
     obs::Json per_method = obs::Json::object();
     for (const auto& [method, stats] : methods) {
         obs::Json m = obs::Json::object();
-        m.set("runs", static_cast<long long>(stats.runs.load()));
+        m.set("runs", static_cast<long long>(stats.runs()));
         m.set("warm_runs", static_cast<long long>(stats.warm_runs.load()));
         m.set("warm_accepted_runs",
               static_cast<long long>(stats.warm_accepted_runs.load()));
         m.set("mean_seconds", stats.mean_seconds());
         m.set("last_seconds", stats.last_seconds.load());
-        m.set("max_seconds", stats.max_seconds.load());
+        m.set("max_seconds", stats.max_seconds());
         m.set("latency", obs::histogram_to_json(stats.latency.snapshot()));
-        const obs::SolverCounters solver = stats.solver.snapshot();
-        if (solver.any()) {
-            m.set("solver", obs::counters_to_json(solver));
+        if (stats.solver.any()) {
+            m.set("solver", obs::counters_to_json(stats.solver));
         }
         if (stats.mre_count.load() > 0) {
             m.set("mean_mre", stats.mean_mre());

@@ -10,11 +10,12 @@
 // method), so its structure never changes while workers update the
 // atomic fields inside — concurrent iteration is safe.
 //
-// Latency is tracked two ways per method: the legacy mean/last fields
-// (cheap, used by summary lines and existing tests) and an HDR-style
-// obs::LatencyHistogram giving p50/p95/p99/max.  Solver iteration
-// totals (QP active-set rounds, CG iterations, entropy Armijo probes,
-// MART sweeps, NNLS pivots) accumulate per method in SolverCounterCells.
+// Each quantity is recorded once.  Run and window counts, latency sums
+// and maxima are read off the HDR-style obs::LatencyHistograms (which
+// also give p50/p95/p99), and the engine-wide degradation tallies are
+// sums of the per-method cells.  Solver iteration totals (QP
+// active-set rounds, CG iterations, entropy Armijo probes, MART
+// sweeps, NNLS pivots) accumulate per method in obs::SolverCounters.
 #pragma once
 
 #include <cstddef>
@@ -39,24 +40,20 @@ namespace tme::engine {
 using obs::MetricCell;
 
 struct MethodStats {
-    MetricCell<std::size_t> runs;
     MetricCell<std::size_t> warm_runs;
     /// Runs whose warm-start seed survived verification (the fanout
     /// QP can reject an inconsistent seed and fall back to a cold
     /// solve; for the other methods this tracks warm_runs).
     MetricCell<std::size_t> warm_accepted_runs;
-    MetricCell<double> total_seconds{0.0};
     MetricCell<double> last_seconds{0.0};
-    /// Worst-case run latency (monotone fetch_max — survives where
-    /// last_seconds is overwritten every window).
-    MetricCell<double> max_seconds{0.0};
     MetricCell<double> last_mre{std::numeric_limits<double>::quiet_NaN()};
     MetricCell<double> mre_sum{0.0};
     MetricCell<std::size_t> mre_count;
-    /// Full latency distribution (p50/p95/p99 via latency.snapshot()).
+    /// Every run's latency: the run count, total and maximum below,
+    /// and p50/p95/p99 via latency.snapshot().
     obs::LatencyHistogram latency;
     /// Solver iteration totals attributed to this method's runs.
-    obs::SolverCounterCells solver;
+    obs::SolverCounters solver;
     /// Graceful-degradation tallies (engine/method.hpp quality levels):
     /// degraded = budget-cut or fallback-served windows, stale =
     /// last-good carry-forwards, failed = all-zero placeholder windows.
@@ -69,12 +66,17 @@ struct MethodStats {
     /// Runs whose own solve was cut by the SolveBudget deadline.
     MetricCell<std::size_t> budget_exhausted_runs;
     /// Runs stopped by a configured iteration cap (solve_outcome ==
-    /// iteration_capped).  Still served as exact.
+    /// iteration_capped).  Such a run is labelled exact although no
+    /// convergence check backs the label: see linalg/budget.hpp.
     MetricCell<std::size_t> capped_runs;
 
+    std::size_t runs() const { return latency.count(); }
+    double total_seconds() const { return latency.sum_seconds(); }
+    /// Worst-case run latency, at nanosecond resolution.
+    double max_seconds() const { return latency.max_seconds(); }
     double mean_seconds() const {
-        const std::size_t n = runs.load();
-        return n > 0 ? total_seconds.load() / static_cast<double>(n) : 0.0;
+        const std::size_t n = runs();
+        return n > 0 ? total_seconds() / static_cast<double>(n) : 0.0;
     }
     double mean_mre() const {
         const std::size_t n = mre_count.load();
@@ -158,9 +160,13 @@ class DegradationLog {
 };
 
 struct EngineMetrics {
+    /// End-to-end latency of every completed window: windows_run(),
+    /// total_seconds() and the percentiles come from here.  Declared
+    /// first, so a copy taken mid-stream reads the window count before
+    /// samples_ingested and never shows more windows than samples.
+    obs::LatencyHistogram window_latency;
     MetricCell<std::size_t> samples_ingested;
     MetricCell<std::size_t> gap_samples;   ///< samples flagged as interpolated
-    MetricCell<std::size_t> windows_run;
     MetricCell<std::size_t> window_flushes;  ///< windows dropped on epoch change
     MetricCell<std::size_t> epoch_changes;   ///< routing fingerprint transitions
     /// Epoch-cache statistics.  NOTE: these snapshot the engine's
@@ -175,13 +181,6 @@ struct EngineMetrics {
     /// Method runs skipped by MRE scoring because the truth reference
     /// carried no traffic at all (all-quiet window).
     MetricCell<std::size_t> mre_skipped_runs;
-    /// Engine-wide degradation tallies (sums of the per-method ones).
-    MetricCell<std::size_t> degraded_runs;
-    MetricCell<std::size_t> stale_runs;
-    MetricCell<std::size_t> failed_runs;
-    MetricCell<std::size_t> budget_exhausted_runs;
-    /// Engine-wide sum of the per-method capped_runs.
-    MetricCell<std::size_t> capped_runs;
     /// Samples whose loads arrived non-finite or negative and were
     /// repaired (zeroed + flagged as a gap) by the ingest sanitizer.
     MetricCell<std::size_t> corrupt_samples;
@@ -197,11 +196,7 @@ struct EngineMetrics {
     MetricCell<std::size_t> kernel_helper_blocks;
     /// Bounded per-event detail for the tallies above.
     DegradationLog degradation;
-    MetricCell<double> total_seconds{0.0};  ///< window walls, summed
     MetricCell<double> last_window_seconds{0.0};
-    /// End-to-end window latency distribution (same samples that feed
-    /// total_seconds / last_window_seconds).
-    obs::LatencyHistogram window_latency;
     /// Routing-epoch derived-data build times (routing transpose,
     /// fanout constraints) observed via this engine's cache —
     /// shared-cache caveat above applies.
@@ -209,6 +204,27 @@ struct EngineMetrics {
     /// Pre-populated by the engine for every scheduled method; the map
     /// structure is immutable afterwards (only the atomic fields move).
     std::map<Method, MethodStats> methods;
+
+    std::size_t windows_run() const { return window_latency.count(); }
+    /// Window walls, summed (nanosecond resolution per window).
+    double total_seconds() const { return window_latency.sum_seconds(); }
+
+    /// Engine-wide degradation tallies: sums of the per-method cells.
+    std::size_t degraded_runs() const {
+        return sum_methods(&MethodStats::degraded_runs);
+    }
+    std::size_t stale_runs() const {
+        return sum_methods(&MethodStats::stale_runs);
+    }
+    std::size_t failed_runs() const {
+        return sum_methods(&MethodStats::failed_runs);
+    }
+    std::size_t budget_exhausted_runs() const {
+        return sum_methods(&MethodStats::budget_exhausted_runs);
+    }
+    std::size_t capped_runs() const {
+        return sum_methods(&MethodStats::capped_runs);
+    }
 
     double cache_hit_rate() const {
         const std::size_t h = cache_hits.load();
@@ -225,19 +241,28 @@ struct EngineMetrics {
     /// latency histograms, and a per-method object with runs/latency
     /// percentiles/solver iteration counters.
     obs::Json to_json() const;
+
+  private:
+    std::size_t sum_methods(
+        MetricCell<std::size_t> MethodStats::*cell) const {
+        std::size_t total = 0;
+        for (const auto& [method, stats] : methods) {
+            total += (stats.*cell).load();
+        }
+        return total;
+    }
 };
 
 struct MethodRun;  // scheduler.hpp
 
-/// Folds one run's quality flags into the per-method and engine-wide
-/// degradation counters, appending a DegradationRecord for every
-/// non-exact run.  Called from the engine's window finalize.
+/// Folds one run's quality flags into its method's degradation
+/// counters, appending a DegradationRecord for every non-exact run.
+/// Called from the engine's window finalize.
 void record_run_quality(EngineMetrics& metrics, const MethodRun& run,
                         std::size_t window_end_sample);
 
-/// Folds a pool's cumulative kernel-region counters into the kernel_*
-/// cells.  Monotone (fetch_max), so concurrent window finalizes never
-/// move a cell backwards.
+/// Stores a pool's cumulative kernel-region counters in the kernel_*
+/// cells.
 void record_kernel_stats(EngineMetrics& metrics,
                          const ThreadPool::KernelStats& stats);
 

@@ -58,9 +58,8 @@ ReplayResult replay_scenario(OnlineEngine& engine,
                 if (&routing != &engine.routing()) {
                     engine.set_routing(routing);
                 }
-                engine.submit(sample, loads);
+                result.windows.push_back(engine.ingest(sample, loads));
             });
-        result.windows = engine.finish();
     } catch (...) {
         if (attach) engine.set_truth(std::move(saved));
         throw;

@@ -3,9 +3,9 @@
 // injected route changes and scoring every window against the
 // scenario's ground-truth demands.
 //
-// replay_scenario produces and submits every sample on the calling
-// thread, one window at a time, then collects the windows with
-// finish().
+// replay_scenario produces and ingests every sample on the calling
+// thread, one window at a time, collecting the windows ingest()
+// returns.
 #pragma once
 
 #include <map>
@@ -31,8 +31,8 @@ struct ReplayResult {
 };
 
 /// Replays the scenario through the engine.  The engine must have been
-/// constructed on the scenario's topology and routing matrix, and hold
-/// no unfinished windows (finish() returns them with the replay's).
+/// constructed on the scenario's topology and routing matrix.  Stops
+/// at the first failing window and rethrows its exception.
 ReplayResult replay_scenario(OnlineEngine& engine,
                              const scenario::Scenario& sc,
                              const ReplayOptions& options = {});

@@ -99,7 +99,8 @@ struct MethodRun {
     /// SolveBudget cut it (see MethodOptions::solve_deadline_seconds),
     /// otherwise iteration_capped when a configured iteration cap
     /// stopped one of its solves (solver.capped_solves > 0).  A capped
-    /// run is still `exact` — the cap is the caller's deliberate trade.
+    /// run is still labelled `exact`, with no convergence check behind
+    /// it (linalg/budget.hpp says how far such a solve can be off).
     SolveOutcome solve_outcome = SolveOutcome::converged;
     /// Quality of `estimate` as served downstream (engine/method.hpp).
     EstimateQuality quality = EstimateQuality::exact;
@@ -131,7 +132,8 @@ struct WindowResult {
 };
 
 /// Window-completion hook: the engine invokes it once per completed
-/// window, in submission order, from exactly one thread at a time (the serving layer's snapshot publisher attaches here — see
+/// window, in ingest order, on the thread that called ingest() (the
+/// serving layer's snapshot publisher attaches here — see
 /// src/serve/publish.hpp).  The engine layer only defines the seam, so
 /// it stays embeddable without the serving layer.
 using WindowSink = std::function<void(const WindowResult&)>;

@@ -50,21 +50,6 @@ enum class FaultSite : std::uint8_t {
 
 inline constexpr std::size_t fault_site_count = 7;
 
-constexpr const char* fault_site_name(FaultSite s) {
-    switch (s) {
-        case FaultSite::measurement_nan: return "measurement_nan";
-        case FaultSite::measurement_negative:
-            return "measurement_negative";
-        case FaultSite::measurement_drop: return "measurement_drop";
-        case FaultSite::routing_inconsistency:
-            return "routing_inconsistency";
-        case FaultSite::solver_stall: return "solver_stall";
-        case FaultSite::solver_diverge: return "solver_diverge";
-        case FaultSite::alloc_failure: return "alloc_failure";
-    }
-    return "?";
-}
-
 /// One scheduled fault: fire `count` consecutive times at `site` after
 /// `after_hits` matching probes have passed.
 struct FaultSpec {

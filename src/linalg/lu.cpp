@@ -13,7 +13,6 @@ Lu::Lu(const Matrix& a) : lu_(a), perm_(a.rows()) {
     for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
     const double scale = a.max_abs();
     const double tol = scale * 1e-13;
-    min_pivot_ = scale;
 
     for (std::size_t k = 0; k < n; ++k) {
         // Partial pivoting: pick the largest remaining entry in column k.
@@ -33,7 +32,6 @@ Lu::Lu(const Matrix& a) : lu_(a), perm_(a.rows()) {
             std::swap(perm_[k], perm_[piv]);
         }
         const double pivot = lu_(k, k);
-        min_pivot_ = std::min(min_pivot_, std::abs(pivot));
         if (std::abs(pivot) <= tol) {
             singular_ = true;
             continue;

@@ -22,14 +22,10 @@ class Lu {
     /// Solves A x = b.  Throws std::runtime_error if singular().
     Vector solve(const Vector& b) const;
 
-    /// Magnitude of the smallest pivot encountered (diagnostic).
-    double min_pivot() const { return min_pivot_; }
-
   private:
     Matrix lu_;                  // packed L (unit diagonal) and U
     std::vector<std::size_t> perm_;  // row permutation
     bool singular_ = false;
-    double min_pivot_ = 0.0;
 };
 
 }  // namespace tme::linalg

@@ -8,8 +8,8 @@
 // per-call result structs (or were never surfaced at all).  A
 // SolverCounters handle threads through the solver option structs: the
 // caller owns one per solve (or per window run), each solver ADDS its
-// totals exactly once on return, and the engine accumulates the
-// per-run snapshot into atomic per-method cells.
+// totals exactly once on return, and the engine adds each run's counts
+// into the method's totals.
 //
 // The counters are written only AFTER a solver finishes (one += per
 // field at the return site), never inside an iteration, so attaching
@@ -23,30 +23,32 @@
 
 namespace tme::obs {
 
-/// Per-call (or per-window-run) iteration counts.  Plain fields — a
-/// handle is owned by one solve at a time; cross-thread accumulation
-/// goes through SolverCounterCells.
+/// Iteration counts of one solve, one window run, or one method's
+/// totals across runs.  The fields are relaxed atomic cells, so the
+/// same struct serves a solve's handle (owned by one solve at a time)
+/// and the engine's per-method accumulator (updated by the finalizing
+/// thread while metric readers copy it torn-free).
 struct SolverCounters {
     /// Active-set rounds (KKT solves) of the eq-QP solvers, dense or
     /// operator (fanout, Bayesian above the dense-KKT limit).
-    std::size_t qp_active_set_rounds = 0;
+    MetricCell<std::size_t> qp_active_set_rounds;
     /// Projected-CG iterations across those KKT solves (operator
     /// solver's matrix-free branch; 0 on the dense-gather path).
-    std::size_t qp_cg_iterations = 0;
+    MetricCell<std::size_t> qp_cg_iterations;
     /// Accepted exponentiated-gradient iterations of kl_regularized_ls.
-    std::size_t entropy_iterations = 0;
+    MetricCell<std::size_t> entropy_iterations;
     /// Armijo backtracking probes (objective evaluations) across those
     /// iterations — each probe costs one O(nnz) forward product, so
     /// probes, not iterations, are the entropy solver's real work unit.
-    std::size_t entropy_armijo_probes = 0;
+    MetricCell<std::size_t> entropy_armijo_probes;
     /// Kruithof/MART multiplicative scaling sweeps.
-    std::size_t kruithof_sweeps = 0;
+    MetricCell<std::size_t> kruithof_sweeps;
     /// Lawson-Hanson NNLS outer active-set iterations (pivots).
-    std::size_t nnls_pivots = 0;
+    MetricCell<std::size_t> nnls_pivots;
     /// Solves (QP, NNLS, entropy, Kruithof/MART) that returned because
     /// a configured iteration cap stopped them short of convergence
     /// (SolveOutcome::iteration_capped); budget cuts are not counted.
-    std::size_t capped_solves = 0;
+    MetricCell<std::size_t> capped_solves;
 
     bool any() const {
         return qp_active_set_rounds != 0 || qp_cg_iterations != 0 ||
@@ -63,45 +65,6 @@ struct SolverCounters {
         kruithof_sweeps += other.kruithof_sweeps;
         nnls_pivots += other.nnls_pivots;
         capped_solves += other.capped_solves;
-    }
-};
-
-/// Atomic accumulator mirror of SolverCounters: one per method in the
-/// engine metrics, updated by whichever worker finished the run,
-/// copied torn-free by metric readers.
-struct SolverCounterCells {
-    MetricCell<std::size_t> qp_active_set_rounds;
-    MetricCell<std::size_t> qp_cg_iterations;
-    MetricCell<std::size_t> entropy_iterations;
-    MetricCell<std::size_t> entropy_armijo_probes;
-    MetricCell<std::size_t> kruithof_sweeps;
-    MetricCell<std::size_t> nnls_pivots;
-    MetricCell<std::size_t> capped_solves;
-
-    void add(const SolverCounters& c) {
-        if (c.qp_active_set_rounds) {
-            qp_active_set_rounds += c.qp_active_set_rounds;
-        }
-        if (c.qp_cg_iterations) qp_cg_iterations += c.qp_cg_iterations;
-        if (c.entropy_iterations) entropy_iterations += c.entropy_iterations;
-        if (c.entropy_armijo_probes) {
-            entropy_armijo_probes += c.entropy_armijo_probes;
-        }
-        if (c.kruithof_sweeps) kruithof_sweeps += c.kruithof_sweeps;
-        if (c.nnls_pivots) nnls_pivots += c.nnls_pivots;
-        if (c.capped_solves) capped_solves += c.capped_solves;
-    }
-
-    SolverCounters snapshot() const {
-        SolverCounters c;
-        c.qp_active_set_rounds = qp_active_set_rounds.load();
-        c.qp_cg_iterations = qp_cg_iterations.load();
-        c.entropy_iterations = entropy_iterations.load();
-        c.entropy_armijo_probes = entropy_armijo_probes.load();
-        c.kruithof_sweeps = kruithof_sweeps.load();
-        c.nnls_pivots = nnls_pivots.load();
-        c.capped_solves = capped_solves.load();
-        return c;
     }
 };
 

@@ -83,6 +83,12 @@ class LatencyHistogram {
     void record_ns(std::uint64_t ns);
 
     std::uint64_t count() const { return count_.load(); }
+    /// Sum of the recorded durations, each truncated to nanoseconds.
+    double sum_seconds() const { return sum_seconds_.load(); }
+    /// Largest recorded duration, at nanosecond resolution.
+    double max_seconds() const {
+        return 1e-9 * static_cast<double>(max_ns_.load());
+    }
     HistogramSnapshot snapshot() const;
 
   private:

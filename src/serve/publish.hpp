@@ -11,8 +11,9 @@
 //   serve::Reader reader(store);      // any thread, lock-free
 //   auto head = reader.latest();
 //
-// The sink runs on the engine's submitting thread, once per window in
-// submission order, so per-engine stores see monotone window order.  The store tolerates
+// The sink runs on the thread that called the engine's ingest(), once
+// per window in ingest order, so per-engine stores see monotone window
+// order.  The store tolerates
 // several engines publishing into it concurrently (publishes
 // serialize), at the cost of interleaved version order.
 #pragma once

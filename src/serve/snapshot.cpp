@@ -39,41 +39,8 @@ std::string hex_u64(std::uint64_t v) {
 EstimateSnapshot EstimateSnapshot::from_window(
     const engine::WindowResult& window) {
     EstimateSnapshot snap;
-    snap.window_start_sample_ = window.window_start_sample;
-    snap.window_end_sample_ = window.window_end_sample;
-    snap.window_size_ = window.window_size;
-    snap.epoch_fingerprint_ = window.epoch_fingerprint;
-    snap.window_seconds_ = window.seconds;
-    snap.methods_.reserve(window.runs.size());
-    for (const engine::MethodRun& run : window.runs) {
-        MethodEstimate m;
-        m.method = run.method;
-        m.estimate = run.estimate;
-        m.mre = run.mre;
-        m.seconds = run.seconds;
-        m.warm_started = run.warm_started;
-        m.warm_accepted = run.warm_accepted;
-        m.solver = run.solver;
-        m.quality = run.quality;
-        m.used_fallback = run.used_fallback;
-        m.fallback_method = run.fallback_method;
-        m.stale_age = run.stale_age;
-        snap.methods_.push_back(std::move(m));
-    }
+    snap.window_ = window;
     return snap;
-}
-
-const MethodEstimate* EstimateSnapshot::find(engine::Method m) const {
-    for (const MethodEstimate& me : methods_) {
-        if (me.method == m) return &me;
-    }
-    return nullptr;
-}
-
-obs::SolverCounters EstimateSnapshot::solver_totals() const {
-    obs::SolverCounters total;
-    for (const MethodEstimate& me : methods_) total.add(me.solver);
-    return total;
 }
 
 void EstimateSnapshot::freeze(std::uint64_t version) {
@@ -84,13 +51,13 @@ void EstimateSnapshot::freeze(std::uint64_t version) {
 std::uint64_t EstimateSnapshot::compute_checksum() const {
     std::uint64_t h = kFnvOffset;
     fnv_u64(h, version_);
-    fnv_u64(h, window_start_sample_);
-    fnv_u64(h, window_end_sample_);
-    fnv_u64(h, window_size_);
-    fnv_u64(h, epoch_fingerprint_);
-    fnv_double(h, window_seconds_);
-    fnv_u64(h, methods_.size());
-    for (const MethodEstimate& me : methods_) {
+    fnv_u64(h, window_.window_start_sample);
+    fnv_u64(h, window_.window_end_sample);
+    fnv_u64(h, window_.window_size);
+    fnv_u64(h, window_.epoch_fingerprint);
+    fnv_double(h, window_.seconds);
+    fnv_u64(h, window_.runs.size());
+    for (const MethodEstimate& me : window_.runs) {
         fnv_u64(h, static_cast<std::uint64_t>(me.method));
         fnv_double(h, me.mre);
         fnv_double(h, me.seconds);
@@ -98,6 +65,7 @@ std::uint64_t EstimateSnapshot::compute_checksum() const {
                        (me.warm_accepted ? 2u : 0u) |
                        (me.used_fallback ? 4u : 0u));
         fnv_u64(h, static_cast<std::uint64_t>(me.quality));
+        fnv_u64(h, static_cast<std::uint64_t>(me.solve_outcome));
         fnv_u64(h, static_cast<std::uint64_t>(me.fallback_method));
         fnv_u64(h, me.stale_age);
         fnv_u64(h, me.estimate.size());
@@ -109,15 +77,15 @@ std::uint64_t EstimateSnapshot::compute_checksum() const {
 obs::Json EstimateSnapshot::to_json(bool include_estimates) const {
     obs::Json doc = obs::Json::object();
     doc.set("version", version_);
-    doc.set("window_start_sample", window_start_sample_);
-    doc.set("window_end_sample", window_end_sample_);
-    doc.set("window_size", window_size_);
-    doc.set("epoch_fingerprint", hex_u64(epoch_fingerprint_));
+    doc.set("window_start_sample", window_.window_start_sample);
+    doc.set("window_end_sample", window_.window_end_sample);
+    doc.set("window_size", window_.window_size);
+    doc.set("epoch_fingerprint", hex_u64(window_.epoch_fingerprint));
     doc.set("checksum", hex_u64(checksum_));
-    doc.set("window_seconds", window_seconds_);
+    doc.set("window_seconds", window_.seconds);
     doc.set("pairs", pair_count());
     obs::Json methods = obs::Json::object();
-    for (const MethodEstimate& me : methods_) {
+    for (const MethodEstimate& me : window_.runs) {
         obs::Json m = obs::Json::object();
         m.set("pairs", me.estimate.size());
         // NaN (unscored window) is not representable in JSON; the field
@@ -127,6 +95,7 @@ obs::Json EstimateSnapshot::to_json(bool include_estimates) const {
         m.set("warm_started", me.warm_started);
         m.set("warm_accepted", me.warm_accepted);
         m.set("quality", engine::estimate_quality_name(me.quality));
+        m.set("solve_outcome", linalg::solve_outcome_name(me.solve_outcome));
         if (me.used_fallback) {
             m.set("fallback_method",
                   engine::method_name(me.fallback_method));

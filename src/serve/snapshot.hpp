@@ -1,19 +1,22 @@
 // Immutable per-window estimate snapshot — the unit the serving layer
 // publishes and readers query.
 //
-// Each completed engine window becomes one EstimateSnapshot: every
-// method's estimate vector, its MRE (NaN when the feed had no truth),
-// its wall time and solver counters, plus the window bounds and the
-// routing-epoch fingerprint the estimates were computed under.  A
-// snapshot is frozen exactly once — when EstimateStore::publish()
-// assigns its version — and never mutated afterwards, which is what
-// makes the store's lock-free read path safe: a reader that wins the
-// version check holds a pointer to data nobody will ever write again.
+// Each completed engine window becomes one EstimateSnapshot holding
+// the engine's own record of it (engine::WindowResult): every method's
+// MethodRun — estimate vector, MRE (NaN when the feed had no truth),
+// wall time, solver counters, solve outcome and quality labels — plus
+// the window bounds and the routing-epoch fingerprint the estimates
+// were computed under.  A snapshot is frozen exactly once — when
+// EstimateStore::publish() assigns its version — and never mutated
+// afterwards, which is what makes the store's lock-free read path
+// safe: a reader that wins the version check holds a pointer to data
+// nobody will ever write again.
 //
 // Freezing computes a 64-bit FNV-1a checksum over the version, the
-// window identity and every estimate's bit pattern; consistent()
-// recomputes it, so a torn read (impossible by design, asserted by the
-// stress tests and bench) is detectable rather than silent.
+// window identity, every run's labels and every estimate's bit
+// pattern; consistent() recomputes it, so a torn read (impossible by
+// design, asserted by the stress tests and bench) is detectable rather
+// than silent.
 #pragma once
 
 #include <cstddef>
@@ -22,61 +25,51 @@
 #include <vector>
 
 #include "engine/scheduler.hpp"
-#include "obs/counters.hpp"
 #include "obs/json.hpp"
 
 namespace tme::serve {
 
-/// One method's published output for one window (a value-copy of the
-/// engine's MethodRun, decoupled from engine buffers).
-struct MethodEstimate {
-    engine::Method method = engine::Method::gravity;
-    linalg::Vector estimate;  ///< per-OD-pair demand estimate
-    double mre = 0.0;         ///< NaN when the window was unscored
-    double seconds = 0.0;
-    bool warm_started = false;
-    bool warm_accepted = false;
-    obs::SolverCounters solver;
-    /// Graceful-degradation flags (engine/method.hpp): readers must
-    /// check `quality` before trusting the estimate — degraded/stale/
-    /// failed windows are published (never silently dropped) but
-    /// labelled.
-    engine::EstimateQuality quality = engine::EstimateQuality::exact;
-    bool used_fallback = false;
-    /// Method that actually produced the estimate (== method unless
-    /// used_fallback).
-    engine::Method fallback_method = engine::Method::gravity;
-    std::size_t stale_age = 0;  ///< windows old, quality == stale only
-};
+/// One method's published output for one window: the engine's own
+/// run record.  Readers must check `quality` before trusting the
+/// estimate — degraded/stale/failed windows are published (never
+/// silently dropped) but labelled (engine/method.hpp).
+using MethodEstimate = engine::MethodRun;
 
 class EstimateSnapshot
     : public std::enable_shared_from_this<EstimateSnapshot> {
   public:
     EstimateSnapshot() = default;
 
-    /// Value-copies one window result into a publishable snapshot.
-    /// The version stays 0 (unpublished) until a store freezes it.
+    /// Copies one window result into a publishable snapshot.  The
+    /// version stays 0 (unpublished) until a store freezes it.
     static EstimateSnapshot from_window(const engine::WindowResult& window);
 
     /// Store-assigned publication version; 0 before publication.
     std::uint64_t version() const { return version_; }
-    std::size_t window_start_sample() const { return window_start_sample_; }
-    std::size_t window_end_sample() const { return window_end_sample_; }
-    std::size_t window_size() const { return window_size_; }
-    std::uint64_t epoch_fingerprint() const { return epoch_fingerprint_; }
+    std::size_t window_start_sample() const {
+        return window_.window_start_sample;
+    }
+    std::size_t window_end_sample() const { return window_.window_end_sample; }
+    std::size_t window_size() const { return window_.window_size; }
+    std::uint64_t epoch_fingerprint() const {
+        return window_.epoch_fingerprint;
+    }
     /// Wall time of the window's whole estimation pass.
-    double window_seconds() const { return window_seconds_; }
+    double window_seconds() const { return window_.seconds; }
 
-    const std::vector<MethodEstimate>& methods() const { return methods_; }
+    const std::vector<MethodEstimate>& methods() const {
+        return window_.runs;
+    }
     /// The published estimate for `m`, or nullptr if the window did not
     /// run it (series methods below min_series_window).
-    const MethodEstimate* find(engine::Method m) const;
+    const MethodEstimate* find(engine::Method m) const {
+        return window_.find(m);
+    }
     /// OD-pair count of the estimate vectors (0 for an empty window).
     std::size_t pair_count() const {
-        return methods_.empty() ? 0 : methods_.front().estimate.size();
+        return window_.runs.empty() ? 0
+                                    : window_.runs.front().estimate.size();
     }
-    /// Solver-counter telemetry summed over the window's methods.
-    obs::SolverCounters solver_totals() const;
 
     /// Checksum frozen at publication (0 before).
     std::uint64_t checksum() const { return checksum_; }
@@ -104,12 +97,7 @@ class EstimateSnapshot
     std::uint64_t compute_checksum() const;
 
     std::uint64_t version_ = 0;
-    std::size_t window_start_sample_ = 0;
-    std::size_t window_end_sample_ = 0;
-    std::size_t window_size_ = 0;
-    std::uint64_t epoch_fingerprint_ = 0;
-    double window_seconds_ = 0.0;
-    std::vector<MethodEstimate> methods_;
+    engine::WindowResult window_;
     std::uint64_t checksum_ = 0;
 };
 

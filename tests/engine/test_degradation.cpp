@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 
+#include "fault/injection.hpp"
 #include "serve/snapshot.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -71,10 +72,10 @@ TEST(Degradation, RecordRunQualityCountersRecordsAndJson) {
     failed.quality = EstimateQuality::failed;
     record_run_quality(metrics, failed, 6);
 
-    EXPECT_EQ(metrics.degraded_runs.load(), 1u);
-    EXPECT_EQ(metrics.stale_runs.load(), 1u);
-    EXPECT_EQ(metrics.failed_runs.load(), 1u);
-    EXPECT_EQ(metrics.budget_exhausted_runs.load(), 1u);
+    EXPECT_EQ(metrics.degraded_runs(), 1u);
+    EXPECT_EQ(metrics.stale_runs(), 1u);
+    EXPECT_EQ(metrics.failed_runs(), 1u);
+    EXPECT_EQ(metrics.budget_exhausted_runs(), 1u);
     EXPECT_EQ(metrics.methods[Method::kruithof].degraded_runs.load(), 1u);
     EXPECT_EQ(metrics.methods[Method::bayesian].stale_runs.load(), 1u);
     EXPECT_EQ(metrics.methods[Method::bayesian].failed_runs.load(), 1u);
@@ -170,12 +171,12 @@ TEST(Degradation, ZeroDeadlineDegradesEveryBudgetedMethod) {
 
     const EngineMetrics& metrics = engine.metrics();
     const std::size_t budgeted = config.methods.size() - 1;  // not gravity
-    EXPECT_EQ(metrics.degraded_runs.load(),
-              metrics.budget_exhausted_runs.load());
-    EXPECT_GE(metrics.degraded_runs.load(),
+    EXPECT_EQ(metrics.degraded_runs(),
+              metrics.budget_exhausted_runs());
+    EXPECT_GE(metrics.degraded_runs(),
               budgeted);  // every window degrades all budgeted methods
-    EXPECT_EQ(metrics.stale_runs.load(), 0u);
-    EXPECT_EQ(metrics.failed_runs.load(), 0u);
+    EXPECT_EQ(metrics.stale_runs(), 0u);
+    EXPECT_EQ(metrics.failed_runs(), 0u);
     EXPECT_GT(metrics.degradation.size(), 0u);
 
     // Served snapshot carries the quality flags, names included.
@@ -223,10 +224,10 @@ TEST(Degradation, IterationCapIsReportedButStaysExact) {
 
     const EngineMetrics& metrics = engine.metrics();
     const std::size_t windows = sc.loads.size();
-    EXPECT_EQ(metrics.capped_runs.load(), 2 * windows);
+    EXPECT_EQ(metrics.capped_runs(), 2 * windows);
     EXPECT_EQ(metrics.methods.at(Method::kruithof).capped_runs.load(), windows);
-    EXPECT_EQ(metrics.degraded_runs.load(), 0u);
-    EXPECT_EQ(metrics.budget_exhausted_runs.load(), 0u);
+    EXPECT_EQ(metrics.degraded_runs(), 0u);
+    EXPECT_EQ(metrics.budget_exhausted_runs(), 0u);
     const obs::Json j = metrics.to_json();
     EXPECT_EQ(j.find("capped_runs")->as_int(), static_cast<long long>(2 * windows));
     const obs::Json* entropy = j.find("methods")->find("entropy");
@@ -243,9 +244,116 @@ TEST(Degradation, IterationCapIsReportedButStaysExact) {
     capped.method = Method::fanout;
     capped.solve_outcome = SolveOutcome::iteration_capped;
     record_run_quality(direct, capped, 1);
-    EXPECT_EQ(direct.capped_runs.load(), 1u);
-    EXPECT_EQ(direct.budget_exhausted_runs.load(), 0u);
+    EXPECT_EQ(direct.capped_runs(), 1u);
+    EXPECT_EQ(direct.budget_exhausted_runs(), 0u);
     EXPECT_EQ(direct.degradation.size(), 0u);
+}
+
+// Each fact is recorded once: the engine-wide tallies are sums of the
+// per-method cells, and run / window counts, latency totals and maxima
+// are the latency histograms' own.
+void expect_recorded_once(const EngineMetrics& metrics) {
+    std::size_t degraded = 0;
+    std::size_t stale = 0;
+    std::size_t failed = 0;
+    std::size_t budget_exhausted = 0;
+    std::size_t capped = 0;
+    for (const auto& [method, stats] : metrics.methods) {
+        SCOPED_TRACE(method_name(method));
+        degraded += stats.degraded_runs.load();
+        stale += stats.stale_runs.load();
+        failed += stats.failed_runs.load();
+        budget_exhausted += stats.budget_exhausted_runs.load();
+        capped += stats.capped_runs.load();
+        const obs::HistogramSnapshot latency = stats.latency.snapshot();
+        EXPECT_EQ(stats.runs(), latency.count);
+        EXPECT_EQ(stats.total_seconds(), latency.sum_seconds);
+        EXPECT_EQ(stats.max_seconds(), latency.max_seconds());
+    }
+    EXPECT_EQ(metrics.degraded_runs(), degraded);
+    EXPECT_EQ(metrics.stale_runs(), stale);
+    EXPECT_EQ(metrics.failed_runs(), failed);
+    EXPECT_EQ(metrics.budget_exhausted_runs(), budget_exhausted);
+    EXPECT_EQ(metrics.capped_runs(), capped);
+    EXPECT_EQ(metrics.windows_run(), metrics.window_latency.count());
+    EXPECT_EQ(metrics.total_seconds(),
+              metrics.window_latency.snapshot().sum_seconds);
+
+    const obs::Json j = metrics.to_json();
+    EXPECT_EQ(j.find("windows_run")->as_int(),
+              static_cast<long long>(metrics.windows_run()));
+    EXPECT_EQ(j.find("capped_runs")->as_int(),
+              static_cast<long long>(capped));
+    const obs::Json* degr = j.find("degradation");
+    EXPECT_EQ(degr->find("degraded_runs")->as_int(),
+              static_cast<long long>(degraded));
+    EXPECT_EQ(degr->find("stale_runs")->as_int(),
+              static_cast<long long>(stale));
+    EXPECT_EQ(degr->find("failed_runs")->as_int(),
+              static_cast<long long>(failed));
+    EXPECT_EQ(degr->find("budget_exhausted_runs")->as_int(),
+              static_cast<long long>(budget_exhausted));
+}
+
+// A replay with capped runs (low Kruithof / entropy caps) and degraded
+// runs (a wedged Bayesian solve and failing fanout allocations where
+// fault injection is compiled in, an expired deadline everywhere).  No
+// replay here yields stale or failed runs — once capture has built the
+// gravity prior, the fallback chain always ends on it — so those are
+// folded in through record_run_quality, as the engine's finalize
+// would.
+TEST(Degradation, EngineTotalsAreSumsOfPerMethodCells) {
+    const scenario::Scenario sc = short_scenario(8);
+    EngineConfig capped = all_methods_config(4);
+    capped.method_options.kruithof.max_iterations = 1;
+    capped.method_options.entropy.solver.max_iterations = 1;
+    EngineConfig deadline = capped;
+    deadline.method_options.solve_deadline_seconds = 1e-12;
+
+    for (const EngineConfig* config : {&capped, &deadline}) {
+        const bool cut = config == &deadline;
+        SCOPED_TRACE(cut ? "expired deadline" : "caps only");
+        fault::arm(
+            {
+                fault::FaultSpec{fault::FaultSite::solver_stall, "bayesian",
+                                 2, 2},
+                fault::FaultSpec{fault::FaultSite::alloc_failure, "fanout",
+                                 1, 3},
+            },
+            7);
+        OnlineEngine engine(sc.topo, sc.routing, *config);
+        engine.set_truth([&](std::size_t s) { return sc.demands[s]; });
+        for (std::size_t k = 0; k < sc.loads.size(); ++k) {
+            engine.ingest(k, sc.loads[k]);
+        }
+        fault::disarm();
+
+        EngineMetrics metrics = engine.metrics();
+        EXPECT_EQ(metrics.windows_run(), sc.loads.size());
+        EXPECT_EQ(metrics.methods.at(Method::gravity).runs(),
+                  sc.loads.size());
+        if (cut) {
+            EXPECT_GT(metrics.degraded_runs(), 0u);
+            EXPECT_GT(metrics.budget_exhausted_runs(), 0u);
+        } else {
+            EXPECT_EQ(metrics.capped_runs(), 2 * sc.loads.size());
+            EXPECT_EQ(metrics.degraded_runs() > 0, fault::compiled());
+        }
+        expect_recorded_once(metrics);
+
+        MethodRun stale;
+        stale.method = Method::bayesian;
+        stale.quality = EstimateQuality::stale;
+        stale.stale_age = 2;
+        record_run_quality(metrics, stale, sc.loads.size());
+        MethodRun failed;
+        failed.method = Method::vardi;
+        failed.quality = EstimateQuality::failed;
+        record_run_quality(metrics, failed, sc.loads.size());
+        EXPECT_GE(metrics.stale_runs(), 1u);
+        EXPECT_GE(metrics.failed_runs(), 1u);
+        expect_recorded_once(metrics);
+    }
 }
 
 // Non-finite / negative loads are repaired by the always-compiled
@@ -312,9 +420,9 @@ TEST(Degradation, MissingDataWindowsRunAllMethodsFlaggedAsGaps) {
     EXPECT_EQ(metrics.gap_samples.load(), 1u);  // exactly interval 2
     EXPECT_EQ(metrics.corrupt_samples.load(), 0u);
     EXPECT_EQ(metrics.mre_skipped_runs.load(), 0u);
-    EXPECT_EQ(metrics.degraded_runs.load(), 0u);
-    EXPECT_EQ(metrics.stale_runs.load(), 0u);
-    EXPECT_EQ(metrics.failed_runs.load(), 0u);
+    EXPECT_EQ(metrics.degraded_runs(), 0u);
+    EXPECT_EQ(metrics.stale_runs(), 0u);
+    EXPECT_EQ(metrics.failed_runs(), 0u);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(EngineReplay, MultiThreadedFullDaySmoke) {
     const ReplayResult result = replay_scenario(engine, sc);
     ASSERT_EQ(result.windows.size(), sc.demands.size());
     EXPECT_EQ(engine.metrics().samples_ingested, sc.demands.size());
-    EXPECT_EQ(engine.metrics().windows_run, sc.demands.size());
+    EXPECT_EQ(engine.metrics().windows_run(), sc.demands.size());
     EXPECT_EQ(engine.metrics().epoch_changes, 0u);
     // One cache miss on the first sample, hits ever after.
     EXPECT_EQ(engine.metrics().cache_misses, 1u);
@@ -164,7 +164,7 @@ TEST(EngineReplay, TelemetryIngestionFlagsGaps) {
             engine.ingest_outcome(outcome);
         EXPECT_EQ(windows.size(), intervals);
         EXPECT_EQ(engine.metrics().samples_ingested, intervals);
-        EXPECT_EQ(engine.metrics().windows_run, intervals);
+        EXPECT_EQ(engine.metrics().windows_run(), intervals);
         // Lost polls surfaced as gap-flagged samples.
         EXPECT_GT(engine.metrics().gap_samples, 0u);
         EXPECT_EQ(engine.window().gap_count(),

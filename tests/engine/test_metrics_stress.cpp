@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,7 +40,7 @@ TEST(EngineMetricsStress, ConcurrentReadersSeeMonotonicUntornCounters) {
             // copy itself must be race-free (atomic loads per field).
             const EngineMetrics snap = live;
             const std::size_t samples = snap.samples_ingested.load();
-            const std::size_t windows = snap.windows_run.load();
+            const std::size_t windows = snap.windows_run();
             // Monotonicity: a torn or half-written counter would show
             // up as a value jumping backwards or past the stream end.
             EXPECT_GE(samples, last_samples);
@@ -52,11 +53,11 @@ TEST(EngineMetricsStress, ConcurrentReadersSeeMonotonicUntornCounters) {
             // Pre-populated map: every scheduled method is present
             // from construction, even before its first run.
             ASSERT_NE(it, snap.methods.end());
-            const std::size_t runs = it->second.runs.load();
+            const std::size_t runs = it->second.runs();
             EXPECT_GE(runs, last_bayesian_runs);
             EXPECT_LE(runs, kSamples);
             last_bayesian_runs = runs;
-            EXPECT_GE(it->second.total_seconds.load(), 0.0);
+            EXPECT_GE(it->second.total_seconds(), 0.0);
             // summary() walks everything; it must be safe mid-stream.
             EXPECT_FALSE(snap.summary().empty());
             reads.fetch_add(1, std::memory_order_relaxed);
@@ -72,8 +73,8 @@ TEST(EngineMetricsStress, ConcurrentReadersSeeMonotonicUntornCounters) {
     EXPECT_EQ(result.windows.size(), kSamples);
     EXPECT_GT(reads.load(std::memory_order_relaxed), 0u);
     EXPECT_EQ(live.samples_ingested.load(), kSamples);
-    EXPECT_EQ(live.windows_run.load(), kSamples);
-    EXPECT_EQ(live.methods.at(Method::bayesian).runs.load(), kSamples);
+    EXPECT_EQ(live.windows_run(), kSamples);
+    EXPECT_EQ(live.methods.at(Method::bayesian).runs(), kSamples);
 }
 
 TEST(EngineMetricsStress, FleetAggregationReadsLiveEngines) {
@@ -97,37 +98,37 @@ TEST(EngineMetricsStress, FleetAggregationReadsLiveEngines) {
     const FleetReport report = driver.run(jobs);
     for (const FleetJobReport& job : report.jobs) {
         EXPECT_EQ(job.metrics.samples_ingested.load(), 24u);
-        EXPECT_EQ(job.metrics.windows_run.load(), 24u);
+        EXPECT_EQ(job.metrics.windows_run(), 24u);
     }
 }
 
 // Hand-built metrics with known values: pins the exact summary()
 // rendering (field order, millisecond formatting, warm ratio, solver
 // iteration suffix) so a formatting regression is caught as a string
-// diff, not by eyeballing bench logs.
+// diff, not by eyeballing bench logs.  Counts, totals and maxima come
+// from the latency histograms, whose percentiles read bucket lower
+// bounds (3.93 ms for a 4 ms run).
 TEST(EngineMetricsGolden, SummaryMatchesGoldenString) {
     EngineMetrics m;
     m.samples_ingested.store(10);
     m.gap_samples.store(1);
-    m.windows_run.store(10);
     m.window_flushes.store(2);
     m.epoch_changes.store(3);
     m.cache_hits.store(8);
     m.cache_misses.store(2);
-    m.total_seconds.store(1.5);
+    for (int k = 0; k < 10; ++k) m.window_latency.record(0.15);
     m.last_window_seconds.store(0.002);
 
     MethodStats& gravity = m.methods[Method::gravity];
-    gravity.runs.store(10);
-    gravity.total_seconds.store(0.05);
+    for (int k = 0; k < 5; ++k) gravity.latency.record(0.004);
+    for (int k = 0; k < 5; ++k) gravity.latency.record(0.006);
     gravity.last_seconds.store(0.005);
-    gravity.max_seconds.store(0.006);
 
     MethodStats& kruithof = m.methods[Method::kruithof];
-    kruithof.runs.store(4);
-    kruithof.total_seconds.store(0.004);
+    for (const double s : {0.0005, 0.0005, 0.001, 0.002}) {
+        kruithof.latency.record(s);
+    }
     kruithof.last_seconds.store(0.001);
-    kruithof.max_seconds.store(0.002);
     obs::SolverCounters sweeps;
     sweeps.kruithof_sweeps = 5;
     kruithof.solver.add(sweeps);
@@ -137,11 +138,11 @@ TEST(EngineMetricsGolden, SummaryMatchesGoldenString) {
         "epoch cache: hit rate 0.800 (8 hits, 2 misses, 0 evictions, "
         "0 collisions)\n"
         "latency: total 1.500s, last window 2.00ms, "
-        "p50=0.00ms p95=0.00ms p99=0.00ms max=0.00ms\n"
+        "p50=142.61ms p95=142.61ms p99=142.61ms max=150.00ms\n"
         "  gravity   runs=10 warm=0/0 mean=5.00ms last=5.00ms "
-        "p50=0.00ms p95=0.00ms p99=0.00ms max=6.00ms\n"
+        "p50=3.93ms p95=5.77ms p99=5.77ms max=6.00ms\n"
         "  kruithof  runs=4 warm=0/0 mean=1.00ms last=1.00ms "
-        "p50=0.00ms p95=0.00ms p99=0.00ms max=2.00ms "
+        "p50=0.49ms p95=1.97ms p99=1.97ms max=2.00ms "
         "iters={\"kruithof_sweeps\":5}\n";
     EXPECT_EQ(m.summary(), expected);
 }
@@ -155,12 +156,11 @@ TEST(EngineMetricsGolden, ToJsonStructureAndRoundTrip) {
     m.window_latency.record(0.004);
 
     MethodStats& fanout = m.methods[Method::fanout];
-    fanout.runs.store(6);
+    for (const double s : {0.003, 0.003, 0.0015, 0.0015, 0.0015, 0.0015}) {
+        fanout.latency.record(s);
+    }
     fanout.warm_runs.store(5);
     fanout.warm_accepted_runs.store(4);
-    fanout.total_seconds.store(0.012);
-    fanout.max_seconds.store(0.003);
-    fanout.latency.record(0.002);
     obs::SolverCounters iters;
     iters.qp_active_set_rounds = 7;
     iters.qp_cg_iterations = 42;
@@ -215,6 +215,66 @@ TEST(EngineMetricsGolden, ToJsonStructureAndRoundTrip) {
     ASSERT_TRUE(pretty.has_value());
     EXPECT_EQ(pretty->find("methods")->find("fanout")->find("runs")->as_int(),
               6);
+}
+
+// The export's key paths (objects only, not array items), in order:
+// dashboards and BENCH readers key on these names, so the list is
+// pinned whatever cells the metrics are read from.
+void collect_key_paths(const obs::Json& j, const std::string& prefix,
+                       std::vector<std::string>& out) {
+    for (const auto& [key, value] : j.members()) {
+        const std::string path = prefix.empty() ? key : prefix + "." + key;
+        out.push_back(path);
+        if (value.is_object()) collect_key_paths(value, path, out);
+    }
+}
+
+TEST(EngineMetricsGolden, ToJsonKeyPathsAreStable) {
+    EngineMetrics m;
+    MethodStats& fanout = m.methods[Method::fanout];
+    fanout.latency.record(0.002);
+    fanout.mre_sum.store(0.5);
+    fanout.mre_count.store(1);
+    fanout.last_mre.store(0.5);
+    obs::SolverCounters iters;
+    iters.qp_cg_iterations = 3;
+    fanout.solver.add(iters);
+
+    std::vector<std::string> paths;
+    collect_key_paths(m.to_json(), "", paths);
+    const std::vector<std::string> expected = {
+        "samples_ingested", "gap_samples", "windows_run", "window_flushes",
+        "epoch_changes", "epoch_cache", "epoch_cache.hits",
+        "epoch_cache.misses", "epoch_cache.evictions",
+        "epoch_cache.collisions", "epoch_cache.hit_rate", "total_seconds",
+        "last_window_seconds", "window_latency", "window_latency.count",
+        "window_latency.mean_s", "window_latency.p50_s",
+        "window_latency.p95_s", "window_latency.p99_s",
+        "window_latency.max_s", "epoch_build_latency",
+        "epoch_build_latency.count", "epoch_build_latency.mean_s",
+        "epoch_build_latency.p50_s", "epoch_build_latency.p95_s",
+        "epoch_build_latency.p99_s", "epoch_build_latency.max_s",
+        "mre_skipped_runs", "capped_runs", "kernel_regions",
+        "kernel_regions_shared", "kernel_helper_blocks", "degradation",
+        "degradation.degraded_runs", "degradation.stale_runs",
+        "degradation.failed_runs", "degradation.budget_exhausted_runs",
+        "degradation.corrupt_samples", "degradation.routing_faults",
+        "degradation.records_dropped", "degradation.records", "methods",
+        "methods.fanout", "methods.fanout.runs", "methods.fanout.warm_runs",
+        "methods.fanout.warm_accepted_runs", "methods.fanout.mean_seconds",
+        "methods.fanout.last_seconds", "methods.fanout.max_seconds",
+        "methods.fanout.latency", "methods.fanout.latency.count",
+        "methods.fanout.latency.mean_s", "methods.fanout.latency.p50_s",
+        "methods.fanout.latency.p95_s", "methods.fanout.latency.p99_s",
+        "methods.fanout.latency.max_s", "methods.fanout.latency.min_s",
+        "methods.fanout.solver", "methods.fanout.solver.qp_cg_iterations",
+        "methods.fanout.mean_mre", "methods.fanout.last_mre",
+        "methods.fanout.degraded_runs", "methods.fanout.stale_runs",
+        "methods.fanout.failed_runs", "methods.fanout.fallback_runs",
+        "methods.fanout.budget_exhausted_runs",
+        "methods.fanout.capped_runs",
+    };
+    EXPECT_EQ(paths, expected);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // on Europe and USA days with a mid-day reroute, with exactly the
 // inline warm-run pattern (no stale seeding across the reroute);
 // cold Vardi and fanout estimates are bitwise the batch estimators';
-// windows come back in submission order; and a window with a failed
+// windows come back in ingest order; and a window with a failed
 // stage is neither counted nor published, inline and pooled.
 #include "engine/engine.hpp"
 
@@ -131,7 +131,7 @@ TEST(EnginePipeline, PooledEnginesMatchInlineEngineWithMidDayReroute) {
             for (const auto& [method, stats] : serial.metrics().methods) {
                 const auto it = engine.metrics().methods.find(method);
                 ASSERT_NE(it, engine.metrics().methods.end());
-                EXPECT_EQ(it->second.runs.load(), stats.runs.load())
+                EXPECT_EQ(it->second.runs(), stats.runs())
                     << method_name(method) << " " << threads << " threads";
                 EXPECT_EQ(it->second.warm_runs.load(),
                           stats.warm_runs.load())
@@ -227,7 +227,7 @@ TEST(EnginePipeline, ColdSeriesEstimatesAreBitwiseTheBatchEstimators) {
     }
 }
 
-TEST(EnginePipeline, PooledWindowsArriveInSubmissionOrder) {
+TEST(EnginePipeline, PooledWindowsArriveInIngestOrder) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 40);
     OnlineEngine engine(sc.topo, sc.routing, all_method_config(2));
@@ -241,38 +241,34 @@ TEST(EnginePipeline, PooledWindowsArriveInSubmissionOrder) {
 TEST(EnginePipeline, SetRoutingToContentIdenticalCopyKeepsTheWindow) {
     // Swapping to a new, content-identical routing object keeps the
     // epoch and the window, and rebinds the window off the old object:
-    // the caller may free it once the next submit has returned.
+    // the caller may free it once the next ingest has returned.
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 16);
     EngineConfig config = all_method_config(2);
     config.methods = {Method::gravity, Method::bayesian, Method::fanout};
     OnlineEngine engine(sc.topo, sc.routing, config);
     for (std::size_t k = 0; k < 8; ++k) {
-        engine.submit(k, sc.loads[k]);
+        engine.ingest(k, sc.loads[k]);
     }
     {
         // Content-identical copy in a fresh object, as a caller
         // replacing its matrix would produce.
         const linalg::SparseMatrix copy = sc.routing;
         engine.set_routing(copy);
-        EXPECT_EQ(engine.metrics().windows_run.load(), 8u);
+        EXPECT_EQ(engine.metrics().windows_run(), 8u);
         for (std::size_t k = 8; k < 12; ++k) {
-            engine.submit(k, sc.loads[k]);
+            EXPECT_EQ(engine.ingest(k, sc.loads[k]).window_end_sample, k);
         }
-        const std::vector<WindowResult> results = engine.finish();
-        EXPECT_EQ(results.size(), 12u);
         // Same fingerprint: no epoch change, window kept growing.
         EXPECT_EQ(engine.metrics().epoch_changes.load(), 0u);
         EXPECT_EQ(engine.metrics().window_flushes.load(), 0u);
         // Swap back and rebind the window off `copy` with one more
-        // submit while it is still alive; after that the copy can die.
+        // ingest while it is still alive; after that the copy can die.
         engine.set_routing(sc.routing);
-        engine.submit(12, sc.loads[12]);
-        const std::vector<WindowResult> tail = engine.finish();
-        EXPECT_EQ(tail.size(), 1u);
+        EXPECT_EQ(engine.ingest(12, sc.loads[12]).window_end_sample, 12u);
     }
     EXPECT_EQ(engine.metrics().window_flushes.load(), 0u);
-    EXPECT_EQ(engine.metrics().windows_run.load(), 13u);
+    EXPECT_EQ(engine.metrics().windows_run(), 13u);
 }
 
 TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
@@ -287,11 +283,10 @@ TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
     config.methods = {Method::vardi, Method::fanout};
     config.threads = 2;
     OnlineEngine engine(sc.topo, sc.routing, config);
+    std::vector<WindowResult> results;
     for (std::size_t k = 0; k < sc.loads.size(); ++k) {
-        engine.submit(k, sc.loads[k]);
+        results.push_back(engine.ingest(k, sc.loads[k]));
     }
-    const std::vector<WindowResult> results = engine.finish();
-    ASSERT_EQ(results.size(), sc.loads.size());
     for (std::size_t k = 0; k < results.size(); ++k) {
         if (k + 1 < config.min_series_window) {
             EXPECT_TRUE(results[k].runs.empty()) << "window " << k;
@@ -299,40 +294,25 @@ TEST(EnginePipeline, SeriesOnlyConfigCompletesWarmupWindows) {
             EXPECT_EQ(results[k].runs.size(), 2u) << "window " << k;
         }
     }
-    EXPECT_EQ(engine.metrics().windows_run.load(), sc.loads.size());
+    EXPECT_EQ(engine.metrics().windows_run(), sc.loads.size());
 }
 
-TEST(EnginePipeline, ReusableAfterFinishAndValidatesConfig) {
+TEST(EnginePipeline, ValidatesConfig) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 12);
-    EngineConfig config = all_method_config(1);
-    config.methods = {Method::gravity, Method::bayesian};
-    OnlineEngine engine(sc.topo, sc.routing, config);
-    for (std::size_t k = 0; k < 6; ++k) {
-        engine.submit(k, sc.loads[k]);
-    }
-    const std::vector<WindowResult> first = engine.finish();
-    EXPECT_EQ(first.size(), 6u);
-    // finish() clears the buffer; the engine keeps streaming.
-    for (std::size_t k = 6; k < 12; ++k) {
-        engine.submit(k, sc.loads[k]);
-    }
-    const std::vector<WindowResult> second = engine.finish();
-    ASSERT_EQ(second.size(), 6u);
-    EXPECT_EQ(second.front().window_end_sample, 6u);
-    EXPECT_EQ(engine.metrics().windows_run.load(), 12u);
-
-    // Config validation is typed.
-    EngineConfig bad = config;
+    EngineConfig bad = all_method_config(1);
     bad.methods = {Method::gravity, Method::gravity};
+    EXPECT_THROW(OnlineEngine(sc.topo, sc.routing, bad),
+                 SchedulerConfigException);
+    bad.methods = {};
     EXPECT_THROW(OnlineEngine(sc.topo, sc.routing, bad),
                  SchedulerConfigException);
 }
 
 // A stage that throws a non-degradable error (std::invalid_argument
 // from an invalid solver option) fails its window: the window is
-// neither counted nor published, ingest() / finish() rethrow, and the
-// engine keeps streaming — inline and on a pool.
+// neither counted nor published, ingest() rethrows, and the engine
+// keeps streaming — inline and on a pool.
 TEST(EnginePipeline, FailedStageWindowIsNeitherCountedNorPublished) {
     const scenario::Scenario sc =
         day_scenario(scenario::Network::europe, 8);
@@ -351,13 +331,12 @@ TEST(EnginePipeline, FailedStageWindowIsNeitherCountedNorPublished) {
         bad_bayes.method_options.bayesian.regularization = 0.0;
         OnlineEngine failing(sc.topo, sc.routing, bad_bayes);
         failing.set_window_sink(count);
-        EXPECT_THROW(failing.ingest(0, sc.loads[0]),
-                     std::invalid_argument);
-        failing.submit(1, sc.loads[1]);
-        failing.submit(2, sc.loads[2]);
-        EXPECT_THROW(failing.finish(), std::invalid_argument);
+        for (std::size_t k = 0; k < 3; ++k) {
+            EXPECT_THROW(failing.ingest(k, sc.loads[k]),
+                         std::invalid_argument);
+        }
         EXPECT_EQ(published, 0u);
-        EXPECT_EQ(failing.metrics().windows_run.load(), 0u);
+        EXPECT_EQ(failing.metrics().windows_run(), 0u);
         EXPECT_EQ(failing.metrics().samples_ingested.load(), 3u);
 
         // Only windows that reach Vardi fail (min_series_window 2);
@@ -372,25 +351,21 @@ TEST(EnginePipeline, FailedStageWindowIsNeitherCountedNorPublished) {
         EXPECT_THROW(engine.ingest(1, sc.loads[1]),
                      std::invalid_argument);
         EXPECT_EQ(published, 1u);
-        EXPECT_EQ(engine.metrics().windows_run.load(), 1u);
+        EXPECT_EQ(engine.metrics().windows_run(), 1u);
         engine.set_routing(rerouted);
         EXPECT_EQ(engine.ingest(2, sc.loads[2]).runs.size(), 1u);
         EXPECT_EQ(published, 2u);
 
-        engine.submit(3, sc.loads[3]);
-        EXPECT_THROW(engine.finish(), std::invalid_argument);
+        EXPECT_THROW(engine.ingest(3, sc.loads[3]), std::invalid_argument);
         EXPECT_EQ(published, 2u);
-        EXPECT_EQ(engine.metrics().windows_run.load(), 2u);
+        EXPECT_EQ(engine.metrics().windows_run(), 2u);
         engine.set_routing(sc.routing);
-        engine.submit(4, sc.loads[4]);
-        const std::vector<WindowResult> tail = engine.finish();
-        ASSERT_EQ(tail.size(), 1u);
-        EXPECT_EQ(tail[0].window_end_sample, 4u);
+        EXPECT_EQ(engine.ingest(4, sc.loads[4]).window_end_sample, 4u);
         EXPECT_EQ(published, 3u);
-        EXPECT_EQ(engine.metrics().windows_run.load(), 3u);
+        EXPECT_EQ(engine.metrics().windows_run(), 3u);
         const MethodStats& vardi =
             engine.metrics().methods.at(Method::vardi);
-        EXPECT_EQ(vardi.runs.load(), 0u);
+        EXPECT_EQ(vardi.runs(), 0u);
     }
 }
 

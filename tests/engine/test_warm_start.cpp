@@ -234,7 +234,7 @@ TEST(WarmStart, FanoutWarmMatchesColdAcrossMidDayReroute) {
     EXPECT_GT(stats.warm_accepted_runs, 0u);
     // The reroute flushed the warm state, so at least two runs (the
     // first of each epoch) were cold.
-    EXPECT_LE(stats.warm_runs + 2, stats.runs);
+    EXPECT_LE(stats.warm_runs + 2, stats.runs());
 }
 
 TEST(WarmStart, DuplicateMethodsAreRejected) {

@@ -122,7 +122,7 @@ TEST(FaultReplay, SeededScheduleIsolatesFaultsToTargetedJobs) {
         EXPECT_EQ(job->attempts, 1u) << job->name;
         EXPECT_TRUE(job->error.empty()) << job->name;
         EXPECT_EQ(job->windows, kSamples) << job->name;
-        EXPECT_EQ(job->metrics.degraded_runs.load(), 0u) << job->name;
+        EXPECT_EQ(job->metrics.degraded_runs(), 0u) << job->name;
         EXPECT_EQ(job->metrics.corrupt_samples.load(), 0u) << job->name;
     }
     expect_bitwise_equal(clean_a, reference.jobs[0]);
@@ -157,8 +157,8 @@ TEST(FaultReplay, SeededScheduleIsolatesFaultsToTargetedJobs) {
     EXPECT_TRUE(wobbly.completed);
     EXPECT_FALSE(wobbly.quarantined);
     EXPECT_EQ(wobbly.windows, kSamples);
-    EXPECT_GE(wobbly.metrics.degraded_runs.load(), 1u);
-    EXPECT_GE(wobbly.metrics.budget_exhausted_runs.load(), 1u);
+    EXPECT_GE(wobbly.metrics.degraded_runs(), 1u);
+    EXPECT_GE(wobbly.metrics.budget_exhausted_runs(), 1u);
     EXPECT_EQ(wobbly.metrics.corrupt_samples.load(), 1u);
     const obs::Json j = wobbly.metrics.to_json();
     const obs::Json* degr = j.find("degradation");
