@@ -42,7 +42,7 @@
 //
 // Results are also written to BENCH_engine.json (per-method window
 // timings with p50/p95/p99 latency and solver iteration counters,
-// cold/warm speedups, cache hit rate, fleet throughput) so the perf
+// cold/warm speedups, fleet throughput) so the perf
 // trajectory stays machine-readable across PRs.
 #include <chrono>
 #include <cstdio>
@@ -508,7 +508,6 @@ int main(int argc, char** argv) {
     report.set("speedup_warm", naive_seconds / warm_seconds);
     report.set("max_diff_cold", cold_diff);
     report.set("max_diff_warm", warm_diff);
-    report.set("cache_hit_rate", engine_warm.metrics.cache_hit_rate());
     report.set("fanout_warm_speedup", fanout_warm_speedup);
     report.set("fleet_jobs", kFleetJobs);
     report.set("fleet_samples", fleet_samples);

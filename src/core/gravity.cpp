@@ -50,6 +50,10 @@ linalg::Vector gravity_estimate(const SnapshotProblem& problem) {
     return s;
 }
 
+bool has_exiting_traffic(const SnapshotProblem& problem) {
+    return edge_totals(problem).total_exit > 0.0;
+}
+
 linalg::Vector generalized_gravity_estimate(const SnapshotProblem& problem) {
     problem.validate_with_topology();
     const topology::Topology& topo = *problem.topo;

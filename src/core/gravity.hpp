@@ -15,7 +15,12 @@
 namespace tme::core {
 
 /// Simple gravity estimate from a load snapshot (uses only edge rows).
+/// Throws std::invalid_argument when no traffic exits the network.
 linalg::Vector gravity_estimate(const SnapshotProblem& problem);
+
+/// Whether any traffic exits the network in the snapshot — exactly the
+/// condition under which gravity_estimate has an estimate to return.
+bool has_exiting_traffic(const SnapshotProblem& problem);
 
 /// Generalized gravity: demand between two peering PoPs is forced to 0
 /// and the remaining entries are scaled so each source's total entering

@@ -25,11 +25,12 @@
 namespace tme::core {
 
 /// Order-sensitive 64-bit fingerprint of a routing matrix (FNV-1a over
-/// the CSR arrays, dimensions included).  Two matrices with the same
-/// fingerprint are treated as the same routing epoch by the online
-/// engine's caches; any change produced by a reroute (new paths, new
-/// weights, new dimensions) yields a different fingerprint with
-/// overwhelming probability.
+/// the CSR arrays, dimensions included): a compact label for a routing
+/// epoch in reports and traces.  Any change produced by a reroute (new
+/// paths, new weights, new dimensions) yields a different fingerprint
+/// with overwhelming probability; the online engine's epoch cache
+/// nevertheless identifies an epoch by content equality, never by this
+/// label.
 std::uint64_t routing_fingerprint(const linalg::SparseMatrix& routing);
 
 /// One observed routing configuration and its load vector.

@@ -115,50 +115,20 @@ void OnlineEngine::set_routing(const linalg::SparseMatrix& routing) {
             "OnlineEngine::set_routing: routing does not match topology");
     }
     routing_ = &routing;
-}
-
-void OnlineEngine::bind_epoch() {
-    epoch_ = cache_->acquire_shared(*routing_);
-    const RoutingEpoch& epoch = *epoch_;
-    // Epoch identity is the cache serial, not the bare fingerprint: a
-    // fingerprint collision between two distinct routing matrices gets
-    // separate cache entries (structural check) and must ALSO flush
-    // the window here, or samples measured under different routings
-    // would share one estimation problem.  One exception keeps a
-    // shared cache's eviction churn from perturbing this engine: a
-    // fresh serial whose fingerprint AND structure match the bound
-    // epoch is the same routing content rebuilt after an eviction
-    // (another fleet engine's traffic) — the window stays, to the same
-    // collision-risk standard the cache itself applies on a hit.
-    const bool rebuilt_same_content =
-        epoch_bound_ && epoch.fingerprint() == window_epoch_ &&
-        epoch.rows() == window_epoch_rows_ &&
-        epoch.cols() == window_epoch_cols_ &&
-        epoch.nonzeros() == window_epoch_nnz_;
-    if (!epoch_bound_ || (epoch.serial() != window_epoch_serial_ &&
-                          !rebuilt_same_content)) {
-        if (epoch_bound_) {
-            ++metrics_.epoch_changes;
-            if (!window_.empty()) ++metrics_.window_flushes;
-        }
-        // Samples measured under the previous routing cannot be mixed
-        // with the new epoch.
-        flush_window();
-        window_epoch_ = epoch.fingerprint();
-        window_epoch_serial_ = epoch.serial();
-        window_epoch_rows_ = epoch.rows();
-        window_epoch_cols_ = epoch.cols();
-        window_epoch_nnz_ = epoch.nonzeros();
-        epoch_bound_ = true;
-    } else {
-        // Same epoch (possibly rebuilt): track the live serial and keep
-        // the window bound to the caller's current matrix object so it
-        // never dangles on one the caller has replaced and may free.
-        window_epoch_serial_ = epoch.serial();
-        if (window_.series().routing != routing_) {
-            window_.rebind_routing(routing_);
-        }
+    if (epoch_ != nullptr && epoch_->routing() == routing) {
+        // Same epoch: keep the window, bound to the caller's current
+        // object so it never dangles on one the caller may free.
+        window_.rebind_routing(routing_);
+        return;
     }
+    if (epoch_ != nullptr) {
+        ++metrics_.epoch_changes;
+        if (!window_.empty()) ++metrics_.window_flushes;
+        epoch_.reset();
+    }
+    // Samples measured under the previous routing cannot be mixed with
+    // the new epoch.
+    flush_window();
 }
 
 WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
@@ -172,7 +142,7 @@ WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
     if (fault::should_inject(fault::FaultSite::alloc_failure, "ingest")) {
         throw std::bad_alloc();
     }
-    bind_epoch();
+    if (epoch_ == nullptr) epoch_ = cache_->acquire_shared(*routing_);
 
     // Injected routing inconsistency: the capture would mix samples
     // measured under different routings, which is exactly the epoch
@@ -188,13 +158,6 @@ WindowResult OnlineEngine::ingest(std::size_t sample, linalg::Vector loads,
     window_.push(sample, std::move(loads), gap);
     ++metrics_.samples_ingested;
     if (gap) ++metrics_.gap_samples;
-    metrics_.cache_hits = cache_->hits();
-    metrics_.cache_misses = cache_->misses();
-    metrics_.cache_evictions = cache_->evictions();
-    metrics_.cache_collisions = cache_->collisions();
-    // Shared-cache caveat: under a fleet these are the build times
-    // every engine triggered, not just this one's.
-    metrics_.epoch_build_latency = cache_->build_latency();
 
     WindowJob job;
     job.start = Clock::now();
@@ -271,6 +234,13 @@ WindowResult OnlineEngine::finalize(WindowJob& job) {
     result.epoch_fingerprint = job.ctx.epoch->fingerprint();
     result.seconds = seconds_since(job.start);
     record_kernel_stats(metrics_, pool_.kernel_stats());
+    // Mirrored after the stages, which build the epoch's derived data
+    // lazily.  Shared-cache caveat: under a fleet these are every
+    // engine's acquires and builds, not just this one's.
+    metrics_.cache_hits = cache_->hits();
+    metrics_.cache_misses = cache_->misses();
+    metrics_.cache_evictions = cache_->evictions();
+    metrics_.epoch_build_latency = cache_->build_latency();
     // A window with a failed stage is neither scored, counted nor
     // published; its first failure is rethrown to the caller.
     for (const std::exception_ptr& error : job.errors) {

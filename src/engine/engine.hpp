@@ -7,15 +7,17 @@
 // into a ring-buffered sliding window, and re-estimated per window by a
 // configurable set of methods running on a small thread pool.  Derived
 // data that depends only on the routing matrix lives in a routing-epoch
-// cache and is invalidated exactly when a route change produces a new
-// R; the sliding window is flushed at the same moment, because samples
-// measured under different routing cannot share one estimation problem.
+// cache, one epoch per distinct routing content.  Whether a routing is
+// new is decided once per announcement, in set_routing(): a matrix
+// whose content differs from the pinned epoch's unpins the epoch and
+// flushes the sliding window at once, because samples measured under
+// different routing cannot share one estimation problem.
 //
-//   telemetry ──────> ingest ───────> SlidingWindow ───┐
-//                                                      ├─> WindowContext
-//   route_change ──> set_routing ──> RoutingEpochCache ┘         │
-//                                                                v
-//   sink <── WindowResult <──── per-method stages on the pool ────┘
+//   telemetry ──────> ingest ───────> SlidingWindow ─────────┐
+//                                                            ├─> WindowContext
+//   route_change ──> set_routing ──> pinned RoutingEpoch ────┘         │
+//                    (content ==)    (acquired when unpinned)          v
+//   sink <── WindowResult <──── per-method stages on the pool ─────────┘
 //                 └──> EngineMetrics
 //
 // One window at a time: ingest() snapshots the window into an
@@ -29,10 +31,11 @@
 // routing fault) clears every method's warm slot, so the first window
 // after a reroute always cold-starts.
 //
-// The routing epoch is pinned (shared_ptr) by the window being solved,
-// so epoch-cache evictions — including those triggered by *other*
-// engines sharing the cache in a fleet — can never destroy derived
-// data a stage is still reading.
+// The engine pins its routing epoch (shared_ptr) from the first sample
+// under a routing until the next routing change, and never re-acquires
+// it in between: epoch-cache evictions — including those triggered by
+// *other* engines sharing the cache in a fleet — can neither destroy
+// derived data a stage is still reading nor read as a routing change.
 #pragma once
 
 #include <array>
@@ -90,13 +93,16 @@ class OnlineEngine {
     OnlineEngine(const OnlineEngine&) = delete;
     OnlineEngine& operator=(const OnlineEngine&) = delete;
 
-    /// Signals a routing change: subsequent samples are interpreted
-    /// under `routing`.  The window flush and cache (in)validation
-    /// happen on the next ingest, driven by the content fingerprint —
-    /// re-announcing a content-identical matrix keeps the epoch (and
-    /// window) alive, merely rebinding internal pointers to the new
-    /// object.  No window is being solved between calls, so the caller
-    /// may free the previous object once this returns.
+    /// Announces the routing that subsequent samples are measured
+    /// under; it must outlive its use, as the constructor's does.  The
+    /// matrix is compared with the pinned epoch's copy: equal content
+    /// keeps the epoch and the window, which is rebound to the new
+    /// object before this returns; different content (or no epoch
+    /// pinned yet) unpins the epoch and flushes the window and the
+    /// warm-start slots, counting an epoch change when an epoch was
+    /// pinned.  The next ingest acquires the new epoch from the cache.
+    /// No window is being solved between calls, so the caller may free
+    /// the previous object once this returns.
     void set_routing(const linalg::SparseMatrix& routing);
 
     const linalg::SparseMatrix& routing() const { return *routing_; }
@@ -150,7 +156,11 @@ class OnlineEngine {
     const std::shared_ptr<RoutingEpochCache>& cache() const {
         return cache_;
     }
-    std::uint64_t current_epoch() const { return window_epoch_; }
+    /// Fingerprint of the pinned epoch; 0 before the first sample under
+    /// the current routing.
+    std::uint64_t current_epoch() const {
+        return epoch_ != nullptr ? epoch_->fingerprint() : 0;
+    }
 
   private:
     struct WindowJob;
@@ -167,7 +177,6 @@ class OnlineEngine {
         FallbackState last_good;
     };
 
-    void bind_epoch();
     void flush_window();
     void run_stage(WindowJob& job, std::size_t method_index);
     WindowResult finalize(WindowJob& job);
@@ -179,23 +188,16 @@ class OnlineEngine {
     const linalg::SparseMatrix* routing_;
     EngineConfig config_;
     std::shared_ptr<RoutingEpochCache> cache_;
-    /// Pins the bound epoch so a shared cache serving other engines can
-    /// never destroy it under this engine's feet.
+    /// The epoch of routing_, pinned from the first sample under it
+    /// until set_routing() announces different content; null in
+    /// between.  A shared cache serving other engines can never
+    /// destroy it under this engine's feet.
     std::shared_ptr<const RoutingEpoch> epoch_;
     SlidingWindow window_;
     EngineMetrics metrics_;
     TruthProvider truth_;
     WindowSink sink_;
 
-    std::uint64_t window_epoch_ = 0;         ///< fingerprint (reporting)
-    std::uint64_t window_epoch_serial_ = 0;  ///< cache-unique identity
-    /// Structure of the bound epoch's routing, so a shared cache's
-    /// eviction-rebuild (same content, fresh serial) is recognized and
-    /// does not flush the window.
-    std::size_t window_epoch_rows_ = 0;
-    std::size_t window_epoch_cols_ = 0;
-    std::size_t window_epoch_nnz_ = 0;
-    bool epoch_bound_ = false;  ///< window_epoch_* hold a real epoch
     std::size_t next_ordinal_ = 0;
 
     std::array<MethodState, method_count> method_states_;

@@ -17,9 +17,6 @@ RoutingEpoch::RoutingEpoch(std::uint64_t fingerprint, std::uint64_t serial,
                                build_latency)
     : fingerprint_(fingerprint),
       serial_(serial),
-      rows_(routing.rows()),
-      cols_(routing.cols()),
-      nonzeros_(routing.nonzeros()),
       routing_(routing),
       derived_(std::make_unique<Derived>()),
       build_latency_(std::move(build_latency)) {}
@@ -53,7 +50,7 @@ bool RoutingEpoch::routing_transpose_built() const {
 
 const core::FanoutConstraints& RoutingEpoch::fanout_constraints(
     const topology::Topology& topo) const {
-    if (topo.pair_count() != cols_) {
+    if (topo.pair_count() != routing_.cols()) {
         throw std::invalid_argument(
             "RoutingEpoch::fanout_constraints: topology does not match "
             "the routing matrix");
@@ -82,16 +79,10 @@ std::size_t RoutingEpoch::derived_builds() const {
     return derived_->builds;
 }
 
-RoutingEpochCache::RoutingEpochCache(std::size_t capacity,
-                                     Fingerprint fingerprint)
-    : capacity_(capacity), fingerprint_(std::move(fingerprint)) {
+RoutingEpochCache::RoutingEpochCache(std::size_t capacity)
+    : capacity_(capacity) {
     if (capacity_ == 0) {
         throw std::invalid_argument("RoutingEpochCache: zero capacity");
-    }
-    if (!fingerprint_) {
-        fingerprint_ = [](const linalg::SparseMatrix& routing) {
-            return core::routing_fingerprint(routing);
-        };
     }
 }
 
@@ -102,25 +93,15 @@ std::size_t RoutingEpochCache::size() const {
 
 std::shared_ptr<const RoutingEpoch> RoutingEpochCache::acquire_shared(
     const linalg::SparseMatrix& routing) {
-    // The fingerprint is a pure function of the matrix content; compute
-    // it outside the lock so concurrent engines only serialize on the
-    // LRU bookkeeping (a miss only copies the CSR arrays — all derived
-    // data builds lazily under the epoch's own double-checked lock,
-    // exactly once per epoch).
-    const std::uint64_t fp = fingerprint_(routing);
+    // Engines acquire only when their routing changes, so comparing
+    // content under the lock costs O(nnz) per announcement; a miss only
+    // copies and fingerprints the CSR arrays — all derived data builds
+    // lazily under the epoch's own double-checked lock, exactly once
+    // per epoch.
     obs::Span span("cache/acquire");
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if ((*it)->fingerprint() != fp) continue;
-        // A 64-bit fingerprint can collide; serving a colliding entry
-        // would hand the wrong derived data to every solver.  Cheap structural
-        // identity gates the hit; a mismatch falls through to a miss.
-        if ((*it)->rows() != routing.rows() ||
-            (*it)->cols() != routing.cols() ||
-            (*it)->nonzeros() != routing.nonzeros()) {
-            collisions_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
+        if ((*it)->routing() != routing) continue;
         hits_.fetch_add(1, std::memory_order_relaxed);
         span.arg("hit", 1);
         entries_.splice(entries_.begin(), entries_, it);
@@ -129,7 +110,8 @@ std::shared_ptr<const RoutingEpoch> RoutingEpochCache::acquire_shared(
     misses_.fetch_add(1, std::memory_order_relaxed);
     span.arg("hit", 0);
     entries_.push_front(std::make_shared<RoutingEpoch>(
-        fp, ++next_serial_, routing, build_latency_));
+        core::routing_fingerprint(routing), ++next_serial_, routing,
+        build_latency_));
     while (entries_.size() > capacity_) {
         entries_.pop_back();  // pinned holders keep the epoch alive
         evictions_.fetch_add(1, std::memory_order_relaxed);

@@ -1,24 +1,26 @@
-// Routing-epoch cache: per-routing-matrix precomputations keyed by the
-// content fingerprint of R.
+// Routing-epoch cache: per-routing-matrix precomputations, one epoch
+// per distinct routing content.
 //
 // A backbone's routing matrix is piecewise constant in time — it changes
 // only when the IGP reconverges or an operator reroutes LSPs — while
 // load samples arrive every five minutes.  Everything derived purely
-// from R is therefore cached per epoch and invalidated *exactly* when a
-// route change produces a matrix with a different fingerprint.  The
-// derived data — the routing transpose R' (the input of every Gram-free
-// estimator: Bayesian, Vardi, fanout) and the fanout equality-constraint
-// structure — is built lazily on first use and dies with the epoch.
-// Neither is quadratic in the pair count: no pairs x pairs Gram, dense
-// or CSR, is ever cached.  A small LRU keeps
-// the last few epochs alive so routing flaps that revert to a previous
-// configuration hit the cache again.
+// from R is therefore cached per epoch.  An epoch is identified by its
+// content: acquire_shared() compares the matrix with each cached
+// epoch's own CSR copy (SparseMatrix::operator==), so two routings that
+// differ in any entry never share an epoch, whatever their shape or
+// fingerprint.  The 64-bit fingerprint is computed once, when an epoch
+// is built, and only labels it in reports.  The derived data — the
+// routing transpose R' (the input of every Gram-free estimator:
+// Bayesian, Vardi, fanout) and the fanout equality-constraint structure
+// — is built lazily on first use and dies with the epoch.  Neither is
+// quadratic in the pair count: no pairs x pairs Gram, dense or CSR, is
+// ever cached.  A small LRU keeps the last few epochs alive so routing
+// flaps that revert to a previous configuration hit the cache again.
 //
-// Fingerprints are 64-bit, so distinct routing matrices could in
-// principle collide; acquire() therefore verifies cheap structural
-// identity (rows / cols / nonzero count) on every fingerprint hit and
-// treats a mismatch as a miss, so a collision can never silently serve
-// the wrong derived data.
+// The online engine acquires only when the routing changes (its first
+// sample, and its first sample after a reroute) and pins the epoch
+// until the next change, so the cache's hit and miss counters count
+// routing announcements, not samples.
 //
 // Thread-safety: one cache may be shared by a whole fleet of engines on
 // the same topology.  acquire_shared() is safe to call concurrently
@@ -33,7 +35,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -48,7 +49,7 @@ namespace tme::engine {
 /// Cached derived data for one routing configuration.  The epoch keeps
 /// a private CSR *copy* of the matrix it was built from (cheap — the
 /// nonzeros only), never a pointer — callers may destroy their matrix
-/// the moment acquire() returns.
+/// the moment acquire_shared() returns.
 class RoutingEpoch {
   public:
     /// `build_latency` (optional) receives one sample per lazy derived-
@@ -61,18 +62,14 @@ class RoutingEpoch {
 
     std::uint64_t fingerprint() const { return fingerprint_; }
 
-    /// Cache-unique identity of this epoch.  Two epochs built from
-    /// distinct matrices always have distinct serials even when their
-    /// 64-bit fingerprints collide — compare serials, not
-    /// fingerprints, to decide whether "the epoch changed".
+    /// Build order of this epoch within its cache (1, 2, ...): a
+    /// rebuild after eviction gets a fresh serial.  The engine does not
+    /// read it; perfbench/src/traced.cpp:143 does, to tell when its
+    /// traced replay must flush its window.
     std::uint64_t serial() const { return serial_; }
 
-    /// Structural identity of the source matrix (collision screening).
-    std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
-    std::size_t nonzeros() const { return nonzeros_; }
-
-    /// The epoch's own immutable copy of the routing matrix.
+    /// The epoch's own immutable copy of the routing matrix — the
+    /// epoch's identity (compare it with operator==).
     const linalg::SparseMatrix& routing() const { return routing_; }
 
     /// CSR transpose R' of the routing matrix, built lazily on first
@@ -118,9 +115,6 @@ class RoutingEpoch {
 
     std::uint64_t fingerprint_ = 0;
     std::uint64_t serial_ = 0;
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    std::size_t nonzeros_ = 0;
     linalg::SparseMatrix routing_;
     std::unique_ptr<Derived> derived_;
     std::shared_ptr<obs::LatencyHistogram> build_latency_;
@@ -128,32 +122,17 @@ class RoutingEpoch {
 
 class RoutingEpochCache {
   public:
-    /// Content fingerprint function, injectable for collision tests;
-    /// defaults to core::routing_fingerprint.
-    using Fingerprint =
-        std::function<std::uint64_t(const linalg::SparseMatrix&)>;
+    explicit RoutingEpochCache(std::size_t capacity = 4);
 
-    explicit RoutingEpochCache(std::size_t capacity = 4,
-                               Fingerprint fingerprint = {});
-
-    /// Returns the epoch for `routing`, building it on a miss.  A
-    /// fingerprint hit additionally requires structural identity
-    /// (rows/cols/nnz); a colliding entry is left in place and a fresh
-    /// epoch is built.  The returned pointer pins the epoch: it stays
-    /// valid after eviction for as long as the caller holds it, so
-    /// in-flight windows and fleet engines can never observe a
-    /// destroyed epoch.  No pointer to `routing` is retained past this
-    /// call.  Safe to call concurrently from many engines.
+    /// Returns the epoch whose routing equals `routing` entry for
+    /// entry, building it (and fingerprinting it) on a miss.  The
+    /// returned pointer pins the epoch: it stays valid after eviction
+    /// for as long as the caller holds it, so in-flight windows and
+    /// fleet engines can never observe a destroyed epoch.  No pointer
+    /// to `routing` is retained past this call.  Safe to call
+    /// concurrently from many engines.
     std::shared_ptr<const RoutingEpoch> acquire_shared(
         const linalg::SparseMatrix& routing);
-
-    /// Reference-returning convenience for single-threaded callers; the
-    /// reference stays valid until `capacity` further distinct epochs
-    /// have been acquired (at which point the entry is evicted and, if
-    /// unpinned, destroyed).
-    const RoutingEpoch& acquire(const linalg::SparseMatrix& routing) {
-        return *acquire_shared(routing);
-    }
 
     std::size_t capacity() const { return capacity_; }
     std::size_t size() const;
@@ -166,10 +145,6 @@ class RoutingEpochCache {
     std::size_t evictions() const {
         return evictions_.load(std::memory_order_relaxed);
     }
-    /// Fingerprint hits rejected by the structural-identity check.
-    std::size_t collisions() const {
-        return collisions_.load(std::memory_order_relaxed);
-    }
 
     /// Derived-data build times across every epoch this cache created
     /// (a shared cache aggregates the whole fleet's builds).
@@ -179,7 +154,6 @@ class RoutingEpochCache {
 
   private:
     std::size_t capacity_;
-    Fingerprint fingerprint_;
     mutable std::mutex mutex_;  ///< guards entries_ and next_serial_
     std::uint64_t next_serial_ = 0;
     /// Most recently used first.  shared_ptr entries so a concurrent
@@ -189,7 +163,6 @@ class RoutingEpochCache {
     std::atomic<std::size_t> hits_{0};
     std::atomic<std::size_t> misses_{0};
     std::atomic<std::size_t> evictions_{0};
-    std::atomic<std::size_t> collisions_{0};
     /// shared_ptr so epochs pinned past the cache's lifetime can still
     /// record their late lazy builds safely.
     std::shared_ptr<obs::LatencyHistogram> build_latency_ =

@@ -24,9 +24,8 @@ std::string FleetReport::summary() const {
     out += line;
     std::snprintf(line, sizeof(line),
                   "shared epoch cache: %zu hits, %zu misses, %zu "
-                  "evictions, %zu collisions\n",
-                  cache_hits, cache_misses, cache_evictions,
-                  cache_collisions);
+                  "evictions\n",
+                  cache_hits, cache_misses, cache_evictions);
     out += line;
     for (const FleetJobReport& job : jobs) {
         if (job.quarantined) {
@@ -160,7 +159,6 @@ FleetReport FleetDriver::run(const std::vector<FleetJob>& jobs) {
     report.cache_hits = cache_->hits();
     report.cache_misses = cache_->misses();
     report.cache_evictions = cache_->evictions();
-    report.cache_collisions = cache_->collisions();
     return report;
 }
 

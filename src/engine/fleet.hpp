@@ -103,7 +103,6 @@ struct FleetReport {
     std::size_t cache_hits = 0;
     std::size_t cache_misses = 0;
     std::size_t cache_evictions = 0;
-    std::size_t cache_collisions = 0;
 
     /// Aggregate window throughput: windows completed per wall second
     /// across the whole fleet.

@@ -61,9 +61,9 @@ std::string EngineMetrics::summary() const {
     out += line;
     std::snprintf(line, sizeof(line),
                   "epoch cache: hit rate %.3f (%zu hits, %zu misses, "
-                  "%zu evictions, %zu collisions)\n",
+                  "%zu evictions)\n",
                   cache_hit_rate(), cache_hits.load(), cache_misses.load(),
-                  cache_evictions.load(), cache_collisions.load());
+                  cache_evictions.load());
     out += line;
     const obs::HistogramSnapshot window = window_latency.snapshot();
     std::snprintf(line, sizeof(line),
@@ -135,8 +135,6 @@ obs::Json EngineMetrics::to_json() const {
     cache.set("hits", static_cast<long long>(cache_hits.load()));
     cache.set("misses", static_cast<long long>(cache_misses.load()));
     cache.set("evictions", static_cast<long long>(cache_evictions.load()));
-    cache.set("collisions",
-              static_cast<long long>(cache_collisions.load()));
     cache.set("hit_rate", cache_hit_rate());
     j.set("epoch_cache", std::move(cache));
 

@@ -168,16 +168,18 @@ struct EngineMetrics {
     MetricCell<std::size_t> samples_ingested;
     MetricCell<std::size_t> gap_samples;   ///< samples flagged as interpolated
     MetricCell<std::size_t> window_flushes;  ///< windows dropped on epoch change
-    MetricCell<std::size_t> epoch_changes;   ///< routing fingerprint transitions
-    /// Epoch-cache statistics.  NOTE: these snapshot the engine's
+    /// set_routing() announcements whose content differed from the
+    /// pinned epoch's routing.
+    MetricCell<std::size_t> epoch_changes;
+    /// Epoch-cache statistics, refreshed after every window's stages.
+    /// The engine acquires only at routing changes, so these count
+    /// routing changes, not samples.  NOTE: they snapshot the engine's
     /// cache, which under a fleet is the SHARED cache — they are then
     /// fleet-wide totals, not this engine's share (FleetReport carries
     /// the authoritative shared numbers once).
     MetricCell<std::size_t> cache_hits;
     MetricCell<std::size_t> cache_misses;
     MetricCell<std::size_t> cache_evictions;
-    /// Fingerprint hits rejected by the structural-identity check.
-    MetricCell<std::size_t> cache_collisions;
     /// Method runs skipped by MRE scoring because the truth reference
     /// carried no traffic at all (all-quiet window).
     MetricCell<std::size_t> mre_skipped_runs;
@@ -226,6 +228,8 @@ struct EngineMetrics {
         return sum_methods(&MethodStats::capped_runs);
     }
 
+    /// Share of the cache's acquires — made at routing changes — that
+    /// found their epoch cached.
     double cache_hit_rate() const {
         const std::size_t h = cache_hits.load();
         const std::size_t total = h + cache_misses.load();

@@ -88,13 +88,13 @@ WindowContext WindowContext::capture(
     }
     // The snapshot must be built against the epoch it pins: a stale or
     // mismatched epoch would hand every method of this window derived
-    // data (Gram, constraints) for a different routing matrix.
+    // data (transpose, constraints) for a different routing matrix.
+    // Content equality is the epoch identity the cache and the engine
+    // use; it costs O(nnz), so only the expensive tier checks it.
     TME_CONTRACT(epoch != nullptr, "WindowContext::capture: null epoch");
-    TME_CONTRACT(epoch->rows() == window.series().routing->rows() &&
-                     epoch->cols() == window.series().routing->cols() &&
-                     epoch->nonzeros() == window.series().routing->nonzeros(),
-                 "WindowContext::capture: pinned epoch does not match the "
-                 "window's routing matrix");
+    TME_CONTRACT_DBG(epoch->routing() == *window.series().routing,
+                     "WindowContext::capture: pinned epoch does not match "
+                     "the window's routing matrix");
     obs::Span span("window/capture", "ordinal",
                    static_cast<long long>(ordinal));
     WindowContext ctx;
@@ -115,16 +115,15 @@ WindowContext WindowContext::capture(
     bool need_vardi = false;
     bool need_fanout = false;
     for (Method m : methods) {
-        if (m == Method::gravity || m == Method::kruithof ||
-            m == Method::entropy || m == Method::bayesian) {
-            need_prior = true;
-        }
+        if (!is_series_method(m)) need_prior = true;
         if (m == Method::vardi && ctx.run_series) need_vardi = true;
         if (m == Method::fanout && ctx.run_series) need_fanout = true;
     }
 
-    // Gravity prior, shared by Kruithof / entropy / Bayesian.
-    if (need_prior) {
+    // Gravity prior, shared by Kruithof / entropy / Bayesian.  A sample
+    // without exiting traffic (a fully dropped poll) has none; it stays
+    // empty and the prior-consuming runs degrade (execute_method).
+    if (need_prior && core::has_exiting_traffic(ctx.latest)) {
         const Clock::time_point prior_start = Clock::now();
         ctx.prior = core::gravity_estimate(ctx.latest);
         ctx.prior_seconds = seconds_since(prior_start);
@@ -179,6 +178,11 @@ MethodExecution execute_method(Method m, const WindowContext& ctx,
     if (fault::should_inject(fault::FaultSite::alloc_failure,
                              method_name(m))) {
         throw std::bad_alloc();
+    }
+    // Every snapshot method starts from the gravity prior.
+    if (!is_series_method(m) && ctx.prior.empty()) {
+        throw std::runtime_error(
+            "no gravity prior: the sample carries no exiting traffic");
     }
     if (m == Method::gravity) {
         run.estimate = ctx.prior;
@@ -433,12 +437,13 @@ MethodExecution execute_method_guarded(Method m, const WindowContext& ctx,
         }
     }
     // Terminal method fallback: the gravity prior (already computed in
-    // capture for most schedules; recomputed here when it was not).
+    // capture for most schedules; recomputed here when it was not, and
+    // absent when the sample carries no exiting traffic).
     if (!served) {
         linalg::Vector prior_estimate;
         if (ctx.prior.size() == pairs) {
             prior_estimate = ctx.prior;
-        } else {
+        } else if (core::has_exiting_traffic(ctx.latest)) {
             try {
                 prior_estimate = core::gravity_estimate(ctx.latest);
             } catch (...) {

@@ -192,7 +192,9 @@ struct WindowContext {
     std::shared_ptr<const RoutingEpoch> epoch;
     core::SeriesProblem series;       ///< owned copy of the window loads
     core::SnapshotProblem latest;     ///< newest sample
-    linalg::Vector prior;             ///< gravity prior (empty if unused)
+    /// Gravity prior; empty when no snapshot method is scheduled or
+    /// the newest sample carries no exiting traffic.
+    linalg::Vector prior;
     double prior_seconds = 0.0;
     /// Window aggregates, computed from `series` by the functions the
     /// estimators call when none are supplied (linalg::sample_mean,
@@ -260,8 +262,9 @@ struct FallbackState {
 ///  * clean solve                      -> exact (last_good updated);
 ///  * SolveBudget cut the solve        -> degraded, best feasible
 ///                                        iterate kept;
-///  * solver threw (ContractViolation, bad_alloc, runtime_error) or
-///    produced a non-finite/negative estimate -> fallback chain
+///  * solver threw (ContractViolation, bad_alloc, runtime_error), its
+///    gravity prior is missing (no exiting traffic in the sample), or
+///    it produced a non-finite/negative estimate -> fallback chain
 ///    (fanout -> bayesian -> gravity prior; others -> gravity prior),
 ///    degraded;
 ///  * whole chain failed               -> last_good carry-forward,

@@ -100,6 +100,9 @@ class SparseMatrix {
                 values_.data()};
     }
 
+    /// Content equality: same shape, same CSR arrays, equal values.
+    bool operator==(const SparseMatrix&) const = default;
+
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

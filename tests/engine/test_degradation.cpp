@@ -425,5 +425,52 @@ TEST(Degradation, MissingDataWindowsRunAllMethodsFlaggedAsGaps) {
     EXPECT_EQ(metrics.failed_runs(), 0u);
 }
 
+// A fully dropped poll (every load zero — what the measurement_drop
+// fault injects) has no exiting traffic and hence no gravity prior.
+// The window is still served: every snapshot method is labelled with
+// the reason and carried forward stale, the series methods stay exact,
+// and the next sample is exact again.
+TEST(Degradation, DroppedPollIsServedLabelledAndRecovers) {
+    const scenario::Scenario sc = short_scenario(6);
+    EngineConfig default_schedule;
+    default_schedule.window_size = 3;
+    default_schedule.min_series_window = 2;
+    constexpr std::size_t kDropped = 3;
+    for (const EngineConfig& config :
+         {default_schedule, all_methods_config(3)}) {
+        OnlineEngine engine(sc.topo, sc.routing, config);
+        for (std::size_t k = 0; k < sc.loads.size(); ++k) {
+            linalg::Vector loads = sc.loads[k];
+            if (k == kDropped) loads.assign(loads.size(), 0.0);
+            WindowResult result;
+            ASSERT_NO_THROW(result = engine.ingest(k, std::move(loads)))
+                << "sample " << k;
+            for (const MethodRun& run : result.runs) {
+                const char* name = method_name(run.method);
+                ASSERT_EQ(run.estimate.size(), sc.topo.pair_count());
+                for (double v : run.estimate) {
+                    ASSERT_TRUE(std::isfinite(v) && v >= 0.0) << name;
+                }
+                if (k != kDropped || is_series_method(run.method)) {
+                    EXPECT_EQ(run.quality, EstimateQuality::exact)
+                        << "sample " << k << " " << name;
+                    continue;
+                }
+                EXPECT_EQ(run.quality, EstimateQuality::stale) << name;
+                EXPECT_EQ(run.stale_age, 1u) << name;
+                EXPECT_NE(run.degradation_reason.find("exiting traffic"),
+                          std::string::npos)
+                    << name << ": " << run.degradation_reason;
+            }
+        }
+        std::size_t snapshot_methods = 0;
+        for (Method m : config.methods) {
+            if (!is_series_method(m)) ++snapshot_methods;
+        }
+        EXPECT_EQ(engine.metrics().windows_run(), sc.loads.size());
+        EXPECT_EQ(engine.metrics().stale_runs(), snapshot_methods);
+    }
+}
+
 }  // namespace
 }  // namespace tme::engine

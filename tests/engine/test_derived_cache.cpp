@@ -1,5 +1,5 @@
 // Per-epoch derived data: lazy builds, memoization, eviction semantics,
-// and fingerprint-collision handling of the routing-epoch cache.
+// and content identity of the routing-epoch cache.
 #include <gtest/gtest.h>
 
 #include "core/route_change.hpp"
@@ -15,7 +15,7 @@ using core::testing::tiny_network;
 TEST(RoutingEpochDerived, RoutingTransposeLazyBuildAndReuse) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
-    const RoutingEpoch& epoch = cache.acquire(net.routing);
+    const RoutingEpoch& epoch = *cache.acquire_shared(net.routing);
 
     EXPECT_FALSE(epoch.routing_transpose_built());
     const linalg::SparseMatrix& rt = epoch.routing_transpose();
@@ -37,7 +37,7 @@ TEST(RoutingEpochDerived, RoutingTransposeLazyBuildAndReuse) {
 TEST(RoutingEpochDerived, FanoutConstraintsLazyBuild) {
     const SmallNetwork net = tiny_network();
     RoutingEpochCache cache(2);
-    const RoutingEpoch& epoch = cache.acquire(net.routing);
+    const RoutingEpoch& epoch = *cache.acquire_shared(net.routing);
 
     const core::FanoutConstraints& cached =
         epoch.fanout_constraints(net.topo);
@@ -69,34 +69,31 @@ TEST(RoutingEpochDerived, FanoutConstraintsLazyBuild) {
 }
 
 TEST(RoutingEpochCache, FingerprintCollisionIsNotServed) {
-    // Force every matrix onto one fingerprint: the structural identity
-    // check must keep two distinct routings in separate epochs instead
-    // of silently serving the first one's derived data for the second.
-    RoutingEpochCache cache(4, [](const linalg::SparseMatrix&) {
-        return std::uint64_t{42};
-    });
-
+    // An epoch is its routing's content, not its fingerprint or its
+    // shape: two routings with the same dimensions and sparsity pattern
+    // that differ in one value must get separate epochs, or the second
+    // would be served the first one's derived data.
     const linalg::SparseMatrix a(
-        2, 2, {{0, 0, 1.0}, {1, 1, 1.0}});
+        2, 2, {{0, 0, 1.0}, {0, 1, 0.5}, {1, 1, 1.0}});
     const linalg::SparseMatrix b(
-        2, 2, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 1, 1.0}});  // different nnz
+        2, 2, {{0, 0, 1.0}, {0, 1, 0.25}, {1, 1, 1.0}});
+    ASSERT_EQ(a.row_offsets(), b.row_offsets());
+    ASSERT_EQ(a.column_indices(), b.column_indices());
+    ASSERT_FALSE(a == b);
 
-    const RoutingEpoch& ea = cache.acquire(a);
-    const RoutingEpoch& eb = cache.acquire(b);
+    RoutingEpochCache cache(4);
+    const auto ea = cache.acquire_shared(a);
+    const auto eb = cache.acquire_shared(b);
     EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.collisions(), 1u);
-    EXPECT_EQ(ea.fingerprint(), eb.fingerprint());
-    // The serial disambiguates colliding epochs: it is what the engine
-    // compares to decide whether the epoch (and thus the window) must
-    // be flushed.
-    EXPECT_NE(ea.serial(), eb.serial());
-    EXPECT_EQ(ea.routing().to_dense(), a.to_dense());
-    EXPECT_EQ(eb.routing().to_dense(), b.to_dense());
+    EXPECT_NE(ea.get(), eb.get());
+    EXPECT_TRUE(ea->routing() == a);
+    EXPECT_TRUE(eb->routing() == b);
+    EXPECT_EQ(eb->routing_transpose().values(),
+              linalg::transpose(b).values());
 
-    // Both colliding epochs stay acquirable; each hit re-verifies
-    // structure and lands on the right entry.
-    EXPECT_EQ(cache.acquire(a).routing().to_dense(), a.to_dense());
-    EXPECT_EQ(cache.acquire(b).routing().to_dense(), b.to_dense());
+    // Both epochs stay acquirable, each by its own content.
+    EXPECT_EQ(cache.acquire_shared(a).get(), ea.get());
+    EXPECT_EQ(cache.acquire_shared(b).get(), eb.get());
     EXPECT_EQ(cache.hits(), 2u);
 }
 
@@ -108,25 +105,25 @@ TEST(RoutingEpochCache, EvictionRebuildsLazyDerivedData) {
         core::perturbed_routing(net.topo, 0.9, 2);
     RoutingEpochCache cache(2);
 
-    const RoutingEpoch& first = cache.acquire(net.routing);
-    first.routing_transpose();
-    first.fanout_constraints(net.topo);
-    EXPECT_EQ(first.derived_builds(), 1u);
+    const auto first = cache.acquire_shared(net.routing);
+    first->routing_transpose();
+    first->fanout_constraints(net.topo);
+    EXPECT_EQ(first->derived_builds(), 1u);
 
     // Fill the cache past capacity: the first epoch (LRU) is evicted
     // together with its derived data.
-    cache.acquire(r2);
-    cache.acquire(r3);
+    cache.acquire_shared(r2);
+    cache.acquire_shared(r3);
     EXPECT_EQ(cache.evictions(), 1u);
 
     // Re-acquiring the original routing is a miss that starts with a
     // clean derived slate (nothing stale can be served).
-    const RoutingEpoch& rebuilt = cache.acquire(net.routing);
+    const auto rebuilt = cache.acquire_shared(net.routing);
     EXPECT_EQ(cache.misses(), 4u);
-    EXPECT_EQ(rebuilt.derived_builds(), 0u);
-    EXPECT_FALSE(rebuilt.routing_transpose_built());
-    rebuilt.fanout_constraints(net.topo);
-    EXPECT_EQ(rebuilt.derived_builds(), 1u);
+    EXPECT_EQ(rebuilt->derived_builds(), 0u);
+    EXPECT_FALSE(rebuilt->routing_transpose_built());
+    rebuilt->fanout_constraints(net.topo);
+    EXPECT_EQ(rebuilt->derived_builds(), 1u);
 }
 
 }  // namespace

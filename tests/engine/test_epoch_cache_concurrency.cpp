@@ -51,8 +51,6 @@ TEST(RoutingEpochConcurrency, ColdDerivedDataBuildsExactlyOnce) {
         EXPECT_EQ(transpose_ptrs[t], transpose_ptrs[0]);
         EXPECT_EQ(fanout_ptrs[t], fanout_ptrs[0]);
     }
-    // The race never misfired into the collision path.
-    EXPECT_EQ(cache.collisions(), 0u);
 
     // The built data is correct, not just unique.
     EXPECT_EQ(transpose_ptrs[0]->to_dense(),

@@ -59,10 +59,9 @@ TEST(FleetDriver, MatchesSoloRunsAndBuildsSharedEpochOnce) {
     ASSERT_EQ(report.jobs.size(), 3u);
     EXPECT_EQ(report.total_windows, 3 * kSamples);
     // The scenario has one routing epoch; three concurrent engines on
-    // the shared cache build it exactly once and hit ever after.
+    // the shared cache build it exactly once, and each acquires it once.
     EXPECT_EQ(report.cache_misses, 1u);
-    EXPECT_EQ(report.cache_hits, 3 * kSamples - 1);
-    EXPECT_EQ(report.cache_collisions, 0u);
+    EXPECT_EQ(report.cache_hits, 2u);
     EXPECT_GT(report.wall_seconds, 0.0);
     EXPECT_GT(report.windows_per_second(), 0.0);
     EXPECT_NE(report.summary().find("3 jobs"), std::string::npos);

@@ -135,8 +135,7 @@ TEST(EngineMetricsGolden, SummaryMatchesGoldenString) {
 
     const std::string expected =
         "samples=10 gaps=1 windows=10 flushes=2 epoch_changes=3\n"
-        "epoch cache: hit rate 0.800 (8 hits, 2 misses, 0 evictions, "
-        "0 collisions)\n"
+        "epoch cache: hit rate 0.800 (8 hits, 2 misses, 0 evictions)\n"
         "latency: total 1.500s, last window 2.00ms, "
         "p50=142.61ms p95=142.61ms p99=142.61ms max=150.00ms\n"
         "  gravity   runs=10 warm=0/0 mean=5.00ms last=5.00ms "
@@ -246,7 +245,7 @@ TEST(EngineMetricsGolden, ToJsonKeyPathsAreStable) {
         "samples_ingested", "gap_samples", "windows_run", "window_flushes",
         "epoch_changes", "epoch_cache", "epoch_cache.hits",
         "epoch_cache.misses", "epoch_cache.evictions",
-        "epoch_cache.collisions", "epoch_cache.hit_rate", "total_seconds",
+        "epoch_cache.hit_rate", "total_seconds",
         "last_window_seconds", "window_latency", "window_latency.count",
         "window_latency.mean_s", "window_latency.p50_s",
         "window_latency.p95_s", "window_latency.p99_s",

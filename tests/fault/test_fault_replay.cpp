@@ -55,6 +55,37 @@ void expect_bitwise_equal(const FleetJobReport& a, const FleetJobReport& b) {
     }
 }
 
+// A replay with one fully dropped poll (measurement_drop) completes:
+// the sample without exiting traffic degrades its snapshot methods
+// instead of stopping the stream.
+TEST(FaultReplay, DroppedPollDoesNotStopTheReplay) {
+    if (!fault::compiled()) {
+        GTEST_SKIP() << "needs TME_FAULT_INJECTION=ON (fault preset)";
+    }
+    constexpr std::size_t kSamples = 8;
+    const scenario::Scenario sc = short_scenario(kSamples);
+    OnlineEngine engine(sc.topo, sc.routing, small_config(4));
+
+    fault::arm({fault::FaultSpec{fault::FaultSite::measurement_drop, "", 3,
+                                 1}},
+               2026);
+    ReplayResult replay;
+    EXPECT_NO_THROW(replay = replay_scenario(engine, sc));
+    const fault::FaultStats stats = fault::stats();
+    fault::disarm();
+
+    EXPECT_EQ(stats.fires[static_cast<std::size_t>(
+                  fault::FaultSite::measurement_drop)],
+              1u);
+    ASSERT_EQ(replay.windows.size(), kSamples);
+    EXPECT_EQ(engine.metrics().gap_samples.load(), 1u);
+    EXPECT_EQ(engine.metrics().stale_runs(), 2u);  // gravity, Bayesian
+    const WindowResult& dropped = replay.windows[3];
+    EXPECT_EQ(dropped.find(Method::vardi)->quality, EstimateQuality::exact);
+    EXPECT_EQ(dropped.find(Method::fanout)->quality,
+              EstimateQuality::exact);
+}
+
 TEST(FaultReplay, SeededScheduleIsolatesFaultsToTargetedJobs) {
     if (!fault::compiled()) {
         GTEST_SKIP() << "needs TME_FAULT_INJECTION=ON (fault preset)";
