@@ -1211,6 +1211,9 @@ int main(int argc, char** argv) {
     report.set("contracts_suspended_seconds", contracts_suspended_seconds);
     report.set("contracts_bitwise", contracts_bitwise);
     report.set("pass", g_ok);
+    report.set("host_hardware_concurrency",
+               std::thread::hardware_concurrency());
+    report.set("compiler", __VERSION__);
     if (report.write_file(json_path)) {
         std::printf("\nwrote %s\n", json_path.c_str());
     } else {

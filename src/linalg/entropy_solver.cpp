@@ -9,6 +9,17 @@
 
 namespace tme::linalg {
 
+namespace {
+
+/// One term of D(s||p), given lg = log(s/p).  generalized_kl and the
+/// solver's probe objective both sum this expression, so a build that
+/// fuses multiply-adds rounds the two the same way.
+inline double kl_term(double s, double p, double lg) {
+    return s > 0.0 ? s * lg - s + p : p;
+}
+
+}  // namespace
+
 double generalized_kl(const Vector& s, const Vector& p) {
     if (s.size() != p.size()) {
         throw std::invalid_argument("generalized_kl: size mismatch");
@@ -18,11 +29,7 @@ double generalized_kl(const Vector& s, const Vector& p) {
         if (p[i] <= 0.0) {
             throw std::invalid_argument("generalized_kl: prior must be > 0");
         }
-        if (s[i] > 0.0) {
-            acc += s[i] * std::log(s[i] / p[i]) - s[i] + p[i];
-        } else {
-            acc += p[i];
-        }
+        acc += kl_term(s[i], p[i], std::log(s[i] / p[i]));
     }
     return acc;
 }
@@ -37,17 +44,26 @@ constexpr double kInitialStep = 1.0;
 
 /// ||A s - b||^2 + w D(s||p) evaluated from a precomputed product
 /// as = A s.  The residual squares accumulate in row order, exactly as
-/// the historical sub-then-dot evaluation did, so objective values (and
+/// the historical sub-then-dot evaluation did, and the KL terms in
+/// index order, as generalized_kl sums them, so objective values (and
 /// therefore every Armijo accept/reject decision) are bit-for-bit the
-/// pre-rewrite solver's.
-double objective_at(const Vector& as, const Vector& b, const Vector& prior,
-                    double w, const Vector& s) {
+/// pre-rewrite solver's.  When w > 0 the KL pass leaves log(s_i/p_i) in
+/// `log_ratio`: the gradient at s needs exactly those values.
+double objective_at(const Vector& as, const Vector& b, const Vector& p,
+                    double w, const Vector& s, Vector& log_ratio) {
     double quad = 0.0;
     for (std::size_t i = 0; i < as.size(); ++i) {
         const double ri = as[i] - b[i];
         quad += ri * ri;
     }
-    return quad + (w > 0.0 ? w * generalized_kl(s, prior) : 0.0);
+    double kl = 0.0;
+    if (w > 0.0) {
+        for (std::size_t i = 0; i < s.size(); ++i) {
+            log_ratio[i] = std::log(s[i] / p[i]);
+            kl += kl_term(s[i], p[i], log_ratio[i]);
+        }
+    }
+    return quad + (w > 0.0 ? w * kl : 0.0);
 }
 
 }  // namespace
@@ -101,15 +117,19 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     // bit-for-bit), so a full iteration costs one transpose product for
     // the gradient plus one forward product per backtracking probe —
     // the forward re-multiply per iteration the historical loop paid is
-    // gone.
+    // gone.  Likewise log(s/p): the objective evaluation that accepted
+    // s already computed it, so the gradient reads it from `log_s`
+    // instead of paying a second divide+log pass per iteration.
     Vector as;  // A * result.s, maintained across iterations
     a.multiply_into(result.s, as);
+    Vector log_s(n, 0.0);  // log(result.s / p) when w > 0
     Vector resid(a.rows(), 0.0);
     Vector grad(n, 0.0);
     Vector trial(n, 0.0);
     Vector atrial;  // A * trial
+    Vector log_trial(n, 0.0);  // log(trial / p) when w > 0
 
-    double f = objective_at(as, b, p, w, result.s);
+    double f = objective_at(as, b, p, w, result.s, log_s);
     double eta = kInitialStep;
     std::size_t armijo_probes = 0;
 
@@ -130,7 +150,7 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
         scale(2.0, grad);
         if (w > 0.0) {
             for (std::size_t i = 0; i < n; ++i) {
-                grad[i] += w * std::log(result.s[i] / p[i]);
+                grad[i] += w * log_s[i];
             }
         }
 
@@ -159,11 +179,13 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
                 trial[i] = result.s[i] * std::exp(ex);
             }
             a.multiply_into(trial, atrial);
-            const double ft = objective_at(atrial, b, p, w, trial);
+            const double ft =
+                objective_at(atrial, b, p, w, trial, log_trial);
             ++armijo_probes;
             if (ft < f - 1e-12 * std::abs(f)) {
                 result.s.swap(trial);
                 as.swap(atrial);
+                log_s.swap(log_trial);
                 f = ft;
                 accepted = true;
                 // Allow the step to grow again after a success.

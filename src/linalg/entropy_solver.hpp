@@ -17,8 +17,10 @@
 // The data term is pure operator form: A enters only through A x / A' x
 // sweeps over its nonzeros (A'A is never formed, and no allocation is
 // quadratic in the pair count), and the product A s is carried across
-// accepted steps, so one iteration costs O(nnz) per backtracking probe
-// plus one O(nnz) transpose product.  This is what lets the Entropy
+// accepted steps, as is the probe's log(s/p), which the next gradient
+// reuses.  So one iteration costs, per backtracking probe, one O(nnz)
+// product and one exp and one divide+log per variable, plus one O(nnz)
+// transpose product for the gradient.  This is what lets the Entropy
 // estimator run at generated-backbone scale (9,900+ pairs) inside the
 // per-window budget; see PERF.md.
 #pragma once

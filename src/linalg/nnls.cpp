@@ -9,8 +9,72 @@
 #include "check/contract.hpp"
 #include "check/validators.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/csr_kernels.hpp"
 
 namespace tme::linalg {
+
+namespace detail {
+
+namespace {
+
+/// c - a*b with the product rounded before the subtraction, whatever the
+/// build's contraction defaults: a product passed to mul_add is never
+/// fused into it.
+inline double sub_rounded_product(double a, double b, double c) {
+    return mul_add(-1.0, a * b, c);
+}
+
+}  // namespace
+
+void packed_forward_substitute(const double* l, std::size_t k, double* x) {
+    // Rows i..i+3 each run their own t-ascending chain over the solved
+    // prefix x[0..i), side by side, so four chains are in flight instead
+    // of one; the 4x4 triangle then continues each chain at t = i, i+1,
+    // i+2 in serial order.
+    std::size_t i = 0;
+    for (; i + 4 <= k; i += 4) {
+        const double* r0 = l + i * (i + 1) / 2;
+        const double* r1 = r0 + (i + 1);
+        const double* r2 = r1 + (i + 2);
+        const double* r3 = r2 + (i + 3);
+        double v0 = x[i];
+        double v1 = x[i + 1];
+        double v2 = x[i + 2];
+        double v3 = x[i + 3];
+        for (std::size_t t = 0; t < i; ++t) {
+            const double xt = x[t];
+            v0 = sub_rounded_product(r0[t], xt, v0);
+            v1 = sub_rounded_product(r1[t], xt, v1);
+            v2 = sub_rounded_product(r2[t], xt, v2);
+            v3 = sub_rounded_product(r3[t], xt, v3);
+        }
+        x[i] = v0 / r0[i];
+        v1 = mul_add(-r1[i], x[i], v1);
+        x[i + 1] = v1 / r1[i + 1];
+        v2 = mul_add(-r2[i], x[i], v2);
+        v2 = mul_add(-r2[i + 1], x[i + 1], v2);
+        x[i + 2] = v2 / r2[i + 2];
+        v3 = mul_add(-r3[i], x[i], v3);
+        v3 = mul_add(-r3[i + 1], x[i + 1], v3);
+        v3 = mul_add(-r3[i + 2], x[i + 2], v3);
+        x[i + 3] = v3 / r3[i + 3];
+    }
+    // The last k mod 4 rows: the same rounding, one row at a time.
+    const std::size_t block = i;
+    for (; i < k; ++i) {
+        const double* row = l + i * (i + 1) / 2;
+        double v = x[i];
+        for (std::size_t t = 0; t < block; ++t) {
+            v = sub_rounded_product(row[t], x[t], v);
+        }
+        for (std::size_t t = block; t < i; ++t) {
+            v = mul_add(-row[t], x[t], v);
+        }
+        x[i] = v / row[i];
+    }
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -77,12 +141,13 @@ class GramAccess {
             for (std::size_t k = 0; k < col.idx.size(); ++k) {
                 const std::size_t q = col.idx[k];
                 if (q == p) diag_seen = true;
-                w[q] -= (col.val[k] + (q == p ? shift : 0.0)) * xp;
+                w[q] = detail::mul_add(
+                    -(col.val[k] + (q == p ? shift : 0.0)), xp, w[q]);
             }
             if (!diag_seen && shift != 0.0) {
                 // Structurally empty diagonal: the dense sweep still
                 // subtracts the virtual shift term there.
-                w[p] -= (0.0 + shift) * xp;
+                w[p] = detail::mul_add(-(0.0 + shift), xp, w[p]);
             }
         }
     }
@@ -140,19 +205,13 @@ class PassiveFactor {
 
     bool append(std::size_t j) {
         const std::size_t k = passive_.size();
-        // New column: c = G[passive + {j}, j].
-        Vector c(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            c[i] = gram_->entry(passive_[i], j);
-        }
-        // Solve L w = c (forward substitution on the kxk leading block).
+        // Solve L w = G[passive, j] (forward substitution on the kxk
+        // leading block).
         Vector w(k);
         for (std::size_t i = 0; i < k; ++i) {
-            double v = c[i];
-            const double* row = l_.data() + row_off(i);
-            for (std::size_t t = 0; t < i; ++t) v -= row[t] * w[t];
-            w[i] = v / row[i];
+            w[i] = gram_->entry(passive_[i], j);
         }
+        detail::packed_forward_substitute(l_.data(), k, w.data());
         double diag = gram_->diag(j) + shift_ + jitter_ - dot(w, w);
         if (diag <= 0.0 || !std::isfinite(diag)) {
             // Rank-deficient addition: retry with escalated jitter via a
@@ -193,12 +252,11 @@ class PassiveFactor {
     Vector solve(const Vector& atb) const {
         const std::size_t k = passive_.size();
         Vector y(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            double v = atb[passive_[i]];
-            const double* row = l_.data() + row_off(i);
-            for (std::size_t t = 0; t < i; ++t) v -= row[t] * y[t];
-            y[i] = v / row[i];
-        }
+        for (std::size_t i = 0; i < k; ++i) y[i] = atb[passive_[i]];
+        detail::packed_forward_substitute(l_.data(), k, y.data());
+        // The back substitution L' z = y stays one row at a time: row
+        // ii's chain runs over z[ii+1..k), so row ii-1's chain starts
+        // with z[ii] and no two rows' chains can run side by side.
         Vector z(k);
         for (std::size_t ii = k; ii-- > 0;) {
             double v = y[ii];

@@ -118,4 +118,22 @@ struct GramColumnOracle {
 NnlsResult nnls_operator(const GramColumnOracle& gram, const Vector& atb,
                          double btb = 0.0, const NnlsOptions& options = {});
 
+namespace detail {
+
+/// Solves L x = b in place for the k x k lower-triangular factor stored
+/// packed by rows (row i at offset i(i+1)/2, its diagonal last), as
+/// nnls_operator's passive-set Cholesky factor is.  x holds b on entry.
+/// Four rows' chains run side by side, which is where the speed is; the
+/// rounding is fixed per term.  Row i subtracts its terms t-ascending:
+/// those against earlier four-row blocks (t < 4*floor(i/4)) round the
+/// product first, those inside its own block go through mul_add.  That
+/// is the arithmetic the one-row loop it replaced compiled to: GCC
+/// vectorizes that loop's products eight and four at a time and ends
+/// with a scalar tail of at most three terms, which -march=native
+/// contracts to FMAs on AVX-512 hosts.  So passive solves keep their
+/// bits in the portable build and in such a native build alike.
+void packed_forward_substitute(const double* l, std::size_t k, double* x);
+
+}  // namespace detail
+
 }  // namespace tme::linalg

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <random>
 
+#include "core/gravity.hpp"
 #include "linalg/matrix.hpp"
+#include "scenario/scenario.hpp"
 
 namespace tme::linalg {
 namespace {
@@ -103,8 +105,10 @@ constexpr double kPriorFloor = 1e-12;
 constexpr double kInitialStep = 1.0;
 
 /// The pre-operator-rewrite solver, verbatim: per-iteration forward
-/// re-multiply, allocating objective evaluation.  Kept as the oracle
-/// for the rewrite's bitwise-equivalence pin.
+/// re-multiply, allocating objective evaluation, log(s/p) recomputed
+/// for every gradient.  Kept as the oracle for the rewrite's
+/// bitwise-equivalence pins; it honours options.initial with the
+/// production clamp.
 double objective(const SparseMatrix& a, const Vector& b, const Vector& prior,
                  double w, const Vector& s) {
     const Vector r = sub(a.multiply(s), b);
@@ -123,7 +127,14 @@ EntropySolverResult kl_regularized_ls(const SparseMatrix& a, const Vector& b,
     for (double& v : p) v = std::max(v, floor);
 
     EntropySolverResult result;
-    result.s = p;
+    if (options.initial != nullptr) {
+        result.s = *options.initial;
+        for (double& v : result.s) {
+            v = (std::isfinite(v) && v > floor) ? v : floor;
+        }
+    } else {
+        result.s = p;
+    }
     double bscale = nrm_inf(b);
     if (bscale == 0.0) bscale = 1.0;
     const double grad_scale = std::max(1.0, bscale * bscale);
@@ -215,6 +226,43 @@ TEST(EntropySolver, OperatorRewriteMatchesReferenceBitwise) {
         for (std::size_t i = 0; i < cols; ++i) {
             EXPECT_EQ(fast.s[i], ref.s[i]) << "w=" << w << " i=" << i;
         }
+    }
+}
+
+TEST(EntropySolver, WarmStartMatchesReferenceBitwiseAtPaperScale) {
+    // The path a streaming window runs: the USA busy sample with its
+    // gravity prior, seeded with the previous sample's solution.
+    const scenario::Scenario sc =
+        scenario::make_scenario(scenario::Network::usa, 1);
+    const std::size_t k = sc.busy_mid();
+    const auto gravity_prior = [&](std::size_t sample) {
+        core::SnapshotProblem problem;
+        problem.topo = &sc.topo;
+        problem.routing = &sc.routing;
+        problem.loads = sc.loads[sample];
+        return core::gravity_estimate(problem);
+    };
+    const double w = 1e-3;
+    EntropySolverOptions cold;
+    cold.max_iterations = 300;
+    const Vector seed =
+        kl_regularized_ls(sc.routing, sc.loads[k - 1], gravity_prior(k - 1),
+                          w, cold)
+            .s;
+    EntropySolverOptions warm = cold;
+    warm.initial = &seed;
+    const Vector prior = gravity_prior(k);
+    const EntropySolverResult fast =
+        kl_regularized_ls(sc.routing, sc.loads[k], prior, w, warm);
+    const EntropySolverResult ref = reference::kl_regularized_ls(
+        sc.routing, sc.loads[k], prior, w, warm);
+    EXPECT_GT(fast.iterations, 0u);  // the seed is not already optimal
+    EXPECT_EQ(fast.iterations, ref.iterations);
+    EXPECT_EQ(fast.converged, ref.converged);
+    EXPECT_EQ(fast.objective, ref.objective);
+    ASSERT_EQ(fast.s.size(), ref.s.size());
+    for (std::size_t i = 0; i < fast.s.size(); ++i) {
+        EXPECT_EQ(fast.s[i], ref.s[i]) << "i=" << i;
     }
 }
 

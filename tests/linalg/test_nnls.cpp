@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <stdexcept>
+#include <vector>
+
+#include "linalg/csr_kernels.hpp"
 
 namespace tme::linalg {
 namespace {
@@ -154,6 +158,58 @@ TEST(NnlsGram, RankDeficientGramDoesNotCrash) {
     const NnlsResult r = nnls(a, b);
     EXPECT_LE(r.residual_norm, 1e-6);
     for (double v : r.x) EXPECT_GE(v, 0.0);
+}
+
+// detail::packed_forward_substitute's arithmetic, one row at a time:
+// row i subtracts its terms t-ascending, rounding the product first
+// against earlier four-row blocks and through mul_add inside its own.
+// In a build without FMA both are the plain `v -= row[t] * x[t]` loop
+// the helper replaced in PassiveFactor's append and solve.
+void serial_forward_substitute(const std::vector<double>& l, std::size_t k,
+                               std::vector<double>& x) {
+    for (std::size_t i = 0; i < k; ++i) {
+        const double* row = l.data() + i * (i + 1) / 2;
+        const std::size_t block = i - i % 4;
+        double v = x[i];
+        for (std::size_t t = 0; t < i; ++t) {
+            v = t < block ? detail::mul_add(-1.0, row[t] * x[t], v)
+                          : detail::mul_add(-row[t], x[t], v);
+        }
+        x[i] = v / row[i];
+    }
+}
+
+TEST(PackedForwardSubstitute, MatchesSerialLoopBitwise) {
+    // Every remainder of k mod 4 (the four-row blocks and the serial
+    // tail), and a passive set of paper-scale size.  The estimators'
+    // dense oracles run nnls_gram, which solves through this same
+    // helper, so their bitwise gates cannot see a scheduling slip here.
+    std::vector<std::size_t> sizes;
+    for (std::size_t k = 0; k <= 67; ++k) sizes.push_back(k);
+    sizes.push_back(600);
+    std::mt19937_64 rng(20);
+    std::uniform_real_distribution<double> off(-1.0, 1.0);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (const std::size_t k : sizes) {
+        // Random factor whose diagonal grows with the row, so the
+        // solution stays O(1) and finite at every size.
+        std::vector<double> l(k * (k + 1) / 2);
+        for (std::size_t i = 0; i < k; ++i) {
+            double* row = l.data() + i * (i + 1) / 2;
+            for (std::size_t t = 0; t < i; ++t) row[t] = off(rng);
+            row[i] = 0.5 * static_cast<double>(i) + 1.0 + unit(rng);
+        }
+        std::vector<double> b(k);
+        for (double& v : b) v = off(rng);
+        std::vector<double> fast = b;
+        std::vector<double> ref = b;
+        detail::packed_forward_substitute(l.data(), k, fast.data());
+        serial_forward_substitute(l, k, ref);
+        for (std::size_t i = 0; i < k; ++i) {
+            ASSERT_TRUE(std::isfinite(ref[i])) << "k=" << k << " i=" << i;
+            EXPECT_EQ(fast[i], ref[i]) << "k=" << k << " i=" << i;
+        }
+    }
 }
 
 }  // namespace
