@@ -39,7 +39,8 @@
 //     and fanout complete a window at 249500 pairs with no pairs x pairs
 //     structure ever materialized (peak dense Matrix allocation
 //     < 10 MB), and the engine's default schedule finishes a full
-//     window off the epoch's shared routing transpose.
+//     window off the epoch's shared routing transpose.  The fanout
+//     Hessian apply is timed inline and pooled beside them.
 //
 // Results land in BENCH_solvers.json next to BENCH_engine.json so the
 // perf trajectory stays machine-readable across PRs.
@@ -69,6 +70,7 @@
 #include "engine/thread_pool.hpp"
 #include "linalg/blocked_spmv.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/csr_kernels.hpp"
 #include "linalg/entropy_solver.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qp.hpp"
@@ -137,6 +139,31 @@ void warm_pool(engine::ThreadPool& pool) {
         }
     });
     pool.run_batch(std::move(tasks));
+}
+
+/// The fanout QP's apply weights over a window of link loads:
+/// source_of[p] = src(p) and weights[n * window + k] = te_k(n), the
+/// per-source totals RoutingOperator::weighted_normal reads.
+struct FanoutApplyWeights {
+    std::vector<std::size_t> source_of;
+    std::vector<double> weights;
+};
+
+FanoutApplyWeights fanout_apply_weights(
+    const topology::Topology& topo, const std::vector<linalg::Vector>& loads) {
+    const std::size_t window = loads.size();
+    FanoutApplyWeights out;
+    out.source_of.resize(topo.pair_count());
+    for (std::size_t p = 0; p < topo.pair_count(); ++p) {
+        out.source_of[p] = topo.pair_nodes(p).first;
+    }
+    out.weights.resize(topo.pop_count() * window);
+    for (std::size_t n = 0; n < topo.pop_count(); ++n) {
+        for (std::size_t k = 0; k < window; ++k) {
+            out.weights[n * window + k] = loads[k][topo.ingress_link(n)];
+        }
+    }
+    return out;
 }
 
 /// One full window through the engine: its result, wall time, and the
@@ -596,20 +623,13 @@ int main(int argc, char** argv) {
             engine::ThreadPool pool(pool_workers());
             const linalg::SolveScope scope(&pool);
             const linalg::RoutingOperator op(r);
-            // The fanout QP's weights: w_k[p] = te_k(src(p)).
+            const linalg::SparseMatrix rt = linalg::transpose(r);
+            const FanoutApplyWeights fw =
+                fanout_apply_weights(topo, series.loads);
             std::vector<linalg::Vector> w(window, linalg::Vector(pairs));
-            std::vector<std::size_t> source_of(pairs);
-            std::vector<double> weights(topo.pop_count() * window);
-            for (std::size_t n = 0; n < topo.pop_count(); ++n) {
-                for (std::size_t k = 0; k < window; ++k) {
-                    weights[n * window + k] =
-                        series.loads[k][topo.ingress_link(n)];
-                }
-            }
             for (std::size_t p = 0; p < pairs; ++p) {
-                source_of[p] = topo.pair_nodes(p).first;
                 for (std::size_t k = 0; k < window; ++k) {
-                    w[k][p] = weights[source_of[p] * window + k];
+                    w[k][p] = fw.weights[fw.source_of[p] * window + k];
                 }
             }
             const linalg::Vector& x = fanout_result.fanouts;
@@ -623,7 +643,8 @@ int main(int argc, char** argv) {
                     r.multiply_into(u, v);
                     r.multiply_transpose_into(v, z);
                     for (std::size_t p = 0; p < pairs; ++p) {
-                        y_serial[p] += wk[p] * z[p];
+                        y_serial[p] =
+                            linalg::detail::mul_add(wk[p], z[p], y_serial[p]);
                     }
                 }
             };
@@ -632,13 +653,13 @@ int main(int argc, char** argv) {
             p200_fanout_apply_serial_seconds =
                 seconds_per_call(50, fanout_serial);
             p200_fanout_apply_inline_seconds = seconds_per_call(50, [&] {
-                op.weighted_normal(x, source_of, weights, window, scratch,
-                                   y_inline, nullptr);
+                op.weighted_normal(x, rt, fw.source_of, fw.weights, window,
+                                   scratch, y_inline, nullptr);
             });
             warm_pool(pool);
             p200_fanout_apply_pooled_seconds = seconds_per_call(50, [&] {
-                op.weighted_normal(x, source_of, weights, window, scratch,
-                                   y_pooled, &pool);
+                op.weighted_normal(x, rt, fw.source_of, fw.weights, window,
+                                   scratch, y_pooled, &pool);
             });
             const bool fanout_apply_bitwise =
                 vec_bitwise(y_inline, y_serial) &&
@@ -879,6 +900,8 @@ int main(int argc, char** argv) {
     double p500_bayesian_seconds = 0.0;
     double p500_fanout_seconds = 0.0;
     double p500_scheduler_seconds = 0.0;
+    double p500_fanout_apply_inline_seconds = 0.0;
+    double p500_fanout_apply_pooled_seconds = 0.0;
     // The five-method window through an engine whose worker count
     // matches the hardware (helpers come from the workers whose
     // methods finish first).
@@ -1016,6 +1039,34 @@ int main(int argc, char** argv) {
                     p500_fanout_seconds, fanout_result.qp_iterations,
                     fanout_result.qp_cg_iterations,
                     fanout_result.equality_violation);
+
+        // The fanout Hessian apply at the yardstick's scale, inline and
+        // on a pool of every hardware thread, as the 200-PoP kernel rows
+        // time it (pooled == serial is gated there).
+        {
+            engine::ThreadPool pool(pool_workers());
+            const linalg::SolveScope scope(&pool);
+            const linalg::RoutingOperator op(r);
+            const FanoutApplyWeights fw =
+                fanout_apply_weights(topo, series.loads);
+            const linalg::Vector& x = fanout_result.fanouts;
+            linalg::WeightedNormalScratch scratch;
+            linalg::Vector y;
+            p500_fanout_apply_inline_seconds = seconds_per_call(10, [&] {
+                op.weighted_normal(x, rt, fw.source_of, fw.weights, window,
+                                   scratch, y, nullptr);
+            });
+            warm_pool(pool);
+            p500_fanout_apply_pooled_seconds = seconds_per_call(10, [&] {
+                op.weighted_normal(x, rt, fw.source_of, fw.weights, window,
+                                   scratch, y, &pool);
+            });
+            std::printf("  kernel    fanout apply (window %zu) inline "
+                        "%.2f ms, pooled (%zu threads) %.2f ms\n",
+                        window, 1e3 * p500_fanout_apply_inline_seconds,
+                        p500_pool_threads,
+                        1e3 * p500_fanout_apply_pooled_seconds);
+        }
 
         const double p500_window_seconds =
             p500_gravity_seconds + p500_kruithof_seconds +
@@ -1198,6 +1249,10 @@ int main(int argc, char** argv) {
     report.set("p500_bayesian_seconds", p500_bayesian_seconds);
     report.set("p500_fanout_seconds", p500_fanout_seconds);
     report.set("p500_scheduler_seconds", p500_scheduler_seconds);
+    report.set("p500_fanout_apply_inline_seconds",
+               p500_fanout_apply_inline_seconds);
+    report.set("p500_fanout_apply_pooled_seconds",
+               p500_fanout_apply_pooled_seconds);
     report.set("p500_pool_threads", p500_pool_threads);
     report.set("p500_window_pooled_seconds", p500_window_pooled_seconds);
     report.set("p500_window_helper_blocks", p500_window_helper_blocks);

@@ -212,11 +212,12 @@ FanoutResult fanout_estimate(const SeriesProblem& problem,
     hessian_op.dimension = pairs;
     // H x = sum_k W_k R' R W_k x: O(nnz * window) per apply,
     // rank-(window) structure exploited instead of the quadratic
-    // weighted Gram.  One row-blocked pass over R and one over R'
-    // serve every window sample, on the caller's block runner.
+    // weighted Gram.  One row-blocked pass over R and one gather over
+    // the rows of R' (the epoch's or the local transpose) serve every
+    // window sample, on the caller's block runner.
     hessian_op.apply = [&](const linalg::Vector& x, linalg::Vector& y) {
         if (!routing_op) routing_op.emplace(r);
-        routing_op->weighted_normal(x, source_of, source_w, window,
+        routing_op->weighted_normal(x, *rtp, source_of, source_w, window,
                                     apply_scratch, y, options.qp.parallel);
     };
     hessian_op.diag = [&](linalg::Vector& out) {

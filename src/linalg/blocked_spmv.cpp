@@ -1,9 +1,11 @@
 #include "linalg/blocked_spmv.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <type_traits>
 
+#include "check/contract.hpp"
 #include "linalg/csr_kernels.hpp"
 
 namespace tme::linalg {
@@ -83,51 +85,40 @@ void weighted_rows(const CsrView& r, const double* __restrict x,
     }
 }
 
-/// Column blocks [b0, b1) of z_k = R' v_k for samples [k0, k0 + K):
-/// rows ascending, each row's segment of columns inside the blocks
-/// (seg[i * stride + b] = the row's first position in column block b),
-/// zero inputs skipped — per output entry exactly the scatter loop of
-/// multiply_transpose_into.  Unit adds v_k[i] instead of fusing it with
-/// a value of 1.0.
+/// y[p] for pairs [begin, end) and samples [k0, k0 + K), as a gather
+/// over the rows of R': z_k[p] = sum_i R'(p, i) v_k[i] over pair p's
+/// links ascending, from K accumulators at +0, then folded as
+/// y[p] = mul_add(w_k[p], z_k[p], y[p]) in sample order, from +0 on
+/// the first chunk and from the previous chunk's y[p] after it.  Each
+/// z_k[p] takes the terms of multiply_transpose_into's scatter in its
+/// source-row order; the scatter skips zero inputs, and adding a signed
+/// zero to a sum started at +0 never changes it, so the bits agree.
+/// Unit adds v_k[i] instead of fusing it with a value of 1.0.
 template <std::size_t K, bool Unit>
-void weighted_scatter(const CsrView& r, const std::size_t* __restrict seg,
-                      std::size_t stride, std::size_t b0, std::size_t b1,
-                      const double* __restrict v, std::size_t window,
-                      std::size_t k0, double* const* z) {
-    const std::size_t* __restrict cidx = r.col_index;
-    const double* __restrict vals = r.values;
-    double* __restrict zk[K];
-    for (std::size_t k = 0; k < K; ++k) zk[k] = z[k0 + k];
-    for (std::size_t i = 0; i < r.rows; ++i) {
-        const std::size_t t0 = seg[i * stride + b0];
-        const std::size_t t1 = seg[i * stride + b1];
-        const double* __restrict vi = v + i * window + k0;
-        bool dense = true;
-        for (std::size_t k = 0; k < K; ++k) dense = dense && vi[k] != 0.0;
-        if (dense) {
-            for (std::size_t t = t0; t < t1; ++t) {
-                const std::size_t c = cidx[t];
-                for (std::size_t k = 0; k < K; ++k) {
-                    if constexpr (Unit) {
-                        zk[k][c] += vi[k];
-                    } else {
-                        zk[k][c] = mul_add(vi[k], vals[t], zk[k][c]);
-                    }
-                }
-            }
-        } else {
-            for (std::size_t t = t0; t < t1; ++t) {
-                const std::size_t c = cidx[t];
-                for (std::size_t k = 0; k < K; ++k) {
-                    if (vi[k] == 0.0) continue;
-                    if constexpr (Unit) {
-                        zk[k][c] += vi[k];
-                    } else {
-                        zk[k][c] = mul_add(vi[k], vals[t], zk[k][c]);
-                    }
+void weighted_gather(const CsrView& rt, const double* __restrict v,
+                     const std::size_t* __restrict group_of,
+                     const double* __restrict gw, std::size_t window,
+                     std::size_t k0, std::size_t begin, std::size_t end,
+                     double* __restrict y) {
+    const std::size_t* __restrict off = rt.offsets;
+    const std::size_t* __restrict cidx = rt.col_index;
+    const double* __restrict vals = rt.values;
+    for (std::size_t p = begin; p < end; ++p) {
+        double acc[K] = {};
+        for (std::size_t t = off[p]; t < off[p + 1]; ++t) {
+            const double* __restrict vi = v + cidx[t] * window + k0;
+            for (std::size_t k = 0; k < K; ++k) {
+                if constexpr (Unit) {
+                    acc[k] += vi[k];
+                } else {
+                    acc[k] = mul_add(vi[k], vals[t], acc[k]);
                 }
             }
         }
+        const double* __restrict wp = gw + group_of[p] * window + k0;
+        double yp = k0 == 0 ? 0.0 : y[p];
+        for (std::size_t k = 0; k < K; ++k) yp = mul_add(wp[k], acc[k], yp);
+        y[p] = yp;
     }
 }
 
@@ -148,7 +139,8 @@ std::vector<std::size_t> nnz_balanced_blocks(const CsrView& a,
     return bounds;
 }
 
-RoutingOperator::RoutingOperator(const SparseMatrix& r) : r_(r.view()) {
+RoutingOperator::RoutingOperator(const SparseMatrix& r)
+    : matrix_(&r), r_(r.view()) {
     row_blocks_ = nnz_balanced_blocks(r_, kBlocks);
     // Column blocks balanced by column counts: the bounds of the
     // counting CSR of R' (its row offsets), without building R'.
@@ -221,7 +213,8 @@ void RoutingOperator::multiply_transpose(const Vector& x, Vector& y,
 }
 
 void RoutingOperator::weighted_normal(
-    const Vector& x, const std::vector<std::size_t>& group_of,
+    const Vector& x, const SparseMatrix& rt,
+    const std::vector<std::size_t>& group_of,
     const std::vector<double>& group_weights, std::size_t window,
     WeightedNormalScratch& scratch, Vector& y, BlockRunner* runner) const {
     if (window == 0 || x.size() != r_.cols || group_of.size() != r_.cols ||
@@ -229,6 +222,12 @@ void RoutingOperator::weighted_normal(
         throw std::invalid_argument(
             "RoutingOperator::weighted_normal: size mismatch");
     }
+    if (rt.rows() != r_.cols || rt.cols() != r_.rows ||
+        rt.nonzeros() != r_.offsets[r_.rows]) {
+        throw std::invalid_argument(
+            "RoutingOperator::weighted_normal: R' shape mismatch");
+    }
+    TME_CONTRACT_DBG_CHECK(verify_transpose(rt));
     const std::size_t groups = group_weights.size() / window;
     for (const std::size_t g : group_of) {
         if (g >= groups) {
@@ -237,18 +236,12 @@ void RoutingOperator::weighted_normal(
         }
     }
     scratch.link.resize(r_.rows * window);
-    scratch.pair.resize(window);
-    scratch.pair_data.resize(window);
-    for (std::size_t k = 0; k < window; ++k) {
-        scratch.pair[k].resize(r_.cols);
-        scratch.pair_data[k] = scratch.pair[k].data();
-    }
     y.resize(r_.cols);
+    const CsrView rtv = rt.view();
     const double* xp = x.data();
     const std::size_t* gp = group_of.data();
     const double* wp = group_weights.data();
     double* vp = scratch.link.data();
-    double* const* zp = scratch.pair_data.data();
     double* yp = y.data();
     run_blocks(runner, row_blocks_.size() - 1,
                [&](std::size_t b0, std::size_t b1) {
@@ -260,29 +253,26 @@ void RoutingOperator::weighted_normal(
             });
         });
     });
-    const std::size_t stride = col_blocks_.size();
-    run_blocks(runner, stride - 1, [&](std::size_t b0, std::size_t b1) {
-        const std::size_t cb = col_blocks_[b0];
-        const std::size_t ce = col_blocks_[b1];
-        for (std::size_t k = 0; k < window; ++k) {
-            std::fill(zp[k] + cb, zp[k] + ce, 0.0);
-        }
+    // R' has R's values, so R's unit test covers it.
+    run_blocks(runner, col_blocks_.size() - 1,
+               [&](std::size_t b0, std::size_t b1) {
         with_unit(unit_, [&](auto unit) {
             for_each_sample_chunk(window, [&](auto chunk, std::size_t k0) {
-                weighted_scatter<decltype(chunk)::value,
-                                 decltype(unit)::value>(
-                    r_, segments_.data(), stride, b0, b1, vp, window, k0, zp);
+                weighted_gather<decltype(chunk)::value,
+                                decltype(unit)::value>(
+                    rtv, vp, gp, wp, window, k0, col_blocks_[b0],
+                    col_blocks_[b1], yp);
             });
         });
-        // y[p] = 0 + w_0 z_0 + w_1 z_1 + ...: the serial fold order.
-        for (std::size_t p = cb; p < ce; ++p) {
-            const double* __restrict wrow = wp + gp[p] * window;
-            double acc = 0.0;
-            for (std::size_t k = 0; k < window; ++k) {
-                acc = mul_add(wrow[k], zp[k][p], acc);
-            }
-            yp[p] = acc;
-        }
+    });
+}
+
+void RoutingOperator::verify_transpose(const SparseMatrix& rt) const {
+    // A throwing call leaves the flag unset, so the next R' is checked.
+    std::call_once(transpose_verified_, [&] {
+        TME_CONTRACT(rt == transpose(*matrix_),
+                     "RoutingOperator::weighted_normal: R' is not "
+                     "transpose(R)");
     });
 }
 

@@ -13,14 +13,17 @@
 //             column-sorted, so the segment is contiguous; its bounds
 //             are precomputed per row and block).  Each y[p] therefore
 //             accumulates its terms in source-row order with the same
-//             zero-input skips as multiply_transpose_into.  A gather
-//             over the rows of R' would give the same sums but is
-//             latency-bound on its short per-pair chains — slower than
-//             the serial scatter on routing matrices;
+//             zero-input skips as multiply_transpose_into.  For one
+//             vector a gather over the rows of R' gives the same sums
+//             but is latency-bound on its short per-pair chains —
+//             slower than the serial scatter on routing matrices;
 //  * sum_k W_k R' R W_k x — the fanout Hessian over all window samples
-//             in two passes (row blocks, then column blocks) instead of
-//             two passes per sample, with each per-sample term computed
-//             and folded in the serial loop's order.
+//             in two passes instead of two per sample: row blocks of R
+//             form every sample's R W_k x, then column blocks gather
+//             over the rows of the caller's R' (pair p's links
+//             ascending, up to 8 samples wide, so the short chains run
+//             side by side) and fold y[p] in the serial loop's sample
+//             order.
 //
 // R x and R' y run the same row and segment loops as SparseMatrix's
 // products (linalg/csr_kernels.hpp), and every output element is
@@ -37,6 +40,7 @@
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <vector>
 
 #include "linalg/parallel.hpp"
@@ -50,17 +54,12 @@ namespace tme::linalg {
 std::vector<std::size_t> nnz_balanced_blocks(const CsrView& a,
                                              std::size_t blocks);
 
-/// Caller-owned work buffers of RoutingOperator::weighted_normal,
-/// reused across applies.  The per-sample R' products live in one
-/// pairs-length vector per sample, not one pairs x window block: a
-/// freed multi-MB block raises glibc's dynamic mmap threshold, after
-/// which the solver's own pairs-length vectors stay resident in the
-/// per-thread malloc arenas (+15% peak RSS in a 200-PoP engine run on
-/// a 4-vCPU x86-64 guest).
+/// Caller-owned work buffer of RoutingOperator::weighted_normal,
+/// reused across applies: R W_k x for every sample, links x window
+/// (sample-minor, so a pair's gather reads each link's samples as one
+/// contiguous run).
 struct WeightedNormalScratch {
-    std::vector<double> link;         ///< R W_k x, rows x window
-    std::vector<Vector> pair;         ///< z_k = R'(R W_k x), per sample
-    std::vector<double*> pair_data;   ///< pair[k].data()
+    std::vector<double> link;  ///< R W_k x, rows x window
 };
 
 class RoutingOperator {
@@ -86,16 +85,24 @@ class RoutingOperator {
     /// diag(w_k) and w_k[p] = group_weights[group_of[p] * window + k]:
     /// the weights factor through a group per pair (the fanout QP's
     /// are per-source totals; an identity group_of gives arbitrary
-    /// per-pair weights).  Bitwise the per-sample loop
+    /// per-pair weights).  `rt` must be transpose(R): a wrong shape or
+    /// nonzero count throws std::invalid_argument, and the expensive
+    /// contract tier compares it with transpose(R) once per operator.
+    /// Bitwise the per-sample loop
     ///   y = 0; for k: u = w_k .* x; z = R'(R u); y += w_k .* z
     /// run with multiply_into / multiply_transpose_into.
-    void weighted_normal(const Vector& x,
+    void weighted_normal(const Vector& x, const SparseMatrix& rt,
                          const std::vector<std::size_t>& group_of,
                          const std::vector<double>& group_weights,
                          std::size_t window, WeightedNormalScratch& scratch,
                          Vector& y, BlockRunner* runner) const;
 
   private:
+    /// Throws check::ContractViolation unless rt == transpose(R).
+    /// Compares only until one call has passed.
+    void verify_transpose(const SparseMatrix& rt) const;
+
+    const SparseMatrix* matrix_;  ///< R, for verify_transpose
     CsrView r_;
     bool unit_ = true;  ///< every stored value of R is exactly 1.0
     std::vector<std::size_t> row_blocks_;  ///< over R's rows
@@ -103,6 +110,7 @@ class RoutingOperator {
     /// segments_[i * col_blocks_.size() + b]: first position of row i
     /// whose column is >= col_blocks_[b] (the last one is the row end).
     std::vector<std::size_t> segments_;
+    mutable std::once_flag transpose_verified_;
 };
 
 }  // namespace tme::linalg

@@ -77,6 +77,7 @@ const scenario::Scenario& short_backbone() {
 TEST(ParallelDeterminism, BlockedKernelsOnPoolsMatchSerial) {
     const linalg::SparseMatrix& r = backbone().routing;
     const linalg::RoutingOperator op(r);
+    const linalg::SparseMatrix rt = linalg::transpose(r);
     std::mt19937_64 rng(9);
     std::uniform_real_distribution<double> u(-1.0, 1.0);
     linalg::Vector x(r.cols()), t(r.rows());
@@ -95,7 +96,8 @@ TEST(ParallelDeterminism, BlockedKernelsOnPoolsMatchSerial) {
     const linalg::Vector rtt = r.multiply_transpose(t);
     linalg::WeightedNormalScratch scratch;
     linalg::Vector hx;
-    op.weighted_normal(x, source_of, weights, window, scratch, hx, nullptr);
+    op.weighted_normal(x, rt, source_of, weights, window, scratch, hx,
+                       nullptr);
     for (std::size_t n : kPoolSizes) {
         ThreadPool pool(n);
         const linalg::SolveScope scope(&pool);
@@ -106,8 +108,8 @@ TEST(ParallelDeterminism, BlockedKernelsOnPoolsMatchSerial) {
             ASSERT_TRUE(bitwise_equal(got, rx)) << n << " workers";
             op.multiply_transpose(t, got, &pool);
             ASSERT_TRUE(bitwise_equal(got, rtt)) << n << " workers";
-            op.weighted_normal(x, source_of, weights, window, scratch, got,
-                               &pool);
+            op.weighted_normal(x, rt, source_of, weights, window, scratch,
+                               got, &pool);
             ASSERT_TRUE(bitwise_equal(got, hx)) << n << " workers";
         }
     }

@@ -10,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "check/contract.hpp"
 #include "linalg/blocked_spmv.hpp"
 #include "linalg/csr_kernels.hpp"
 #include "routing/routing_matrix.hpp"
@@ -125,6 +126,7 @@ std::vector<double> group_major(const std::vector<Vector>& w) {
 void weighted_normal_matches_per_sample_loop(const SparseMatrix& r,
                                              std::mt19937_64& rng) {
     const RoutingOperator op(r);
+    const SparseMatrix rt = transpose(r);
     ReverseRunner reverse;
     ShuffledRangeRunner shuffled(5);
     const std::vector<BlockRunner*> runners = {nullptr, &reverse, &shuffled};
@@ -136,8 +138,10 @@ void weighted_normal_matches_per_sample_loop(const SparseMatrix& r,
         identity[p] = p;
         grouped[p] = p % 13;
     }
-    // Chunked sample loops: 8-wide chunks plus every remainder width.
-    for (std::size_t window : {1u, 2u, 3u, 4u, 8u, 9u, 17u}) {
+    // Chunked sample loops: every remainder width, one and two 8-wide
+    // chunks, and chunks followed by a remainder.
+    for (std::size_t window :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 17u}) {
         for (const std::vector<std::size_t>* group_of : {&identity, &grouped}) {
             const std::size_t groups = group_of == &identity ? r.cols() : 13;
             std::vector<Vector> gw(window, Vector(groups));
@@ -159,8 +163,8 @@ void weighted_normal_matches_per_sample_loop(const SparseMatrix& r,
             for (BlockRunner* runner : runners) {
                 WeightedNormalScratch scratch;
                 Vector got;
-                op.weighted_normal(x, *group_of, weights, window, scratch, got,
-                                   runner);
+                op.weighted_normal(x, rt, *group_of, weights, window,
+                                   scratch, got, runner);
                 EXPECT_TRUE(bitwise_equal(got, want))
                     << "pairs " << r.cols() << " window " << window
                     << " groups " << groups;
@@ -232,16 +236,54 @@ TEST(BlockedSpmv, RejectsMismatchedSizes) {
                  std::invalid_argument);
     EXPECT_THROW(op.multiply_transpose(Vector(r.cols()), y, nullptr),
                  std::invalid_argument);
+    const SparseMatrix rt = transpose(r);
     const std::vector<std::size_t> groups(r.cols(), 0);
-    EXPECT_THROW(op.weighted_normal(Vector(r.cols()), groups,
+    EXPECT_THROW(op.weighted_normal(Vector(r.cols()), rt, groups,
                                     std::vector<double>(3), 2, scratch, y,
                                     nullptr),
                  std::invalid_argument);
     const std::vector<std::size_t> out_of_range(r.cols(), 5);
-    EXPECT_THROW(op.weighted_normal(Vector(r.cols()), out_of_range,
+    EXPECT_THROW(op.weighted_normal(Vector(r.cols()), rt, out_of_range,
                                     std::vector<double>(4), 2, scratch, y,
                                     nullptr),
                  std::invalid_argument);
+}
+
+TEST(BlockedSpmv, WeightedNormalRejectsAWrongTranspose) {
+    const SparseMatrix r = backbone_routing(10);
+    const RoutingOperator op(r);
+    const SparseMatrix rt = transpose(r);
+    const std::vector<std::size_t> groups(r.cols(), 0);
+    const std::vector<double> weights = {1.0, 2.0};
+    WeightedNormalScratch scratch;
+    Vector y;
+    const auto apply = [&](const SparseMatrix& t) {
+        op.weighted_normal(Vector(r.cols(), 1.0), t, groups, weights, 2,
+                           scratch, y, nullptr);
+    };
+    // R in place of R': the wrong shape.
+    EXPECT_THROW(apply(r), std::invalid_argument);
+    // R' without its last nonzero: the right shape, one entry short.
+    std::vector<std::size_t> offsets = rt.row_offsets();
+    std::vector<std::size_t> columns = rt.column_indices();
+    std::vector<double> values = rt.values();
+    --offsets.back();
+    columns.pop_back();
+    values.pop_back();
+    EXPECT_THROW(apply(SparseMatrix::from_csr(rt.rows(), rt.cols(), offsets,
+                                              columns, values)),
+                 std::invalid_argument);
+    // R' with one value changed: shape and count agree, so only the
+    // expensive contract tier sees it.  It compares once per operator,
+    // so this comes before the correct R'.
+    values = rt.values();
+    values[values.size() / 2] = 2.0;
+    const SparseMatrix changed = SparseMatrix::from_csr(
+        rt.rows(), rt.cols(), rt.row_offsets(), rt.column_indices(), values);
+    if (check::contracts_dbg_compiled()) {
+        EXPECT_THROW(apply(changed), check::ContractViolation);
+    }
+    EXPECT_NO_THROW(apply(rt));
 }
 
 }  // namespace
